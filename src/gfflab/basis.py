@@ -11,7 +11,6 @@ lambda_k ~ c_weyl * k^alpha.
 from __future__ import annotations
 
 import enum
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -200,8 +199,8 @@ def build_box_basis(d: int, side: float, size: int) -> EigenBasis:
             break
         bound *= 2
 
-    order = sorted(range(grid.shape[0]), key=lambda i: (norm2[i], tuple(grid[i])))
-    keep = np.array(order[:size], dtype=np.intp)
+    # by norm, ties broken lexicographically on the multi-index
+    keep = np.lexsort((*grid.T[::-1], norm2))[:size]
     indices = grid[keep]
     lambdas = np.pi * np.sqrt(norm2[keep]) / side
 
@@ -241,11 +240,10 @@ def build_hermite_basis(d: int, size: int) -> EigenBasis:
         m = 0
         while math.comb(m + d, d) < size:
             m += 1
-        candidates = [
-            n for n in itertools.product(range(m + 1), repeat=d) if sum(n) <= m
-        ]
-        candidates.sort(key=lambda n: (sum(n), n))
-        indices = np.array(candidates[:size], dtype=np.int64)
+        axes = [np.arange(m + 1, dtype=np.int64)] * d
+        grid = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, d)
+        grid = grid[grid.sum(axis=1) <= m]
+        indices = grid[np.lexsort((*grid.T[::-1], grid.sum(axis=1)))[:size]]
 
     lam2 = 2.0 * indices.sum(axis=1).astype(float) + d
     return EigenBasis(

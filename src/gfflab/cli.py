@@ -180,7 +180,7 @@ def write_result(result: ExperimentResult, prefix: str) -> tuple[str, str]:
         fh.write(",".join(result.columns) + "\n")
         for row in result.rows:
             fh.write(",".join(_format_cell(row[c]) for c in result.columns) + "\n")
-    summary_path = f"{prefix}_summary.json"
+    summary_path = f"{prefix}_{result.name}_summary.json"
     with open(summary_path, "w", encoding="utf-8", newline="\n") as fh:
         json.dump(result.summary, fh, indent=2, sort_keys=True)
         fh.write("\n")

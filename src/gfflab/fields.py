@@ -19,7 +19,9 @@ from . import fourier_cov
 from .basis import EigenBasis, evaluate_matrix, sinpi
 from .fourier_cov import TestFunction
 from .hilbert_scale import CoefficientField
-from .quadrature import composite_legendre, gauss_legendre
+from .quadrature import composite_legendre, gauss_legendre, running_integral
+
+_FOURIER_BLOCK = 256  # rows of x per block of the cos/sin table
 
 
 @dataclass(frozen=True)
@@ -163,31 +165,23 @@ def two_sided_antiderivative(f, x, r_max: float = 20.0) -> np.ndarray:
     out = np.zeros(pts.shape)
     for sign in (1.0, -1.0):
         mask = (sign * pts) > 0.0
-        if not np.any(mask):
-            continue
-        vals = np.sort(np.unique(pts[mask]))
-        if sign > 0:
-            vals = vals[::-1]  # accumulate inward from +r_max
-        acc = 0.0
-        prev = sign * r_max
-        tails = {}
-        for v in vals:
-            lo, hi = (v, prev) if sign > 0 else (prev, v)
-            if hi > lo:
-                q, w = gauss_legendre(lo, hi, 24)
-                acc += float(np.sum(w * f(q)))
-            prev = v
-            tails[v] = acc
-        fill = np.array([tails[v] for v in pts[mask]])
-        out[mask] = -fill if sign > 0 else fill
+        # F(v) = int_{sign r_max}^v f, accumulated inward from the truncation point
+        inward, inverse = np.unique(-sign * pts[mask], return_inverse=True)
+        out[mask] = running_integral(f, sign * r_max, -sign * inward)[inverse]
     return out if np.ndim(x) else float(out[0])
 
 
-def _transform_on_grid(f, x, wx, xi) -> np.ndarray:
-    """Unitary Fourier transform of a tabulated function at frequencies xi."""
-    fw = wx * f(x)
-    phase = np.outer(x, xi)
-    return (fw @ np.cos(phase) - 1j * (fw @ np.sin(phase))) / math.sqrt(2.0 * math.pi)
+def _transform_on_grid(even, odd, x, xi) -> np.ndarray:
+    """Unitary Fourier transforms at frequencies xi of functions on the grid
+    -x, x; the rows of even and odd hold w(x) (f(x) +- f(-x)) for quadrature
+    weights w. The cos/sin table is built in blocks of _FOURIER_BLOCK nodes."""
+    re = np.zeros((even.shape[0], xi.size))
+    im = np.zeros_like(re)
+    for lo in range(0, x.size, _FOURIER_BLOCK):
+        phase = np.outer(x[lo : lo + _FOURIER_BLOCK], xi)
+        re += even[:, lo : lo + _FOURIER_BLOCK] @ np.cos(phase)
+        im += odd[:, lo : lo + _FOURIER_BLOCK] @ np.sin(phase)
+    return (re - 1j * im) / math.sqrt(2.0 * math.pi)
 
 
 def _check_first_moment(f, r_max: float) -> None:
@@ -248,27 +242,13 @@ def covariance_two_sided(
 
     if mode == "direct":
         # nested quadrature of f(x) [int_0^x y g(y) dy + x int_x^rmax g] per
-        # half line; the inner integrals accumulate panel-wise along the
-        # sorted outer nodes so the min kink never crosses a panel
+        # half line; the inner integrals run over the gaps between the sorted
+        # outer nodes so the min kink never crosses a panel
         total = 0.0
+        x, w = composite_legendre(0.0, r_max, panels, 16)
         for sign in (1.0, -1.0):
-            x, w = composite_legendre(0.0, r_max, panels, 16)
-            inner_lo = np.empty_like(x)  # int_0^x y g(sign y) dy
-            inner_hi = np.empty_like(x)  # int_x^rmax g(sign y) dy
-            acc = 0.0
-            prev = 0.0
-            for i, xi in enumerate(x):
-                q, qw = gauss_legendre(prev, xi, 24)
-                acc += float(np.sum(qw * q * g(sign * q)))
-                inner_lo[i] = acc
-                prev = xi
-            acc = 0.0
-            prev = r_max
-            for i in range(x.size - 1, -1, -1):
-                q, qw = gauss_legendre(x[i], prev, 24)
-                acc += float(np.sum(qw * g(sign * q)))
-                inner_hi[i] = acc
-                prev = x[i]
+            inner_lo = running_integral(lambda y: y * g(sign * y), 0.0, x)
+            inner_hi = -running_integral(lambda y: g(sign * y), r_max, x[::-1])[::-1]
             total += float(np.sum(w * f(sign * x) * (inner_lo + x * inner_hi)))
         return total
 
@@ -283,15 +263,16 @@ def covariance_two_sided(
         return acc
 
     if mode == "fourier":
-        x, wx = composite_legendre(-r_max, r_max, 2 * panels, 16)
+        # the rule on [-r_max, r_max] is the mirror image of the one on
+        # [0, r_max], so f and g enter through their even and odd parts
+        x, wx = composite_legendre(0.0, r_max, panels, 16)
         xi, wxi = gauss_legendre(0.0, xi_max, n_nodes)
-        fh = _transform_on_grid(f, x, wx, xi)
-        gh = _transform_on_grid(g, x, wx, xi)
-        f0 = float(np.sum(wx * f(x))) / math.sqrt(2.0 * math.pi)
-        g0 = float(np.sum(wx * g(x))) / math.sqrt(2.0 * math.pi)
+        plus, minus = wx * np.stack([f(x), g(x)]), wx * np.stack([f(-x), g(-x)])
+        fh, gh = _transform_on_grid(plus + minus, plus - minus, x, xi)
+        f0, g0 = np.sum(plus + minus, axis=1) / math.sqrt(2.0 * math.pi)
         num = np.real((fh - f0) * np.conj(gh - g0))
         value = 2.0 * float(np.sum(wxi * num / (xi * xi)))
         # beyond xi_max only the fhat(0) ghat(0) / xi^2 part survives
-        return value + 2.0 * f0 * g0 / xi_max
+        return value + 2.0 * float(f0 * g0) / xi_max
 
     raise ValueError(f"unknown mode {mode!r}")

@@ -50,51 +50,60 @@ def gamma_fn(x: float) -> float:
     return math.sqrt(2.0 * math.pi) * t ** (z + 0.5) * math.exp(-t) * acc
 
 
-def _k0_small(x: float) -> float:
+def _k0_small(x: np.ndarray) -> np.ndarray:
     """K_0 for 0 < x <= 2 from the convergent log series
     -(log(x/2) + gamma_E) I_0(x) + sum_m (x^2/4)^m / (m!)^2 H_m."""
     q = 0.25 * x * x
-    term = 1.0
-    i0 = 1.0
+    term = np.ones_like(x)
+    i0 = np.ones_like(x)
     harmonic = 0.0
-    correction = 0.0
+    correction = np.zeros_like(x)
     for m in range(1, 200):
-        term *= q / (m * m)
+        term = term * (q / (m * m))
         harmonic += 1.0 / m
-        i0 += term
-        correction += term * harmonic
-        if term * max(harmonic, 1.0) < 1e-18 * i0:
+        i0 = i0 + term
+        correction = correction + term * harmonic
+        if np.all(term * max(harmonic, 1.0) < 1e-18 * i0):
             break
-    return -(math.log(0.5 * x) + EULER_GAMMA) * i0 + correction
+    return -(np.log(0.5 * x) + EULER_GAMMA) * i0 + correction
 
 
 _K0_GH_NODES = 160
 
 
-def _k0_large(x: float) -> float:
+def _k0_large(x: np.ndarray) -> np.ndarray:
     """K_0 for x > 2 from K_0(x) = e^{-x} (2x)^{-1/2} * I(x) with
     I(x) = int_R exp(-v^2) (1 + v^2/(2x))^{-1/2} dv, evaluated by
     Gauss-Hermite quadrature (the integrand is analytic in the strip
     |Im v| < sqrt(2x), so convergence is fast for x >= 2)."""
     v, w = gauss_hermite(_K0_GH_NODES)
-    acc = float(np.sum(w / np.sqrt(1.0 + v * v / (2.0 * x))))
-    return math.exp(-x) / math.sqrt(2.0 * x) * acc
+    acc = np.sum(w / np.sqrt(1.0 + v * v / (2.0 * x[..., None])), axis=-1)
+    return np.exp(-x) / np.sqrt(2.0 * x) * acc
 
 
-def bessel_k(p: float, x: float) -> float:
-    """Modified Bessel function of the second kind for orders 0 and +-1/2.
+def _float_or_array(out):
+    """A 0-d result as a Python float, anything else unchanged."""
+    return float(out) if np.ndim(out) == 0 else out
+
+
+def bessel_k(p: float, x):
+    """Modified Bessel function of the second kind for orders 0 and +-1/2,
+    elementwise over an array of arguments.
 
     K_{+-1/2}(x) = sqrt(pi/(2x)) e^{-x} exactly; K_0 is accurate to about
     1e-13 relative across both branches (series below x = 2, quadrature of
     an exact Laplace-type representation above).
     """
-    if x <= 0.0:
+    x = np.asarray(x, dtype=float)
+    if np.any(x <= 0.0):
         raise ValueError(f"bessel_k requires x > 0, got {x}")
     if p in (0.5, -0.5):
-        return math.sqrt(math.pi / (2.0 * x)) * math.exp(-x)
-    if p == 0.0:
-        return _k0_small(x) if x <= 2.0 else _k0_large(x)
-    raise ValueError(f"unsupported order {p}; only 0 and +-1/2 are implemented")
+        return _float_or_array(np.sqrt(np.pi / (2.0 * x)) * np.exp(-x))
+    if p != 0.0:
+        raise ValueError(f"unsupported order {p}; only 0 and +-1/2 are implemented")
+    # each branch sees its own range only; np.where then picks per element
+    out = np.where(x <= 2.0, _k0_small(np.minimum(x, 2.0)), _k0_large(np.maximum(x, 2.0)))
+    return _float_or_array(out)
 
 
 class KernelKind(enum.Enum):
@@ -128,64 +137,71 @@ class KernelSpec:
             raise ValueError("series kernel needs a basis")
 
 
-def _radius(x) -> float:
-    """|x| for a point given as a scalar (1-d coordinate) or a vector."""
-    arr = np.atleast_1d(np.asarray(x, dtype=float))
-    return float(np.sqrt(np.sum(arr * arr)))
+def _radius(d: int, x) -> np.ndarray:
+    """|x| for points given as radii or 1-d coordinates (any shape), or for
+    d >= 2 as vectors along the last axis."""
+    arr = np.asarray(x, dtype=float)
+    if d == 1 or arr.ndim == 0:
+        return np.abs(arr)
+    return np.sqrt(np.sum(arr * arr, axis=-1))
 
 
-def heat_kernel(spec: KernelSpec, t: float, x) -> float:
-    """The whole-space kernel (4 pi nu t)^(-d/2) exp(-eps t - |x|^2/(4 nu t))."""
-    if t <= 0.0:
+def heat_kernel(spec: KernelSpec, t, x):
+    """The whole-space kernel (4 pi nu t)^(-d/2) exp(-eps t - |x|^2/(4 nu t)),
+    elementwise over broadcast arrays of times and points (see _radius)."""
+    if np.any(np.asarray(t) <= 0.0):
         raise ValueError(f"heat kernel requires t > 0, got {t}")
-    r = _radius(x)
-    return (4.0 * math.pi * spec.nu * t) ** (-0.5 * spec.d) * math.exp(
-        -spec.eps * t - r * r / (4.0 * spec.nu * t)
+    r = _radius(spec.d, x)
+    return _float_or_array(
+        (4.0 * math.pi * spec.nu * t) ** (-0.5 * spec.d)
+        * np.exp(-spec.eps * t - r * r / (4.0 * spec.nu * t))
     )
 
 
-def potential_massive(spec: KernelSpec, x) -> float:
-    """The massive potential, the time integral of the decaying heat kernel.
+def potential_massive(spec: KernelSpec, x):
+    """The massive potential, the time integral of the decaying heat kernel,
+    elementwise over an array of points (see _radius).
 
     Closed forms: exponential over 2 sqrt(eps nu) in d = 1, K_0 over
     2 pi nu in d = 2, Yukawa e^{-m|x|}/(4 pi nu |x|) in d = 3.
     """
     if spec.eps <= 0.0:
         raise ValueError("massive potential requires eps > 0")
-    r = _radius(x)
+    r = _radius(spec.d, x)
     m = math.sqrt(spec.eps / spec.nu)
     if spec.d == 1:
-        return math.exp(-m * r) / (2.0 * math.sqrt(spec.eps * spec.nu))
-    if r == 0.0:
+        return _float_or_array(np.exp(-m * r) / (2.0 * math.sqrt(spec.eps * spec.nu)))
+    if np.any(r == 0.0):
         raise ValueError("massive potential is singular at x = 0 for d >= 2")
     if spec.d == 2:
-        return bessel_k(0.0, m * r) / (2.0 * math.pi * spec.nu)
+        return _float_or_array(bessel_k(0.0, m * r) / (2.0 * math.pi * spec.nu))
     if spec.d == 3:
-        return math.exp(-m * r) / (4.0 * math.pi * spec.nu * r)
+        return _float_or_array(np.exp(-m * r) / (4.0 * math.pi * spec.nu * r))
     # general d through the Bessel form; needs only orders 0 and +-1/2
     order = 0.5 * (spec.d - 2)
-    return (
+    return _float_or_array(
         (2.0 * math.pi * spec.nu) ** (-0.5 * spec.d)
         * (spec.eps * spec.nu / (r * r)) ** (0.25 * (spec.d - 2))
         * bessel_k(order, m * r)
     )
 
 
-def potential_zero_mass(spec: KernelSpec, x) -> float:
-    """The zero-mass potential: log kernel in d = 2, Riesz kernel for d >= 3.
+def potential_zero_mass(spec: KernelSpec, x):
+    """The zero-mass potential: log kernel in d = 2, Riesz kernel for d >= 3,
+    elementwise over an array of points (see _radius).
 
     There is no zero-mass potential in d = 1 (the one-dimensional field is
     handled through the two-sided Brownian motion instead).
     """
     if spec.d < 2:
         raise ValueError("zero-mass potential needs d >= 2")
-    r = _radius(x)
-    if r == 0.0:
+    r = _radius(spec.d, x)
+    if np.any(r == 0.0):
         raise ValueError("zero-mass potential is singular at x = 0")
     if spec.d == 2:
-        return -math.log(r / math.sqrt(spec.nu)) / (2.0 * math.pi * spec.nu)
-    return gamma_fn(0.5 * spec.d - 1.0) / (
-        4.0 * math.pi ** (0.5 * spec.d) * spec.nu * r ** (spec.d - 2)
+        return _float_or_array(-np.log(r / math.sqrt(spec.nu)) / (2.0 * math.pi * spec.nu))
+    return _float_or_array(
+        gamma_fn(0.5 * spec.d - 1.0) / (4.0 * math.pi ** (0.5 * spec.d) * spec.nu * r ** (spec.d - 2))
     )
 
 
@@ -262,16 +278,13 @@ def heat_poisson_identity(
         rhs = float(np.sum(hx * hy / (lam2 * spec.nu)))
         return lhs, rhs
 
-    displacement = _radius(x) if y is None else _radius(np.subtract(x, y))
+    displacement = float(np.sqrt(np.sum(np.square(x if y is None else np.subtract(x, y)))))
     if t_max is None:
         t, w = half_line_nodes(_TIME_QUAD_NODES)
     else:
         t, w = gauss_legendre(0.0, t_max, _TIME_QUAD_NODES)
     with np.errstate(under="ignore"):
-        g = (4.0 * math.pi * spec.nu * t) ** (-0.5 * spec.d) * np.exp(
-            -spec.eps * t - displacement**2 / (4.0 * spec.nu * t)
-        )
-    lhs = float(np.sum(w * g))
+        lhs = float(np.sum(w * heat_kernel(spec, t, displacement)))
     if spec.eps > 0.0:
         rhs = potential_massive(spec, displacement)
     else:

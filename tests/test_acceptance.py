@@ -341,7 +341,7 @@ def test_criterion_13_experiment_determinism(tmp_path):
         run(load_config(cfg_path))
         with open(f"{tmp_path}/{tag}_stationary_bd.csv", "rb") as fh:
             csv_bytes = fh.read()
-        with open(f"{tmp_path}/{tag}_summary.json", "rb") as fh:
+        with open(f"{tmp_path}/{tag}_stationary_bd_summary.json", "rb") as fh:
             json_bytes = fh.read()
         outputs.append((csv_bytes, json_bytes))
     ok = verdict(

@@ -1,3 +1,4 @@
+import itertools
 import math
 from fractions import Fraction
 
@@ -106,6 +107,21 @@ class TestBoxBasis:
         with pytest.raises(ValueError, match="dimension"):
             build_box_basis(4, 1.0, 8)
 
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_order_matches_tuple_key_sort(self, d):
+        # oracle: Python's sort on (|n|^2, n) over a lattice block that holds
+        # every index up to the largest norm requested
+        bound = 2 * int(math.ceil(3000 ** (1.0 / d))) + 2
+        lattice = itertools.product(range(1, bound + 1), repeat=d)
+        oracle = sorted(lattice, key=lambda n: (sum(k * k for k in n), n))
+        norms = [sum(k * k for k in n) for n in oracle]
+        # sizes that end inside a shell of equal eigenvalues, plus plain ones
+        ties = [i + 1 for i in range(2999) if norms[i] == norms[i + 1]]
+        for size in [1, 2, 7, 100, 3000] + ties[::97][:8]:
+            b = build_box_basis(d, 1.0, size)
+            assert np.array_equal(b.indices, np.array(oracle[:size])), size
+            assert np.array_equal(b.lambdas, np.pi * np.sqrt(norms[:size]))
+
 
 class TestHermiteBasis:
     def test_eigenvalues_1d(self):
@@ -142,6 +158,15 @@ class TestHermiteBasis:
     def test_oversized_request_rejected(self):
         with pytest.raises(ValueError, match="exceeds"):
             build_hermite_basis(1, 10**6 + 1)
+
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_order_matches_tuple_key_sort(self, d):
+        # every degree up to the largest needed (sum(n) <= 62 for d = 2, 21 for d = 3)
+        lattice = itertools.product(range({2: 64, 3: 24}[d]), repeat=d)
+        oracle = sorted(lattice, key=lambda n: (sum(n), n))
+        for size in [1, 2, 3, 4, 5, 11, 100, 1000, 2000]:
+            b = build_hermite_basis(d, size)
+            assert np.array_equal(b.indices, np.array(oracle[:size])), size
 
 
 class TestInvariants:

@@ -124,7 +124,7 @@ class TestRunner:
         with open(csv_path) as fh:
             header = fh.readline().strip()
         assert header.split(",")[0] == "kind"
-        with open(f"{tmp_path}/w_summary.json") as fh:
+        with open(f"{tmp_path}/w_weyl_summary.json") as fh:
             summary = json.load(fh)
         assert summary["passed"] is True
 
@@ -164,6 +164,14 @@ class TestRunner:
         assert main(["run", path]) == 0
         out = capsys.readouterr().out
         assert "[kakutani] PASS" in out
+
+    def test_kakutani_below_first_checkpoint(self, tmp_path, capsys):
+        path = self._write(tmp_path, f"experiment = kakutani\nK = 5\noutput = {tmp_path}/k\n")
+        assert main(["run", path]) == 0
+        with open(f"{tmp_path}/k_kakutani.csv") as fh:
+            lines = fh.read().splitlines()
+        assert lines[0] == "terms,statistic,tail_from_previous"
+        assert [line.split(",")[0] for line in lines[1:]] == ["5"]
 
     def test_main_config_error_exit_two(self, tmp_path, capsys):
         path = self._write(tmp_path, "experiment = weyl\nnu = -1\n")

@@ -270,7 +270,75 @@ class TestAntiderivative:
             two_sided_antiderivative(lambda x: np.exp(-x * x), 0.0)
 
 
+def per_node_antiderivative(f, x, r_max):
+    """The tail antiderivative accumulated with one 24-node rule per gap in a
+    Python loop, as a reference for the vectorised version."""
+    out = np.zeros(x.shape)
+    for sign in (1.0, -1.0):
+        mask = (sign * x) > 0.0
+        vals = np.unique(x[mask])[:: -1 if sign > 0 else 1]
+        acc, prev, tails = 0.0, sign * r_max, {}
+        for v in vals:
+            lo, hi = (v, prev) if sign > 0 else (prev, v)
+            q, w = gauss_legendre(lo, hi, 24)
+            acc += float(np.sum(w * f(q)))
+            prev = v
+            tails[v] = acc
+        fill = np.array([tails[v] for v in x[mask]])
+        out[mask] = -fill if sign > 0 else fill
+    return out
+
+
+def per_node_direct(f, g, r_max, n_nodes):
+    """The 'direct' two-sided covariance with its inner integrals accumulated
+    node by node in a Python loop, as a reference for the vectorised version."""
+    total = 0.0
+    x, w = composite_legendre(0.0, r_max, n_nodes // 16, 16)
+    for sign in (1.0, -1.0):
+        inner_lo, inner_hi = np.empty_like(x), np.empty_like(x)
+        acc, prev = 0.0, 0.0
+        for i, xi in enumerate(x):
+            q, qw = gauss_legendre(prev, xi, 24)
+            acc += float(np.sum(qw * q * g(sign * q)))
+            inner_lo[i], prev = acc, xi
+        acc, prev = 0.0, r_max
+        for i in range(x.size - 1, -1, -1):
+            q, qw = gauss_legendre(x[i], prev, 24)
+            acc += float(np.sum(qw * g(sign * q)))
+            inner_hi[i], prev = acc, x[i]
+        total += float(np.sum(w * f(sign * x) * (inner_lo + x * inner_hi)))
+    return total
+
+
+PAIRS = {
+    "gauss": (
+        lambda x: np.exp(-0.5 * (x - 0.4) ** 2),
+        lambda x: np.exp(-0.5 * (x + 0.2) ** 2 / 0.49),
+    ),
+    "odd": (lambda x: x * np.exp(-x * x), lambda x: x * np.exp(-x * x)),
+}
+
+
 class TestCovarianceTwoSided:
+    @pytest.mark.parametrize("pair", sorted(PAIRS))
+    def test_direct_matches_per_node_loop(self, pair):
+        f, g = PAIRS[pair]
+        expected = per_node_direct(f, g, 20.0, 256)
+        got = covariance_two_sided(f, g, "direct", n_nodes=256)
+        assert got == pytest.approx(expected, rel=1e-13, abs=0.0)
+
+    @pytest.mark.parametrize("pair", sorted(PAIRS))
+    def test_antiderivative_matches_per_node_loop(self, pair):
+        f, g = PAIRS[pair]
+        total = 0.0
+        for sign in (1.0, -1.0):
+            x, w = composite_legendre(0.0, 20.0, 16, 16)
+            fa, ga = (per_node_antiderivative(h, sign * x, 20.0) for h in (f, g))
+            np.testing.assert_allclose(two_sided_antiderivative(f, sign * x), fa, rtol=1e-13)
+            total += float(np.sum(w * fa * ga))
+        got = covariance_two_sided(f, g, "antiderivative", n_nodes=256)
+        assert got == pytest.approx(total, rel=1e-13, abs=0.0)
+
     def test_three_modes_agree_gaussian_pair(self):
         f = lambda x: np.exp(-0.5 * (x - 0.4) ** 2)
         g = lambda x: np.exp(-0.5 * (x + 0.2) ** 2 / 0.49)

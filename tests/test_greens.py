@@ -291,6 +291,70 @@ class TestHeatPoissonIdentity:
         assert lhs == rhs == pytest.approx(series_green(basis, 2.0, 0.3, 0.7), rel=1e-15)
 
 
+def assert_within_ulps(values, expected, ulps=2):
+    expected = np.asarray(expected, dtype=float)
+    assert np.all(np.abs(values - expected) <= ulps * np.spacing(np.abs(expected)))
+
+
+class TestArrayKernels:
+    """An array call agrees with per-element scalar calls; a scalar (and a
+    single point in d >= 2) still gives a Python float."""
+
+    def points(self, d):
+        pts = np.random.default_rng(3).uniform(-3.0, 3.0, size=(7, 5, d))
+        return pts[..., 0] if d == 1 else pts
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_heat_kernel(self, d):
+        spec = KernelSpec(KernelKind.HEAT, d=d, nu=0.7, eps=0.4)
+        pts = self.points(d)
+        vals = heat_kernel(spec, 0.8, pts)
+        assert vals.shape == (7, 5)
+        assert_within_ulps(vals, [[heat_kernel(spec, 0.8, p) for p in row] for row in pts])
+        times = np.array([0.1, 0.5, 2.0])
+        assert_within_ulps(heat_kernel(spec, times, 1.5), [heat_kernel(spec, t, 1.5) for t in times])
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_potential_massive(self, d):
+        spec = KernelSpec(KernelKind.MASSIVE_POTENTIAL, d=d, nu=1.3, eps=0.6)
+        pts = self.points(d)
+        vals = potential_massive(spec, pts)
+        assert vals.shape == (7, 5)
+        assert_within_ulps(vals, [[potential_massive(spec, p) for p in row] for row in pts])
+
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_potential_zero_mass(self, d):
+        spec = KernelSpec(KernelKind.ZERO_MASS_POTENTIAL, d=d, nu=1.3)
+        pts = self.points(d)
+        vals = potential_zero_mass(spec, pts)
+        assert_within_ulps(vals, [[potential_zero_mass(spec, p) for p in row] for row in pts])
+
+    @pytest.mark.parametrize("p", [0.0, 0.5])
+    def test_bessel_k_across_branches(self, p):
+        x = np.array([1e-3, 0.5, 1.9999, 2.0, 2.0001, 7.0, 40.0])
+        assert_within_ulps(bessel_k(p, x), [bessel_k(p, v) for v in x])
+
+    def test_scalar_inputs_give_float(self):
+        heat = KernelSpec(KernelKind.HEAT, d=2, nu=1.0, eps=0.0)
+        mass2 = KernelSpec(KernelKind.MASSIVE_POTENTIAL, d=2, nu=1.0, eps=1.0)
+        zero3 = KernelSpec(KernelKind.ZERO_MASS_POTENTIAL, d=3, nu=1.0)
+        for value in (
+            heat_kernel(heat, 0.5, 0.3),
+            heat_kernel(heat, 0.5, [0.3, 0.1]),
+            potential_massive(mass2, 1.0),
+            potential_massive(mass2, np.array([0.6, 0.8])),
+            potential_zero_mass(zero3, 2.0),
+            bessel_k(0.0, 3.0),
+            bessel_k(0.5, np.float64(1.0)),
+        ):
+            assert type(value) is float
+
+    def test_singular_point_in_array_rejected(self):
+        spec = KernelSpec(KernelKind.MASSIVE_POTENTIAL, d=3, nu=1.0, eps=1.0)
+        with pytest.raises(ValueError, match="singular"):
+            potential_massive(spec, np.array([[1.0, 0.0, 0.0], [0.0, 0.0, 0.0]]))
+
+
 class TestHeatSemigroup:
     @given(st.floats(0.01, 3.0), st.floats(0.01, 2.0))
     def test_chapman_kolmogorov_on_coefficients(self, t, s):
