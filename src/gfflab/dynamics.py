@@ -15,7 +15,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .basis import EigenBasis, basis_from_descriptor
-from .fields import FieldSample, RngStream, sample_gff
+from .fields import RngStream, sample_gff
 from .hilbert_scale import CoefficientField
 from .stats import CovarianceReport, report_from_values
 
@@ -139,6 +139,22 @@ def _functional_matrix(basis: EigenBasis, functionals) -> np.ndarray:
     return np.stack(cols, axis=1)
 
 
+def sample_gaussian(mean, cov, n_samples: int, stream: RngStream) -> np.ndarray:
+    """n_samples draws of N(mean, cov) as an (n_samples, p) array: block b
+    of MC_BLOCK rows is mean + z @ factor.T, z ~ N(0, I_p) from substream
+    2 b. eigh eigenvalues below p eps times the largest count as zero, so
+    a singular cov (repeated functionals) gives exactly repeated columns."""
+    evals, evecs = np.linalg.eigh(np.asarray(cov, dtype=float))
+    floor = evals.size * np.finfo(float).eps * evals.max(initial=0.0)
+    factor = evecs * np.sqrt(np.where(evals > floor, evals, 0.0))
+    blocks = []
+    for b in range((n_samples + MC_BLOCK - 1) // MC_BLOCK):
+        m = min(MC_BLOCK, n_samples - b * MC_BLOCK)
+        z = stream.substream(2 * b).generator().standard_normal((m, evals.size))
+        blocks.append(mean + z @ factor.T)
+    return np.concatenate(blocks, axis=0)
+
+
 def sample_functional_values(
     basis: EigenBasis,
     nu: float,
@@ -155,25 +171,25 @@ def sample_functional_values(
 
     ``phi`` is None (zero start), a coefficient vector (deterministic
     start), or a callable (generator, n) -> (n, size) drawing random
-    starts from its own substream. Samples are produced in fixed blocks
-    of MC_BLOCK with one substream per block and concatenated in block
-    order, so results do not depend on the worker count.
+    starts from its own substream. A zero or deterministic start draws
+    the exact law N(W^T (decay phi), W^T diag(var) W) by sample_gaussian.
+    A callable start draws every mode: block b of MC_BLOCK takes substreams
+    2 b (noise) and 2 b + 1 (start), blocks run on ``jobs`` threads and are
+    concatenated in block order, so results do not depend on ``jobs``.
     """
     _require_positive_modes(basis)
     decay, var = transition_moments(basis.lambdas_squared, nu, sigma, t)
+    if not callable(phi):
+        start = np.zeros(basis.size) if phi is None else decay * np.asarray(phi, dtype=float)
+        cov = weights.T @ (var[:, None] * weights)
+        return sample_gaussian(start @ weights, cov, n_samples, stream)
     sd = np.sqrt(var)
     n_blocks = (n_samples + MC_BLOCK - 1) // MC_BLOCK
 
     def one_block(b: int) -> np.ndarray:
         m = min(MC_BLOCK, n_samples - b * MC_BLOCK)
-        noise_rng = stream.substream(2 * b).generator()
-        u = sd * noise_rng.standard_normal((m, basis.size))
-        if phi is not None:
-            if callable(phi):
-                phi_rng = stream.substream(2 * b + 1).generator()
-                u += phi(phi_rng, m) * decay
-            else:
-                u += np.asarray(phi, dtype=float) * decay
+        u = sd * stream.substream(2 * b).generator().standard_normal((m, basis.size))
+        u += phi(stream.substream(2 * b + 1).generator(), m) * decay
         return u @ weights
 
     if jobs > 1:

@@ -59,10 +59,10 @@ def build_basis(cfg) -> EigenBasis:
 def standard_functionals(basis: EigenBasis) -> tuple[list[np.ndarray], list[str]]:
     """Six fixed coefficient functionals used by the stationary checks."""
     k = np.arange(1, basis.size + 1, dtype=float)
+    units = np.zeros((3, basis.size))  # e1, e2, e3; repeated when K < 3
+    units[np.arange(3), np.minimum(np.arange(3), basis.size - 1)] = 1.0
     fns = [
-        np.eye(basis.size)[0],
-        np.eye(basis.size)[min(1, basis.size - 1)],
-        np.eye(basis.size)[min(2, basis.size - 1)],
+        *units,
         1.0 / k,
         (-1.0) ** (k + 1) / k,
         np.exp(-k / 8.0),
@@ -97,16 +97,15 @@ def _stationary_invariance_pvalues(basis, cfg, stream: RngStream, extra_dt: floa
     a stationary start (the law must not move)."""
     n = min(cfg.samples, 5000)
     gen = stream.generator()
-    lam2 = basis.lambdas_squared
+    modes = [1, basis.size // 2, basis.size]
+    idx = np.subtract(modes, 1)
+    lam2 = basis.lambdas_squared[idx]
     scale = cfg.sigma / math.sqrt(2.0 * cfg.nu)
-    start = scale * gen.standard_normal((n, basis.size)) / basis.lambdas
+    start = scale * gen.standard_normal((n, 3)) / basis.lambdas[idx]
     decay, var = dynamics.transition_moments(lam2, cfg.nu, cfg.sigma, extra_dt)
-    stepped = start * decay + np.sqrt(var) * gen.standard_normal((n, basis.size))
-    out = []
-    for k in (1, basis.size // 2, basis.size):
-        _, p = stats.ks_gaussian(stepped[:, k - 1], 0.0, scale**2 / lam2[k - 1])
-        out.append((k, p))
-    return out
+    stepped = start * decay + np.sqrt(var) * gen.standard_normal((n, 3))
+    pvalues = [stats.ks_gaussian(stepped[:, j], 0.0, scale**2 / lam2[j])[1] for j in range(3)]
+    return list(zip(modes, pvalues))
 
 
 def _exp_stationary(cfg, name: str) -> ExperimentResult:
@@ -318,15 +317,9 @@ def exp_bridge_cov(cfg) -> ExperimentResult:
     weights = np.sqrt(2.0) * np.sin(np.pi * np.outer(k, grid)) / (k * np.pi)[:, None]
     target = np.minimum.outer(grid, grid) - np.outer(grid, grid)
 
-    stream = RngStream(cfg.seed, 0)
-    block = dynamics.MC_BLOCK
-    n_blocks = (cfg.samples + block - 1) // block
-    chunks = []
-    for bidx in range(n_blocks):
-        m = min(block, cfg.samples - bidx * block)
-        gen = stream.substream(bidx).generator()
-        chunks.append(gen.standard_normal((m, modes)) @ weights)
-    values = np.concatenate(chunks, axis=0)
+    values = dynamics.sample_gaussian(
+        np.zeros(grid.size), weights.T @ weights, cfg.samples, RngStream(cfg.seed, 0)
+    )
     report = stats.report_from_values(
         values, target=target, labels=[f"x={v}" for v in grid],
         z_threshold=cfg.z_threshold, seed_info=f"seed={cfg.seed}",

@@ -20,6 +20,7 @@ from .greens import gamma_fn
 from .quadrature import gauss_legendre
 
 RADIAL_NODES = 1024
+_PHYSICAL_BLOCK = 64  # rows of x per block of the inverse-transform cosine table (2 MB)
 TENSOR_NODES = 256
 FLOOR_TOL = 1e-12
 
@@ -86,9 +87,12 @@ class TestFunction:
             raise ValueError("generic physical-space evaluation is 1-d only")
         x = np.atleast_1d(np.asarray(x, dtype=float))
         r, w = gauss_legendre(self.xi_floor, self.xi_cut, 4 * RADIAL_NODES)
-        vals = math.sqrt(2.0 / math.pi) * (
-            np.cos(np.outer(x, r)) @ (w * self.profile(r))
-        )
+        wp = w * self.profile(r)
+        vals = np.empty(x.shape)
+        for lo in range(0, x.size, _PHYSICAL_BLOCK):
+            rows = slice(lo, lo + _PHYSICAL_BLOCK)
+            vals[rows] = np.cos(np.outer(x[rows], r)) @ wp
+        vals *= math.sqrt(2.0 / math.pi)
         return vals if vals.size > 1 else float(vals[0])
 
 

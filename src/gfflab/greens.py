@@ -135,6 +135,8 @@ class KernelSpec:
             raise ValueError(f"mass eps must be non-negative, got {self.eps}")
         if self.kind is KernelKind.SERIES_GREEN and self.basis is None:
             raise ValueError("series kernel needs a basis")
+        if self.kind is KernelKind.MASSIVE_POTENTIAL and self.d not in (1, 2, 3):
+            raise ValueError(f"massive potential needs d in 1, 2, 3, got d = {self.d}")
 
 
 def _radius(d: int, x) -> np.ndarray:
@@ -175,15 +177,7 @@ def potential_massive(spec: KernelSpec, x):
         raise ValueError("massive potential is singular at x = 0 for d >= 2")
     if spec.d == 2:
         return _float_or_array(bessel_k(0.0, m * r) / (2.0 * math.pi * spec.nu))
-    if spec.d == 3:
-        return _float_or_array(np.exp(-m * r) / (4.0 * math.pi * spec.nu * r))
-    # general d through the Bessel form; needs only orders 0 and +-1/2
-    order = 0.5 * (spec.d - 2)
-    return _float_or_array(
-        (2.0 * math.pi * spec.nu) ** (-0.5 * spec.d)
-        * (spec.eps * spec.nu / (r * r)) ** (0.25 * (spec.d - 2))
-        * bessel_k(order, m * r)
-    )
+    return _float_or_array(np.exp(-m * r) / (4.0 * math.pi * spec.nu * r))
 
 
 def potential_zero_mass(spec: KernelSpec, x):

@@ -193,6 +193,26 @@ class TestRunner:
         assert main(["run", path, "--seed", "9", "--out", f"{tmp_path}/override"]) == 0
         assert os.path.exists(f"{tmp_path}/override_kakutani.csv")
 
+    @pytest.mark.parametrize("modes", [1, 2])
+    def test_stationary_with_repeated_unit_functionals(self, tmp_path, modes):
+        # K < 3 repeats e1/e2/e3, so the pairing covariance is singular
+        path = self._write(
+            tmp_path, f"experiment = stationary_bd\nK = {modes}\noutput = {tmp_path}/r\n"
+        )
+        assert main(["run", path]) == 0
+
+    @pytest.mark.parametrize("name", ["stationary_bd", "convergence_curve", "bridge_cov"])
+    def test_jobs_do_not_change_outputs(self, tmp_path, name):
+        path = self._write(tmp_path, f"experiment = {name}\nM = 9000\nK = 64\n")
+        outputs = []
+        for jobs in ("1", "3"):
+            main(["run", path, "--jobs", jobs, "--out", f"{tmp_path}/j{jobs}"])
+            with open(f"{tmp_path}/j{jobs}_{name}.csv", "rb") as fh:
+                csv = fh.read()
+            with open(f"{tmp_path}/j{jobs}_{name}_summary.json", "rb") as fh:
+                outputs.append((csv, fh.read()))
+        assert outputs[0] == outputs[1]
+
     def test_jobs_env_fallback(self, tmp_path, monkeypatch):
         path = self._write(
             tmp_path,

@@ -6,6 +6,7 @@ import pytest
 
 from gfflab.basis import build_hermite_basis, build_interval_basis
 from gfflab.dynamics import (
+    MC_BLOCK,
     SpectralState,
     convergence_curve,
     em_oracle_step,
@@ -14,14 +15,16 @@ from gfflab.dynamics import (
     kakutani_statistic,
     load_checkpoint,
     sample_functional_values,
+    sample_gaussian,
     save_checkpoint,
     stationary_sample,
     stationary_target,
     transition_moments,
     zero_state,
 )
+from gfflab.experiments import standard_functionals
 from gfflab.fields import RngStream, sample_gff
-from gfflab.stats import ks_gaussian, summarize_convergence
+from gfflab.stats import ks_gaussian, kolmogorov_sf, report_from_values, summarize_convergence
 
 
 @pytest.fixture()
@@ -297,6 +300,97 @@ class TestConvergenceCurve:
         )
         assert vals.shape == (2000, 1)
         assert vals.var() > 0.5 / dirichlet16.lambdas_squared[0]  # start variance dominates
+
+
+def _ks_two_sample_p(a, b) -> float:
+    """Two-sample Kolmogorov-Smirnov p-value, asymptotic in n a n b / (n a + n b)."""
+    both = np.concatenate([a, b])
+    cdf_a = np.searchsorted(np.sort(a), both, side="right") / a.size
+    cdf_b = np.searchsorted(np.sort(b), both, side="right") / b.size
+    n_eff = a.size * b.size / (a.size + b.size)
+    return kolmogorov_sf(math.sqrt(n_eff) * float(np.max(np.abs(cdf_a - cdf_b))))
+
+
+class TestReducedRankSampler:
+    """The p x p factor path against the per-mode block loop, which a
+    callable start always takes; a callable returning a fixed start draws
+    the same law as that start given as a vector."""
+
+    N = 20000
+    T = 0.05  # far from stationarity, so decay and var both matter
+
+    @pytest.fixture()
+    def weights(self, dirichlet16):
+        fns, _ = standard_functionals(dirichlet16)
+        return np.stack(fns, axis=1)
+
+    def per_mode(self, basis, start, weights, stream):
+        fixed = np.broadcast_to(start, (MC_BLOCK, basis.size))
+        return sample_functional_values(
+            basis, 1.0, 1.0, lambda gen, n: fixed[:n], self.T, self.N, weights, stream
+        )
+
+    def assert_same_law(self, reduced, oracle):
+        ra, rb = report_from_values(reduced), report_from_values(oracle)
+        z = np.abs(ra.empirical - rb.empirical) / np.hypot(ra.stderr, rb.stderr)
+        assert z.max() < 4.0
+        se_mean = np.sqrt((reduced.var(axis=0, ddof=1) + oracle.var(axis=0, ddof=1)) / self.N)
+        assert np.all(np.abs(reduced.mean(axis=0) - oracle.mean(axis=0)) < 4.0 * se_mean)
+        for j in range(reduced.shape[1]):
+            assert _ks_two_sample_p(reduced[:, j], oracle[:, j]) > 1e-3
+
+    @pytest.mark.parametrize("start", ["zero", "vector"])
+    def test_agrees_with_per_mode_oracle(self, dirichlet16, weights, start):
+        phi = None if start == "zero" else 3.0 * np.cos(np.arange(16)) / np.arange(1, 17)
+        reduced = sample_functional_values(
+            dirichlet16, 1.0, 1.0, phi, self.T, self.N, weights, RngStream(45, 0)
+        )
+        oracle = self.per_mode(
+            dirichlet16, np.zeros(16) if phi is None else phi, weights, RngStream(46, 0)
+        )
+        assert reduced.shape == oracle.shape == (self.N, 6)
+        self.assert_same_law(reduced, oracle)
+
+    def test_moments_are_exact(self, dirichlet16, weights):
+        phi = np.linspace(1.0, -1.0, 16)
+        decay, var = transition_moments(dirichlet16.lambdas_squared, 1.0, 1.0, self.T)
+        vals = sample_functional_values(
+            dirichlet16, 1.0, 1.0, phi, self.T, self.N, weights, RngStream(47, 0)
+        )
+        target = weights.T @ (var[:, None] * weights)
+        assert report_from_values(vals, target=target).zmax < 4.0
+        se_mean = np.sqrt(np.diag(target) / self.N)
+        assert np.all(np.abs(vals.mean(axis=0) - (decay * phi) @ weights) < 4.0 * se_mean)
+
+    def test_rank_deficient_covariance(self):
+        basis = build_interval_basis("dirichlet", 0.0, 1.0, 2)
+        fns, _ = standard_functionals(basis)  # e3 repeats e2
+        w = np.stack(fns, axis=1)
+        vals = sample_functional_values(basis, 1.0, 1.0, None, 1.0, 5000, w, RngStream(48, 0))
+        assert np.all(np.isfinite(vals))
+        # a rounding-level eigenvalue must not put noise on the null direction
+        assert np.abs(vals[:, 1] - vals[:, 2]).max() <= 1e-14 * np.abs(vals[:, 1]).max()
+
+    def test_block_layout_of_gaussian_draw(self):
+        stream = RngStream(49, 0)
+        n = MC_BLOCK + 10
+        vals = sample_gaussian(np.array([1.0, -2.0]), np.diag([4.0, 9.0]), n, stream)
+        assert vals.shape == (n, 2)
+        z = stream.substream(2).generator().standard_normal((10, 2))
+        expected = np.array([1.0, -2.0]) + z * [2.0, 3.0]
+        assert np.allclose(vals[MC_BLOCK:], expected, rtol=1e-15, atol=0.0)
+
+    def test_worker_count_does_not_change_per_mode_samples(self, dirichlet16, weights):
+        def phi(gen, n):
+            return gen.standard_normal((n, 16)) / dirichlet16.lambdas
+
+        a, b = (
+            sample_functional_values(
+                dirichlet16, 1.0, 1.0, phi, 0.1, 9000, weights, RngStream(50, 0), jobs=jobs
+            )
+            for jobs in (1, 3)
+        )
+        assert np.array_equal(a, b)
 
 
 class TestStateAndCheckpoint:

@@ -43,6 +43,15 @@ class TestMakeS0Function:
         physical_side = float(np.sum(wx * vals**2))
         assert fourier_side == pytest.approx(physical_side, abs=1e-8)
 
+    def test_blocked_physical_matches_unblocked_formula(self):
+        f = make_s0_function(4.0, 0.25)
+        x, _ = composite_legendre(-30.0, 30.0, 240, 16)  # 3840 points, 60 blocks
+        r, w = gauss_legendre(f.xi_floor, f.xi_cut, 4096)
+        full = math.sqrt(2.0 / math.pi) * (np.cos(np.outer(x, r)) @ (w * f.fhat_radial(r)))
+        vals = f.physical(x)
+        assert vals.shape == x.shape
+        assert np.all(np.abs(vals - full) <= 1e-15 * np.abs(full))
+
     def test_narrow_annulus_rejected(self):
         with pytest.raises(ValueError, match="floor"):
             make_s0_function(1.0, 0.5)
