@@ -44,7 +44,7 @@ class ExperimentConfig:
     output: str = "out/run"
     jobs: int = 1
     z_threshold: float = 4.0
-    rel_tol: float = 1e-6
+    rel_tol: float | None = None  # None: the experiment's own default
     ks_alpha: float = 1e-3
 
 
@@ -159,7 +159,7 @@ def validate_config(cfg: ExperimentConfig) -> None:
         raise ConfigError(f"basis.d must be 1, 2 or 3 (got {cfg.d})")
     if cfg.z_threshold <= 0.0:
         raise ConfigError(f"tol.z must be positive (got {cfg.z_threshold})")
-    if cfg.rel_tol <= 0.0:
+    if cfg.rel_tol is not None and cfg.rel_tol <= 0.0:
         raise ConfigError(f"tol.rel must be positive (got {cfg.rel_tol})")
 
 

@@ -28,12 +28,12 @@ EXPERIMENT_DEFAULTS: dict[str, dict] = {
     "stationary_hermite": {"t": 5.0, "K": 64, "M": 20000, "basis.kind": "hermite"},
     "convergence_curve": {"K": 64, "M": 20000, "t_list": "0.1,0.5,1,2"},
     "kakutani": {"t": 0.1, "K": 10000},
-    "greens_checks": {},
-    "heat_poisson": {"K": 4000},
+    "greens_checks": {"tol.rel": 1e-6},
+    "heat_poisson": {"K": 4000, "tol.rel": 1e-6},
     "log_divergence_2d": {},
     "bridge_cov": {"M": 50000, "K": 1024},
-    "two_sided_cov": {},
-    "fourier_limits": {},
+    "two_sided_cov": {"tol.rel": 1e-6},
+    "fourier_limits": {"tol.rel": 1e-6},
     "weyl": {"K": 10000},
 }
 
@@ -93,18 +93,19 @@ def _report_rows(report: stats.CovarianceReport) -> tuple[list[str], list[dict]]
 
 
 def _stationary_invariance_pvalues(basis, cfg, stream: RngStream, extra_dt: float = 0.3):
-    """KS p-values of three mode marginals after one extra exact step from
-    a stationary start (the law must not move)."""
+    """KS p-values of the marginals of modes 1, K // 2 and K (the distinct
+    ones when K < 4) after one extra exact step from a stationary start (the
+    law must not move)."""
     n = min(cfg.samples, 5000)
     gen = stream.generator()
-    modes = [1, basis.size // 2, basis.size]
+    modes = sorted({1, max(1, basis.size // 2), basis.size})
     idx = np.subtract(modes, 1)
     lam2 = basis.lambdas_squared[idx]
     scale = cfg.sigma / math.sqrt(2.0 * cfg.nu)
-    start = scale * gen.standard_normal((n, 3)) / basis.lambdas[idx]
+    start = scale * gen.standard_normal((n, len(modes))) / basis.lambdas[idx]
     decay, var = dynamics.transition_moments(lam2, cfg.nu, cfg.sigma, extra_dt)
-    stepped = start * decay + np.sqrt(var) * gen.standard_normal((n, 3))
-    pvalues = [stats.ks_gaussian(stepped[:, j], 0.0, scale**2 / lam2[j])[1] for j in range(3)]
+    stepped = start * decay + np.sqrt(var) * gen.standard_normal((n, len(modes)))
+    pvalues = [stats.ks_gaussian(stepped[:, j], 0.0, scale**2 / v)[1] for j, v in enumerate(lam2)]
     return list(zip(modes, pvalues))
 
 
@@ -182,9 +183,9 @@ def exp_kakutani(cfg) -> ExperimentResult:
             {"terms": n, "statistic": s, "tail_from_previous": 0.0 if prev is None else s - prev}
         )
         prev = s
-    tail_tol = cfg.rel_tol if cfg.rel_tol != 1e-6 else (
-        1e-12 if basis.kind is not BasisKind.HERMITE else 1e-6
-    )
+    tail_tol = cfg.rel_tol
+    if tail_tol is None:  # tol.rel not set: the default depends on the basis
+        tail_tol = 1e-6 if basis.kind is BasisKind.HERMITE else 1e-12
     tail = rows[-1]["statistic"] - rows[max(0, len(rows) - 2)]["statistic"]
     passed = tail < tail_tol
     summary = {

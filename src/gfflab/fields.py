@@ -18,10 +18,7 @@ import numpy as np
 from . import fourier_cov
 from .basis import EigenBasis, evaluate_matrix, sinpi
 from .fourier_cov import TestFunction
-from .hilbert_scale import CoefficientField
 from .quadrature import composite_legendre, gauss_legendre, running_integral
-
-_FOURIER_BLOCK = 256  # rows of x per block of the cos/sin table
 
 
 @dataclass(frozen=True)
@@ -79,22 +76,6 @@ def sample_gff(basis: EigenBasis, r: float, rng: np.random.Generator) -> FieldSa
 def field_values(sample: FieldSample, points) -> np.ndarray:
     """Pointwise field values sum_k coeffs_k h_k(x)."""
     return evaluate_matrix(sample.basis, points) @ sample.coeffs
-
-
-def pair_field(
-    sample: FieldSample, f: CoefficientField, gamma0: float = 0.0, gamma: float = 0.0
-) -> float:
-    """The duality pairing of a field draw with a coefficient field:
-    sum_k lambda_k^(2 gamma0) f_k coeffs_k (gamma only tags the dual pair)."""
-    if f.basis is not sample.basis and not np.array_equal(
-        f.basis.lambdas, sample.basis.lambdas
-    ):
-        raise ValueError("field and test coefficients use different bases")
-    del gamma
-    if gamma0 != 0.0:
-        weights = sample.basis.lambdas ** (2.0 * gamma0)
-        return float(np.sum(weights * f.coeffs * sample.coeffs))
-    return float(np.sum(f.coeffs * sample.coeffs))
 
 
 def sample_cylindrical_bm(
@@ -171,16 +152,24 @@ def two_sided_antiderivative(f, x, r_max: float = 20.0) -> np.ndarray:
     return out if np.ndim(x) else float(out[0])
 
 
-def _transform_on_grid(even, odd, x, xi) -> np.ndarray:
+def _transform_on_grid(even, odd, r_max: float, panels: int, xi) -> np.ndarray:
     """Unitary Fourier transforms at frequencies xi of functions on the grid
-    -x, x; the rows of even and odd hold w(x) (f(x) +- f(-x)) for quadrature
-    weights w. The cos/sin table is built in blocks of _FOURIER_BLOCK nodes."""
-    re = np.zeros((even.shape[0], xi.size))
-    im = np.zeros_like(re)
-    for lo in range(0, x.size, _FOURIER_BLOCK):
-        phase = np.outer(x[lo : lo + _FOURIER_BLOCK], xi)
-        re += even[:, lo : lo + _FOURIER_BLOCK] @ np.cos(phase)
-        im += odd[:, lo : lo + _FOURIER_BLOCK] @ np.sin(phase)
+    -x, x with x = composite_legendre(0, r_max, panels, 16); the rows of even
+    and odd hold w(x) (f(x) +- f(-x)) for quadrature weights w.
+
+    Each node is a panel centre c plus an offset s, so by angle addition
+    cos(x xi) = cos(c xi) cos(s xi) - sin(c xi) sin(s xi) and
+    sin(x xi) = sin(c xi) cos(s xi) + cos(c xi) sin(s xi): the trig tables are
+    (panels, xi) and (16, xi), and the sums over panels are matrix products."""
+    edges = np.linspace(0.0, r_max, panels + 1)
+    centre = np.outer(0.5 * (edges[:-1] + edges[1:]), xi)
+    half = 0.5 * r_max / panels
+    offset = np.outer(gauss_legendre(-half, half, 16)[0], xi)
+    cc, sc, co, so = np.cos(centre), np.sin(centre), np.cos(offset), np.sin(offset)
+    # (rows, panels * 16) -> (rows, 16, panels): one row per function and offset
+    even, odd = (np.swapaxes(a.reshape(-1, panels, 16), 1, 2) for a in (even, odd))
+    re = np.sum((even @ cc) * co - (even @ sc) * so, axis=1)
+    im = np.sum((odd @ sc) * co + (odd @ cc) * so, axis=1)
     return (re - 1j * im) / math.sqrt(2.0 * math.pi)
 
 
@@ -220,7 +209,9 @@ def covariance_two_sided(
     r_max, with finite first absolute moment); for the fourier mode they
     may instead be TestFunction objects, in which case the integral runs
     on the same annulus grid as gff_covariance so the two agree exactly
-    when fhat(0) = ghat(0) = 0.
+    when fhat(0) = ghat(0) = 0. Callables are integrated on max(n_nodes // 16, 1)
+    panels of 16 Gauss-Legendre nodes over [0, r_max], and over [0, xi_max]
+    for the fourier mode.
     """
     if mode == "fourier" and isinstance(f, TestFunction) and isinstance(g, TestFunction):
         if f.d != 1 or g.d != 1:
@@ -236,6 +227,9 @@ def covariance_two_sided(
     if isinstance(f, TestFunction) or isinstance(g, TestFunction):
         raise ValueError("TestFunction inputs are supported only in fourier mode")
 
+    for name, value in (("n_nodes", n_nodes), ("r_max", r_max), ("xi_max", xi_max)):
+        if not value > 0:
+            raise ValueError(f"{name} must be positive (got {value})")
     _check_first_moment(f, r_max)
     _check_first_moment(g, r_max)
     panels = max(n_nodes // 16, 1)
@@ -264,11 +258,12 @@ def covariance_two_sided(
 
     if mode == "fourier":
         # the rule on [-r_max, r_max] is the mirror image of the one on
-        # [0, r_max], so f and g enter through their even and odd parts
+        # [0, r_max], so f and g enter through their even and odd parts; xi
+        # runs on the same 16-node panels
         x, wx = composite_legendre(0.0, r_max, panels, 16)
-        xi, wxi = gauss_legendre(0.0, xi_max, n_nodes)
+        xi, wxi = composite_legendre(0.0, xi_max, panels, 16)
         plus, minus = wx * np.stack([f(x), g(x)]), wx * np.stack([f(-x), g(-x)])
-        fh, gh = _transform_on_grid(plus + minus, plus - minus, x, xi)
+        fh, gh = _transform_on_grid(plus + minus, plus - minus, r_max, panels, xi)
         f0, g0 = np.sum(plus + minus, axis=1) / math.sqrt(2.0 * math.pi)
         num = np.real((fh - f0) * np.conj(gh - g0))
         value = 2.0 * float(np.sum(wxi * num / (xi * xi)))

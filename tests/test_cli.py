@@ -11,7 +11,8 @@ from gfflab.cli import (
     parse_config_text,
     run,
 )
-from gfflab.experiments import EXPERIMENTS
+from gfflab.experiments import EXPERIMENTS, _stationary_invariance_pvalues, build_basis
+from gfflab.fields import RngStream
 
 REGISTRY_NAMES = [
     "stationary_bd",
@@ -200,6 +201,45 @@ class TestRunner:
             tmp_path, f"experiment = stationary_bd\nK = {modes}\noutput = {tmp_path}/r\n"
         )
         assert main(["run", path]) == 0
+
+    @pytest.mark.parametrize("modes, tested", [(1, [1]), (2, [1, 2]), (3, [1, 3])])
+    def test_invariance_modes_are_distinct_at_small_k(self, tmp_path, modes, tested):
+        path = self._write(
+            tmp_path, f"experiment = stationary_bd\nK = {modes}\noutput = {tmp_path}/r\n"
+        )
+        assert main(["run", path]) in (0, 1)
+        with open(f"{tmp_path}/r_stationary_bd_summary.json") as fh:
+            ks = json.load(fh)["ks_invariance"]
+        assert sorted(ks) == sorted(f"mode_{k}" for k in tested)
+        # one p-value per distinct mode, none dropped by a repeated key
+        cfg = load_config(path)
+        pvalues = _stationary_invariance_pvalues(build_basis(cfg), cfg, RngStream(cfg.seed, 1))
+        assert [k for k, _ in pvalues] == tested
+
+    @pytest.mark.parametrize(
+        "extra, tolerance",
+        [
+            ("", 1e-12),
+            ("tol.rel = 1e-6\n", 1e-6),
+            ("tol.rel = 1e-9\n", 1e-9),
+            ("basis.kind = hermite\n", 1e-6),
+            ("basis.kind = hermite\ntol.rel = 1e-3\n", 1e-3),
+        ],
+    )
+    def test_kakutani_tail_tolerance(self, tmp_path, extra, tolerance):
+        path = self._write(
+            tmp_path, f"experiment = kakutani\nK = 200\n{extra}output = {tmp_path}/k\n"
+        )
+        main(["run", path])
+        with open(f"{tmp_path}/k_kakutani_summary.json") as fh:
+            assert json.load(fh)["tail_tolerance"] == tolerance
+
+    def test_rel_tol_defaults_per_experiment(self):
+        assert parse_config_text("experiment = kakutani\n").rel_tol is None
+        for name in ("greens_checks", "heat_poisson", "two_sided_cov", "fourier_limits"):
+            assert parse_config_text(f"experiment = {name}\n").rel_tol == 1e-6
+        with pytest.raises(ConfigError, match="tol.rel"):
+            parse_config_text("experiment = kakutani\ntol.rel = 0\n")
 
     @pytest.mark.parametrize("name", ["stationary_bd", "convergence_curve", "bridge_cov"])
     def test_jobs_do_not_change_outputs(self, tmp_path, name):

@@ -8,9 +8,9 @@ from hypothesis import strategies as st
 from gfflab.basis import build_interval_basis
 from gfflab.fields import (
     RngStream,
+    _transform_on_grid,
     covariance_two_sided,
     field_values,
-    pair_field,
     sample_brownian_bridge,
     sample_brownian_motion,
     sample_cylindrical_bm,
@@ -20,7 +20,7 @@ from gfflab.fields import (
 )
 from gfflab.fourier_cov import gaussian_bump, gff_covariance, make_s0_function
 from gfflab.greens import series_green
-from gfflab.hilbert_scale import unit_field
+from gfflab.hilbert_scale import CoefficientField, duality_pairing, unit_field
 from gfflab.quadrature import composite_legendre, gauss_legendre
 
 
@@ -85,8 +85,9 @@ class TestSampleGff:
 class TestPairField:
     def test_unit_functional_reads_coefficient(self, dirichlet16, rng):
         w = sample_gff(dirichlet16, 1.0, rng)
+        wc = CoefficientField(w.basis, w.coeffs)
         for k in (1, 7, 16):
-            assert pair_field(w, unit_field(dirichlet16, k)) == w.coeffs[k - 1]
+            assert duality_pairing(wc, unit_field(dirichlet16, k)) == w.coeffs[k - 1]
 
     def test_pair_covariance_matches_weighted_inner_product(self, dirichlet16):
         gen = RngStream(14, 0).generator()
@@ -96,7 +97,8 @@ class TestPairField:
         prods = np.empty(n)
         for i in range(n):
             w = sample_gff(dirichlet16, 1.0, gen)
-            prods[i] = pair_field(w, f) * pair_field(w, g)
+            wc = CoefficientField(w.basis, w.coeffs)
+            prods[i] = duality_pairing(wc, f) * duality_pairing(wc, g)
         target = 1.0 / dirichlet16.lambdas_squared[0]
         se = prods.std(ddof=1) / math.sqrt(n)
         assert abs(prods.mean() - target) < 3.0 * se
@@ -106,7 +108,15 @@ class TestPairField:
         fns = [unit_field(dirichlet16, k) for k in (1, 2, 3, 5, 8)]
         n = 2000
         vals = np.array(
-            [[pair_field(sample_gff(dirichlet16, 1.0, gen), f) for f in fns] for _ in range(n)]
+            [
+                [
+                    duality_pairing(
+                        CoefficientField(dirichlet16, sample_gff(dirichlet16, 1.0, gen).coeffs), f
+                    )
+                    for f in fns
+                ]
+                for _ in range(n)
+            ]
         )
         cov = vals.T @ vals / n
         eigs = np.linalg.eigvalsh(0.5 * (cov + cov.T))
@@ -310,6 +320,19 @@ def per_node_direct(f, g, r_max, n_nodes):
     return total
 
 
+def full_table_transform(even, odd, x, xi, block=256):
+    """The Fourier transforms of the two-sided route with cos(x xi) and
+    sin(x xi) evaluated on the whole (x, xi) table in row blocks, as a
+    reference for the panel-factored transform."""
+    re = np.zeros((even.shape[0], xi.size))
+    im = np.zeros_like(re)
+    for lo in range(0, x.size, block):
+        phase = np.outer(x[lo : lo + block], xi)
+        re += even[:, lo : lo + block] @ np.cos(phase)
+        im += odd[:, lo : lo + block] @ np.sin(phase)
+    return (re - 1j * im) / math.sqrt(2.0 * math.pi)
+
+
 PAIRS = {
     "gauss": (
         lambda x: np.exp(-0.5 * (x - 0.4) ** 2),
@@ -338,6 +361,51 @@ class TestCovarianceTwoSided:
             total += float(np.sum(w * fa * ga))
         got = covariance_two_sided(f, g, "antiderivative", n_nodes=256)
         assert got == pytest.approx(total, rel=1e-13, abs=0.0)
+
+    @pytest.mark.parametrize(
+        "n_nodes, r_max, xi_max",
+        [(16, 20.0, 40.0), (100, 20.0, 40.0), (256, 20.0, 40.0), (2048, 20.0, 40.0),
+         (256, 7.5, 13.0)],
+    )
+    def test_panel_transform_matches_full_table(self, n_nodes, r_max, xi_max):
+        panels = max(n_nodes // 16, 1)
+        x, wx = composite_legendre(0.0, r_max, panels, 16)
+        xi, _ = composite_legendre(0.0, xi_max, panels, 16)
+        funcs = [
+            *PAIRS["gauss"],
+            PAIRS["odd"][0],
+            lambda v: np.exp(-np.abs(v)),
+            lambda v: np.exp(-8.0 * (v - 3.0) ** 2),
+        ]
+        plus = wx * np.stack([h(x) for h in funcs])
+        minus = wx * np.stack([h(-x) for h in funcs])
+        want = full_table_transform(plus + minus, plus - minus, x, xi)
+        got = _transform_on_grid(plus + minus, plus - minus, r_max, panels, xi)
+        assert got.shape == want.shape == (len(funcs), panels * 16)
+        scale = np.max(np.abs(want), axis=1, keepdims=True)
+        assert np.all(np.abs(got - want) <= 1e-13 * scale)
+
+    @pytest.mark.parametrize("pair", sorted(PAIRS))
+    @pytest.mark.parametrize(
+        "n_nodes, r_max, xi_max",
+        [(2048, 20.0, 40.0), (256, 20.0, 20.0), (500, 12.0, 30.0), (256, 7.5, 13.0)],
+    )
+    def test_fourier_agrees_with_direct(self, pair, n_nodes, r_max, xi_max):
+        f, g = PAIRS[pair]
+        kw = {"r_max": r_max, "n_nodes": n_nodes, "xi_max": xi_max}
+        fourier = covariance_two_sided(f, g, "fourier", **kw)
+        assert fourier == pytest.approx(covariance_two_sided(f, g, "direct", **kw), abs=1e-6)
+
+    @pytest.mark.parametrize("mode", ["direct", "antiderivative", "fourier"])
+    @pytest.mark.parametrize(
+        "kwargs, name",
+        [({"n_nodes": 0}, "n_nodes"), ({"n_nodes": -16}, "n_nodes"), ({"r_max": 0.0}, "r_max"),
+         ({"r_max": -20.0}, "r_max"), ({"xi_max": 0.0}, "xi_max"), ({"xi_max": -40.0}, "xi_max")],
+    )
+    def test_rejects_empty_or_reversed_window(self, mode, kwargs, name):
+        f = lambda x: np.exp(-x * x)
+        with pytest.raises(ValueError, match=f"{name} must be positive"):
+            covariance_two_sided(f, f, mode, **kwargs)
 
     def test_three_modes_agree_gaussian_pair(self):
         f = lambda x: np.exp(-0.5 * (x - 0.4) ** 2)

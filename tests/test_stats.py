@@ -7,9 +7,9 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from gfflab.basis import build_interval_basis
-from gfflab.fields import RngStream, pair_field, sample_gff
+from gfflab.fields import RngStream, sample_gff
 from gfflab.greens import series_green
-from gfflab.hilbert_scale import unit_field
+from gfflab.hilbert_scale import CoefficientField, duality_pairing, unit_field
 from gfflab.stats import (
     CovarianceReport,
     ConvergenceSummary,
@@ -61,7 +61,7 @@ class TestEstimateCovariance:
         gen = RngStream(53, 0).generator()
         rep = estimate_covariance(
             lambda g: sample_gff(basis, 1.0, g),
-            [lambda w, f=f: pair_field(w, f) for f in fns],
+            [lambda w, f=f: duality_pairing(CoefficientField(w.basis, w.coeffs), f) for f in fns],
             20000,
             gen,
             target=target,
