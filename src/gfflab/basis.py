@@ -176,6 +176,37 @@ def build_interval_basis(bc: BasisKind | str, a: float, b: float, size: int) -> 
     )
 
 
+def _shell_order(d: int, size: int, lo: int, power: int, cap: int):
+    """The first `size` multi-indices n in Z^d with every n_i >= lo and
+    q(n) = sum_i n_i^power <= cap, in (q, lexicographic n) order, as
+    (indices, q); None when fewer than `size` exist.
+
+    Only that region is listed, one axis at a time: each row grows into a
+    ragged range whose length is a searchsorted on the per-axis weights.
+    As t -> t^power is injective on t >= 0, q and n_1 .. n_{d-1} fix n_d,
+    so q * B^(d-1) + (n_1 .. n_{d-1} in base B), B = max coordinate + 1,
+    is a unique int64 sort key.
+    """
+    base = (math.isqrt(cap) if power == 2 else cap) + 1
+    if (cap + 1) * base ** (d - 1) > 2**63:
+        raise ValueError(f"lattice sort key overflows int64 at d={d}, cap={cap}: size too large")
+    values = np.arange(lo, base, dtype=np.int64)
+    weights = values**power
+    cols, rest = [], np.array([cap], dtype=np.int64)
+    for axis in range(d):
+        counts = np.searchsorted(weights, rest - (d - 1 - axis) * weights[0], side="right")
+        pick = np.arange(counts.sum()) - np.repeat(np.cumsum(counts) - counts, counts)
+        rest = np.repeat(rest, counts) - weights[pick]
+        cols = [np.repeat(c, counts) for c in cols] + [values[pick]]
+    if rest.size < size:
+        return None
+    key = cap - rest
+    for c in cols[:-1]:
+        key = key * base + c
+    order = np.argsort(key)[:size]
+    return np.stack([c[order] for c in cols], axis=1), cap - rest[order]
+
+
 def build_box_basis(d: int, side: float, size: int) -> EigenBasis:
     """Tensor products of interval Dirichlet eigenfunctions on (0, side)^d.
 
@@ -189,20 +220,14 @@ def build_box_basis(d: int, side: float, size: int) -> EigenBasis:
     if size < 1:
         raise ValueError(f"basis size must be positive, got {size}")
 
-    bound = max(2, int(math.ceil(size ** (1.0 / d))) + 1)
-    while True:
-        axes = [np.arange(1, bound + 1, dtype=np.int64)] * d
-        grid = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, d)
-        norm2 = (grid.astype(float) ** 2).sum(axis=1)
-        # points inside the inscribed ball are guaranteed complete
-        if np.count_nonzero(norm2 <= float(bound) ** 2) >= size:
-            break
-        bound *= 2
-
-    # by norm, ties broken lexicographically on the multi-index
-    keep = np.lexsort((*grid.T[::-1], norm2))[:size]
-    indices = grid[keep]
-    lambdas = np.pi * np.sqrt(norm2[keep]) / side
+    # the Weyl radius of the orthant ball plus d + 1 already holds size
+    # points; the loop only guards that bound
+    vol = (1.0, math.pi / 4.0, math.pi / 6.0)[d - 1]
+    cap = int(((size / vol) ** (1.0 / d) + d + 1) ** 2)
+    while (shell := _shell_order(d, size, 1, 2, cap)) is None:
+        cap *= 4
+    indices, norm2 = shell
+    lambdas = np.pi * np.sqrt(norm2.astype(float)) / side
 
     c_weyl = {
         1: np.pi / side,
@@ -240,10 +265,7 @@ def build_hermite_basis(d: int, size: int) -> EigenBasis:
         m = 0
         while math.comb(m + d, d) < size:
             m += 1
-        axes = [np.arange(m + 1, dtype=np.int64)] * d
-        grid = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, d)
-        grid = grid[grid.sum(axis=1) <= m]
-        indices = grid[np.lexsort((*grid.T[::-1], grid.sum(axis=1)))[:size]]
+        indices, _ = _shell_order(d, size, 0, 1, m)
 
     lam2 = 2.0 * indices.sum(axis=1).astype(float) + d
     return EigenBasis(
@@ -290,24 +312,18 @@ def evaluate_matrix(basis: EigenBasis, points) -> np.ndarray:
         _check_in_domain(pts[:, 0], a, b)
         return _interval_axis_values(basis.kind, a, b, basis.indices[:, 0], pts[:, 0])
 
-    if basis.kind is BasisKind.BOX_DIRICHLET:
-        out = np.ones((pts.shape[0], basis.size))
-        for axis in range(basis.d):
-            a, b = basis.domain[axis]
-            _check_in_domain(pts[:, axis], a, b)
-            modes = np.arange(1, int(basis.indices[:, axis].max()) + 1, dtype=np.int64)
-            cols = _interval_axis_values(
-                BasisKind.INTERVAL_DIRICHLET, a, b, modes, pts[:, axis]
-            )
-            out *= cols[:, basis.indices[:, axis] - 1]
-        return out
-
-    # Hermite: per-axis columns up to the maximal degree, then gather
+    # box and Hermite: per-axis columns up to the largest index, then gather
     out = np.ones((pts.shape[0], basis.size))
     for axis in range(basis.d):
-        n_max = int(basis.indices[:, axis].max())
-        cols = hermite_functions(n_max, pts[:, axis])
-        out *= cols[:, basis.indices[:, axis]]
+        idx = basis.indices[:, axis]
+        if basis.kind is BasisKind.HERMITE:
+            cols = hermite_functions(int(idx.max()), pts[:, axis])
+        else:
+            a, b = basis.domain[axis]
+            _check_in_domain(pts[:, axis], a, b)
+            modes = np.arange(int(idx.max()) + 1)
+            cols = _interval_axis_values(BasisKind.INTERVAL_DIRICHLET, a, b, modes, pts[:, axis])
+        out *= cols[:, idx]
     return out
 
 
@@ -338,18 +354,12 @@ def gram_matrix(basis: EigenBasis, n_nodes: int | None = None) -> np.ndarray:
     the unweighted rule reaches the double-precision range limit.
     """
     n = n_nodes if n_nodes is not None else 4 * basis.size + 16
-    if basis.kind in _INTERVAL_KINDS:
-        a, b = basis.domain[0]
-        x, w = gauss_legendre(a, b, n)
-        h = evaluate_matrix(basis, x)
-    elif basis.kind is BasisKind.BOX_DIRICHLET:
-        axes = [gauss_legendre(a, b, n) for a, b in basis.domain]
-        pts, w = tensor_grid(axes)
-        h = evaluate_matrix(basis, pts)
-    else:
+    if basis.kind is BasisKind.HERMITE:
         axes = [gauss_hermite_unweighted(min(n, 350))] * basis.d
-        pts, w = tensor_grid(axes)
-        h = evaluate_matrix(basis, pts if basis.d > 1 else pts[:, 0])
+    else:
+        axes = [gauss_legendre(a, b, n) for a, b in basis.domain]
+    pts, w = tensor_grid(axes)
+    h = evaluate_matrix(basis, pts)
     return h.T @ (w[:, None] * h)
 
 
@@ -373,13 +383,13 @@ def eigen_residual(basis: EigenBasis, k: int, n_probe: int = 17) -> float:
         rng = np.random.default_rng(k)
         probes = rng.uniform(-3.0, 3.0, size=(n_probe, basis.d))
 
-    center = evaluate_matrix(basis, probes if basis.d > 1 else probes[:, 0])[:, k - 1]
+    center = evaluate_matrix(basis, probes)[:, k - 1]
     lap = np.zeros(n_probe)
     for axis in range(basis.d):
         shift = np.zeros(basis.d)
         shift[axis] = step
-        up = evaluate_matrix(basis, (probes + shift) if basis.d > 1 else (probes + shift)[:, 0])[:, k - 1]
-        dn = evaluate_matrix(basis, (probes - shift) if basis.d > 1 else (probes - shift)[:, 0])[:, k - 1]
+        up = evaluate_matrix(basis, probes + shift)[:, k - 1]
+        dn = evaluate_matrix(basis, probes - shift)[:, k - 1]
         lap += (up - 2.0 * center + dn) / step**2
 
     residual = -lap - lam2 * center

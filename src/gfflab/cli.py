@@ -18,6 +18,7 @@ import os
 import sys
 from dataclasses import dataclass, fields as dataclass_fields
 
+from .basis import BasisKind, parse_basis_kind
 from .experiments import EXPERIMENT_DEFAULTS, EXPERIMENTS, ExperimentResult
 
 
@@ -54,6 +55,9 @@ def _parse_float_list(text: str) -> tuple:
     except ValueError:
         raise ConfigError(f"t_list must be a comma-separated float list, got {text!r}")
 
+
+# experiments whose dynamics need lambda_1 > 0, so no Neumann constant mode
+_POSITIVE_SPECTRUM = ("stationary_bd", "stationary_hermite", "convergence_curve", "kakutani")
 
 # config key -> (dataclass field, parser)
 _KEY_TABLE = {
@@ -157,6 +161,14 @@ def validate_config(cfg: ExperimentConfig) -> None:
         raise ConfigError(f"basis.side must be positive (got {cfg.side})")
     if cfg.d not in (1, 2, 3):
         raise ConfigError(f"basis.d must be 1, 2 or 3 (got {cfg.d})")
+    try:
+        kind = parse_basis_kind(cfg.basis_kind)
+    except ValueError as exc:
+        raise ConfigError(f"basis.kind: {exc}") from None
+    if kind is BasisKind.INTERVAL_NEUMANN and cfg.experiment in _POSITIVE_SPECTRUM:
+        raise ConfigError(
+            f"basis.kind = interval_neumann has lambda_1 = 0; {cfg.experiment} needs lambda_1 > 0"
+        )
     if cfg.z_threshold <= 0.0:
         raise ConfigError(f"tol.z must be positive (got {cfg.z_threshold})")
     if cfg.rel_tol is not None and cfg.rel_tol <= 0.0:

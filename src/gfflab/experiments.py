@@ -73,22 +73,13 @@ def standard_functionals(basis: EigenBasis) -> tuple[list[np.ndarray], list[str]
 
 def _report_rows(report: stats.CovarianceReport) -> tuple[list[str], list[dict]]:
     columns = ["i", "j", "label_i", "label_j", "empirical", "target", "stderr", "z"]
-    rows = []
     p = len(report.labels)
-    for i in range(p):
-        for j in range(i, p):
-            rows.append(
-                {
-                    "i": i + 1,
-                    "j": j + 1,
-                    "label_i": report.labels[i],
-                    "label_j": report.labels[j],
-                    "empirical": float(report.empirical[i, j]),
-                    "target": float(report.target[i, j]),
-                    "stderr": float(report.stderr[i, j]),
-                    "z": float(report.z[i, j]),
-                }
-            )
+    rows = [
+        {"i": i + 1, "j": j + 1, "label_i": report.labels[i], "label_j": report.labels[j],
+         **{c: float(getattr(report, c)[i, j]) for c in columns[4:]}}
+        for i in range(p)
+        for j in range(i, p)
+    ]
     return columns, rows
 
 

@@ -23,7 +23,7 @@ class CoefficientField:
     coeffs: np.ndarray
 
     def __post_init__(self):
-        c = np.asarray(self.coeffs, dtype=float)
+        c = np.array(self.coeffs, dtype=float)  # a copy: the caller's array stays writeable
         if c.shape != (self.basis.size,):
             raise ValueError(
                 f"expected {self.basis.size} coefficients, got shape {c.shape}"
@@ -66,7 +66,7 @@ def apply_lambda_power(f: CoefficientField, p: float) -> CoefficientField:
     problem Lambda^2 v = g.
     """
     if p == 0.0:
-        return CoefficientField(f.basis, f.coeffs.copy())
+        return CoefficientField(f.basis, f.coeffs)
     _require_positive_spectrum(f.basis, "apply_lambda_power with p != 0")
     return CoefficientField(f.basis, f.basis.lambdas**p * f.coeffs)
 

@@ -165,16 +165,10 @@ def summarize_convergence(reports: list[tuple[float, CovarianceReport]]) -> Conv
     statistical noise floor), and the pass state of the final time."""
     if not reports:
         raise ValueError("no reports to summarize")
-    rows = []
-    for t, rep in reports:
-        rows.append(
-            {
-                "t": float(t),
-                "zmax": rep.zmax,
-                "transient": rep.max_deviation,
-                "passed": rep.passed,
-            }
-        )
+    rows = [
+        {"t": float(t), "zmax": rep.zmax, "transient": rep.max_deviation, "passed": rep.passed}
+        for t, rep in reports
+    ]
     monotone = True
     for (_, prev), (_, cur) in zip(reports[:-1], reports[1:]):
         slack = 3.0 * float(np.max(cur.stderr))
@@ -223,22 +217,13 @@ def read_report_csv(path: str) -> CovarianceReport:
                 rows.append(line.split(","))
     labels = meta["labels"].split(",")
     p = len(labels)
-    empirical = np.empty((p, p))
-    target = np.empty((p, p))
-    stderr = np.empty((p, p))
-    z = np.empty((p, p))
+    mats = {name: np.empty((p, p)) for name in ("empirical", "target", "stderr", "z")}
     for row in rows:
-        i, j = int(row[0]), int(row[1])
-        empirical[i, j] = float(row[4])
-        target[i, j] = float(row[5])
-        stderr[i, j] = float(row[6])
-        z[i, j] = float(row[7])
+        for mat, value in zip(mats.values(), row[4:]):
+            mat[int(row[0]), int(row[1])] = float(value)
     return CovarianceReport(
         labels=labels,
-        empirical=empirical,
-        target=target,
-        stderr=stderr,
-        z=z,
+        **mats,
         zmax=float(meta["zmax"]),
         passed=meta["passed"] == "True",
         samples=int(meta["samples"]),

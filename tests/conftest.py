@@ -1,8 +1,11 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, settings
 
-from gfflab.basis import build_hermite_basis, build_interval_basis
+from gfflab.basis import BasisKind, EigenBasis, build_hermite_basis, build_interval_basis
+from gfflab.dynamics import SpectralState, em_oracle_step
 from gfflab.fields import RngStream
 
 settings.register_profile(
@@ -37,6 +40,41 @@ def rng():
 @pytest.fixture()
 def stream():
     return RngStream(2026, 0)
+
+
+@pytest.fixture(scope="session")
+def em_moments():
+    """Exact mean and variance of the Euler-Maruyama chain of one mode at
+    lambda = nu = sigma = 1 after t_end / dt steps from u = u0:
+    m <- (1 - dt) m and v <- (1 - dt)^2 v + dt."""
+
+    def moments(dt, t_end=1.0, u0=1.0):
+        mean, var = u0, 0.0
+        for _ in range(int(round(t_end / dt))):
+            mean, var = (1.0 - dt) * mean, (1.0 - dt) ** 2 * var + dt
+        return mean, var
+
+    return moments
+
+
+@pytest.fixture(scope="session")
+def em_ensemble():
+    """n independent Euler-Maruyama paths from u = 1 at lambda = nu = sigma = 1,
+    stepped by em_oracle_step itself on a basis of n modes that all have
+    lambda = 1 (one path per mode)."""
+
+    def paths(n, dt, t_end, stream):
+        basis = EigenBasis(
+            kind=BasisKind.INTERVAL_DIRICHLET, d=1, size=n, lambdas=np.ones(n), alpha=1.0,
+            c_weyl=1.0, domain=((0.0, math.pi),), indices=np.ones((n, 1), dtype=np.int64),
+        )
+        state = SpectralState(basis, 0.0, np.ones(n), 1.0, 1.0)
+        gen = stream.generator()
+        for _ in range(int(round(t_end / dt))):
+            state = em_oracle_step(state, dt, gen)
+        return state.coeffs
+
+    return paths
 
 
 def assert_close(actual, expected, rel=1e-12, abs_tol=0.0, label=""):

@@ -64,23 +64,37 @@ def test_criterion_01_stationary_bounded_domain():
     assert ok
 
 
-def test_criterion_02_ou_exactness():
-    # one exact transition vs a fine Euler-Maruyama chain, lambda = nu = sigma = 1
-    n, dt, t_end = 100000, 1e-4, 1.0
-    gen = RngStream(8, 0).generator()
-    u = np.ones(n)
-    for _ in range(int(round(t_end / dt))):
-        u = u * (1.0 - dt) + math.sqrt(dt) * gen.standard_normal(n)
+def test_criterion_02_ou_exactness(em_moments, em_ensemble):
+    # the exact transition against the Euler-Maruyama oracle, lambda = nu = sigma = 1
+    n, t_end = 100000, 1.0
+    decay, var_exact = transition_moments(1.0, 1.0, 1.0, t_end)
 
+    # exact one-step draws against the closed form, 3 sigma bands
     basis = build_interval_basis("dirichlet", 0.0, math.pi, 1)  # lambda = 1
     exact = sample_functional_values(
         basis, 1.0, 1.0, np.array([1.0]), t_end, n, np.array([[1.0]]), RngStream(9, 0)
     )[:, 0]
+    sample_ok = abs(exact.mean() - decay) < 3.0 * math.sqrt(var_exact / n) and abs(
+        exact.var(ddof=1) - var_exact
+    ) < 3.0 * var_exact * math.sqrt(2.0 / n)
 
-    se_mean = math.hypot(u.std(ddof=1), exact.std(ddof=1)) / math.sqrt(n)
-    mean_ok = abs(u.mean() - exact.mean()) < 3.0 * se_mean
-    se_var = math.sqrt(2.0 / n) * math.hypot(u.var(ddof=1), exact.var(ddof=1))
-    var_ok = abs(u.var(ddof=1) - exact.var(ddof=1)) < 3.0 * se_var
+    # em_oracle_step on n paths at dt = 1e-2 against the chain's exact
+    # moments m <- (1 - dt) m, v <- (1 - dt)^2 v + dt at that dt
+    dt = 1e-2
+    u = em_ensemble(n, dt, t_end, RngStream(8, 0))
+    em_mean, em_var = em_moments(dt, t_end)
+    em_ok = abs(u.mean() - em_mean) < 3.0 * math.sqrt(em_var / n) and abs(
+        u.var(ddof=1) - em_var
+    ) < 3.0 * em_var * math.sqrt(2.0 / n)
+
+    # the chain's moments reach the exact ones at weak order 1 (gaps halve
+    # with dt) and, extrapolated, at order 2
+    exact_moments = np.array([decay, var_exact])
+    dts = [1e-2 / 2**j for j in range(6)]
+    gaps = np.array([np.subtract(em_moments(h, t_end), exact_moments) for h in dts])
+    order_one = bool(np.all(np.abs(gaps[:-1] / gaps[1:] - 2.0) < np.array(dts[:-1])[:, None]))
+    rich = 2.0 * np.array(em_moments(dts[-1] / 2, t_end)) - em_moments(dts[-1], t_end)
+    order_two = bool(np.all(np.abs(rich - exact_moments) < 0.5 * (dts[-1] / 2) ** 2))
 
     # the transition variance composed over an uneven partition of [0, 1]
     # reproduces the closed form to 1e-14 relative
@@ -93,8 +107,9 @@ def test_criterion_02_ou_exactness():
 
     ok = verdict(
         2, "exact transition vs Euler-Maruyama oracle",
-        mean_ok and var_ok and exactness_ok,
-        f"mean gap={abs(u.mean() - exact.mean()):.2e}, var gap={abs(u.var(ddof=1) - exact.var(ddof=1)):.2e}",
+        sample_ok and em_ok and order_one and order_two and exactness_ok,
+        f"EM gap at dt={dts[-1]:.2e}: mean={gaps[-1, 0]:.2e}, var={gaps[-1, 1]:.2e}; "
+        f"extrapolated gap={np.max(np.abs(rich - exact_moments)):.2e}",
     )
     assert ok
 

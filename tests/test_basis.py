@@ -4,9 +4,12 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import assume, given
+from hypothesis import strategies as st
 
 from gfflab.basis import (
     BasisKind,
+    _shell_order,
     basis_from_descriptor,
     build_box_basis,
     build_hermite_basis,
@@ -18,6 +21,40 @@ from gfflab.basis import (
     gram_matrix,
     sinpi,
 )
+
+
+def oracle_box(d, size):
+    """Full-cube builder: a meshgrid of 1..bound per axis, doubled until the
+    inscribed ball holds `size` points, then lexsort on (|n|^2, n)."""
+    bound = max(2, int(math.ceil(size ** (1.0 / d))) + 1)
+    while True:
+        axes = [np.arange(1, bound + 1, dtype=np.int64)] * d
+        grid = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, d)
+        norm2 = (grid.astype(float) ** 2).sum(axis=1)
+        if np.count_nonzero(norm2 <= float(bound) ** 2) >= size:
+            break
+        bound *= 2
+    keep = np.lexsort((*grid.T[::-1], norm2))[:size]
+    return grid[keep], np.pi * np.sqrt(norm2[keep])
+
+
+def oracle_hermite(d, size):
+    """Full-cube builder: a meshgrid of 0..m per axis cut to the simplex
+    sum(n) <= m, then lexsort on (sum(n), n)."""
+    m = 0
+    while math.comb(m + d, d) < size:
+        m += 1
+    axes = [np.arange(m + 1, dtype=np.int64)] * d
+    grid = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, d)
+    grid = grid[grid.sum(axis=1) <= m]
+    indices = grid[np.lexsort((*grid.T[::-1], grid.sum(axis=1)))[:size]]
+    return indices, np.sqrt(2.0 * indices.sum(axis=1).astype(float) + d)
+
+
+def assert_same_bytes(basis, indices, lambdas):
+    assert basis.indices.dtype == indices.dtype and basis.indices.shape == indices.shape
+    assert basis.indices.tobytes() == indices.tobytes()
+    assert basis.lambdas.tobytes() == lambdas.tobytes()
 
 
 def bisect_root(fn, lo, hi, iters=200):
@@ -167,6 +204,47 @@ class TestHermiteBasis:
         for size in [1, 2, 3, 4, 5, 11, 100, 1000, 2000]:
             b = build_hermite_basis(d, size)
             assert np.array_equal(b.indices, np.array(oracle[:size])), size
+
+
+class TestShellOrder:
+    @pytest.mark.parametrize(
+        "kind, d, size",
+        [("box", 2, 200000), ("box", 3, 100000), ("hermite", 3, 200000)],
+    )
+    def test_large_sizes_match_lexsort_oracle(self, kind, d, size):
+        if kind == "box":
+            assert_same_bytes(build_box_basis(d, 1.0, size), *oracle_box(d, size))
+        else:
+            assert_same_bytes(build_hermite_basis(d, size), *oracle_hermite(d, size))
+
+    @given(
+        kind=st.sampled_from(["box", "hermite"]),
+        d=st.integers(1, 3),
+        start=st.integers(1, 3000),
+    )
+    def test_sizes_ending_inside_a_tie_shell(self, kind, d, start):
+        oracle = oracle_box if kind == "box" else oracle_hermite
+        _, lam = oracle(d, start + 200)
+        # first size >= start whose last mode shares its eigenvalue with
+        # the next one; d = 1 has no ties, so the size stays as drawn
+        ties = np.flatnonzero(lam[start - 1:-1] == lam[start:])
+        assume(d == 1 or ties.size)
+        size = start + int(ties[0]) if ties.size else start
+        basis = build_box_basis(d, 1.0, size) if kind == "box" else build_hermite_basis(d, size)
+        assert_same_bytes(basis, *oracle(d, size))
+
+    @pytest.mark.parametrize("d, size", [(1, 4 * 10**9), (2, 10**13), (3, 10**15)])
+    def test_key_overflow_is_a_named_error(self, d, size):
+        # raised before any lattice array is allocated
+        with pytest.raises(ValueError, match="overflows int64"):
+            build_box_basis(d, 1.0, size)
+
+    def test_short_region_returns_none(self):
+        # {n >= 1 : |n|^2 <= 5} holds (1, 1), (1, 2), (2, 1) only
+        assert _shell_order(2, 4, 1, 2, 5) is None
+        indices, q = _shell_order(2, 3, 1, 2, 5)
+        assert indices.tolist() == [[1, 1], [1, 2], [2, 1]]
+        assert q.tolist() == [2, 5, 5]
 
 
 class TestInvariants:

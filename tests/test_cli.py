@@ -179,6 +179,34 @@ class TestRunner:
         assert main(["run", path]) == 2
         assert "nu" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "name", ["stationary_bd", "stationary_hermite", "convergence_curve", "kakutani"]
+    )
+    def test_neumann_rejected_where_dynamics_need_positive_spectrum(self, tmp_path, capsys, name):
+        # lambda_1 = 0 would fail inside the dynamics; the config check names the field
+        path = self._write(
+            tmp_path,
+            f"experiment = {name}\nbasis.kind = interval_neumann\nK = 8\nM = 200\n"
+            f"output = {tmp_path}/n\n",
+        )
+        assert main(["run", path]) == 2
+        err = capsys.readouterr().err
+        assert "basis.kind" in err and "lambda_1" in err and "Traceback" not in err
+        assert not os.path.exists(f"{tmp_path}/n_{name}.csv")
+
+    @pytest.mark.parametrize("name", ["kakutani", "stationary_bd", "weyl"])
+    def test_unknown_basis_kind_exit_two(self, tmp_path, capsys, name):
+        path = self._write(tmp_path, f"experiment = {name}\nbasis.kind = bogus\noutput = {tmp_path}/u\n")
+        assert main(["run", path]) == 2
+        err = capsys.readouterr().err
+        assert "basis.kind" in err and "bogus" in err and "Traceback" not in err
+
+    def test_neumann_accepted_where_basis_kind_is_unused(self, tmp_path):
+        path = self._write(
+            tmp_path, f"experiment = greens_checks\nbasis.kind = neumann\noutput = {tmp_path}/g\n"
+        )
+        assert main(["run", path]) == 0
+
     def test_main_missing_file_exit_two(self, capsys):
         assert main(["run", "/nonexistent/path.cfg"]) == 2
         assert "config" in capsys.readouterr().err

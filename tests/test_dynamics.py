@@ -84,22 +84,32 @@ class TestExactStep:
         assert vals.mean() == pytest.approx(mean_target, abs=3.0 * vals.std(ddof=1) / math.sqrt(n))
         assert vals.var(ddof=1) == pytest.approx(var_target, abs=3.0 * var_target * math.sqrt(2.0 / n))
 
-    def test_against_euler_maruyama_oracle(self, single_mode):
-        # weak comparison: exact one-step law vs a fine Euler-Maruyama chain
-        n = 100000
-        dt_em = 1e-4
-        steps = int(round(1.0 / dt_em))
-        gen = RngStream(32, 0).generator()
-        u = np.ones(n)
-        for _ in range(steps):
-            u = u * (1.0 - dt_em) + math.sqrt(dt_em) * gen.standard_normal(n)
-        exact = sample_functional_values(
-            single_mode, 1.0, 1.0, np.array([1.0]), 1.0, n, np.array([[1.0]]), RngStream(33, 0)
-        )[:, 0]
-        se_mean = math.hypot(u.std(ddof=1), exact.std(ddof=1)) / math.sqrt(n)
-        assert u.mean() == pytest.approx(exact.mean(), abs=3.0 * se_mean)
-        var_se = math.sqrt(2.0 / n) * math.hypot(u.var(ddof=1), exact.var(ddof=1))
-        assert u.var(ddof=1) == pytest.approx(exact.var(ddof=1), abs=3.0 * var_se)
+    def test_against_euler_maruyama_oracle(self, em_moments, em_ensemble):
+        # The Euler-Maruyama chain's mean and variance follow exact
+        # recursions, so its weak error is checked without sampling noise:
+        # the gaps to the exact transition halve with dt (weak order 1, the
+        # ratio tends to 2) and Richardson extrapolation leaves O(dt^2).
+        decay, var = transition_moments(1.0, 1.0, 1.0, 1.0)
+        exact = np.array([decay, var])
+        dts = [1e-2 / 2**j for j in range(6)]
+        gaps = np.array([np.subtract(em_moments(dt), exact) for dt in dts])
+        ratios = gaps[:-1] / gaps[1:]
+        assert np.all(np.abs(ratios - 2.0) < np.array(dts[:-1])[:, None])
+        assert np.all(np.diff(np.abs(ratios - 2.0), axis=0) < 0.0)
+        rich = np.array([2.0 * np.array(em_moments(dt / 2)) - em_moments(dt) for dt in dts])
+        assert np.all(np.abs(rich - exact) < 0.5 * (np.array(dts)[:, None] / 2) ** 2)
+        # Talay-Tubaro: (1 - dt)^(1/dt) = e^-1 (1 - dt/2 - 5 dt^2/24 + ...),
+        # so the extrapolated mean is off by e^-1 (5/12) (dt/2)^2
+        assert (rich[-1, 0] - decay) / (dts[-1] / 2) ** 2 == pytest.approx(
+            math.exp(-1.0) * 5.0 / 12.0, rel=1e-2
+        )
+        # the stepper itself: an ensemble of n paths at dt = 1e-2 against the
+        # recursion's moments at that dt, 3 sigma bands
+        n, dt = 100000, 1e-2
+        u = em_ensemble(n, dt, 1.0, RngStream(32, 0))
+        mean, var = em_moments(dt)
+        assert u.mean() == pytest.approx(mean, abs=3.0 * math.sqrt(var / n))
+        assert u.var(ddof=1) == pytest.approx(var, abs=3.0 * var * math.sqrt(2.0 / n))
 
 
 class TestEmOracle:

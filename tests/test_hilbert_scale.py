@@ -7,6 +7,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from gfflab.basis import build_hermite_basis, build_interval_basis
+from gfflab.fields import sample_gff
 from gfflab.hilbert_scale import (
     CoefficientField,
     apply_lambda_power,
@@ -174,6 +175,16 @@ class TestCoefficientField:
     def test_length_mismatch_rejected(self, dirichlet16):
         with pytest.raises(ValueError, match="coefficients"):
             CoefficientField(dirichlet16, np.zeros(4))
+
+    def test_caller_array_stays_writeable(self, dirichlet16, rng):
+        a = np.arange(16.0)
+        f = CoefficientField(dirichlet16, a)
+        assert a.flags.writeable and not f.coeffs.flags.writeable
+        a[0] = 5.0
+        assert f.coeffs[0] == 0.0
+        sample = sample_gff(dirichlet16, 1.0, rng)
+        CoefficientField(dirichlet16, sample.coeffs)
+        assert sample.coeffs.flags.writeable
 
     @given(coeff_lists)
     def test_parseval_at_gamma_zero(self, coeffs):
