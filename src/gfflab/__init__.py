@@ -38,9 +38,9 @@ from .fourier_cov import (
     massive_limit_covariance,
     transient_covariance,
 )
-from .greens import KernelKind, KernelSpec, bessel_k, heat_kernel, series_green
+from .greens import bessel_k, heat_kernel, series_green
 from .hilbert_scale import CoefficientField, duality_pairing, norm_gamma
-from .stats import CovarianceReport, estimate_covariance, ks_gaussian
+from .stats import CovarianceReport, ks_gaussian
 
 __version__ = "0.1.0"
 
@@ -67,8 +67,6 @@ __all__ = [
     "make_s0_function",
     "massive_limit_covariance",
     "transient_covariance",
-    "KernelKind",
-    "KernelSpec",
     "bessel_k",
     "heat_kernel",
     "series_green",
@@ -76,6 +74,5 @@ __all__ = [
     "duality_pairing",
     "norm_gamma",
     "CovarianceReport",
-    "estimate_covariance",
     "ks_gaussian",
 ]

@@ -108,8 +108,10 @@ class EigenBasis:
     indices: np.ndarray  # (size, d) int64; interval: mode numbers, hermite: degrees
 
     def __post_init__(self):
-        self.lambdas.setflags(write=False)
-        self.indices.setflags(write=False)
+        for name in ("lambdas", "indices"):
+            arr = np.array(getattr(self, name))  # a copy: the caller's array stays writeable
+            arr.setflags(write=False)
+            object.__setattr__(self, name, arr)
 
     @property
     def lambdas_squared(self) -> np.ndarray:

@@ -2,12 +2,16 @@
 management, and deterministic CSV/JSON emission.
 
 Usage:
-    gff-lab run <config-path> [--jobs N] [--seed S] [--out prefix]
+    gff-lab run <config-path> [--seed S] [--out prefix]
+    gff-lab run-all [--seed S] [--out DIR]
     gff-lab list
 
+run-all runs every registered experiment at its defaults, with output
+prefix DIR/<experiment> (DIR defaults to out).
+
 Exit codes: 0 all experiment predicates passed, 1 a predicate failed,
-2 configuration error. The worker count falls back to the GFFLAB_JOBS
-environment variable when --jobs is not given.
+2 configuration error, 3 an experiment crashed (one line on stderr names
+the exception).
 """
 
 from __future__ import annotations
@@ -16,7 +20,7 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass, fields as dataclass_fields
+from dataclasses import dataclass
 
 from .basis import BasisKind, parse_basis_kind
 from .experiments import EXPERIMENT_DEFAULTS, EXPERIMENTS, ExperimentResult
@@ -43,7 +47,6 @@ class ExperimentConfig:
     t_list: tuple = (0.1, 0.5, 1.0, 2.0)
     seed: int = 7
     output: str = "out/run"
-    jobs: int = 1
     z_threshold: float = 4.0
     rel_tol: float | None = None  # None: the experiment's own default
     ks_alpha: float = 1e-3
@@ -76,7 +79,6 @@ _KEY_TABLE = {
     "t_list": ("t_list", _parse_float_list),
     "seed": ("seed", int),
     "output": ("output", str),
-    "jobs": ("jobs", int),
     "tol.z": ("z_threshold", float),
     "tol.rel": ("rel_tol", float),
     "tol.ks_p": ("ks_alpha", float),
@@ -153,8 +155,6 @@ def validate_config(cfg: ExperimentConfig) -> None:
         raise ConfigError(f"t_list must be increasing (got {cfg.t_list})")
     if cfg.seed < 0:
         raise ConfigError(f"seed must be non-negative (got {cfg.seed})")
-    if cfg.jobs < 1:
-        raise ConfigError(f"jobs must be at least 1 (got {cfg.jobs})")
     if not cfg.a < cfg.b:
         raise ConfigError(f"basis.a must be below basis.b (got {cfg.a}, {cfg.b})")
     if cfg.side <= 0.0:
@@ -229,9 +229,12 @@ def main(argv=None) -> int:
 
     run_p = sub.add_parser("run", help="run one experiment from a config file")
     run_p.add_argument("config", help="path to a key=value config file")
-    run_p.add_argument("--jobs", type=int, default=None, help="Monte Carlo worker count")
     run_p.add_argument("--seed", type=int, default=None, help="override the config seed")
     run_p.add_argument("--out", default=None, help="override the output prefix")
+
+    all_p = sub.add_parser("run-all", help="run every registered experiment at its defaults")
+    all_p.add_argument("--seed", type=int, default=None, help="seed for every experiment")
+    all_p.add_argument("--out", default="out", help="output directory")
 
     sub.add_parser("list", help="print the experiment registry")
 
@@ -241,23 +244,26 @@ def main(argv=None) -> int:
         return 0
 
     try:
-        cfg = load_config(args.config)
-        if args.jobs is not None:
-            cfg.jobs = args.jobs
-        elif os.environ.get("GFFLAB_JOBS"):
-            cfg.jobs = int(os.environ["GFFLAB_JOBS"])
-        if args.seed is not None:
-            cfg.seed = args.seed
-        if args.out is not None:
-            cfg.output = args.out
-        validate_config(cfg)
-    except ConfigError as exc:
+        if args.command == "run":
+            configs = [load_config(args.config)]
+            if args.out is not None:
+                configs[0].output = args.out
+        else:
+            configs = [parse_config_text(f"experiment = {name}") for name in sorted(EXPERIMENTS)]
+            for cfg in configs:
+                cfg.output = f"{args.out}/{cfg.experiment}"
+        for cfg in configs:
+            if args.seed is not None:
+                cfg.seed = args.seed
+            validate_config(cfg)
+    except (ConfigError, ValueError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except ValueError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
-    return run(cfg)
+    try:
+        return max([run(cfg) for cfg in configs])
+    except Exception as exc:  # a crash must not read as a FAIL verdict (exit 1)
+        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

@@ -142,8 +142,9 @@ def _functional_matrix(basis: EigenBasis, functionals) -> np.ndarray:
 def sample_gaussian(mean, cov, n_samples: int, stream: RngStream) -> np.ndarray:
     """n_samples draws of N(mean, cov) as an (n_samples, p) array: block b
     of MC_BLOCK rows is mean + z @ factor.T, z ~ N(0, I_p) from substream
-    2 b. eigh eigenvalues below p eps times the largest count as zero, so
-    a singular cov (repeated functionals) gives exactly repeated columns."""
+    2 b (even numbers only, which keeps the draws of earlier versions).
+    eigh eigenvalues below p eps times the largest count as zero, so a
+    singular cov (repeated functionals) gives exactly repeated columns."""
     evals, evecs = np.linalg.eigh(np.asarray(cov, dtype=float))
     floor = evals.size * np.finfo(float).eps * evals.max(initial=0.0)
     factor = evecs * np.sqrt(np.where(evals > floor, evals, 0.0))
@@ -164,42 +165,19 @@ def sample_functional_values(
     n_samples: int,
     weights: np.ndarray,
     stream: RngStream,
-    jobs: int = 1,
 ) -> np.ndarray:
     """Monte Carlo draws of the pairings u[t, f_j] as an (n_samples, p)
     array, using one exact transition from time zero.
 
-    ``phi`` is None (zero start), a coefficient vector (deterministic
-    start), or a callable (generator, n) -> (n, size) drawing random
-    starts from its own substream. A zero or deterministic start draws
-    the exact law N(W^T (decay phi), W^T diag(var) W) by sample_gaussian.
-    A callable start draws every mode: block b of MC_BLOCK takes substreams
-    2 b (noise) and 2 b + 1 (start), blocks run on ``jobs`` threads and are
-    concatenated in block order, so results do not depend on ``jobs``.
+    ``phi`` is None (zero start) or a coefficient vector (deterministic
+    start); the pairings are then exactly N(W^T (decay phi), W^T diag(var) W),
+    drawn by sample_gaussian.
     """
     _require_positive_modes(basis)
     decay, var = transition_moments(basis.lambdas_squared, nu, sigma, t)
-    if not callable(phi):
-        start = np.zeros(basis.size) if phi is None else decay * np.asarray(phi, dtype=float)
-        cov = weights.T @ (var[:, None] * weights)
-        return sample_gaussian(start @ weights, cov, n_samples, stream)
-    sd = np.sqrt(var)
-    n_blocks = (n_samples + MC_BLOCK - 1) // MC_BLOCK
-
-    def one_block(b: int) -> np.ndarray:
-        m = min(MC_BLOCK, n_samples - b * MC_BLOCK)
-        u = sd * stream.substream(2 * b).generator().standard_normal((m, basis.size))
-        u += phi(stream.substream(2 * b + 1).generator(), m) * decay
-        return u @ weights
-
-    if jobs > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            blocks = list(pool.map(one_block, range(n_blocks)))
-    else:
-        blocks = [one_block(b) for b in range(n_blocks)]
-    return np.concatenate(blocks, axis=0)
+    start = np.zeros(basis.size) if phi is None else decay * np.asarray(phi, dtype=float)
+    cov = weights.T @ (var[:, None] * weights)
+    return sample_gaussian(start @ weights, cov, n_samples, stream)
 
 
 def stationary_target(basis: EigenBasis, nu: float, sigma: float, weights: np.ndarray) -> np.ndarray:
@@ -219,7 +197,6 @@ def convergence_curve(
     stream: RngStream,
     g_list=None,
     z_threshold: float = 4.0,
-    jobs: int = 1,
 ) -> list[tuple[float, CovarianceReport]]:
     """Empirical covariance of the tested solution against the stationary
     target at each time, one report per time.
@@ -236,8 +213,7 @@ def convergence_curve(
     out = []
     for i, t in enumerate(np.asarray(t_list, dtype=float)):
         values = sample_functional_values(
-            basis, nu, sigma, phi, float(t), n_samples, weights,
-            stream.substream(i), jobs=jobs,
+            basis, nu, sigma, phi, float(t), n_samples, weights, stream.substream(i)
         )
         report = report_from_values(
             values, target=target, labels=labels, z_threshold=z_threshold,

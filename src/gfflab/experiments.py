@@ -106,7 +106,7 @@ def _exp_stationary(cfg, name: str) -> ExperimentResult:
     stream = RngStream(cfg.seed, 0)
     weights = np.stack(fns, axis=1)
     values = dynamics.sample_functional_values(
-        basis, cfg.nu, cfg.sigma, None, cfg.t, cfg.samples, weights, stream, jobs=cfg.jobs
+        basis, cfg.nu, cfg.sigma, None, cfg.t, cfg.samples, weights, stream
     )
     target = dynamics.stationary_target(basis, cfg.nu, cfg.sigma, weights)
     report = stats.report_from_values(
@@ -146,7 +146,7 @@ def exp_convergence_curve(cfg) -> ExperimentResult:
     fns, labels = standard_functionals(basis)
     curve = dynamics.convergence_curve(
         basis, cfg.nu, cfg.sigma, None, cfg.t_list, cfg.samples, fns,
-        RngStream(cfg.seed, 0), z_threshold=cfg.z_threshold, jobs=cfg.jobs,
+        RngStream(cfg.seed, 0), z_threshold=cfg.z_threshold,
     )
     summ = stats.summarize_convergence(curve)
     columns = ["t", "zmax", "transient", "passed"]
@@ -211,21 +211,16 @@ def exp_greens_checks(cfg) -> ExperimentResult:
     for x in (0.5, 1.0, 5.0):
         add("bessel_k0", x, greens.bessel_k(0.0, x), _bessel_cosh_oracle(0.0, x))
 
-    spec = greens.KernelSpec(greens.KernelKind.HEAT, d=1, nu=cfg.nu, eps=cfg.eps)
     xg, wg = composite_legendre(-40.0, 40.0, 80, 16)
-    mass = float(np.sum(wg * greens.heat_kernel(spec, 0.7, xg)))
+    mass = float(np.sum(wg * greens.heat_kernel(0.7, xg, d=1, nu=cfg.nu, eps=cfg.eps)))
     add("heat_kernel_mass", 0.7, mass, math.exp(-0.7 * cfg.eps))
 
-    spec2 = greens.KernelSpec(greens.KernelKind.MASSIVE_POTENTIAL, d=2, nu=cfg.nu, eps=cfg.eps)
-    lhs, rhs = greens.heat_poisson_identity(
-        greens.KernelSpec(greens.KernelKind.HEAT, d=2, nu=cfg.nu, eps=cfg.eps), 1.0
-    )
-    add("potential_massive_2d", 1.0, greens.potential_massive(spec2, 1.0), lhs)
+    lhs, _ = greens.heat_poisson_identity(1.0, d=2, nu=cfg.nu, eps=cfg.eps)
+    massive = greens.potential_massive(1.0, d=2, nu=cfg.nu, eps=cfg.eps)
+    add("potential_massive_2d", 1.0, massive, lhs)
 
-    z3 = greens.KernelSpec(greens.KernelKind.ZERO_MASS_POTENTIAL, d=3, nu=cfg.nu)
-    m3 = greens.KernelSpec(greens.KernelKind.MASSIVE_POTENTIAL, d=3, nu=cfg.nu, eps=1e-8)
-    limit_lhs = greens.potential_massive(m3, 2.0)
-    limit_rhs = greens.potential_zero_mass(z3, 2.0)
+    limit_lhs = greens.potential_massive(2.0, d=3, nu=cfg.nu, eps=1e-8)
+    limit_rhs = greens.potential_zero_mass(2.0, d=3, nu=cfg.nu)
     add("zero_mass_limit_3d", 2.0, limit_lhs, limit_rhs)
 
     for z in (0.5, 1.5, 3.7):
@@ -247,8 +242,7 @@ def exp_heat_poisson(cfg) -> ExperimentResult:
     columns = ["kernel", "x", "lhs", "rhs", "relerr"]
     rows = []
     for d in (1, 2, 3):
-        spec = greens.KernelSpec(greens.KernelKind.HEAT, d=d, nu=cfg.nu, eps=cfg.eps)
-        lhs, rhs = greens.heat_poisson_identity(spec, 1.0)
+        lhs, rhs = greens.heat_poisson_identity(1.0, d=d, nu=cfg.nu, eps=cfg.eps)
         rows.append(
             {"kernel": f"whole_space_d{d}", "x": 1.0, "lhs": lhs, "rhs": rhs,
              "relerr": abs(lhs - rhs) / abs(rhs)}
@@ -276,14 +270,12 @@ def exp_log_divergence_2d(cfg) -> ExperimentResult:
     against log(eps) must match -1/(4 pi nu)."""
     eps_list = [1e-3, 1e-4, 1e-5, 1e-6]
     columns = ["eps", "phi_eps", "phi_0", "residual"]
-    z2 = greens.KernelSpec(greens.KernelKind.ZERO_MASS_POTENTIAL, d=2, nu=cfg.nu)
-    phi0 = greens.potential_zero_mass(z2, 1.0)
+    phi0 = greens.potential_zero_mass(1.0, d=2, nu=cfg.nu)
     residuals = greens.log_divergence_check(cfg.nu, 1.0, eps_list)
     vals = []
     rows = []
     for eps, res in zip(eps_list, residuals):
-        spec = greens.KernelSpec(greens.KernelKind.MASSIVE_POTENTIAL, d=2, nu=cfg.nu, eps=eps)
-        v = greens.potential_massive(spec, 1.0)
+        v = greens.potential_massive(1.0, d=2, nu=cfg.nu, eps=eps)
         vals.append(v)
         rows.append({"eps": eps, "phi_eps": v, "phi_0": phi0, "residual": float(res)})
     slope = float(np.polyfit(np.log(eps_list), vals, 1)[0])
@@ -435,15 +427,14 @@ def _massive_physical_oracle(fg, nu: float, eps: float, sigma: float) -> float:
     """sigma^2/2 times the double integral of f Phi f with the potential of
     mass nu*eps and diffusivity nu, inner integrals split at the kernel kink."""
     center = fg.center[0] if fg.center else 0.0
-    spec = greens.KernelSpec(greens.KernelKind.MASSIVE_POTENTIAL, d=1, nu=nu, eps=nu * eps)
     width = fg.params["width"]
     lo, hi = center - 12.0 * width, center + 12.0 * width
     x, w = gauss_legendre(lo, hi, 400)
     # one 160-node rule on each side of every outer node, all in one call
     yl, wl = gauss_legendre(lo, x, 160)
     yr, wr = gauss_legendre(x, hi, 160)
-    phi_l = greens.potential_massive(spec, x[:, None] - yl)
-    phi_r = greens.potential_massive(spec, yr - x[:, None])
+    phi_l = greens.potential_massive(x[:, None] - yl, d=1, nu=nu, eps=nu * eps)
+    phi_r = greens.potential_massive(yr - x[:, None], d=1, nu=nu, eps=nu * eps)
     inner = np.sum(wl * phi_l * fg.physical(yl) + wr * phi_r * fg.physical(yr), axis=1)
     return 0.5 * sigma**2 * float(np.sum(w * fg.physical(x) * inner))
 

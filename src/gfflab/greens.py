@@ -9,9 +9,7 @@ nothing in this module integrates the representation its oracle uses.
 
 from __future__ import annotations
 
-import enum
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -106,37 +104,11 @@ def bessel_k(p: float, x):
     return _float_or_array(out)
 
 
-class KernelKind(enum.Enum):
-    HEAT = "heat"
-    MASSIVE_POTENTIAL = "massive_potential"
-    ZERO_MASS_POTENTIAL = "zero_mass_potential"
-    SERIES_GREEN = "series_green"
-
-
-@dataclass(frozen=True, eq=False)
-class KernelSpec:
-    """Descriptor for a closed-form kernel.
-
-    For whole-space kernels ``d``, ``nu`` and ``eps`` apply; the series
-    Green's function instead carries a basis and a truncation size.
-    """
-
-    kind: KernelKind
-    d: int = 1
-    nu: float = 1.0
-    eps: float = 0.0
-    basis: EigenBasis | None = None
-    series_terms: int | None = None
-
-    def __post_init__(self):
-        if self.nu <= 0.0:
-            raise ValueError(f"diffusivity nu must be positive, got {self.nu}")
-        if self.eps < 0.0:
-            raise ValueError(f"mass eps must be non-negative, got {self.eps}")
-        if self.kind is KernelKind.SERIES_GREEN and self.basis is None:
-            raise ValueError("series kernel needs a basis")
-        if self.kind is KernelKind.MASSIVE_POTENTIAL and self.d not in (1, 2, 3):
-            raise ValueError(f"massive potential needs d in 1, 2, 3, got d = {self.d}")
+def _check_kernel_params(nu: float, eps: float = 0.0) -> None:
+    if nu <= 0.0:
+        raise ValueError(f"diffusivity nu must be positive, got {nu}")
+    if eps < 0.0:
+        raise ValueError(f"mass eps must be non-negative, got {eps}")
 
 
 def _radius(d: int, x) -> np.ndarray:
@@ -148,54 +120,58 @@ def _radius(d: int, x) -> np.ndarray:
     return np.sqrt(np.sum(arr * arr, axis=-1))
 
 
-def heat_kernel(spec: KernelSpec, t, x):
+def heat_kernel(t, x, *, d: int = 1, nu: float = 1.0, eps: float = 0.0):
     """The whole-space kernel (4 pi nu t)^(-d/2) exp(-eps t - |x|^2/(4 nu t)),
     elementwise over broadcast arrays of times and points (see _radius)."""
+    _check_kernel_params(nu, eps)
     if np.any(np.asarray(t) <= 0.0):
         raise ValueError(f"heat kernel requires t > 0, got {t}")
-    r = _radius(spec.d, x)
+    r = _radius(d, x)
     return _float_or_array(
-        (4.0 * math.pi * spec.nu * t) ** (-0.5 * spec.d)
-        * np.exp(-spec.eps * t - r * r / (4.0 * spec.nu * t))
+        (4.0 * math.pi * nu * t) ** (-0.5 * d) * np.exp(-eps * t - r * r / (4.0 * nu * t))
     )
 
 
-def potential_massive(spec: KernelSpec, x):
+def potential_massive(x, *, d: int, nu: float, eps: float):
     """The massive potential, the time integral of the decaying heat kernel,
     elementwise over an array of points (see _radius).
 
     Closed forms: exponential over 2 sqrt(eps nu) in d = 1, K_0 over
     2 pi nu in d = 2, Yukawa e^{-m|x|}/(4 pi nu |x|) in d = 3.
     """
-    if spec.eps <= 0.0:
+    _check_kernel_params(nu, eps)
+    if d not in (1, 2, 3):
+        raise ValueError(f"massive potential needs d in 1, 2, 3, got d = {d}")
+    if eps <= 0.0:
         raise ValueError("massive potential requires eps > 0")
-    r = _radius(spec.d, x)
-    m = math.sqrt(spec.eps / spec.nu)
-    if spec.d == 1:
-        return _float_or_array(np.exp(-m * r) / (2.0 * math.sqrt(spec.eps * spec.nu)))
+    r = _radius(d, x)
+    m = math.sqrt(eps / nu)
+    if d == 1:
+        return _float_or_array(np.exp(-m * r) / (2.0 * math.sqrt(eps * nu)))
     if np.any(r == 0.0):
         raise ValueError("massive potential is singular at x = 0 for d >= 2")
-    if spec.d == 2:
-        return _float_or_array(bessel_k(0.0, m * r) / (2.0 * math.pi * spec.nu))
-    return _float_or_array(np.exp(-m * r) / (4.0 * math.pi * spec.nu * r))
+    if d == 2:
+        return _float_or_array(bessel_k(0.0, m * r) / (2.0 * math.pi * nu))
+    return _float_or_array(np.exp(-m * r) / (4.0 * math.pi * nu * r))
 
 
-def potential_zero_mass(spec: KernelSpec, x):
+def potential_zero_mass(x, *, d: int, nu: float):
     """The zero-mass potential: log kernel in d = 2, Riesz kernel for d >= 3,
     elementwise over an array of points (see _radius).
 
     There is no zero-mass potential in d = 1 (the one-dimensional field is
     handled through the two-sided Brownian motion instead).
     """
-    if spec.d < 2:
+    _check_kernel_params(nu)
+    if d < 2:
         raise ValueError("zero-mass potential needs d >= 2")
-    r = _radius(spec.d, x)
+    r = _radius(d, x)
     if np.any(r == 0.0):
         raise ValueError("zero-mass potential is singular at x = 0")
-    if spec.d == 2:
-        return _float_or_array(-np.log(r / math.sqrt(spec.nu)) / (2.0 * math.pi * spec.nu))
+    if d == 2:
+        return _float_or_array(-np.log(r / math.sqrt(nu)) / (2.0 * math.pi * nu))
     return _float_or_array(
-        gamma_fn(0.5 * spec.d - 1.0) / (4.0 * math.pi ** (0.5 * spec.d) * spec.nu * r ** (spec.d - 2))
+        gamma_fn(0.5 * d - 1.0) / (4.0 * math.pi ** (0.5 * d) * nu * r ** (d - 2))
     )
 
 
@@ -207,12 +183,11 @@ def log_divergence_check(nu: float, x, eps_list) -> np.ndarray:
     above as eps -> 0, so their magnitudes decrease along a decreasing
     eps list.
     """
-    base = KernelSpec(KernelKind.ZERO_MASS_POTENTIAL, d=2, nu=nu)
-    phi0 = potential_zero_mass(base, x)
+    phi0 = potential_zero_mass(x, d=2, nu=nu)
     out = []
     for eps in np.asarray(eps_list, dtype=float):
-        spec = KernelSpec(KernelKind.MASSIVE_POTENTIAL, d=2, nu=nu, eps=float(eps))
-        out.append(potential_massive(spec, x) - phi0 + math.log(eps) / (4.0 * math.pi * nu))
+        phi = potential_massive(x, d=2, nu=nu, eps=float(eps))
+        out.append(phi - phi0 + math.log(eps) / (4.0 * math.pi * nu))
     return np.array(out)
 
 
@@ -244,45 +219,29 @@ _TIME_QUAD_NODES = 256
 
 
 def heat_poisson_identity(
-    spec: KernelSpec, x, y=None, t_max: float | None = None
+    x, y=None, t_max: float | None = None, *, d: int, nu: float, eps: float
 ) -> tuple[float, float]:
-    """Both sides of 'time integral of the heat kernel equals the potential'.
+    """Both sides of 'time integral of the heat kernel equals the potential'
+    in the whole space R^d at displacement x - y (x alone when y is None).
 
-    Whole-space kernels: the left side integrates the heat kernel in time
-    by 256-node Gauss-Legendre (mapped to (0, inf) via t = s/(1-s) when
-    t_max is None), the right side is the closed-form potential.
-
-    Series kernels: the per-mode time integral is closed form, giving
-    sum_k h_k(x) h_k(y) (1 - exp(-lambda_k^2 nu T)) / (lambda_k^2 nu) on
-    the left and the series Green's function on the right.
+    The left side integrates the heat kernel in time by 256-node
+    Gauss-Legendre (mapped to (0, inf) via t = s/(1-s) when t_max is None),
+    the right side is the closed-form potential: massive for eps > 0,
+    zero-mass for eps = 0.
     """
-    if spec.kind is KernelKind.SERIES_GREEN:
-        basis = spec.basis
-        if basis.lambda_min <= 0.0:
-            raise ValueError("series identity requires lambda_1 > 0")
-        n = spec.series_terms or basis.size
-        hx = evaluate_matrix(basis, _as_points(basis, x))[0, :n]
-        hy = evaluate_matrix(basis, _as_points(basis, y if y is not None else x))[0, :n]
-        lam2 = basis.lambdas_squared[:n]
-        if t_max is None:
-            decay = np.zeros_like(lam2)
-        else:
-            decay = np.exp(-lam2 * spec.nu * t_max)
-        lhs = float(np.sum(hx * hy * (1.0 - decay) / (lam2 * spec.nu)))
-        rhs = float(np.sum(hx * hy / (lam2 * spec.nu)))
-        return lhs, rhs
-
+    _check_kernel_params(nu, eps)
     displacement = float(np.sqrt(np.sum(np.square(x if y is None else np.subtract(x, y)))))
+    # the closed form first: it rejects an unsupported d before any quadrature
+    if eps > 0.0:
+        rhs = potential_massive(displacement, d=d, nu=nu, eps=eps)
+    else:
+        rhs = potential_zero_mass(displacement, d=d, nu=nu)
     if t_max is None:
         t, w = half_line_nodes(_TIME_QUAD_NODES)
     else:
         t, w = gauss_legendre(0.0, t_max, _TIME_QUAD_NODES)
     with np.errstate(under="ignore"):
-        lhs = float(np.sum(w * heat_kernel(spec, t, displacement)))
-    if spec.eps > 0.0:
-        rhs = potential_massive(spec, displacement)
-    else:
-        rhs = potential_zero_mass(spec, displacement)
+        lhs = float(np.sum(w * heat_kernel(t, displacement, d=d, nu=nu, eps=eps)))
     return lhs, rhs
 
 

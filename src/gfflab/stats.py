@@ -92,30 +92,6 @@ def report_from_values(
     )
 
 
-def estimate_covariance(
-    sampler,
-    functionals,
-    n_samples: int,
-    rng: np.random.Generator,
-    target: np.ndarray | None = None,
-    labels: list[str] | None = None,
-    z_threshold: float = DEFAULT_Z_THRESHOLD,
-    seed_info: str = "",
-) -> CovarianceReport:
-    """Sample-by-sample estimation: sampler(rng) yields one draw, each
-    functional maps a draw to a scalar."""
-    if n_samples < 100:
-        raise ValueError("fewer than 100 samples gives useless statistics")
-    values = np.empty((n_samples, len(functionals)))
-    for i in range(n_samples):
-        draw = sampler(rng)
-        for j, fn in enumerate(functionals):
-            values[i, j] = fn(draw)
-    return report_from_values(
-        values, target=target, labels=labels, z_threshold=z_threshold, seed_info=seed_info
-    )
-
-
 def kolmogorov_sf(lam: float) -> float:
     """Survival function of the asymptotic Kolmogorov distribution."""
     if lam <= 0.0:
@@ -176,57 +152,3 @@ def summarize_convergence(reports: list[tuple[float, CovarianceReport]]) -> Conv
             monotone = False
             break
     return ConvergenceSummary(rows=rows, monotone=monotone, passed=rows[-1]["passed"])
-
-
-def write_report_csv(report: CovarianceReport, path: str) -> None:
-    """Entry-per-row CSV with shortest round-trip floats; metadata rides in
-    comment lines so read_report_csv restores the report bit-for-bit."""
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(f"# samples={report.samples}\n")
-        fh.write(f"# zmax={report.zmax!r}\n")
-        fh.write(f"# passed={report.passed}\n")
-        fh.write(f"# seed_info={report.seed_info}\n")
-        fh.write(f"# labels={','.join(report.labels)}\n")
-        for note in report.notes:
-            fh.write(f"# note={note}\n")
-        fh.write("i,j,label_i,label_j,empirical,target,stderr,z\n")
-        p = len(report.labels)
-        for i in range(p):
-            for j in range(p):
-                fh.write(
-                    f"{i},{j},{report.labels[i]},{report.labels[j]},"
-                    f"{float(report.empirical[i, j])!r},{float(report.target[i, j])!r},"
-                    f"{float(report.stderr[i, j])!r},{float(report.z[i, j])!r}\n"
-                )
-
-
-def read_report_csv(path: str) -> CovarianceReport:
-    meta = {"seed_info": "", "labels": ""}
-    notes = []
-    rows = []
-    with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            line = line.rstrip("\n")
-            if line.startswith("# "):
-                key, _, value = line[2:].partition("=")
-                if key == "note":
-                    notes.append(value)
-                else:
-                    meta[key] = value
-            elif line and not line.startswith("i,j"):
-                rows.append(line.split(","))
-    labels = meta["labels"].split(",")
-    p = len(labels)
-    mats = {name: np.empty((p, p)) for name in ("empirical", "target", "stderr", "z")}
-    for row in rows:
-        for mat, value in zip(mats.values(), row[4:]):
-            mat[int(row[0]), int(row[1])] = float(value)
-    return CovarianceReport(
-        labels=labels,
-        **mats,
-        zmax=float(meta["zmax"]),
-        passed=meta["passed"] == "True",
-        samples=int(meta["samples"]),
-        seed_info=meta["seed_info"],
-        notes=notes,
-    )

@@ -28,8 +28,6 @@ from gfflab.fourier_cov import (
     transient_covariance,
 )
 from gfflab.greens import (
-    KernelKind,
-    KernelSpec,
     bessel_k,
     heat_poisson_identity,
     potential_massive,
@@ -142,8 +140,7 @@ def test_criterion_03_brownian_bridge_covariance():
 def test_criterion_04_greens_identities():
     worst = 0.0
     for d in (1, 2, 3):
-        spec = KernelSpec(KernelKind.HEAT, d=d, nu=1.0, eps=1.0)
-        lhs, rhs = heat_poisson_identity(spec, [1.0] + [0.0] * (d - 1))
+        lhs, rhs = heat_poisson_identity([1.0] + [0.0] * (d - 1), d=d, nu=1.0, eps=1.0)
         worst = max(worst, abs(lhs - rhs) / abs(rhs))
     basis = build_interval_basis("dirichlet", 0.0, 1.0, 10000)
     series_gap = abs(series_green(basis, 1.0, 0.3, 0.7, 10000) - 0.09)
@@ -185,10 +182,7 @@ def test_criterion_05_bessel_functions():
 def test_criterion_06_log_divergence_slope():
     nu = 1.0
     eps_list = [1e-3, 1e-4, 1e-5, 1e-6]
-    vals = [
-        potential_massive(KernelSpec(KernelKind.MASSIVE_POTENTIAL, d=2, nu=nu, eps=e), 1.0)
-        for e in eps_list
-    ]
+    vals = [potential_massive(1.0, d=2, nu=nu, eps=e) for e in eps_list]
     slope = float(np.polyfit(np.log(eps_list), vals, 1)[0])
     target = -1.0 / (4.0 * math.pi * nu)
     rel = abs(slope - target) / abs(target)
@@ -256,15 +250,14 @@ def test_criterion_09_massive_case():
     value = massive_limit_covariance(fg, fg, nu, eps, sigma)
 
     # physical-space double quadrature with the kernel kink split exactly
-    spec = KernelSpec(KernelKind.MASSIVE_POTENTIAL, d=1, nu=nu, eps=nu * eps)
     lo, hi = 0.3 - 10.0, 0.3 + 10.0
     x, w = gauss_legendre(lo, hi, 400)
     inner = np.empty_like(x)
     for i, xi in enumerate(x):
         yl, wl = gauss_legendre(lo, xi, 160)
         yr, wr = gauss_legendre(xi, hi, 160)
-        kl = np.array([potential_massive(spec, xi - v) for v in yl])
-        kr = np.array([potential_massive(spec, v - xi) for v in yr])
+        kl = np.array([potential_massive(xi - v, d=1, nu=nu, eps=nu * eps) for v in yl])
+        kr = np.array([potential_massive(v - xi, d=1, nu=nu, eps=nu * eps) for v in yr])
         inner[i] = float(np.sum(wl * kl * fg.physical(yl)) + np.sum(wr * kr * fg.physical(yr)))
     oracle = 0.5 * sigma**2 * float(np.sum(w * fg.physical(x) * inner))
     oracle_rel = abs(value - oracle) / abs(oracle)
@@ -345,9 +338,7 @@ def test_criterion_12_hermite_stationarity():
 
 
 def test_criterion_13_experiment_determinism(tmp_path):
-    body = (
-        "experiment = stationary_bd\nM = 2000\nK = 16\nseed = 3\njobs = 1\n"
-    )
+    body = "experiment = stationary_bd\nM = 2000\nK = 16\nseed = 3\n"
     outputs = []
     for tag in ("one", "two"):
         cfg_path = os.path.join(tmp_path, f"{tag}.cfg")

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from gfflab.basis import (
     BasisKind,
+    EigenBasis,
     _shell_order,
     basis_from_descriptor,
     build_box_basis,
@@ -361,3 +362,14 @@ class TestHelpers:
             assert back.kind is b.kind
             assert np.array_equal(back.lambdas, b.lambdas)
             assert np.array_equal(back.indices, b.indices)
+
+    def test_caller_arrays_stay_writeable(self):
+        lambdas, indices = np.ones(3), np.ones((3, 1), dtype=np.int64)
+        b = EigenBasis(
+            kind=BasisKind.INTERVAL_DIRICHLET, d=1, size=3, lambdas=lambdas, alpha=1.0,
+            c_weyl=1.0, domain=((0.0, math.pi),), indices=indices,
+        )
+        assert lambdas.flags.writeable and indices.flags.writeable
+        assert not b.lambdas.flags.writeable and not b.indices.flags.writeable
+        lambdas[0], indices[0, 0] = 5.0, 7
+        assert b.lambdas[0] == 1.0 and b.indices[0, 0] == 1

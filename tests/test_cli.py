@@ -11,7 +11,12 @@ from gfflab.cli import (
     parse_config_text,
     run,
 )
-from gfflab.experiments import EXPERIMENTS, _stationary_invariance_pvalues, build_basis
+from gfflab.experiments import (
+    EXPERIMENTS,
+    ExperimentResult,
+    _stationary_invariance_pvalues,
+    build_basis,
+)
 from gfflab.fields import RngStream
 
 REGISTRY_NAMES = [
@@ -51,7 +56,6 @@ class TestConfigParsing:
             t_list = 0.5,1,2
             seed = 11
             output = /tmp/xyz
-            jobs = 2
             tol.z = 5.0
             """
         )
@@ -61,8 +65,9 @@ class TestConfigParsing:
         assert cfg.z_threshold == 5.0
 
     def test_unknown_key_rejected(self):
-        with pytest.raises(ConfigError, match="unknown config key 'nus'"):
-            parse_config_text("experiment = weyl\nnus = 1.0\n")
+        for key in ("nus", "jobs"):
+            with pytest.raises(ConfigError, match=f"unknown config key '{key}'"):
+                parse_config_text(f"experiment = weyl\n{key} = 1.0\n")
 
     def test_duplicate_key_rejected(self):
         with pytest.raises(ConfigError, match="duplicate"):
@@ -269,23 +274,54 @@ class TestRunner:
         with pytest.raises(ConfigError, match="tol.rel"):
             parse_config_text("experiment = kakutani\ntol.rel = 0\n")
 
-    @pytest.mark.parametrize("name", ["stationary_bd", "convergence_curve", "bridge_cov"])
-    def test_jobs_do_not_change_outputs(self, tmp_path, name):
-        path = self._write(tmp_path, f"experiment = {name}\nM = 9000\nK = 64\n")
-        outputs = []
-        for jobs in ("1", "3"):
-            main(["run", path, "--jobs", jobs, "--out", f"{tmp_path}/j{jobs}"])
-            with open(f"{tmp_path}/j{jobs}_{name}.csv", "rb") as fh:
-                csv = fh.read()
-            with open(f"{tmp_path}/j{jobs}_{name}_summary.json", "rb") as fh:
-                outputs.append((csv, fh.read()))
-        assert outputs[0] == outputs[1]
+    @pytest.mark.parametrize("command", ["run", "run-all"])
+    def test_crash_exits_three(self, tmp_path, capsys, monkeypatch, command):
+        def crash(cfg):
+            raise RuntimeError("boom")
 
-    def test_jobs_env_fallback(self, tmp_path, monkeypatch):
+        monkeypatch.setitem(EXPERIMENTS, "weyl", crash)
+        path = self._write(tmp_path, f"experiment = weyl\noutput = {tmp_path}/c\n")
+        argv = ["run", path] if command == "run" else ["run-all", "--out", str(tmp_path)]
+        assert main(argv) == 3
+        err = capsys.readouterr().err
+        assert "error: RuntimeError: boom" in err and "Traceback" not in err
+
+    def test_arithmetic_crash_exits_three(self, tmp_path, capsys):
+        # nu = 1e-300 passes the config check; the whole-space potential underflows to 0
         path = self._write(
-            tmp_path,
-            f"experiment = stationary_bd\nM = 1000\nK = 8\noutput = {tmp_path}/j\n",
+            tmp_path, f"experiment = heat_poisson\nnu = 1e-300\noutput = {tmp_path}/h\n"
         )
-        monkeypatch.setenv("GFFLAB_JOBS", "2")
-        assert main(["run", path]) in (0, 1)  # statistics may pass or fail; no crash
-        monkeypatch.delenv("GFFLAB_JOBS")
+        assert main(["run", path]) == 3
+        err = capsys.readouterr().err
+        assert err.strip() == "error: ZeroDivisionError: float division by zero"
+        assert "Traceback" not in err
+
+
+class TestRunAll:
+    def test_writes_every_experiment_like_run(self, tmp_path, capsys):
+        assert main(["run-all", "--seed", "5", "--out", f"{tmp_path}/all"]) == 0
+        written = sorted(os.listdir(f"{tmp_path}/all"))
+        suffixes = (".csv", "_summary.json")
+        assert written == sorted(f"{n}_{n}{s}" for n in REGISTRY_NAMES for s in suffixes)
+        path = os.path.join(tmp_path, "one.cfg")
+        with open(path, "w") as fh:
+            fh.write("experiment = stationary_bd\n")
+        assert main(["run", path, "--seed", "5", "--out", f"{tmp_path}/one"]) == 0
+        for suffix in (".csv", "_summary.json"):
+            with open(f"{tmp_path}/all/stationary_bd_stationary_bd{suffix}", "rb") as fh:
+                first = fh.read()
+            with open(f"{tmp_path}/one_stationary_bd{suffix}", "rb") as fh:
+                assert fh.read() == first
+
+    def test_failing_verdict_exits_one(self, tmp_path, monkeypatch):
+        def failing(cfg):
+            return ExperimentResult("weyl", ["x"], [{"x": 1.0}], {"passed": False}, False)
+
+        monkeypatch.setitem(EXPERIMENTS, "weyl", failing)
+        assert main(["run-all", "--out", str(tmp_path)]) == 1
+        assert os.path.exists(f"{tmp_path}/weyl_weyl.csv")
+
+    def test_negative_seed_exits_two(self, tmp_path, capsys):
+        assert main(["run-all", "--seed", "-1", "--out", str(tmp_path)]) == 2
+        assert "seed" in capsys.readouterr().err
+        assert not os.listdir(tmp_path)

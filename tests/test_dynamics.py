@@ -130,16 +130,14 @@ class TestEmOracle:
         with pytest.raises(ValueError, match="unstable"):
             em_oracle_step(state, 1.0, rng)
 
-    def test_stationary_variance_recovered(self, single_mode):
-        gen = RngStream(34, 0).generator()
-        n, dt, t_end = 20000, 1e-3, 8.0
-        u = np.zeros(n)
-        steps = int(round(t_end / dt))
-        for _ in range(steps):
-            u = u * (1.0 - dt) + math.sqrt(dt) * gen.standard_normal(n)
-        var = u.var(ddof=1)
-        target = 0.5
-        assert var == pytest.approx(target, abs=4.0 * target * math.sqrt(2.0 / n) + 0.5 * dt)
+    def test_stationary_variance_recovered(self, em_moments, em_ensemble):
+        # the chain's stationary variance solves v = (1 - dt)^2 v + dt
+        n, dt, t_end = 20000, 1e-2, 8.0
+        target = dt / (1.0 - (1.0 - dt) ** 2)
+        assert em_moments(dt, t_end)[1] == pytest.approx(target, rel=1e-6)
+        assert target == pytest.approx(0.5, abs=0.5 * dt)  # the SDE's 1/2 up to O(dt)
+        u = em_ensemble(n, dt, t_end, RngStream(34, 0))
+        assert u.var(ddof=1) == pytest.approx(target, abs=4.0 * target * math.sqrt(2.0 / n))
 
 
 class TestEvolve:
@@ -295,22 +293,6 @@ class TestConvergenceCurve:
         with pytest.raises(ValueError, match="100"):
             convergence_curve(dirichlet16, 1.0, 1.0, None, [1.0], 50, [np.ones(16)], stream)
 
-    def test_worker_count_does_not_change_samples(self, dirichlet64):
-        w = np.stack([np.eye(64)[0], 1.0 / np.arange(1, 65)], axis=1)
-        a = sample_functional_values(dirichlet64, 1.0, 1.0, None, 2.0, 9000, w, RngStream(43, 0), jobs=1)
-        b = sample_functional_values(dirichlet64, 1.0, 1.0, None, 2.0, 9000, w, RngStream(43, 0), jobs=3)
-        assert np.array_equal(a, b)
-
-    def test_random_start_uses_callable(self, dirichlet16):
-        def phi(gen, n):
-            return gen.standard_normal((n, 16)) / dirichlet16.lambdas
-
-        vals = sample_functional_values(
-            dirichlet16, 1.0, 1.0, phi, 0.01, 2000, np.eye(16)[:, :1], RngStream(44, 0)
-        )
-        assert vals.shape == (2000, 1)
-        assert vals.var() > 0.5 / dirichlet16.lambdas_squared[0]  # start variance dominates
-
 
 def _ks_two_sample_p(a, b) -> float:
     """Two-sample Kolmogorov-Smirnov p-value, asymptotic in n a n b / (n a + n b)."""
@@ -321,10 +303,25 @@ def _ks_two_sample_p(a, b) -> float:
     return kolmogorov_sf(math.sqrt(n_eff) * float(np.max(np.abs(cdf_a - cdf_b))))
 
 
+def per_mode_pairings(basis, nu, sigma, start, t, n_samples, weights, stream):
+    """Reference sampler: every mode drawn by its exact transition from
+    ``start``, block b of MC_BLOCK rows from substream 2 b, then paired with
+    the weights. It is the per-mode block loop the library used before it
+    drew the p pairings through their p x p covariance factor."""
+    decay, var = transition_moments(basis.lambdas_squared, nu, sigma, t)
+    sd = np.sqrt(var)
+    blocks = []
+    for b in range((n_samples + MC_BLOCK - 1) // MC_BLOCK):
+        m = min(MC_BLOCK, n_samples - b * MC_BLOCK)
+        u = sd * stream.substream(2 * b).generator().standard_normal((m, basis.size))
+        u += start * decay
+        blocks.append(u @ weights)
+    return np.concatenate(blocks, axis=0)
+
+
 class TestReducedRankSampler:
-    """The p x p factor path against the per-mode block loop, which a
-    callable start always takes; a callable returning a fixed start draws
-    the same law as that start given as a vector."""
+    """The p x p factor path against the per-mode block loop, which draws
+    every mode."""
 
     N = 20000
     T = 0.05  # far from stationarity, so decay and var both matter
@@ -335,10 +332,7 @@ class TestReducedRankSampler:
         return np.stack(fns, axis=1)
 
     def per_mode(self, basis, start, weights, stream):
-        fixed = np.broadcast_to(start, (MC_BLOCK, basis.size))
-        return sample_functional_values(
-            basis, 1.0, 1.0, lambda gen, n: fixed[:n], self.T, self.N, weights, stream
-        )
+        return per_mode_pairings(basis, 1.0, 1.0, start, self.T, self.N, weights, stream)
 
     def assert_same_law(self, reduced, oracle):
         ra, rb = report_from_values(reduced), report_from_values(oracle)
@@ -389,18 +383,6 @@ class TestReducedRankSampler:
         z = stream.substream(2).generator().standard_normal((10, 2))
         expected = np.array([1.0, -2.0]) + z * [2.0, 3.0]
         assert np.allclose(vals[MC_BLOCK:], expected, rtol=1e-15, atol=0.0)
-
-    def test_worker_count_does_not_change_per_mode_samples(self, dirichlet16, weights):
-        def phi(gen, n):
-            return gen.standard_normal((n, 16)) / dirichlet16.lambdas
-
-        a, b = (
-            sample_functional_values(
-                dirichlet16, 1.0, 1.0, phi, 0.1, 9000, weights, RngStream(50, 0), jobs=jobs
-            )
-            for jobs in (1, 3)
-        )
-        assert np.array_equal(a, b)
 
 
 class TestStateAndCheckpoint:

@@ -15,7 +15,7 @@ from gfflab.fourier_cov import (
     surface_measure,
     transient_covariance,
 )
-from gfflab.greens import KernelKind, KernelSpec, potential_massive, potential_zero_mass
+from gfflab.greens import potential_massive, potential_zero_mass
 from gfflab.quadrature import composite_legendre, gauss_legendre
 
 
@@ -108,8 +108,8 @@ class TestGffCovariance:
 
     def test_riesz_kernel_consistency_check(self):
         # sanity for the oracle construction itself: potentials at two radii
-        z3 = KernelSpec(KernelKind.ZERO_MASS_POTENTIAL, d=3, nu=1.0)
-        assert potential_zero_mass(z3, 2.0) == pytest.approx(1.0 / (8.0 * math.pi), rel=1e-14)
+        value = potential_zero_mass(2.0, d=3, nu=1.0)
+        assert value == pytest.approx(1.0 / (8.0 * math.pi), rel=1e-14)
 
     def test_bilinearity(self):
         f1 = make_s0_function(4.0, 0.25)
@@ -195,15 +195,14 @@ class TestMassiveLimit:
         nu, eps, sigma = 1.0, 1.0, 1.0
         fg = gaussian_bump(0.3, 0.8)
         value = massive_limit_covariance(fg, fg, nu, eps, sigma)
-        spec = KernelSpec(KernelKind.MASSIVE_POTENTIAL, d=1, nu=nu, eps=nu * eps)
         lo, hi = 0.3 - 10.0, 0.3 + 10.0
         x, w = gauss_legendre(lo, hi, 400)
         inner = np.empty_like(x)
         for i, xi in enumerate(x):
             yl, wl = gauss_legendre(lo, xi, 160)
             yr, wr = gauss_legendre(xi, hi, 160)
-            kl = np.array([potential_massive(spec, xi - v) for v in yl])
-            kr = np.array([potential_massive(spec, v - xi) for v in yr])
+            kl = np.array([potential_massive(xi - v, d=1, nu=nu, eps=nu * eps) for v in yl])
+            kr = np.array([potential_massive(v - xi, d=1, nu=nu, eps=nu * eps) for v in yr])
             inner[i] = float(np.sum(wl * kl * fg.physical(yl)) + np.sum(wr * kr * fg.physical(yr)))
         oracle = 0.5 * sigma**2 * float(np.sum(w * fg.physical(x) * inner))
         assert value == pytest.approx(oracle, rel=1e-6)

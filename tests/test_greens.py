@@ -5,11 +5,9 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from gfflab.basis import build_interval_basis
+from gfflab.basis import build_interval_basis, evaluate_matrix
 from gfflab.greens import (
     EULER_GAMMA,
-    KernelKind,
-    KernelSpec,
     bessel_k,
     gamma_fn,
     heat_kernel,
@@ -93,107 +91,115 @@ class TestBesselK:
 
 class TestHeatKernel:
     def test_unit_prefactor_time(self):
-        spec = KernelSpec(KernelKind.HEAT, d=1, nu=1.0, eps=0.0)
-        assert heat_kernel(spec, 1.0 / (4.0 * math.pi), 0.0) == pytest.approx(1.0, rel=1e-15)
+        assert heat_kernel(1.0 / (4.0 * math.pi), 0.0) == pytest.approx(1.0, rel=1e-15)
 
     def test_three_dimensional_plugin(self):
-        spec = KernelSpec(KernelKind.HEAT, d=3, nu=1.0, eps=1.0)
         expected = math.exp(-1.0) * (4.0 * math.pi) ** -1.5
-        assert heat_kernel(spec, 1.0, [0.0, 0.0, 0.0]) == pytest.approx(expected, rel=1e-15)
+        assert heat_kernel(1.0, [0.0, 0.0, 0.0], d=3, eps=1.0) == pytest.approx(expected, rel=1e-15)
 
     @pytest.mark.parametrize("eps", [0.0, 0.5, 2.0])
     def test_mass_decays_with_rate_eps(self, eps):
         # quadrature oracle over the line with Gauss-Hermite scaling
-        spec = KernelSpec(KernelKind.HEAT, d=1, nu=1.0, eps=eps)
-        t = 0.7
+        nu, t = 1.0, 0.7
         x, w = gauss_hermite_unweighted(160)
-        scale = math.sqrt(4.0 * spec.nu * t)
-        vals = np.array([heat_kernel(spec, t, scale * v) for v in x])
+        scale = math.sqrt(4.0 * nu * t)
+        vals = np.array([heat_kernel(t, scale * v, nu=nu, eps=eps) for v in x])
         assert scale * float(np.sum(w * vals)) == pytest.approx(math.exp(-eps * t), rel=1e-10)
 
     def test_semigroup_by_quadrature(self):
         # int G(t, x - z) G(s, z) dz = G(t + s, x) in d = 1
-        spec = KernelSpec(KernelKind.HEAT, d=1, nu=0.8, eps=0.3)
+        kw = dict(nu=0.8, eps=0.3)
         t, s, x = 0.4, 0.9, 0.6
         z, w = composite_legendre(-25.0, 25.0, 120, 16)
-        conv = float(np.sum(w * [heat_kernel(spec, t, x - v) * heat_kernel(spec, s, v) for v in z]))
-        assert conv == pytest.approx(heat_kernel(spec, t + s, x), rel=1e-8)
+        conv = float(np.sum(w * [heat_kernel(t, x - v, **kw) * heat_kernel(s, v, **kw) for v in z]))
+        assert conv == pytest.approx(heat_kernel(t + s, x, **kw), rel=1e-8)
 
     def test_symmetry_exact(self):
-        spec = KernelSpec(KernelKind.HEAT, d=2, nu=1.3, eps=0.2)
-        assert heat_kernel(spec, 0.5, [0.3, -0.4]) == heat_kernel(spec, 0.5, [-0.3, 0.4])
+        kw = dict(d=2, nu=1.3, eps=0.2)
+        assert heat_kernel(0.5, [0.3, -0.4], **kw) == heat_kernel(0.5, [-0.3, 0.4], **kw)
 
     def test_nonpositive_time_rejected(self):
-        spec = KernelSpec(KernelKind.HEAT, d=1)
         with pytest.raises(ValueError, match="t > 0"):
-            heat_kernel(spec, 0.0, 0.0)
+            heat_kernel(0.0, 0.0)
 
 
 class TestPotentials:
     def test_massive_1d_at_origin(self):
-        spec = KernelSpec(KernelKind.MASSIVE_POTENTIAL, d=1, nu=1.0, eps=1.0)
-        assert potential_massive(spec, 0.0) == pytest.approx(0.5, rel=1e-15)
+        assert potential_massive(0.0, d=1, nu=1.0, eps=1.0) == pytest.approx(0.5, rel=1e-15)
 
     def test_massive_3d_unit_radius(self):
-        spec = KernelSpec(KernelKind.MASSIVE_POTENTIAL, d=3, nu=1.0, eps=1.0)
-        assert potential_massive(spec, [1.0, 0.0, 0.0]) == pytest.approx(
+        assert potential_massive([1.0, 0.0, 0.0], d=3, nu=1.0, eps=1.0) == pytest.approx(
             math.exp(-1.0) / (4.0 * math.pi), rel=1e-15
         )
 
     def test_massive_2d_against_time_quadrature(self):
         # independent oracle: adaptive composite rule in log time
-        spec = KernelSpec(KernelKind.MASSIVE_POTENTIAL, d=2, nu=1.0, eps=1.0)
         u, w = composite_legendre(math.log(1e-8), math.log(60.0), 300, 16)
         t = np.exp(u)
-        heat = KernelSpec(KernelKind.HEAT, d=2, nu=1.0, eps=1.0)
-        vals = np.array([heat_kernel(heat, ti, 1.0) * ti for ti in t])
+        vals = np.array([heat_kernel(ti, 1.0, d=2, nu=1.0, eps=1.0) * ti for ti in t])
         oracle = float(np.sum(w * vals))
-        assert potential_massive(spec, 1.0) == pytest.approx(oracle, rel=1e-6)
+        assert potential_massive(1.0, d=2, nu=1.0, eps=1.0) == pytest.approx(oracle, rel=1e-6)
 
     def test_massive_radially_decreasing(self):
         for d in (1, 2, 3):
-            spec = KernelSpec(KernelKind.MASSIVE_POTENTIAL, d=d, nu=1.0, eps=1.0)
             radii = np.linspace(0.2, 4.0, 25)
-            vals = [potential_massive(spec, r) for r in radii]
+            vals = [potential_massive(r, d=d, nu=1.0, eps=1.0) for r in radii]
             assert np.all(np.diff(vals) < 0.0)
 
     def test_massive_requires_positive_mass(self):
-        spec = KernelSpec(KernelKind.MASSIVE_POTENTIAL, d=2, nu=1.0, eps=0.0)
         with pytest.raises(ValueError, match="eps > 0"):
-            potential_massive(spec, 1.0)
+            potential_massive(1.0, d=2, nu=1.0, eps=0.0)
 
     @pytest.mark.parametrize("d", [0, 4, 5])
     def test_massive_unsupported_dimension_rejected_at_spec(self, d):
         with pytest.raises(ValueError, match="d in 1, 2, 3"):
-            KernelSpec(KernelKind.MASSIVE_POTENTIAL, d=d, nu=1.0, eps=1.0)
+            potential_massive(1.0, d=d, nu=1.0, eps=1.0)
+        # the identity checks d before integrating, whatever eps selects
+        with pytest.raises(ValueError, match="d in 1, 2, 3"):
+            heat_poisson_identity(1.0, d=d, nu=1.0, eps=1.0)
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda **kw: heat_kernel(1.0, 0.5, **kw),
+            lambda **kw: potential_massive(0.5, d=1, **kw),
+            lambda **kw: heat_poisson_identity(0.5, d=1, **kw),
+        ],
+        ids=["heat_kernel", "potential_massive", "heat_poisson_identity"],
+    )
+    def test_kernel_parameters_checked_per_call(self, call):
+        with pytest.raises(ValueError, match="nu must be positive"):
+            call(nu=0.0, eps=1.0)
+        with pytest.raises(ValueError, match="eps must be non-negative"):
+            call(nu=1.0, eps=-1.0)
+
+    def test_zero_mass_rejects_nonpositive_nu(self):
+        with pytest.raises(ValueError, match="nu must be positive"):
+            potential_zero_mass(1.0, d=3, nu=-1.0)
 
     def test_massive_singular_at_origin_2d(self):
-        spec = KernelSpec(KernelKind.MASSIVE_POTENTIAL, d=2, nu=1.0, eps=1.0)
         with pytest.raises(ValueError, match="singular"):
-            potential_massive(spec, [0.0, 0.0])
+            potential_massive([0.0, 0.0], d=2, nu=1.0, eps=1.0)
 
     def test_zero_mass_newtonian_constant(self):
-        spec = KernelSpec(KernelKind.ZERO_MASS_POTENTIAL, d=3, nu=1.0)
-        assert potential_zero_mass(spec, 1.0) == pytest.approx(1.0 / (4.0 * math.pi), rel=1e-14)
+        value = potential_zero_mass(1.0, d=3, nu=1.0)
+        assert value == pytest.approx(1.0 / (4.0 * math.pi), rel=1e-14)
 
     def test_zero_mass_log_zero_at_unit_radius(self):
-        spec = KernelSpec(KernelKind.ZERO_MASS_POTENTIAL, d=2, nu=1.0)
-        assert potential_zero_mass(spec, [1.0, 0.0]) == 0.0
+        assert potential_zero_mass([1.0, 0.0], d=2, nu=1.0) == 0.0
 
     def test_zero_mass_limit_of_massive_3d(self):
-        z = KernelSpec(KernelKind.ZERO_MASS_POTENTIAL, d=3, nu=1.0)
-        m = KernelSpec(KernelKind.MASSIVE_POTENTIAL, d=3, nu=1.0, eps=1e-8)
-        assert abs(potential_massive(m, 2.0) - potential_zero_mass(z, 2.0)) < 1e-4
+        massive = potential_massive(2.0, d=3, nu=1.0, eps=1e-8)
+        assert abs(massive - potential_zero_mass(2.0, d=3, nu=1.0)) < 1e-4
 
     def test_zero_mass_rejects_1d(self):
-        spec = KernelSpec(KernelKind.ZERO_MASS_POTENTIAL, d=1, nu=1.0)
         with pytest.raises(ValueError, match="d >= 2"):
-            potential_zero_mass(spec, 1.0)
+            potential_zero_mass(1.0, d=1, nu=1.0)
 
     def test_massive_symmetric_in_sign(self):
-        spec = KernelSpec(KernelKind.MASSIVE_POTENTIAL, d=3, nu=1.0, eps=2.0)
-        assert potential_massive(spec, [0.4, -0.3, 0.1]) == potential_massive(
-            spec, [-0.4, 0.3, -0.1]
+        kw = dict(d=3, nu=1.0, eps=2.0)
+        assert potential_massive([0.4, -0.3, 0.1], **kw) == potential_massive(
+            [-0.4, 0.3, -0.1], **kw
         )
 
 
@@ -210,20 +216,17 @@ class TestLogDivergence:
         # the mass only cuts the time integral off at t ~ 1/eps
         u, w = composite_legendre(math.log(1e-8), math.log(60.0 / eps), 400, 16)
         t = np.exp(u)
-        heat = KernelSpec(KernelKind.HEAT, d=2, nu=nu, eps=eps)
-        phi_eps_quad = float(np.sum(w * np.array([heat_kernel(heat, ti, xr) * ti for ti in t])))
-        z2 = KernelSpec(KernelKind.ZERO_MASS_POTENTIAL, d=2, nu=nu)
-        residual_quad = phi_eps_quad - potential_zero_mass(z2, xr) + math.log(eps) / (4 * math.pi * nu)
+        heat = np.array([heat_kernel(ti, xr, d=2, nu=nu, eps=eps) * ti for ti in t])
+        phi_eps_quad = float(np.sum(w * heat))
+        phi0 = potential_zero_mass(xr, d=2, nu=nu)
+        residual_quad = phi_eps_quad - phi0 + math.log(eps) / (4 * math.pi * nu)
         residual_bessel = log_divergence_check(nu, xr, [eps])[0]
         assert residual_bessel == pytest.approx(residual_quad, abs=1e-6)
 
     def test_slope_matches_log_coefficient(self):
         nu = 1.7
         eps_list = [1e-3, 1e-4, 1e-5, 1e-6]
-        vals = [
-            potential_massive(KernelSpec(KernelKind.MASSIVE_POTENTIAL, d=2, nu=nu, eps=e), 1.0)
-            for e in eps_list
-        ]
+        vals = [potential_massive(1.0, d=2, nu=nu, eps=e) for e in eps_list]
         slope = float(np.polyfit(np.log(eps_list), vals, 1)[0])
         assert slope == pytest.approx(-1.0 / (4.0 * math.pi * nu), rel=0.01)
 
@@ -262,26 +265,28 @@ class TestSeriesGreen:
 class TestHeatPoissonIdentity:
     @pytest.mark.parametrize("d", [1, 2, 3])
     def test_whole_space_unit_parameters(self, d):
-        spec = KernelSpec(KernelKind.HEAT, d=d, nu=1.0, eps=1.0)
-        lhs, rhs = heat_poisson_identity(spec, [1.0] + [0.0] * (d - 1))
+        lhs, rhs = heat_poisson_identity([1.0] + [0.0] * (d - 1), d=d, nu=1.0, eps=1.0)
         assert lhs == pytest.approx(rhs, rel=1e-6)
 
     def test_whole_space_3d_yukawa_value(self):
-        spec = KernelSpec(KernelKind.HEAT, d=3, nu=1.0, eps=1.0)
-        lhs, _ = heat_poisson_identity(spec, 1.0)
+        lhs, _ = heat_poisson_identity(1.0, d=3, nu=1.0, eps=1.0)
         assert lhs == pytest.approx(math.exp(-1.0) / (4.0 * math.pi), rel=1e-6)
 
     def test_displacement_form(self):
-        spec = KernelSpec(KernelKind.HEAT, d=2, nu=1.0, eps=1.0)
-        a, b = heat_poisson_identity(spec, [1.3, 0.4], [0.3, 0.4])
-        c, d_ = heat_poisson_identity(spec, 1.0)
+        kw = dict(d=2, nu=1.0, eps=1.0)
+        a, b = heat_poisson_identity([1.3, 0.4], [0.3, 0.4], **kw)
+        c, d_ = heat_poisson_identity(1.0, **kw)
         assert (a, b) == (c, d_)
 
     def test_bounded_truncation_error_bound(self):
+        # the per-mode time integral int_0^T e^{-lambda^2 nu t} dt is closed form;
+        # its truncation at T stays below the first mode's e^{-lambda_1^2 nu T} bound
         basis = build_interval_basis("dirichlet", 0.0, 1.0, 200)
-        spec = KernelSpec(KernelKind.SERIES_GREEN, basis=basis, nu=1.0, series_terms=200)
         T = 0.5
-        lhs, rhs = heat_poisson_identity(spec, 0.3, 0.7, t_max=T)
+        h = evaluate_matrix(basis, np.array([0.3, 0.7]))
+        lam2 = basis.lambdas_squared
+        lhs = float(np.sum(h[0] * h[1] * (1.0 - np.exp(-lam2 * T)) / lam2))
+        rhs = series_green(basis, 1.0, 0.3, 0.7, 200)
         hx = np.abs([math.sqrt(2) * math.sin(k * math.pi * 0.3) for k in range(1, 201)])
         hy = np.abs([math.sqrt(2) * math.sin(k * math.pi * 0.7) for k in range(1, 201)])
         bound = math.exp(-basis.lambdas_squared[0] * T) / basis.lambdas_squared[0] * float(
@@ -290,10 +295,11 @@ class TestHeatPoissonIdentity:
         assert abs(lhs - rhs) <= bound
 
     def test_bounded_infinite_horizon_matches_series(self):
+        # T = infinity: the time integral is 1 / (lambda^2 nu) for every mode
         basis = build_interval_basis("dirichlet", 0.0, 1.0, 100)
-        spec = KernelSpec(KernelKind.SERIES_GREEN, basis=basis, nu=2.0, series_terms=100)
-        lhs, rhs = heat_poisson_identity(spec, 0.3, 0.7)
-        assert lhs == rhs == pytest.approx(series_green(basis, 2.0, 0.3, 0.7), rel=1e-15)
+        h = evaluate_matrix(basis, np.array([0.3, 0.7]))
+        lhs = float(np.sum(h[0] * h[1] / (basis.lambdas_squared * 2.0)))
+        assert lhs == pytest.approx(series_green(basis, 2.0, 0.3, 0.7), rel=1e-15)
 
 
 def assert_within_ulps(values, expected, ulps=2):
@@ -311,28 +317,30 @@ class TestArrayKernels:
 
     @pytest.mark.parametrize("d", [1, 2, 3])
     def test_heat_kernel(self, d):
-        spec = KernelSpec(KernelKind.HEAT, d=d, nu=0.7, eps=0.4)
+        kw = dict(d=d, nu=0.7, eps=0.4)
         pts = self.points(d)
-        vals = heat_kernel(spec, 0.8, pts)
+        vals = heat_kernel(0.8, pts, **kw)
         assert vals.shape == (7, 5)
-        assert_within_ulps(vals, [[heat_kernel(spec, 0.8, p) for p in row] for row in pts])
+        assert_within_ulps(vals, [[heat_kernel(0.8, p, **kw) for p in row] for row in pts])
         times = np.array([0.1, 0.5, 2.0])
-        assert_within_ulps(heat_kernel(spec, times, 1.5), [heat_kernel(spec, t, 1.5) for t in times])
+        assert_within_ulps(
+            heat_kernel(times, 1.5, **kw), [heat_kernel(t, 1.5, **kw) for t in times]
+        )
 
     @pytest.mark.parametrize("d", [1, 2, 3])
     def test_potential_massive(self, d):
-        spec = KernelSpec(KernelKind.MASSIVE_POTENTIAL, d=d, nu=1.3, eps=0.6)
+        kw = dict(d=d, nu=1.3, eps=0.6)
         pts = self.points(d)
-        vals = potential_massive(spec, pts)
+        vals = potential_massive(pts, **kw)
         assert vals.shape == (7, 5)
-        assert_within_ulps(vals, [[potential_massive(spec, p) for p in row] for row in pts])
+        assert_within_ulps(vals, [[potential_massive(p, **kw) for p in row] for row in pts])
 
     @pytest.mark.parametrize("d", [2, 3])
     def test_potential_zero_mass(self, d):
-        spec = KernelSpec(KernelKind.ZERO_MASS_POTENTIAL, d=d, nu=1.3)
+        kw = dict(d=d, nu=1.3)
         pts = self.points(d)
-        vals = potential_zero_mass(spec, pts)
-        assert_within_ulps(vals, [[potential_zero_mass(spec, p) for p in row] for row in pts])
+        vals = potential_zero_mass(pts, **kw)
+        assert_within_ulps(vals, [[potential_zero_mass(p, **kw) for p in row] for row in pts])
 
     @pytest.mark.parametrize("p", [0.0, 0.5])
     def test_bessel_k_across_branches(self, p):
@@ -340,24 +348,20 @@ class TestArrayKernels:
         assert_within_ulps(bessel_k(p, x), [bessel_k(p, v) for v in x])
 
     def test_scalar_inputs_give_float(self):
-        heat = KernelSpec(KernelKind.HEAT, d=2, nu=1.0, eps=0.0)
-        mass2 = KernelSpec(KernelKind.MASSIVE_POTENTIAL, d=2, nu=1.0, eps=1.0)
-        zero3 = KernelSpec(KernelKind.ZERO_MASS_POTENTIAL, d=3, nu=1.0)
         for value in (
-            heat_kernel(heat, 0.5, 0.3),
-            heat_kernel(heat, 0.5, [0.3, 0.1]),
-            potential_massive(mass2, 1.0),
-            potential_massive(mass2, np.array([0.6, 0.8])),
-            potential_zero_mass(zero3, 2.0),
+            heat_kernel(0.5, 0.3, d=2),
+            heat_kernel(0.5, [0.3, 0.1], d=2),
+            potential_massive(1.0, d=2, nu=1.0, eps=1.0),
+            potential_massive(np.array([0.6, 0.8]), d=2, nu=1.0, eps=1.0),
+            potential_zero_mass(2.0, d=3, nu=1.0),
             bessel_k(0.0, 3.0),
             bessel_k(0.5, np.float64(1.0)),
         ):
             assert type(value) is float
 
     def test_singular_point_in_array_rejected(self):
-        spec = KernelSpec(KernelKind.MASSIVE_POTENTIAL, d=3, nu=1.0, eps=1.0)
         with pytest.raises(ValueError, match="singular"):
-            potential_massive(spec, np.array([[1.0, 0.0, 0.0], [0.0, 0.0, 0.0]]))
+            potential_massive(np.array([[1.0, 0.0, 0.0], [0.0, 0.0, 0.0]]), d=3, nu=1.0, eps=1.0)
 
 
 class TestHeatSemigroup:

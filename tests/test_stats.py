@@ -1,26 +1,28 @@
 import math
-import os
 
 import numpy as np
 import pytest
-from hypothesis import given
-from hypothesis import strategies as st
 
 from gfflab.basis import build_interval_basis
 from gfflab.fields import RngStream, sample_gff
-from gfflab.greens import series_green
 from gfflab.hilbert_scale import CoefficientField, duality_pairing, unit_field
 from gfflab.stats import (
     CovarianceReport,
-    ConvergenceSummary,
-    estimate_covariance,
     kolmogorov_sf,
     ks_gaussian,
-    read_report_csv,
     report_from_values,
     summarize_convergence,
-    write_report_csv,
 )
+
+
+def values_by_draw(sampler, functionals, n_samples, rng):
+    """(n_samples, p) matrix of functional values, one sampler draw per row."""
+    values = np.empty((n_samples, len(functionals)))
+    for i in range(n_samples):
+        draw = sampler(rng)
+        for j, fn in enumerate(functionals):
+            values[i, j] = fn(draw)
+    return values
 
 
 class TestEstimateCovariance:
@@ -33,10 +35,10 @@ class TestEstimateCovariance:
 
     def test_loop_path_matches_core(self):
         gen = RngStream(51, 0).generator()
-        rep = estimate_covariance(
-            lambda g: g.standard_normal(), [lambda v: v, lambda v: 2.0 * v], 1000, gen,
-            target=np.array([[1.0, 2.0], [2.0, 4.0]]),
+        values = values_by_draw(
+            lambda g: g.standard_normal(), [lambda v: v, lambda v: 2.0 * v], 1000, gen
         )
+        rep = report_from_values(values, target=np.array([[1.0, 2.0], [2.0, 4.0]]))
         assert rep.samples == 1000
         assert rep.empirical[0, 1] == pytest.approx(2.0 * rep.empirical[0, 0], rel=1e-12)
 
@@ -59,13 +61,13 @@ class TestEstimateCovariance:
                     np.sum(f.coeffs * g.coeffs / basis.lambdas_squared)
                 )
         gen = RngStream(53, 0).generator()
-        rep = estimate_covariance(
+        values = values_by_draw(
             lambda g: sample_gff(basis, 1.0, g),
             [lambda w, f=f: duality_pairing(CoefficientField(w.basis, w.coeffs), f) for f in fns],
             20000,
             gen,
-            target=target,
         )
+        rep = report_from_values(values, target=target)
         assert rep.zmax < 4.0
 
     def test_degenerate_functional_flagged(self):
@@ -76,8 +78,9 @@ class TestEstimateCovariance:
 
     def test_sample_floor(self):
         gen = RngStream(55, 0).generator()
+        values = values_by_draw(lambda g: g.standard_normal(), [lambda v: v], 50, gen)
         with pytest.raises(ValueError, match="100"):
-            estimate_covariance(lambda g: g.standard_normal(), [lambda v: v], 50, gen)
+            report_from_values(values)
 
     def test_unbiased_over_replications(self):
         # 200 independent replications of a small estimator
@@ -172,26 +175,3 @@ class TestSummaries:
     def test_empty_rejected(self):
         with pytest.raises(ValueError, match="no reports"):
             summarize_convergence([])
-
-
-class TestSerialization:
-    @given(st.integers(0, 2**31 - 1))
-    def test_round_trip_bit_for_bit(self, seed):
-        gen = RngStream(60, seed).generator()
-        values = gen.standard_normal((200, 3)) * np.array([1.0, 0.3, 7.0])
-        rep = report_from_values(values, target=np.diag([1.0, 0.09, 49.0]), seed_info=f"s={seed}")
-        path = f"/tmp/gfflab_report_{seed}.csv"
-        try:
-            write_report_csv(rep, path)
-            back = read_report_csv(path)
-        finally:
-            if os.path.exists(path):
-                os.remove(path)
-        assert np.array_equal(back.empirical, rep.empirical)
-        assert np.array_equal(back.target, rep.target)
-        assert np.array_equal(back.stderr, rep.stderr)
-        assert np.array_equal(back.z, rep.z)
-        assert back.zmax == rep.zmax
-        assert back.passed == rep.passed
-        assert back.samples == rep.samples
-        assert back.labels == rep.labels
