@@ -429,10 +429,12 @@ def _massive_physical_oracle(fg, nu: float, eps: float, sigma: float) -> float:
     center = fg.center[0] if fg.center else 0.0
     width = fg.params["width"]
     lo, hi = center - 12.0 * width, center + 12.0 * width
-    x, w = gauss_legendre(lo, hi, 400)
-    # one 160-node rule on each side of every outer node, all in one call
-    yl, wl = gauss_legendre(lo, x, 160)
-    yr, wr = gauss_legendre(x, hi, 160)
+    x, w = composite_legendre(lo, hi, 25, 16)
+    # ten 16-node panels on each side of every outer node, one call per side
+    edges = np.linspace(lo, x, 11, axis=-1)
+    yl, wl = (a.reshape(x.size, -1) for a in gauss_legendre(edges[:, :-1], edges[:, 1:], 16))
+    edges = np.linspace(x, hi, 11, axis=-1)
+    yr, wr = (a.reshape(x.size, -1) for a in gauss_legendre(edges[:, :-1], edges[:, 1:], 16))
     phi_l = greens.potential_massive(x[:, None] - yl, d=1, nu=nu, eps=nu * eps)
     phi_r = greens.potential_massive(yr - x[:, None], d=1, nu=nu, eps=nu * eps)
     inner = np.sum(wl * phi_l * fg.physical(yl) + wr * phi_r * fg.physical(yr), axis=1)

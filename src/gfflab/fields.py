@@ -21,6 +21,13 @@ from .fourier_cov import TestFunction
 from .quadrature import composite_legendre, gauss_legendre, running_integral
 
 
+# largest xi_max * r_max / panels (the phase of cos(xi_max x) across one x
+# panel) at which the 16-node panels of the fourier route still match a
+# transform taken on 4x finer x panels to 1e-12; the measured crossing lies
+# between 26.7 and 27.3 for smooth test functions
+FOURIER_PHASE_PER_PANEL = 25.0
+
+
 @dataclass(frozen=True)
 class RngStream:
     """A reproducible random stream: same (seed, stream_id) means the same
@@ -42,7 +49,8 @@ class RngStream:
 @dataclass(frozen=True, eq=False)
 class FieldSample:
     """One draw of a spectral Gaussian field: coefficient k has variance
-    scale^2 / lambda_k^(2r) for the sampler's roughness exponent r."""
+    scale^2 / lambda_k^(2r) for the sampler's roughness exponent r. A batch
+    of n draws holds coeffs of shape (n, size), one draw per row."""
 
     basis: EigenBasis
     coeffs: np.ndarray
@@ -63,19 +71,22 @@ class PathSample:
         return np.cumsum(self.increments, axis=1)
 
 
-def sample_gff(basis: EigenBasis, r: float, rng: np.random.Generator) -> FieldSample:
+def sample_gff(
+    basis: EigenBasis, r: float, rng: np.random.Generator, n: int | None = None
+) -> FieldSample:
     """A truncated free-field draw with coefficients zeta_k / lambda_k^r
     (iid standard normal zeta); r = 1 gives the Green's-function covariance,
-    r = 0 white noise."""
+    r = 0 white noise. With n, one (n, size) normal block gives n draws."""
     if basis.lambda_min <= 0.0:
         raise ValueError("free-field sampling requires lambda_1 > 0")
-    zeta = rng.standard_normal(basis.size)
+    zeta = rng.standard_normal(basis.size if n is None else (n, basis.size))
     return FieldSample(basis, zeta / basis.lambdas**r, scale=1.0)
 
 
 def field_values(sample: FieldSample, points) -> np.ndarray:
-    """Pointwise field values sum_k coeffs_k h_k(x)."""
-    return evaluate_matrix(sample.basis, points) @ sample.coeffs
+    """Pointwise field values sum_k coeffs_k h_k(x), one row per draw of a
+    batch."""
+    return (evaluate_matrix(sample.basis, points) @ sample.coeffs.T).T
 
 
 def sample_cylindrical_bm(
@@ -92,36 +103,47 @@ def sample_cylindrical_bm(
     return PathSample(basis, t, inc)
 
 
-def sample_brownian_bridge(x_grid, rng: np.random.Generator, modes: int = 512) -> np.ndarray:
+def _sine_series(x, k, rng: np.random.Generator, n: int | None) -> np.ndarray:
+    """sum_k zeta_k sqrt(2) sin(k pi x) / (k pi) at the points x, one row per
+    draw when n is given (one (n, modes) normal block and one matmul)."""
+    zeta = rng.standard_normal(k.size if n is None else (n, k.size))
+    return (sinpi(np.outer(x, k)) @ (math.sqrt(2.0) * zeta / (k * np.pi)).T).T
+
+
+def sample_brownian_bridge(
+    x_grid, rng: np.random.Generator, modes: int = 512, n: int | None = None
+) -> np.ndarray:
     """Brownian bridge on [0, 1] through its sine series
-    sum_k zeta_k sqrt(2) sin(k pi x) / (k pi); exactly zero at both ends."""
+    sum_k zeta_k sqrt(2) sin(k pi x) / (k pi); exactly zero at both ends.
+    With n, returns n independent paths as rows of an (n, points) array."""
     x = np.asarray(x_grid, dtype=float)
     if np.any(x < 0.0) or np.any(x > 1.0):
         raise ValueError("bridge grid must lie in [0, 1]")
-    k = np.arange(1, modes + 1, dtype=float)
-    zeta = rng.standard_normal(modes)
-    return sinpi(np.outer(x, k)) @ (math.sqrt(2.0) * zeta / (k * np.pi))
+    return _sine_series(x, np.arange(1, modes + 1, dtype=float), rng, n)
 
 
-def sample_brownian_motion(x_grid, rng: np.random.Generator, modes: int = 512) -> np.ndarray:
+def sample_brownian_motion(
+    x_grid, rng: np.random.Generator, modes: int = 512, n: int | None = None
+) -> np.ndarray:
     """Standard Brownian motion on [0, 1] through the mixed-boundary series
-    sum_k zeta_k sqrt(2) sin((k - 1/2) pi x) / ((k - 1/2) pi)."""
+    sum_k zeta_k sqrt(2) sin((k - 1/2) pi x) / ((k - 1/2) pi). With n,
+    returns n independent paths as rows of an (n, points) array."""
     x = np.asarray(x_grid, dtype=float)
     if np.any(x < 0.0) or np.any(x > 1.0):
         raise ValueError("grid must lie in [0, 1]")
-    k = np.arange(1, modes + 1, dtype=float) - 0.5
-    zeta = rng.standard_normal(modes)
-    return sinpi(np.outer(x, k)) @ (math.sqrt(2.0) * zeta / (k * np.pi))
+    return _sine_series(x, np.arange(1, modes + 1, dtype=float) - 0.5, rng, n)
 
 
-def sample_two_sided_bm(x_grid, rng: np.random.Generator) -> np.ndarray:
+def sample_two_sided_bm(x_grid, rng: np.random.Generator, n: int | None = None) -> np.ndarray:
     """Two independent Brownian motions glued at the origin, sampled exactly
-    on the grid via independent increments per half line.
+    on the grid via independent increments per half line. With n, returns n
+    independent paths along a new first axis (one (n, points) normal block
+    per half line).
 
     Covariance is min(|x|, |y|) for points of equal sign and 0 otherwise.
     """
     x = np.asarray(x_grid, dtype=float)
-    out = np.zeros(x.shape)
+    out = np.zeros(x.shape if n is None else (n, *x.shape))
     for sign in (1.0, -1.0):
         mask = (sign * x) > 0.0
         if not np.any(mask):
@@ -129,8 +151,9 @@ def sample_two_sided_bm(x_grid, rng: np.random.Generator) -> np.ndarray:
         radii = sign * x[mask]
         uniq, inverse = np.unique(radii, return_inverse=True)
         dt = np.diff(np.concatenate(([0.0], uniq)))
-        walk = np.cumsum(rng.standard_normal(uniq.size) * np.sqrt(dt))
-        out[mask] = walk[inverse]
+        steps = rng.standard_normal(uniq.size if n is None else (n, uniq.size))
+        walk = np.cumsum(steps * np.sqrt(dt), axis=-1)
+        out[..., mask] = walk[..., inverse]
     return out
 
 
@@ -211,7 +234,8 @@ def covariance_two_sided(
     on the same annulus grid as gff_covariance so the two agree exactly
     when fhat(0) = ghat(0) = 0. Callables are integrated on max(n_nodes // 16, 1)
     panels of 16 Gauss-Legendre nodes over [0, r_max], and over [0, xi_max]
-    for the fourier mode.
+    for the fourier mode; there xi_max * r_max / panels may not exceed
+    FOURIER_PHASE_PER_PANEL, or the x panels cannot resolve cos(xi_max x).
     """
     if mode == "fourier" and isinstance(f, TestFunction) and isinstance(g, TestFunction):
         if f.d != 1 or g.d != 1:
@@ -233,6 +257,13 @@ def covariance_two_sided(
     _check_first_moment(f, r_max)
     _check_first_moment(g, r_max)
     panels = max(n_nodes // 16, 1)
+    if mode == "fourier" and xi_max * r_max / panels > FOURIER_PHASE_PER_PANEL:
+        need = 16 * math.ceil(xi_max * r_max / FOURIER_PHASE_PER_PANEL)
+        raise ValueError(
+            f"fourier route under-resolved: xi_max * r_max / panels = "
+            f"{xi_max * r_max / panels:.4g} > {FOURIER_PHASE_PER_PANEL}; "
+            f"use n_nodes >= {need} or a smaller xi_max or r_max"
+        )
 
     if mode == "direct":
         # nested quadrature of f(x) [int_0^x y g(y) dy + x int_x^rmax g] per

@@ -17,9 +17,9 @@ import numpy as np
 
 from .basis import hermite_functions
 from .greens import gamma_fn
-from .quadrature import gauss_legendre
+from .quadrature import composite_legendre, gauss_legendre
 
-RADIAL_NODES = 1024
+RADIAL_NODES = 1024  # 64 panels of 16 Gauss-Legendre nodes
 _PHYSICAL_BLOCK = 64  # rows of x per block of the inverse-transform cosine table (2 MB)
 TENSOR_NODES = 256
 FLOOR_TOL = 1e-12
@@ -210,34 +210,40 @@ def _pair_integral(
 
     Radial reduction applies whenever the product has no net phase (equal
     or absent centers); otherwise d = 1 uses Hermitian symmetry on the
-    half line and d = 2 a tensor grid.
+    half line and d = 2 a tensor grid. The radial and half-line integrals
+    run on n_nodes // 16 panels of 16 Gauss-Legendre nodes over the shared
+    support (n_nodes rounds down to whole panels, and at least one), and
+    the weighted terms are summed with math.fsum.
     """
+    if not n_nodes > 0:
+        raise ValueError(f"n_nodes must be positive (got {n_nodes})")
     if f.d != g.d:
         raise ValueError("test functions live in different dimensions")
     d = f.d
     lo, hi = _pair_grid(f, g)
     if hi <= lo:
         return 0.0
+    panels = max(n_nodes // 16, 1)
 
     if f.center == g.center:
-        r, w = gauss_legendre(lo, hi, n_nodes)
+        r, w = composite_legendre(lo, hi, panels, 16)
         vf = f.fhat_radial(r)
         vg = g.fhat_radial(r)
         if subtract_zero:
             vf = vf - f.fhat_radial(np.zeros(1))[0]
             vg = vg - g.fhat_radial(np.zeros(1))[0]
         integrand = vf * vg * weight(r) * r ** (d - 1)
-        return surface_measure(d) * float(np.sum(w * integrand))
+        return surface_measure(d) * math.fsum(w * integrand)
 
     if d == 1:
-        r, w = gauss_legendre(lo, hi, n_nodes)
+        r, w = composite_legendre(lo, hi, panels, 16)
         vf = f.fhat(r)
         vg = g.fhat(r)
         if subtract_zero:
             vf = vf - complex(f.fhat(np.zeros(1))[0])
             vg = vg - complex(g.fhat(np.zeros(1))[0])
         integrand = np.real(vf * np.conj(vg)) * weight(r)
-        return 2.0 * float(np.sum(w * integrand))
+        return 2.0 * math.fsum(w * integrand)
 
     if d == 2:
         return _pair_integral_tensor2d(f, g, weight, subtract_zero)
@@ -287,8 +293,11 @@ def gff_covariance(
 
     In d <= 2 both functions must carry an annulus floor (the integrand is
     otherwise non-integrable at the origin); pass check_floor=False only
-    for diagnostic comparisons of the raw truncated quadrature.
+    for diagnostic comparisons of the raw truncated quadrature. n_nodes
+    rounds down to whole panels of 16 nodes (see _pair_integral).
     """
+    if not n_nodes > 0:
+        raise ValueError(f"n_nodes must be positive (got {n_nodes})")
     if check_floor and f.d <= 2:
         _check_floor(f, "f")
         _check_floor(g, "g")

@@ -16,6 +16,7 @@ import numpy as np
 
 P_VALUE_FLOOR = 1e-12
 DEFAULT_Z_THRESHOLD = 4.0
+_erf = np.frompyfunc(math.erf, 1, 1)  # math.erf elementwise, bit for bit
 
 
 @dataclass(eq=False)
@@ -121,7 +122,7 @@ def ks_gaussian(samples, mu: float, var: float) -> tuple[float, float]:
     if var <= 0.0:
         raise ValueError(f"variance must be positive, got {var}")
     sd = math.sqrt(var)
-    cdf = np.array([0.5 * (1.0 + math.erf((v - mu) / (sd * math.sqrt(2.0)))) for v in x])
+    cdf = 0.5 * (1.0 + _erf((x - mu) / (sd * math.sqrt(2.0))).astype(float))
     grid = np.arange(1, n + 1) / n
     d = float(max(np.max(grid - cdf), np.max(cdf - (grid - 1.0 / n))))
     p = kolmogorov_sf(math.sqrt(n) * d)

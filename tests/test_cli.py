@@ -3,6 +3,7 @@ import os
 
 import pytest
 
+from gfflab import quadrature
 from gfflab.cli import (
     ConfigError,
     list_experiments,
@@ -320,6 +321,22 @@ class TestRunAll:
         monkeypatch.setitem(EXPERIMENTS, "weyl", failing)
         assert main(["run-all", "--out", str(tmp_path)]) == 1
         assert os.path.exists(f"{tmp_path}/weyl_weyl.csv")
+
+    def test_builds_no_large_gauss_rule(self, tmp_path, monkeypatch):
+        # the radial pair integrals and the massive oracle run on 16-node
+        # panels; the only larger rule left is the 256-node time rule of
+        # heat_poisson_identity
+        built = []
+        rule = quadrature._leggauss
+
+        def recording(n):
+            built.append(n)
+            return rule(n)
+
+        monkeypatch.setattr(quadrature, "_leggauss", recording)
+        assert main(["run-all", "--seed", "7", "--out", str(tmp_path)]) == 0
+        assert set(built) <= {16, 20, 24, 256}
+        assert 256 in built
 
     def test_negative_seed_exits_two(self, tmp_path, capsys):
         assert main(["run-all", "--seed", "-1", "--out", str(tmp_path)]) == 2

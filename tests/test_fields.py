@@ -7,6 +7,8 @@ from hypothesis import strategies as st
 
 from gfflab.basis import build_interval_basis
 from gfflab.fields import (
+    FOURIER_PHASE_PER_PANEL,
+    FieldSample,
     RngStream,
     _transform_on_grid,
     covariance_two_sided,
@@ -54,26 +56,34 @@ class TestSampleGff:
 
     def test_white_noise_unit_variance(self, dirichlet16):
         gen = RngStream(11, 0).generator()
-        draws = np.array([sample_gff(dirichlet16, 0.0, gen).coeffs for _ in range(4000)])
+        draws = sample_gff(dirichlet16, 0.0, gen, n=4000).coeffs
         var = draws.var(axis=0, ddof=1)
         assert np.all(np.abs(var - 1.0) < 4.0 * mc_stderr_of_variance(1.0, 4000))
 
     def test_first_mode_variance_matches_green(self, dirichlet16):
         gen = RngStream(12, 0).generator()
         n = 100000
-        draws = np.array([sample_gff(dirichlet16, 1.0, gen).coeffs[0] for _ in range(n)])
+        draws = sample_gff(dirichlet16, 1.0, gen, n=n).coeffs[:, 0]
         target = 1.0 / math.pi**2
         assert draws.var(ddof=1) == pytest.approx(target, abs=3.0 * mc_stderr_of_variance(target, n))
+
+    def test_batch_rows_are_successive_draws(self, dirichlet16):
+        # one (n, size) block consumes the stream exactly like n single draws
+        gen = RngStream(26, 0).generator()
+        single = np.array([sample_gff(dirichlet16, 1.0, gen).coeffs for _ in range(5)])
+        batch = sample_gff(dirichlet16, 1.0, RngStream(26, 0).generator(), n=5)
+        assert single.shape == (5, 16) and batch.coeffs.shape == (5, 16)
+        assert np.array_equal(batch.coeffs, single)
+        pts = np.array([0.25, 0.5])
+        by_draw = np.array([field_values(FieldSample(dirichlet16, c), pts) for c in single])
+        np.testing.assert_allclose(field_values(batch, pts), by_draw, rtol=1e-13, atol=1e-15)
 
     def test_pointwise_covariance_matches_series_green(self):
         basis = build_interval_basis("dirichlet", 0.0, 1.0, 1024)
         pts = np.array([0.2, 0.5, 0.8])
         n = 20000
-        stream = RngStream(13, 0)
-        vals = np.empty((n, 3))
-        gen = stream.generator()
-        for i in range(n):
-            vals[i] = field_values(sample_gff(basis, 1.0, gen), pts)
+        vals = field_values(sample_gff(basis, 1.0, RngStream(13, 0).generator(), n=n), pts)
+        assert vals.shape == (n, 3)
         emp = vals.T @ vals / n
         for i in range(3):
             for j in range(3):
@@ -171,7 +181,7 @@ class TestBridgeAndMotion:
         gen = RngStream(19, 0).generator()
         pts = np.array([0.3, 0.6])
         n = 30000
-        vals = np.array([sample_brownian_bridge(pts, gen, modes=512) for _ in range(n)])
+        vals = sample_brownian_bridge(pts, gen, modes=512, n=n)
         emp = vals.T @ vals / n
         target = np.minimum.outer(pts, pts) - np.outer(pts, pts)
         for i in range(2):
@@ -183,7 +193,7 @@ class TestBridgeAndMotion:
         gen = RngStream(20, 0).generator()
         pts = np.array([0.3, 0.6])
         n = 30000
-        vals = np.array([sample_brownian_motion(pts, gen, modes=512) for _ in range(n)])
+        vals = sample_brownian_motion(pts, gen, modes=512, n=n)
         emp = vals.T @ vals / n
         target = np.minimum.outer(pts, pts)
         for i in range(2):
@@ -198,6 +208,17 @@ class TestBridgeAndMotion:
         terms = 2.0 * np.sin(k * np.pi * x) ** 2 / (k * np.pi) ** 2
         assert np.all(np.cumsum(terms)[1:] >= np.cumsum(terms)[:-1])
 
+    @pytest.mark.parametrize("sampler", [sample_brownian_bridge, sample_brownian_motion])
+    def test_batch_rows_match_single_paths(self, sampler):
+        pts = np.array([0.0, 0.3, 0.6, 1.0])
+        gen = RngStream(27, 0).generator()
+        single = np.array([sampler(pts, gen, modes=64) for _ in range(5)])
+        assert single.shape == (5, 4)
+        batch = sampler(pts, RngStream(27, 0).generator(), modes=64, n=5)
+        np.testing.assert_allclose(batch, single, rtol=1e-13, atol=1e-15)
+        if sampler is sample_brownian_bridge:
+            assert np.all(batch[:, [0, 3]] == 0.0)
+
     def test_seed_determinism(self):
         a = sample_brownian_bridge([0.2, 0.8], RngStream(21, 4).generator())
         b = sample_brownian_bridge([0.2, 0.8], RngStream(21, 4).generator())
@@ -211,7 +232,7 @@ class TestTwoSidedBm:
     def test_opposite_signs_uncorrelated(self):
         gen = RngStream(22, 0).generator()
         n = 40000
-        vals = np.array([sample_two_sided_bm(np.array([1.0, -2.0]), gen) for _ in range(n)])
+        vals = sample_two_sided_bm(np.array([1.0, -2.0]), gen, n=n)
         c = float(np.mean(vals[:, 0] * vals[:, 1]))
         se = float(np.std(vals[:, 0] * vals[:, 1])) / math.sqrt(n)
         assert abs(c) < 3.0 * se
@@ -219,7 +240,7 @@ class TestTwoSidedBm:
     def test_same_sign_covariance_is_min(self):
         gen = RngStream(23, 0).generator()
         n = 40000
-        vals = np.array([sample_two_sided_bm(np.array([1.0, 2.0]), gen) for _ in range(n)])
+        vals = sample_two_sided_bm(np.array([1.0, 2.0]), gen, n=n)
         c = float(np.mean(vals[:, 0] * vals[:, 1]))
         se = float(np.std(vals[:, 0] * vals[:, 1])) / math.sqrt(n)
         assert abs(c - 1.0) < 4.0 * se
@@ -227,7 +248,7 @@ class TestTwoSidedBm:
     def test_increment_variance_across_origin(self):
         gen = RngStream(24, 0).generator()
         n = 40000
-        vals = np.array([sample_two_sided_bm(np.array([0.5, -0.7]), gen) for _ in range(n)])
+        vals = sample_two_sided_bm(np.array([0.5, -0.7]), gen, n=n)
         d2 = (vals[:, 0] - vals[:, 1]) ** 2
         se = float(np.std(d2)) / math.sqrt(n)
         assert abs(float(np.mean(d2)) - 1.2) < 4.0 * se
@@ -236,6 +257,15 @@ class TestTwoSidedBm:
         vals = sample_two_sided_bm(np.array([0.5, 0.5, -0.3, -0.3]), rng)
         assert vals[0] == vals[1]
         assert vals[2] == vals[3]
+
+    def test_batch_shape_and_structure(self, rng):
+        grid = np.array([0.5, 0.5, -0.3, 0.0, 1.2])
+        assert sample_two_sided_bm(grid, rng).shape == (5,)
+        vals = sample_two_sided_bm(grid, rng, n=7)
+        assert vals.shape == (7, 5)
+        assert np.array_equal(vals[:, 0], vals[:, 1])
+        assert np.all(vals[:, 3] == 0.0)
+        assert np.unique(vals[:, 4]).size == 7
 
 
 class TestAntiderivative:
@@ -388,13 +418,34 @@ class TestCovarianceTwoSided:
     @pytest.mark.parametrize("pair", sorted(PAIRS))
     @pytest.mark.parametrize(
         "n_nodes, r_max, xi_max",
-        [(2048, 20.0, 40.0), (256, 20.0, 20.0), (500, 12.0, 30.0), (256, 7.5, 13.0)],
+        # xi_max * r_max / panels = 6.25 (the default), 25 (the bound), 11.6,
+        # 6.1 and 25 again
+        [(2048, 20.0, 40.0), (256, 20.0, 20.0), (500, 12.0, 30.0), (256, 7.5, 13.0),
+         (512, 20.0, 40.0)],
     )
     def test_fourier_agrees_with_direct(self, pair, n_nodes, r_max, xi_max):
         f, g = PAIRS[pair]
+        assert xi_max * r_max / (n_nodes // 16) <= FOURIER_PHASE_PER_PANEL
         kw = {"r_max": r_max, "n_nodes": n_nodes, "xi_max": xi_max}
         fourier = covariance_two_sided(f, g, "fourier", **kw)
-        assert fourier == pytest.approx(covariance_two_sided(f, g, "direct", **kw), abs=1e-6)
+        assert fourier == pytest.approx(covariance_two_sided(f, g, "direct", **kw), abs=1e-12)
+
+    @pytest.mark.parametrize(
+        "n_nodes, r_max, xi_max, need",
+        # 26.7 just above the bound, 50 off by 1e-5 before the guard, 800
+        [(240, 20.0, 20.0, 256), (256, 20.0, 40.0, 512), (16, 20.0, 40.0, 512)],
+    )
+    def test_fourier_beyond_reach_rejected(self, n_nodes, r_max, xi_max, need):
+        f, g = PAIRS["gauss"]
+        kw = {"r_max": r_max, "n_nodes": n_nodes, "xi_max": xi_max}
+        with pytest.raises(ValueError, match=f"under-resolved.*n_nodes >= {need}"):
+            covariance_two_sided(f, g, "fourier", **kw)
+        # the guard is the fourier route's own: x-only routes still run
+        assert covariance_two_sided(f, g, "direct", **kw) > 0.0
+        kw["n_nodes"] = need
+        assert covariance_two_sided(f, g, "fourier", **kw) == pytest.approx(
+            covariance_two_sided(f, g, "direct", **kw), abs=1e-12
+        )
 
     @pytest.mark.parametrize("mode", ["direct", "antiderivative", "fourier"])
     @pytest.mark.parametrize(
@@ -426,10 +477,7 @@ class TestCovarianceTwoSided:
         wq = np.gradient(grid)
         gen = RngStream(25, 0).generator()
         n = 20000
-        vals = np.empty(n)
-        for i in range(n):
-            path = sample_two_sided_bm(grid, gen)
-            vals[i] = float(np.sum(wq * f(grid) * path))
+        vals = sample_two_sided_bm(grid, gen, n=n) @ (wq * f(grid))
         est = float(np.mean(vals**2))
         se = float(np.std(vals**2)) / math.sqrt(n)
         # grid bias from the trapezoidal pairing is well under the MC noise

@@ -5,6 +5,7 @@ import pytest
 
 from gfflab.fourier_cov import (
     TestFunction,
+    _pair_integral,
     _pair_integral_tensor2d,
     gaussian_bump,
     gff_covariance,
@@ -133,6 +134,27 @@ class TestGffCovariance:
         radial = gff_covariance(f, f)
         tensor = _pair_integral_tensor2d(f, f, lambda r: 1.0 / (r * r))
         assert radial == pytest.approx(tensor, abs=1e-8)
+
+    def test_radial_rule_is_64_panels_of_16(self):
+        f = make_s0_function(4.0, 0.25)
+        g = make_s0_function(5.0, 0.3)
+        r, w = composite_legendre(2.5, 7.0, 64, 16)
+        integrand = f.fhat_radial(r) * g.fhat_radial(r) * (1.0 / (r * r)) * r**0
+        assert gff_covariance(f, g) == surface_measure(1) * math.fsum(w * integrand)
+
+    def test_nodes_round_down_to_whole_panels(self):
+        f = make_s0_function(4.0, 0.25)
+        g = make_s0_function(5.0, 0.3)
+        assert gff_covariance(f, g, n_nodes=1039) == gff_covariance(f, g, n_nodes=1024)
+        assert gff_covariance(f, g, n_nodes=15) == gff_covariance(f, g, n_nodes=16)
+
+    @pytest.mark.parametrize("n_nodes", [0, -16])
+    def test_nonpositive_node_count_rejected(self, n_nodes):
+        f = make_s0_function(4.0, 0.25)
+        with pytest.raises(ValueError, match="n_nodes must be positive"):
+            gff_covariance(f, f, n_nodes=n_nodes)
+        with pytest.raises(ValueError, match="n_nodes must be positive"):
+            _pair_integral(f, f, lambda r: 1.0 / (r * r), n_nodes=n_nodes)
 
     def test_surface_measures(self):
         assert surface_measure(1) == pytest.approx(2.0, rel=1e-14)

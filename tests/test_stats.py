@@ -127,6 +127,21 @@ class TestKsGaussian:
         with pytest.raises(ValueError, match="variance"):
             ks_gaussian(np.zeros(100), 0.0, 0.0)
 
+    @pytest.mark.parametrize("mu, var", [(0.0, 1.0), (0.3, 0.02), (-2.0, 9.0)])
+    def test_matches_per_sample_erf(self, mu, var):
+        # the array CDF equals the per-sample math.erf one bit for bit, also
+        # in both tails beyond |z| = 8 where erf saturates
+        gen = RngStream(60, 0).generator()
+        sd = math.sqrt(var)
+        z = np.concatenate([gen.standard_normal(5000), [-40.0, -12.5, -8.01, 8.01, 12.5, 40.0]])
+        x = mu + sd * z
+        xs = np.sort(x)
+        cdf = np.array([0.5 * (1.0 + math.erf((v - mu) / (sd * math.sqrt(2.0)))) for v in xs])
+        grid = np.arange(1, xs.size + 1) / xs.size
+        d = float(max(np.max(grid - cdf), np.max(cdf - (grid - 1.0 / xs.size))))
+        p = min(max(kolmogorov_sf(math.sqrt(xs.size) * d), 1e-12), 1.0)
+        assert ks_gaussian(x, mu, var) == (d, p)
+
     def test_sf_branches_agree(self):
         for lam in (0.35, 0.45, 0.5, 0.55, 0.8, 1.5):
             direct = 2.0 * sum(
