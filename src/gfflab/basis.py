@@ -121,6 +121,14 @@ class EigenBasis:
     def lambda_min(self) -> float:
         return float(self.lambdas[0])
 
+    def require_positive_spectrum(self, what: str) -> None:
+        """Reject a basis with a constant mode (lambda_1 = 0) for `what`."""
+        if self.lambda_min <= 0.0:
+            raise ValueError(
+                f"{what} requires lambda_1 > 0; basis has lambda_1 = {self.lambda_min}"
+                " (Neumann-type constant mode)"
+            )
+
     def describe(self) -> str:
         """Single-line key=value descriptor, parseable by basis_from_descriptor."""
         if self.kind in _INTERVAL_KINDS:

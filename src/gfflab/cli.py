@@ -18,71 +18,66 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, field, fields
 
 from .basis import BasisKind, parse_basis_kind
-from .experiments import EXPERIMENT_DEFAULTS, EXPERIMENTS, ExperimentResult
+from .experiments import EXPERIMENT_CHECKS, EXPERIMENT_DEFAULTS, EXPERIMENTS, ExperimentResult
 
 
 class ConfigError(Exception):
     pass
 
 
+def _finite_float(text) -> float:
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"{text!r} is not a finite number")
+    return value
+
+
+def _float_list(text) -> tuple:
+    return tuple(_finite_float(v) for v in str(text).split(","))
+
+
+# a bound reads "<key> must <phrase> (got <value>)" when the predicate fails
+_POSITIVE = ("be positive", lambda v: v > 0.0)
+
+
+def _key(key: str, default, parser=_finite_float, bound=None):
+    """A config field: its key in the file, its parser and its bound."""
+    return field(default=default, metadata={"key": key, "parser": parser, "bound": bound})
+
+
 @dataclass
 class ExperimentConfig:
-    experiment: str = ""
-    basis_kind: str = "interval_dirichlet"
-    a: float = 0.0
-    b: float = 1.0
-    side: float = 1.0
-    d: int = 1
-    nu: float = 1.0
-    sigma: float = 1.0
-    eps: float = 1.0
-    modes: int = 64
-    samples: int = 20000
-    t: float = 5.0
-    t_list: tuple = (0.1, 0.5, 1.0, 2.0)
-    seed: int = 7
-    output: str = "out/run"
-    z_threshold: float = 4.0
-    rel_tol: float | None = None  # None: the experiment's own default
-    ks_alpha: float = 1e-3
+    experiment: str = _key("experiment", "", str)
+    basis_kind: BasisKind = _key("basis.kind", BasisKind.INTERVAL_DIRICHLET, parse_basis_kind)
+    a: float = _key("basis.a", 0.0)
+    b: float = _key("basis.b", 1.0)
+    side: float = _key("basis.side", 1.0, bound=_POSITIVE)
+    d: int = _key("basis.d", 1, int, ("be 1, 2 or 3", lambda v: v in (1, 2, 3)))
+    nu: float = _key("nu", 1.0, bound=_POSITIVE)
+    sigma: float = _key("sigma", 1.0, bound=_POSITIVE)
+    eps: float = _key("eps", 1.0, bound=_POSITIVE)
+    modes: int = _key("K", 64, int, ("be at least 1", lambda v: v >= 1))
+    samples: int = _key("M", 20000, int, ("be at least 100", lambda v: v >= 100))
+    t: float = _key("t", 5.0, bound=_POSITIVE)
+    t_list: tuple = _key(
+        "t_list", (0.1, 0.5, 1.0, 2.0), _float_list,
+        ("have positive entries", lambda v: len(v) > 0 and min(v) > 0.0),
+    )
+    seed: int = _key("seed", 7, int, ("be non-negative", lambda v: v >= 0))
+    output: str = _key("output", "out/run", str)
+    z_threshold: float = _key("tol.z", 4.0, bound=_POSITIVE)
+    rel_tol: float | None = _key("tol.rel", None, bound=_POSITIVE)  # None: the experiment's own default
+    ks_alpha: float = _key("tol.ks_p", 1e-3, bound=("lie in (0, 1)", lambda v: 0.0 < v < 1.0))
 
 
-def _parse_float_list(text: str) -> tuple:
-    try:
-        return tuple(float(v) for v in str(text).split(","))
-    except ValueError:
-        raise ConfigError(f"t_list must be a comma-separated float list, got {text!r}")
-
-
-# experiments whose dynamics need lambda_1 > 0, so no Neumann constant mode
-_POSITIVE_SPECTRUM = ("stationary_bd", "stationary_hermite", "convergence_curve", "kakutani")
-
-# config key -> (dataclass field, parser)
-_KEY_TABLE = {
-    "experiment": ("experiment", str),
-    "basis.kind": ("basis_kind", str),
-    "basis.a": ("a", float),
-    "basis.b": ("b", float),
-    "basis.side": ("side", float),
-    "basis.d": ("d", int),
-    "nu": ("nu", float),
-    "sigma": ("sigma", float),
-    "eps": ("eps", float),
-    "K": ("modes", int),
-    "M": ("samples", int),
-    "t": ("t", float),
-    "t_list": ("t_list", _parse_float_list),
-    "seed": ("seed", int),
-    "output": ("output", str),
-    "tol.z": ("z_threshold", float),
-    "tol.rel": ("rel_tol", float),
-    "tol.ks_p": ("ks_alpha", float),
-}
+# config key -> dataclass field
+_KEYS = {f.metadata["key"]: f for f in fields(ExperimentConfig)}
 
 
 def parse_config_text(text: str) -> ExperimentConfig:
@@ -97,7 +92,7 @@ def parse_config_text(text: str) -> ExperimentConfig:
             raise ConfigError(f"line {lineno}: expected key = value, got {stripped!r}")
         key, _, value = stripped.partition("=")
         key = key.strip()
-        if key not in _KEY_TABLE:
+        if key not in _KEYS:
             raise ConfigError(f"unknown config key {key!r}")
         if key in raw:
             raise ConfigError(f"duplicate config key {key!r}")
@@ -111,19 +106,13 @@ def parse_config_text(text: str) -> ExperimentConfig:
             f"unknown experiment {name!r}; run 'gff-lab list' for the registry"
         )
 
-    merged = dict(EXPERIMENT_DEFAULTS.get(name, {}))
-    merged.update(raw)
-
     cfg = ExperimentConfig()
-    for key, value in merged.items():
-        field_name, parser = _KEY_TABLE[key]
+    for key, value in {**EXPERIMENT_DEFAULTS.get(name, {}), **raw}.items():
+        f = _KEYS[key]
         try:
-            parsed = parser(value)
-        except ConfigError:
-            raise
-        except (TypeError, ValueError):
-            raise ConfigError(f"config key {key!r}: cannot parse value {value!r}")
-        setattr(cfg, field_name, parsed)
+            setattr(cfg, f.name, f.metadata["parser"](value))
+        except ValueError as exc:
+            raise ConfigError(f"config key {key!r}: {exc}") from None
     validate_config(cfg)
     return cfg
 
@@ -136,43 +125,25 @@ def load_config(path: str) -> ExperimentConfig:
         raise ConfigError(f"cannot read config {path}: {exc}")
 
 
+def _check_bound(key: str, value) -> None:
+    bound = _KEYS[key].metadata["bound"]
+    if bound is not None and value is not None and not bound[1](value):
+        raise ConfigError(f"{key} must {bound[0]} (got {value})")
+
+
 def validate_config(cfg: ExperimentConfig) -> None:
-    if cfg.nu <= 0.0:
-        raise ConfigError(f"nu must be positive (got {cfg.nu})")
-    if cfg.sigma <= 0.0:
-        raise ConfigError(f"sigma must be positive (got {cfg.sigma})")
-    if cfg.eps <= 0.0:
-        raise ConfigError(f"eps must be positive (got {cfg.eps})")
-    if cfg.modes < 1:
-        raise ConfigError(f"K must be at least 1 (got {cfg.modes})")
-    if cfg.samples < 100:
-        raise ConfigError(f"M must be at least 100 (got {cfg.samples})")
-    if cfg.t <= 0.0:
-        raise ConfigError(f"t must be positive (got {cfg.t})")
-    if not cfg.t_list or any(v <= 0.0 for v in cfg.t_list):
-        raise ConfigError(f"t_list entries must be positive (got {cfg.t_list})")
-    if list(cfg.t_list) != sorted(cfg.t_list):
-        raise ConfigError(f"t_list must be increasing (got {cfg.t_list})")
-    if cfg.seed < 0:
-        raise ConfigError(f"seed must be non-negative (got {cfg.seed})")
+    for key, f in _KEYS.items():
+        _check_bound(key, getattr(cfg, f.name))
     if not cfg.a < cfg.b:
         raise ConfigError(f"basis.a must be below basis.b (got {cfg.a}, {cfg.b})")
-    if cfg.side <= 0.0:
-        raise ConfigError(f"basis.side must be positive (got {cfg.side})")
-    if cfg.d not in (1, 2, 3):
-        raise ConfigError(f"basis.d must be 1, 2 or 3 (got {cfg.d})")
-    try:
-        kind = parse_basis_kind(cfg.basis_kind)
-    except ValueError as exc:
-        raise ConfigError(f"basis.kind: {exc}") from None
-    if kind is BasisKind.INTERVAL_NEUMANN and cfg.experiment in _POSITIVE_SPECTRUM:
-        raise ConfigError(
-            f"basis.kind = interval_neumann has lambda_1 = 0; {cfg.experiment} needs lambda_1 > 0"
-        )
-    if cfg.z_threshold <= 0.0:
-        raise ConfigError(f"tol.z must be positive (got {cfg.z_threshold})")
-    if cfg.rel_tol is not None and cfg.rel_tol <= 0.0:
-        raise ConfigError(f"tol.rel must be positive (got {cfg.rel_tol})")
+    if list(cfg.t_list) != sorted(cfg.t_list):
+        raise ConfigError(f"t_list must be increasing (got {cfg.t_list})")
+    check = EXPERIMENT_CHECKS.get(cfg.experiment)
+    if check is not None:
+        try:
+            check(cfg)
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from None
 
 
 def _format_cell(value) -> str:
@@ -184,15 +155,18 @@ def _format_cell(value) -> str:
 
 
 def write_result(result: ExperimentResult, prefix: str) -> tuple[str, str]:
+    """Write <prefix>.csv, its columns in the order of the first row, and
+    <prefix>_summary.json; returns both paths."""
     out_dir = os.path.dirname(prefix)
     if out_dir:
         os.makedirs(out_dir, exist_ok=True)
-    csv_path = f"{prefix}_{result.name}.csv"
+    columns = list(result.rows[0])
+    csv_path = f"{prefix}.csv"
     with open(csv_path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(",".join(result.columns) + "\n")
+        fh.write(",".join(columns) + "\n")
         for row in result.rows:
-            fh.write(",".join(_format_cell(row[c]) for c in result.columns) + "\n")
-    summary_path = f"{prefix}_{result.name}_summary.json"
+            fh.write(",".join(_format_cell(row[c]) for c in columns) + "\n")
+    summary_path = f"{prefix}_summary.json"
     with open(summary_path, "w", encoding="utf-8", newline="\n") as fh:
         json.dump(result.summary, fh, indent=2, sort_keys=True)
         fh.write("\n")
@@ -201,16 +175,18 @@ def write_result(result: ExperimentResult, prefix: str) -> tuple[str, str]:
 
 def run(cfg: ExperimentConfig) -> int:
     """Execute the configured experiment; returns the process exit code."""
-    result = EXPERIMENTS[cfg.experiment](cfg)
-    csv_path, summary_path = write_result(result, cfg.output)
-    verdict = "PASS" if result.passed else "FAIL"
-    print(f"[{result.name}] {verdict}")
+    name = cfg.experiment
+    result = EXPERIMENTS[name](cfg)
+    result.summary["experiment"] = name
+    csv_path, summary_path = write_result(result, f"{cfg.output}_{name}")
+    passed = result.summary["passed"]
+    print(f"[{name}] {'PASS' if passed else 'FAIL'}")
     for key, value in sorted(result.summary.items()):
         if key not in ("experiment", "passed"):
             print(f"  {key} = {value}")
     print(f"  csv = {csv_path}")
     print(f"  summary = {summary_path}")
-    return 0 if result.passed else 1
+    return 0 if passed else 1
 
 
 def list_experiments() -> str:
@@ -252,11 +228,11 @@ def main(argv=None) -> int:
             configs = [parse_config_text(f"experiment = {name}") for name in sorted(EXPERIMENTS)]
             for cfg in configs:
                 cfg.output = f"{args.out}/{cfg.experiment}"
-        for cfg in configs:
-            if args.seed is not None:
+        if args.seed is not None:
+            _check_bound("seed", args.seed)
+            for cfg in configs:
                 cfg.seed = args.seed
-            validate_config(cfg)
-    except (ConfigError, ValueError) as exc:
+    except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     try:

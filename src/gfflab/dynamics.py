@@ -55,18 +55,13 @@ def transition_moments(lam2, nu: float, sigma: float, dt: float):
     return decay, var
 
 
-def _require_positive_modes(basis: EigenBasis) -> None:
-    if basis.lambda_min <= 0.0:
-        raise ValueError("dynamics requires lambda_1 > 0 (no constant mode)")
-
-
 def exact_step(state: SpectralState, dt: float, rng: np.random.Generator) -> SpectralState:
     """One exact transition: u_k <- u_k e^{-nu lam_k^2 dt} + eta_k with
     eta_k ~ N(0, sigma^2 (1 - e^{-2 nu lam_k^2 dt}) / (2 nu lam_k^2)),
     independent across modes; exact in distribution for any dt > 0."""
     if dt <= 0.0:
         raise ValueError(f"step size must be positive, got {dt}")
-    _require_positive_modes(state.basis)
+    state.basis.require_positive_spectrum("dynamics")
     decay, var = transition_moments(state.basis.lambdas_squared, state.nu, state.sigma, dt)
     noise = np.sqrt(var) * rng.standard_normal(state.basis.size)
     return replace(state, t=state.t + dt, coeffs=state.coeffs * decay + noise)
@@ -77,7 +72,7 @@ def em_oracle_step(state: SpectralState, dt: float, rng: np.random.Generator) ->
     u_k <- u_k - nu lam_k^2 u_k dt + sigma sqrt(dt) xi_k."""
     if dt <= 0.0:
         raise ValueError(f"step size must be positive, got {dt}")
-    _require_positive_modes(state.basis)
+    state.basis.require_positive_spectrum("dynamics")
     lam2 = state.basis.lambdas_squared
     if state.nu * float(lam2[-1]) * dt > 0.1:
         raise ValueError(
@@ -106,7 +101,7 @@ def stationary_sample(
 ) -> SpectralState:
     """A draw from the invariant law: u_k = sigma (2 nu)^{-1/2} zeta_k / lambda_k,
     exactly the long-time limit of exact_step."""
-    _require_positive_modes(basis)
+    basis.require_positive_spectrum("dynamics")
     scale = sigma / math.sqrt(2.0 * nu)
     field = sample_gff(basis, 1.0, rng)
     return SpectralState(basis, 0.0, scale * field.coeffs, nu, sigma)
@@ -119,7 +114,7 @@ def kakutani_statistic(basis: EigenBasis, nu: float, t: float, terms: int | None
     absolute continuity."""
     if t <= 0.0:
         raise ValueError(f"time must be positive, got {t}")
-    _require_positive_modes(basis)
+    basis.require_positive_spectrum("dynamics")
     n = basis.size if terms is None else terms
     if not 1 <= n <= basis.size:
         raise ValueError(f"terms must be in 1..{basis.size}")
@@ -173,7 +168,7 @@ def sample_functional_values(
     start); the pairings are then exactly N(W^T (decay phi), W^T diag(var) W),
     drawn by sample_gaussian.
     """
-    _require_positive_modes(basis)
+    basis.require_positive_spectrum("dynamics")
     decay, var = transition_moments(basis.lambdas_squared, nu, sigma, t)
     start = np.zeros(basis.size) if phi is None else decay * np.asarray(phi, dtype=float)
     cov = weights.T @ (var[:, None] * weights)

@@ -17,43 +17,70 @@ from .basis import (
     build_box_basis,
     build_hermite_basis,
     build_interval_basis,
-    parse_basis_kind,
 )
 from .fields import RngStream
 from .quadrature import composite_legendre, gauss_legendre
 
 # raw-config-key defaults applied per experiment before user overrides
 EXPERIMENT_DEFAULTS: dict[str, dict] = {
-    "stationary_bd": {"t": 5.0, "K": 64, "M": 20000},
-    "stationary_hermite": {"t": 5.0, "K": 64, "M": 20000, "basis.kind": "hermite"},
-    "convergence_curve": {"K": 64, "M": 20000, "t_list": "0.1,0.5,1,2"},
+    "stationary_hermite": {"basis.kind": "hermite"},
     "kakutani": {"t": 0.1, "K": 10000},
     "greens_checks": {"tol.rel": 1e-6},
     "heat_poisson": {"K": 4000, "tol.rel": 1e-6},
-    "log_divergence_2d": {},
     "bridge_cov": {"M": 50000, "K": 1024},
     "two_sided_cov": {"tol.rel": 1e-6},
     "fourier_limits": {"tol.rel": 1e-6},
     "weyl": {"K": 10000},
 }
 
+# The whole-space potentials of heat_poisson carry exp(-m) at |x| = 1, with
+# m = sqrt(eps / nu). exp(-m) leaves the normal floats above m = 708.4, and
+# the reference potential, the divisor of the relative error, underflows to
+# 0 from m = 737.8 (nu = 1) and m = 741.5 (eps = 1) on.
+HEAT_POISSON_MAX_MASS = 700.0
+
+
+def _require_positive_spectrum(cfg) -> None:
+    if cfg.basis_kind is BasisKind.INTERVAL_NEUMANN:
+        raise ValueError(
+            f"basis.kind = interval_neumann has lambda_1 = 0; {cfg.experiment} needs lambda_1 > 0"
+        )
+
+
+def _require_representable_potential(cfg) -> None:
+    mass = math.sqrt(cfg.eps / cfg.nu)
+    if not mass <= HEAT_POISSON_MAX_MASS:
+        raise ValueError(
+            f"nu and eps: heat_poisson needs sqrt(eps / nu) <= {HEAT_POISSON_MAX_MASS:g}"
+            f" (got {mass:g}; nu = {cfg.nu}, eps = {cfg.eps})"
+        )
+
+
+# requirements on the resolved config, checked with the config before any run
+EXPERIMENT_CHECKS = {
+    "stationary_bd": _require_positive_spectrum,
+    "stationary_hermite": _require_positive_spectrum,
+    "convergence_curve": _require_positive_spectrum,
+    "kakutani": _require_positive_spectrum,
+    "heat_poisson": _require_representable_potential,
+}
+
 
 @dataclass(eq=False)
 class ExperimentResult:
-    name: str
-    columns: list[str]
+    """CSV rows, each a dict in column order, and the summary with its
+    "passed" verdict; the runner adds the experiment name."""
+
     rows: list[dict]
     summary: dict
-    passed: bool
 
 
 def build_basis(cfg) -> EigenBasis:
-    kind = parse_basis_kind(cfg.basis_kind)
-    if kind is BasisKind.BOX_DIRICHLET:
+    if cfg.basis_kind is BasisKind.BOX_DIRICHLET:
         return build_box_basis(cfg.d, cfg.side, cfg.modes)
-    if kind is BasisKind.HERMITE:
+    if cfg.basis_kind is BasisKind.HERMITE:
         return build_hermite_basis(cfg.d, cfg.modes)
-    return build_interval_basis(kind, cfg.a, cfg.b, cfg.modes)
+    return build_interval_basis(cfg.basis_kind, cfg.a, cfg.b, cfg.modes)
 
 
 def standard_functionals(basis: EigenBasis) -> tuple[list[np.ndarray], list[str]]:
@@ -71,16 +98,14 @@ def standard_functionals(basis: EigenBasis) -> tuple[list[np.ndarray], list[str]
     return fns, labels
 
 
-def _report_rows(report: stats.CovarianceReport) -> tuple[list[str], list[dict]]:
-    columns = ["i", "j", "label_i", "label_j", "empirical", "target", "stderr", "z"]
+def _report_rows(report: stats.CovarianceReport) -> list[dict]:
     p = len(report.labels)
-    rows = [
+    return [
         {"i": i + 1, "j": j + 1, "label_i": report.labels[i], "label_j": report.labels[j],
-         **{c: float(getattr(report, c)[i, j]) for c in columns[4:]}}
+         **{c: float(getattr(report, c)[i, j]) for c in ("empirical", "target", "stderr", "z")}}
         for i in range(p)
         for j in range(i, p)
     ]
-    return columns, rows
 
 
 def _stationary_invariance_pvalues(basis, cfg, stream: RngStream, extra_dt: float = 0.3):
@@ -100,7 +125,9 @@ def _stationary_invariance_pvalues(basis, cfg, stream: RngStream, extra_dt: floa
     return list(zip(modes, pvalues))
 
 
-def _exp_stationary(cfg, name: str) -> ExperimentResult:
+def exp_stationary_bd(cfg) -> ExperimentResult:
+    """Stationary covariance of the bounded-domain heat evolution against
+    the free-field target, plus one-step invariance of the stationary law."""
     basis = build_basis(cfg)
     fns, labels = standard_functionals(basis)
     stream = RngStream(cfg.seed, 0)
@@ -113,30 +140,20 @@ def _exp_stationary(cfg, name: str) -> ExperimentResult:
         values, target=target, labels=labels, z_threshold=cfg.z_threshold,
         seed_info=f"seed={cfg.seed}",
     )
-    columns, rows = _report_rows(report)
     ks = _stationary_invariance_pvalues(basis, cfg, RngStream(cfg.seed, 1))
-    ks_ok = all(p > cfg.ks_alpha for _, p in ks)
-    summary = {
-        "experiment": name,
+    return ExperimentResult(_report_rows(report), {
         "zmax": report.zmax,
         "z_threshold": cfg.z_threshold,
         "samples": cfg.samples,
         "t": cfg.t,
         "ks_invariance": {f"mode_{k}": p for k, p in ks},
-        "passed": report.passed and ks_ok,
-    }
-    return ExperimentResult(name, columns, rows, summary, report.passed and ks_ok)
-
-
-def exp_stationary_bd(cfg) -> ExperimentResult:
-    """Stationary covariance of the bounded-domain heat evolution against
-    the free-field target, plus one-step invariance of the stationary law."""
-    return _exp_stationary(cfg, "stationary_bd")
+        "passed": report.passed and all(p > cfg.ks_alpha for _, p in ks),
+    })
 
 
 def exp_stationary_hermite(cfg) -> ExperimentResult:
     """Same stationary check driven by the harmonic-oscillator basis."""
-    return _exp_stationary(cfg, "stationary_hermite")
+    return exp_stationary_bd(cfg)
 
 
 def exp_convergence_curve(cfg) -> ExperimentResult:
@@ -149,15 +166,11 @@ def exp_convergence_curve(cfg) -> ExperimentResult:
         RngStream(cfg.seed, 0), z_threshold=cfg.z_threshold,
     )
     summ = stats.summarize_convergence(curve)
-    columns = ["t", "zmax", "transient", "passed"]
-    rows = [dict(r) for r in summ.rows]
-    summary = {
-        "experiment": "convergence_curve",
+    return ExperimentResult(summ.rows, {
         "monotone": summ.monotone,
         "final_passed": summ.passed,
         "passed": summ.monotone and summ.passed,
-    }
-    return ExperimentResult("convergence_curve", columns, rows, summary, summ.monotone and summ.passed)
+    })
 
 
 def exp_kakutani(cfg) -> ExperimentResult:
@@ -165,7 +178,6 @@ def exp_kakutani(cfg) -> ExperimentResult:
     count, certifying absolute continuity of the time-t law."""
     basis = build_basis(cfg)
     checkpoints = [n for n in (10, 100, 1000, 10000) if n < basis.size] + [basis.size]
-    columns = ["terms", "statistic", "tail_from_previous"]
     rows = []
     prev = None
     for n in checkpoints:
@@ -178,16 +190,13 @@ def exp_kakutani(cfg) -> ExperimentResult:
     if tail_tol is None:  # tol.rel not set: the default depends on the basis
         tail_tol = 1e-6 if basis.kind is BasisKind.HERMITE else 1e-12
     tail = rows[-1]["statistic"] - rows[max(0, len(rows) - 2)]["statistic"]
-    passed = tail < tail_tol
-    summary = {
-        "experiment": "kakutani",
+    return ExperimentResult(rows, {
         "t": cfg.t,
         "statistic": rows[-1]["statistic"],
         "tail": tail,
         "tail_tolerance": tail_tol,
-        "passed": passed,
-    }
-    return ExperimentResult("kakutani", columns, rows, summary, passed)
+        "passed": tail < tail_tol,
+    })
 
 
 def _bessel_cosh_oracle(p: float, x: float) -> float:
@@ -199,7 +208,6 @@ def _bessel_cosh_oracle(p: float, x: float) -> float:
 
 def exp_greens_checks(cfg) -> ExperimentResult:
     """Closed-form kernels against independent quadrature oracles."""
-    columns = ["kernel", "x", "lhs", "rhs", "relerr"]
     rows = []
 
     def add(kernel, x, lhs, rhs):
@@ -232,14 +240,12 @@ def exp_greens_checks(cfg) -> ExperimentResult:
     passed = abs(limit_lhs - limit_rhs) < 1e-4 and all(
         r["relerr"] < cfg.rel_tol for r in rows if r["kernel"] != "zero_mass_limit_3d"
     )
-    summary = {"experiment": "greens_checks", "worst_relerr": worst, "passed": passed}
-    return ExperimentResult("greens_checks", columns, rows, summary, passed)
+    return ExperimentResult(rows, {"worst_relerr": worst, "passed": passed})
 
 
 def exp_heat_poisson(cfg) -> ExperimentResult:
     """Time integral of the heat kernel against the potential, whole space
     and bounded interval."""
-    columns = ["kernel", "x", "lhs", "rhs", "relerr"]
     rows = []
     for d in (1, 2, 3):
         lhs, rhs = greens.heat_poisson_identity(1.0, d=d, nu=cfg.nu, eps=cfg.eps)
@@ -257,19 +263,16 @@ def exp_heat_poisson(cfg) -> ExperimentResult:
     passed = all(
         r["relerr"] < (cfg.rel_tol if r["kernel"].startswith("whole") else 1e-3) for r in rows
     )
-    summary = {
-        "experiment": "heat_poisson",
+    return ExperimentResult(rows, {
         "worst_relerr": max(r["relerr"] for r in rows),
         "passed": passed,
-    }
-    return ExperimentResult("heat_poisson", columns, rows, summary, passed)
+    })
 
 
 def exp_log_divergence_2d(cfg) -> ExperimentResult:
     """Small-mass blowup of the planar potential: the slope of Phi_eps
     against log(eps) must match -1/(4 pi nu)."""
     eps_list = [1e-3, 1e-4, 1e-5, 1e-6]
-    columns = ["eps", "phi_eps", "phi_0", "residual"]
     phi0 = greens.potential_zero_mass(1.0, d=2, nu=cfg.nu)
     residuals = greens.log_divergence_check(cfg.nu, 1.0, eps_list)
     vals = []
@@ -281,15 +284,12 @@ def exp_log_divergence_2d(cfg) -> ExperimentResult:
     slope = float(np.polyfit(np.log(eps_list), vals, 1)[0])
     target = -1.0 / (4.0 * math.pi * cfg.nu)
     rel = abs(slope - target) / abs(target)
-    passed = rel < 0.01
-    summary = {
-        "experiment": "log_divergence_2d",
+    return ExperimentResult(rows, {
         "slope": slope,
         "target": target,
         "relerr": rel,
-        "passed": passed,
-    }
-    return ExperimentResult("log_divergence_2d", columns, rows, summary, passed)
+        "passed": rel < 0.01,
+    })
 
 
 def exp_bridge_cov(cfg) -> ExperimentResult:
@@ -312,17 +312,13 @@ def exp_bridge_cov(cfg) -> ExperimentResult:
         np.array([0.0, 1.0]), RngStream(cfg.seed, 1).generator(), modes=modes
     )
     boundary_ok = bool(np.all(boundary == 0.0))
-    columns, rows = _report_rows(report)
-    passed = report.passed and boundary_ok
-    summary = {
-        "experiment": "bridge_cov",
+    return ExperimentResult(_report_rows(report), {
         "zmax": report.zmax,
         "boundary_exact_zero": boundary_ok,
         "samples": cfg.samples,
         "modes": modes,
-        "passed": passed,
-    }
-    return ExperimentResult("bridge_cov", columns, rows, summary, passed)
+        "passed": report.passed and boundary_ok,
+    })
 
 
 def exp_two_sided_cov(cfg) -> ExperimentResult:
@@ -339,7 +335,6 @@ def exp_two_sided_cov(cfg) -> ExperimentResult:
             lambda x: x * np.exp(-x * x),
         ),
     }
-    columns = ["pair", "mode", "value", "spread"]
     rows = []
     worst = 0.0
     for name, (f, g) in pairs.items():
@@ -365,15 +360,12 @@ def exp_two_sided_cov(cfg) -> ExperimentResult:
     rows.append({"pair": "nonzero_mean", "mode": "subtracted", "value": sub, "spread": gap})
     rows.append({"pair": "nonzero_mean", "mode": "unsubtracted", "value": unsub, "spread": gap})
 
-    passed = worst < cfg.rel_tol and exact_equal and gap > 1e-3
-    summary = {
-        "experiment": "two_sided_cov",
+    return ExperimentResult(rows, {
         "worst_mode_spread": worst,
         "s0_exact_equality": exact_equal,
         "nonzero_mean_gap": gap,
-        "passed": passed,
-    }
-    return ExperimentResult("two_sided_cov", columns, rows, summary, passed)
+        "passed": worst < cfg.rel_tol and exact_equal and gap > 1e-3,
+    })
 
 
 def exp_fourier_limits(cfg) -> ExperimentResult:
@@ -383,7 +375,6 @@ def exp_fourier_limits(cfg) -> ExperimentResult:
     oracle and the massless limit."""
     f = fourier_cov.make_s0_function(4.0, 0.25)
     phi = fourier_cov.gaussian_bump(0.0, 1.0)
-    columns = ["check", "t_or_eps", "value", "target", "gap"]
     rows = []
 
     limit = fourier_cov.gff_covariance(f, f, nu_scale=cfg.sigma**2 / (2.0 * cfg.nu))
@@ -411,16 +402,13 @@ def exp_fourier_limits(cfg) -> ExperimentResult:
     eps_gap = abs(small - limit)
     rows.append({"check": "massless_limit", "t_or_eps": 1e-8, "value": small, "target": limit, "gap": eps_gap})
 
-    passed = rel_gap < 1e-8 and monotone and massive_rel < cfg.rel_tol and eps_gap < 1e-4
-    summary = {
-        "experiment": "fourier_limits",
+    return ExperimentResult(rows, {
         "noise_limit_relgap": rel_gap,
         "phi_transient_monotone": monotone,
         "massive_relerr": massive_rel,
         "massless_gap": eps_gap,
-        "passed": passed,
-    }
-    return ExperimentResult("fourier_limits", columns, rows, summary, passed)
+        "passed": rel_gap < 1e-8 and monotone and massive_rel < cfg.rel_tol and eps_gap < 1e-4,
+    })
 
 
 def _massive_physical_oracle(fg, nu: float, eps: float, sigma: float) -> float:
@@ -444,7 +432,6 @@ def _massive_physical_oracle(fg, nu: float, eps: float, sigma: float) -> float:
 def exp_weyl(cfg) -> ExperimentResult:
     """Eigenvalue growth laws: exact on the interval, within 5 percent of
     the counting constants for the box and the oscillator."""
-    columns = ["kind", "terms", "lambda_K", "ratio", "c_weyl", "relerr"]
     rows = []
 
     b1 = build_interval_basis("dirichlet", 0.0, 1.0, min(cfg.modes, 10000))
@@ -471,15 +458,12 @@ def exp_weyl(cfg) -> ExperimentResult:
          "ratio": ratio3, "c_weyl": b3.c_weyl, "relerr": rel3}
     )
 
-    passed = interval_err < 1e-10 and rel2 < 0.05 and rel3 < 0.05
-    summary = {
-        "experiment": "weyl",
+    return ExperimentResult(rows, {
         "interval_max_err": interval_err,
         "box_relerr": rel2,
         "hermite_relerr": rel3,
-        "passed": passed,
-    }
-    return ExperimentResult("weyl", columns, rows, summary, passed)
+        "passed": interval_err < 1e-10 and rel2 < 0.05 and rel3 < 0.05,
+    })
 
 
 EXPERIMENTS = {

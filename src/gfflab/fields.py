@@ -77,8 +77,7 @@ def sample_gff(
     """A truncated free-field draw with coefficients zeta_k / lambda_k^r
     (iid standard normal zeta); r = 1 gives the Green's-function covariance,
     r = 0 white noise. With n, one (n, size) normal block gives n draws."""
-    if basis.lambda_min <= 0.0:
-        raise ValueError("free-field sampling requires lambda_1 > 0")
+    basis.require_positive_spectrum("free-field sampling")
     zeta = rng.standard_normal(basis.size if n is None else (n, basis.size))
     return FieldSample(basis, zeta / basis.lambdas**r, scale=1.0)
 

@@ -198,8 +198,7 @@ def series_green(basis: EigenBasis, nu: float, x, y, terms: int | None = None) -
     On the unit interval with Dirichlet conditions this converges to the
     Brownian bridge covariance min(x, y) - x y.
     """
-    if basis.lambda_min <= 0.0:
-        raise ValueError("series Green's function requires lambda_1 > 0")
+    basis.require_positive_spectrum("series Green's function")
     if nu <= 0.0:
         raise ValueError(f"nu must be positive, got {nu}")
     n = basis.size if terms is None else terms

@@ -41,18 +41,10 @@ def unit_field(basis: EigenBasis, k: int) -> CoefficientField:
     return CoefficientField(basis, c)
 
 
-def _require_positive_spectrum(basis: EigenBasis, what: str) -> None:
-    if basis.lambda_min <= 0.0:
-        raise ValueError(
-            f"{what} requires lambda_1 > 0; basis has lambda_1 = {basis.lambda_min}"
-            " (Neumann-type constant mode)"
-        )
-
-
 def norm_gamma(f: CoefficientField, gamma: float) -> float:
     """The gamma-norm sqrt(sum_k lambda_k^(2 gamma) f_k^2)."""
     if gamma != 0.0:
-        _require_positive_spectrum(f.basis, "norm_gamma with gamma != 0")
+        f.basis.require_positive_spectrum("norm_gamma with gamma != 0")
         weights = f.basis.lambdas ** (2.0 * gamma)
         return float(np.sqrt(np.sum(weights * f.coeffs**2)))
     return float(np.sqrt(np.sum(f.coeffs**2)))
@@ -67,7 +59,7 @@ def apply_lambda_power(f: CoefficientField, p: float) -> CoefficientField:
     """
     if p == 0.0:
         return CoefficientField(f.basis, f.coeffs)
-    _require_positive_spectrum(f.basis, "apply_lambda_power with p != 0")
+    f.basis.require_positive_spectrum("apply_lambda_power with p != 0")
     return CoefficientField(f.basis, f.basis.lambdas**p * f.coeffs)
 
 
@@ -84,7 +76,7 @@ def duality_pairing(
         raise ValueError("duality pairing requires a shared basis")
     del gamma  # tags the dual pair only; the value depends on gamma0 alone
     if gamma0 != 0.0:
-        _require_positive_spectrum(f.basis, "duality_pairing with gamma0 != 0")
+        f.basis.require_positive_spectrum("duality_pairing with gamma0 != 0")
         weights = f.basis.lambdas ** (2.0 * gamma0)
         return float(np.sum(weights * f.coeffs * g.coeffs))
     return float(np.sum(f.coeffs * g.coeffs))

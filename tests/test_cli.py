@@ -1,11 +1,19 @@
+import contextlib
+import io
 import json
 import os
+import tempfile
+from dataclasses import fields
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gfflab import quadrature
+from gfflab.basis import BasisKind
 from gfflab.cli import (
     ConfigError,
+    ExperimentConfig,
     list_experiments,
     load_config,
     main,
@@ -13,6 +21,8 @@ from gfflab.cli import (
     run,
 )
 from gfflab.experiments import (
+    EXPERIMENT_CHECKS,
+    EXPERIMENT_DEFAULTS,
     EXPERIMENTS,
     ExperimentResult,
     _stationary_invariance_pvalues,
@@ -112,6 +122,15 @@ class TestRegistry:
         for line in first.splitlines():
             name, _, doc = line.partition(":")
             assert doc.strip()  # every entry carries help text
+
+
+    def test_experiment_tables_use_registered_names_and_keys(self):
+        keys = {f.metadata["key"] for f in fields(ExperimentConfig)}
+        assert set(EXPERIMENT_DEFAULTS) <= set(EXPERIMENTS)
+        assert set(EXPERIMENT_CHECKS) <= set(EXPERIMENTS)
+        for name, defaults in EXPERIMENT_DEFAULTS.items():
+            assert set(defaults) <= keys - {"experiment", "output", "seed"}, name
+            parse_config_text(f"experiment = {name}\n")
 
 
 class TestRunner:
@@ -287,15 +306,58 @@ class TestRunner:
         err = capsys.readouterr().err
         assert "error: RuntimeError: boom" in err and "Traceback" not in err
 
-    def test_arithmetic_crash_exits_three(self, tmp_path, capsys):
-        # nu = 1e-300 passes the config check; the whole-space potential underflows to 0
+    @pytest.mark.parametrize(
+        "nu, eps, code",
+        [
+            (1e-3, 490.0, 0),
+            (1e-3, 490.01, 2),
+            (2e-6, 1.0, 2),
+            (1e-6, 1.0, 2),
+            (1e-300, 1.0, 2),
+            (1.0, 1e300, 2),
+        ],
+    )
+    def test_heat_poisson_mass_bound(self, tmp_path, capsys, nu, eps, code):
+        # sqrt(eps / nu) = 700 is the largest mass accepted; beyond ~740 the
+        # whole-space potential at |x| = 1 underflows to 0
         path = self._write(
-            tmp_path, f"experiment = heat_poisson\nnu = 1e-300\noutput = {tmp_path}/h\n"
+            tmp_path, f"experiment = heat_poisson\nnu = {nu!r}\neps = {eps!r}\noutput = {tmp_path}/h\n"
         )
-        assert main(["run", path]) == 3
+        assert main(["run", path]) == code
         err = capsys.readouterr().err
-        assert err.strip() == "error: ZeroDivisionError: float division by zero"
-        assert "Traceback" not in err
+        assert ("nu and eps" in err) == (code == 2) and "Traceback" not in err
+        assert os.path.exists(f"{tmp_path}/h_heat_poisson.csv") == (code != 2)
+
+    @pytest.mark.parametrize(
+        "name, line",
+        [
+            ("weyl", "nu = nan"),
+            ("weyl", "nu = inf"),
+            ("stationary_bd", "t = inf"),
+            ("kakutani", "tol.rel = nan"),
+            ("weyl", "basis.a = nan"),
+            ("convergence_curve", "t_list = 0.1,nan"),
+        ],
+    )
+    def test_non_finite_value_exits_two(self, tmp_path, capsys, name, line):
+        path = self._write(
+            tmp_path, f"experiment = {name}\n{line}\nK = 8\nM = 200\noutput = {tmp_path}/n\n"
+        )
+        assert main(["run", path]) == 2
+        err = capsys.readouterr().err
+        key = line.partition(" =")[0]
+        assert f"{key!r}" in err and "not a finite number" in err and "Traceback" not in err
+        assert not os.path.exists(f"{tmp_path}/n_{name}.csv")
+
+    @pytest.mark.parametrize("alpha", ["-1", "0", "1", "2"])
+    def test_ks_p_outside_unit_interval_exits_two(self, tmp_path, capsys, alpha):
+        path = self._write(
+            tmp_path,
+            f"experiment = stationary_bd\ntol.ks_p = {alpha}\nK = 8\nM = 200\noutput = {tmp_path}/s\n",
+        )
+        assert main(["run", path]) == 2
+        assert "tol.ks_p must lie in (0, 1)" in capsys.readouterr().err
+        assert not os.path.exists(f"{tmp_path}/s_stationary_bd.csv")
 
 
 class TestRunAll:
@@ -316,11 +378,26 @@ class TestRunAll:
 
     def test_failing_verdict_exits_one(self, tmp_path, monkeypatch):
         def failing(cfg):
-            return ExperimentResult("weyl", ["x"], [{"x": 1.0}], {"passed": False}, False)
+            return ExperimentResult([{"x": 1.0}], {"passed": False})
 
         monkeypatch.setitem(EXPERIMENTS, "weyl", failing)
         assert main(["run-all", "--out", str(tmp_path)]) == 1
         assert os.path.exists(f"{tmp_path}/weyl_weyl.csv")
+
+    def test_runner_derives_name_columns_and_verdict(self, tmp_path, monkeypatch, capsys):
+        def stub(cfg):
+            return ExperimentResult([{"b": 1, "a": 2.5}, {"b": 3, "a": 0.1}], {"passed": True, "z": 1})
+
+        monkeypatch.setitem(EXPERIMENTS, "weyl", stub)
+        path = os.path.join(tmp_path, "w.cfg")
+        with open(path, "w") as fh:
+            fh.write(f"experiment = weyl\noutput = {tmp_path}/s\n")
+        assert main(["run", path]) == 0
+        assert "[weyl] PASS" in capsys.readouterr().out
+        with open(f"{tmp_path}/s_weyl.csv") as fh:
+            assert fh.read() == "b,a\n1,2.5\n3,0.1\n"
+        with open(f"{tmp_path}/s_weyl_summary.json") as fh:
+            assert json.load(fh) == {"experiment": "weyl", "passed": True, "z": 1}
 
     def test_builds_no_large_gauss_rule(self, tmp_path, monkeypatch):
         # the radial pair integrals and the massive oracle run on 16-node
@@ -342,3 +419,88 @@ class TestRunAll:
         assert main(["run-all", "--seed", "-1", "--out", str(tmp_path)]) == 2
         assert "seed" in capsys.readouterr().err
         assert not os.listdir(tmp_path)
+
+
+_BAD_FLOATS = ["nan", "inf", "-inf", "-1", "0", "banana"]
+_POSITIVE = st.one_of(st.floats(1e-3, 1e3), st.sampled_from([1e-300, 1e300])).map(repr)
+
+# every config key: (valid values, invalid values); K and M stay small
+CONFIG_SPACE = {
+    "experiment": (st.sampled_from(REGISTRY_NAMES), ["bogus"]),
+    "basis.kind": (st.sampled_from([k.value for k in BasisKind] + ["neumann", "box"]), ["bogus"]),
+    "basis.a": (st.floats(-2.0, 0.5).map(repr), _BAD_FLOATS),
+    "basis.b": (st.floats(0.6, 3.0).map(repr), _BAD_FLOATS),
+    "basis.side": (st.floats(0.1, 5.0).map(repr), _BAD_FLOATS),
+    "basis.d": (st.integers(1, 3).map(str), ["0", "4", "1.5"]),
+    "nu": (_POSITIVE, _BAD_FLOATS),
+    "sigma": (_POSITIVE, _BAD_FLOATS),
+    "eps": (_POSITIVE, _BAD_FLOATS),
+    "K": (st.integers(1, 64).map(str), ["0", "-1", "1.5"]),
+    "M": (st.integers(100, 400).map(str), ["99", "-1", "x"]),
+    "t": (st.floats(1e-3, 50.0).map(repr), _BAD_FLOATS),
+    "t_list": (
+        st.lists(st.floats(1e-3, 10.0), min_size=1, max_size=4, unique=True)
+        .map(lambda v: ",".join(map(repr, sorted(v)))),
+        ["0.2,0.1", "0.1,nan", "0,1", "", "x"],
+    ),
+    "seed": (st.integers(0, 2**40).map(str), ["-1", "x"]),
+    "output": (st.just("run"), []),
+    "tol.z": (st.floats(0.1, 10.0).map(repr), _BAD_FLOATS),
+    "tol.rel": (st.floats(1e-14, 1.0).map(repr), _BAD_FLOATS),
+    "tol.ks_p": (st.floats(1e-6, 0.5).map(repr), _BAD_FLOATS + ["1", "2"]),
+}
+
+
+@st.composite
+def configs(draw):
+    """Valid values for experiment, K, M and any other keys, then at most
+    one key set to an invalid value."""
+    required = ("experiment", "K", "M")
+    config = draw(
+        st.fixed_dictionaries(
+            {k: CONFIG_SPACE[k][0] for k in required},
+            optional={k: valid for k, (valid, _) in CONFIG_SPACE.items() if k not in required},
+        )
+    )
+    bad_key = draw(st.none() | st.sampled_from([k for k, (_, bad) in CONFIG_SPACE.items() if bad]))
+    if bad_key is not None:
+        config[bad_key] = draw(st.sampled_from(CONFIG_SPACE[bad_key][1]))
+    return config
+
+
+class TestConfigSpace:
+    def test_space_covers_every_key(self):
+        assert set(CONFIG_SPACE) == {f.metadata["key"] for f in fields(ExperimentConfig)}
+
+    @settings(max_examples=100, deadline=None)
+    @given(configs())
+    def test_exit_codes_keep_their_meaning(self, config):
+        with tempfile.TemporaryDirectory() as tmp:
+            config = {**config, "output": os.path.join(tmp, config.get("output", "run"))}
+            path = os.path.join(tmp, "run.cfg")
+            with open(path, "w") as fh:
+                fh.write("".join(f"{k} = {v}\n" for k, v in config.items()))
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = main(["run", path])
+            assert code in (0, 1, 2, 3)
+            assert "Traceback" not in err.getvalue()
+            prefix = f"{config['output']}_{config['experiment']}"
+            if code == 1:
+                assert f"[{config['experiment']}] FAIL" in out.getvalue()
+                with open(f"{prefix}_summary.json") as fh:
+                    assert json.load(fh)["passed"] is False
+            if code == 2:
+                assert not os.path.exists(f"{prefix}.csv")
+
+
+def test_documented_keys_match_the_key_table():
+    docs = os.path.join(os.path.dirname(os.path.dirname(__file__)), "docs", "experiments.md")
+    with open(docs, encoding="utf-8") as fh:
+        section = fh.read().split("## Config keys", 1)[1].split("\n## ", 1)[0]
+    documented = set()
+    for line in section.splitlines():
+        if line.startswith("| `"):
+            first_cell = line.split("|")[1]
+            documented.update(part.strip().strip("`") for part in first_cell.split(","))
+    assert documented == {f.metadata["key"] for f in fields(ExperimentConfig)}
