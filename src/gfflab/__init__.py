@@ -2,10 +2,10 @@
 equations driven by space-time white noise.
 
 The package builds eigen-systems of the interval/box Laplacian and the
-harmonic oscillator, samples the associated Gaussian fields, evolves the
-per-mode Ornstein-Uhlenbeck dynamics exactly, and certifies the stationary
-covariances against closed-form Green's functions and Fourier-domain
-quadrature.
+harmonic oscillator, draws the tested pairings of the solution through the
+exact per-mode Ornstein-Uhlenbeck transition, samples the Brownian bridge
+and the two-sided Brownian motion, and certifies the stationary covariances
+against closed-form Green's functions and Fourier-domain quadrature.
 """
 
 from .basis import (
@@ -16,19 +16,11 @@ from .basis import (
     build_interval_basis,
     evaluate,
 )
-from .dynamics import (
-    SpectralState,
-    evolve,
-    exact_step,
-    kakutani_statistic,
-    stationary_sample,
-)
+from .dynamics import SpectralState, kakutani_statistic
 from .fields import (
     RngStream,
     covariance_two_sided,
     sample_brownian_bridge,
-    sample_cylindrical_bm,
-    sample_gff,
     sample_two_sided_bm,
 )
 from .fourier_cov import (
@@ -39,7 +31,6 @@ from .fourier_cov import (
     transient_covariance,
 )
 from .greens import bessel_k, heat_kernel, series_green
-from .hilbert_scale import CoefficientField, duality_pairing, norm_gamma
 from .stats import CovarianceReport, ks_gaussian
 
 __version__ = "0.1.0"
@@ -52,15 +43,10 @@ __all__ = [
     "build_interval_basis",
     "evaluate",
     "SpectralState",
-    "evolve",
-    "exact_step",
     "kakutani_statistic",
-    "stationary_sample",
     "RngStream",
     "covariance_two_sided",
     "sample_brownian_bridge",
-    "sample_cylindrical_bm",
-    "sample_gff",
     "sample_two_sided_bm",
     "gaussian_bump",
     "gff_covariance",
@@ -70,9 +56,6 @@ __all__ = [
     "bessel_k",
     "heat_kernel",
     "series_green",
-    "CoefficientField",
-    "duality_pairing",
-    "norm_gamma",
     "CovarianceReport",
     "ks_gaussian",
 ]

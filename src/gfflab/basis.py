@@ -129,28 +129,6 @@ class EigenBasis:
                 " (Neumann-type constant mode)"
             )
 
-    def describe(self) -> str:
-        """Single-line key=value descriptor, parseable by basis_from_descriptor."""
-        if self.kind in _INTERVAL_KINDS:
-            a, b = self.domain[0]
-            return f"kind={self.kind.value} a={a!r} b={b!r} size={self.size}"
-        if self.kind is BasisKind.BOX_DIRICHLET:
-            side = self.domain[0][1] - self.domain[0][0]
-            return f"kind={self.kind.value} d={self.d} side={side!r} size={self.size}"
-        return f"kind={self.kind.value} d={self.d} size={self.size}"
-
-
-def basis_from_descriptor(text: str) -> EigenBasis:
-    """Rebuild a basis from EigenBasis.describe() output."""
-    fields = dict(item.split("=", 1) for item in text.split())
-    kind = parse_basis_kind(fields["kind"])
-    size = int(fields["size"])
-    if kind in _INTERVAL_KINDS:
-        return build_interval_basis(kind, float(fields["a"]), float(fields["b"]), size)
-    if kind is BasisKind.BOX_DIRICHLET:
-        return build_box_basis(int(fields["d"]), float(fields["side"]), size)
-    return build_hermite_basis(int(fields["d"]), size)
-
 
 def build_interval_basis(bc: BasisKind | str, a: float, b: float, size: int) -> EigenBasis:
     """Closed-form sine/cosine eigen-system of -d^2/dx^2 on (a, b).

@@ -232,6 +232,11 @@ def main(argv=None) -> int:
             _check_bound("seed", args.seed)
             for cfg in configs:
                 cfg.seed = args.seed
+        for cfg in configs:  # a bad output path must fail before any experiment runs
+            try:
+                os.makedirs(os.path.dirname(cfg.output) or ".", exist_ok=True)
+            except OSError as exc:
+                raise ConfigError(f"output {cfg.output!r}: {exc}") from None
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

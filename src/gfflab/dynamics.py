@@ -1,9 +1,10 @@
-"""Exact per-mode Ornstein-Uhlenbeck evolution of the spectral stochastic
-heat equation, its stationary law, the Gaussian-equivalence statistic, and
-an Euler-Maruyama oracle used only for verification.
+"""Exact per-mode Ornstein-Uhlenbeck transitions of the spectral stochastic
+heat equation, the Monte Carlo pairings they give, their stationary
+covariance, the Gaussian-equivalence statistic, and an Euler-Maruyama
+oracle used only for verification.
 
 Mode k relaxes at rate nu * lambda_k^2 toward a centered Gaussian with
-variance sigma^2 / (2 nu lambda_k^2); the transition over any step is
+variance sigma^2 / (2 nu lambda_k^2); the transition from time zero is
 sampled exactly, so no time-discretization error enters production runs.
 """
 
@@ -14,9 +15,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .basis import EigenBasis, basis_from_descriptor
-from .fields import RngStream, sample_gff
-from .hilbert_scale import CoefficientField
+from .basis import EigenBasis
+from .fields import RngStream
 from .stats import CovarianceReport, report_from_values
 
 MC_BLOCK = 4096  # fixed Monte Carlo block size; one rng substream per block
@@ -24,7 +24,8 @@ MC_BLOCK = 4096  # fixed Monte Carlo block size; one rng substream per block
 
 @dataclass(frozen=True, eq=False)
 class SpectralState:
-    """Per-mode solution state u_k(t) together with (nu, sigma, t)."""
+    """Per-mode solution state u_k(t) together with (nu, sigma, t), stepped
+    by em_oracle_step."""
 
     basis: EigenBasis
     t: float
@@ -41,10 +42,6 @@ class SpectralState:
             raise ValueError("need nu > 0 and sigma >= 0")
 
 
-def zero_state(basis: EigenBasis, nu: float, sigma: float) -> SpectralState:
-    return SpectralState(basis, 0.0, np.zeros(basis.size), nu, sigma)
-
-
 def transition_moments(lam2, nu: float, sigma: float, dt: float):
     """Decay factor and noise variance of the exact transition over dt:
     mean multiplier exp(-nu lam2 dt), variance
@@ -53,18 +50,6 @@ def transition_moments(lam2, nu: float, sigma: float, dt: float):
     decay = np.exp(-nu * lam2 * dt)
     var = sigma**2 * (-np.expm1(-2.0 * nu * lam2 * dt)) / (2.0 * nu * lam2)
     return decay, var
-
-
-def exact_step(state: SpectralState, dt: float, rng: np.random.Generator) -> SpectralState:
-    """One exact transition: u_k <- u_k e^{-nu lam_k^2 dt} + eta_k with
-    eta_k ~ N(0, sigma^2 (1 - e^{-2 nu lam_k^2 dt}) / (2 nu lam_k^2)),
-    independent across modes; exact in distribution for any dt > 0."""
-    if dt <= 0.0:
-        raise ValueError(f"step size must be positive, got {dt}")
-    state.basis.require_positive_spectrum("dynamics")
-    decay, var = transition_moments(state.basis.lambdas_squared, state.nu, state.sigma, dt)
-    noise = np.sqrt(var) * rng.standard_normal(state.basis.size)
-    return replace(state, t=state.t + dt, coeffs=state.coeffs * decay + noise)
 
 
 def em_oracle_step(state: SpectralState, dt: float, rng: np.random.Generator) -> SpectralState:
@@ -82,29 +67,6 @@ def em_oracle_step(state: SpectralState, dt: float, rng: np.random.Generator) ->
     xi = rng.standard_normal(state.basis.size)
     coeffs = state.coeffs * (1.0 - state.nu * lam2 * dt) + state.sigma * math.sqrt(dt) * xi
     return replace(state, t=state.t + dt, coeffs=coeffs)
-
-
-def evolve(state: SpectralState, t_grid, rng: np.random.Generator) -> list[SpectralState]:
-    """Exact transitions through an increasing time grid (each t above the
-    state's current time); the marginal law at each grid time matches the
-    heat-flow mean plus the independent per-mode noise variances."""
-    out = []
-    current = state
-    for t in np.asarray(t_grid, dtype=float):
-        current = exact_step(current, float(t) - current.t, rng)
-        out.append(current)
-    return out
-
-
-def stationary_sample(
-    basis: EigenBasis, nu: float, sigma: float, rng: np.random.Generator
-) -> SpectralState:
-    """A draw from the invariant law: u_k = sigma (2 nu)^{-1/2} zeta_k / lambda_k,
-    exactly the long-time limit of exact_step."""
-    basis.require_positive_spectrum("dynamics")
-    scale = sigma / math.sqrt(2.0 * nu)
-    field = sample_gff(basis, 1.0, rng)
-    return SpectralState(basis, 0.0, scale * field.coeffs, nu, sigma)
 
 
 def kakutani_statistic(basis: EigenBasis, nu: float, t: float, terms: int | None = None) -> float:
@@ -127,7 +89,7 @@ def kakutani_statistic(basis: EigenBasis, nu: float, t: float, terms: int | None
 def _functional_matrix(basis: EigenBasis, functionals) -> np.ndarray:
     cols = []
     for f in functionals:
-        c = f.coeffs if isinstance(f, CoefficientField) else np.asarray(f, dtype=float)
+        c = np.asarray(f, dtype=float)
         if c.shape != (basis.size,):
             raise ValueError("functional length does not match basis size")
         cols.append(c)
@@ -217,37 +179,3 @@ def convergence_curve(
         out.append((float(t), report))
     return out
 
-
-def save_checkpoint(state: SpectralState, path: str, seed_info: str = "") -> None:
-    """CSV of (k, lambda, u_k) plus a '<path>.meta' sidecar with nu, sigma,
-    t, seed info and the basis descriptor."""
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("k,lambda,u_k\n")
-        for k, (lam, u) in enumerate(zip(state.basis.lambdas, state.coeffs), start=1):
-            fh.write(f"{k},{float(lam)!r},{float(u)!r}\n")
-    with open(path + ".meta", "w", encoding="utf-8") as fh:
-        fh.write(f"nu={state.nu!r}\n")
-        fh.write(f"sigma={state.sigma!r}\n")
-        fh.write(f"t={state.t!r}\n")
-        fh.write(f"seed={seed_info}\n")
-        fh.write(f"basis={state.basis.describe()}\n")
-
-
-def load_checkpoint(path: str, basis: EigenBasis | None = None) -> SpectralState:
-    """Rebuild a state from save_checkpoint output (the basis is recreated
-    from the sidecar descriptor unless one is supplied)."""
-    meta = {}
-    with open(path + ".meta", encoding="utf-8") as fh:
-        for line in fh:
-            key, _, value = line.strip().partition("=")
-            meta[key] = value
-    if basis is None:
-        basis = basis_from_descriptor(meta["basis"])
-    coeffs = []
-    with open(path, encoding="utf-8") as fh:
-        next(fh)
-        for line in fh:
-            coeffs.append(float(line.strip().split(",")[2]))
-    return SpectralState(
-        basis, float(meta["t"]), np.array(coeffs), float(meta["nu"]), float(meta["sigma"])
-    )

@@ -1,7 +1,7 @@
-"""Samplers for the Gaussian objects: truncated free-field series,
-cylindrical Brownian motion paths, Brownian bridge / motion via their
-sine series, the two-sided Brownian motion on the line, and the three
-equivalent quadrature routes to its covariance functional.
+"""Samplers for the Gaussian objects on the line: the Brownian bridge via
+its sine series and the two-sided Brownian motion, together with the
+three equivalent quadrature routes to the two-sided covariance
+functional.
 
 All randomness flows through counter-based Philox streams keyed by
 (seed, stream_id), so identical keys reproduce identical samples and
@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import fourier_cov
-from .basis import EigenBasis, evaluate_matrix, sinpi
+from .basis import sinpi
 from .fourier_cov import TestFunction
 from .quadrature import composite_legendre, gauss_legendre, running_integral
 
@@ -46,69 +46,6 @@ class RngStream:
         return RngStream(self.seed, ((self.stream_id << 32) ^ i) % 2**64)
 
 
-@dataclass(frozen=True, eq=False)
-class FieldSample:
-    """One draw of a spectral Gaussian field: coefficient k has variance
-    scale^2 / lambda_k^(2r) for the sampler's roughness exponent r. A batch
-    of n draws holds coeffs of shape (n, size), one draw per row."""
-
-    basis: EigenBasis
-    coeffs: np.ndarray
-    scale: float = 1.0
-
-
-@dataclass(frozen=True, eq=False)
-class PathSample:
-    """Per-mode Brownian increments over a time grid; increments[:, i]
-    covers (times[i-1], times[i]] with times[-1] understood as 0."""
-
-    basis: EigenBasis
-    times: np.ndarray
-    increments: np.ndarray  # shape (size, len(times))
-
-    def values(self) -> np.ndarray:
-        """w_k(times[i]) as an array of shape (size, len(times))."""
-        return np.cumsum(self.increments, axis=1)
-
-
-def sample_gff(
-    basis: EigenBasis, r: float, rng: np.random.Generator, n: int | None = None
-) -> FieldSample:
-    """A truncated free-field draw with coefficients zeta_k / lambda_k^r
-    (iid standard normal zeta); r = 1 gives the Green's-function covariance,
-    r = 0 white noise. With n, one (n, size) normal block gives n draws."""
-    basis.require_positive_spectrum("free-field sampling")
-    zeta = rng.standard_normal(basis.size if n is None else (n, basis.size))
-    return FieldSample(basis, zeta / basis.lambdas**r, scale=1.0)
-
-
-def field_values(sample: FieldSample, points) -> np.ndarray:
-    """Pointwise field values sum_k coeffs_k h_k(x), one row per draw of a
-    batch."""
-    return (evaluate_matrix(sample.basis, points) @ sample.coeffs.T).T
-
-
-def sample_cylindrical_bm(
-    basis: EigenBasis, times, rng: np.random.Generator
-) -> PathSample:
-    """Independent per-mode Brownian increments on an increasing time grid."""
-    t = np.asarray(times, dtype=float)
-    if t.ndim != 1 or t.size == 0:
-        raise ValueError("need a non-empty 1-d time grid")
-    dt = np.diff(np.concatenate(([0.0], t)))
-    if np.any(dt <= 0.0) and not (t[0] == 0.0 and np.all(dt[1:] > 0.0)):
-        raise ValueError("times must be increasing and non-negative")
-    inc = rng.standard_normal((basis.size, t.size)) * np.sqrt(np.maximum(dt, 0.0))
-    return PathSample(basis, t, inc)
-
-
-def _sine_series(x, k, rng: np.random.Generator, n: int | None) -> np.ndarray:
-    """sum_k zeta_k sqrt(2) sin(k pi x) / (k pi) at the points x, one row per
-    draw when n is given (one (n, modes) normal block and one matmul)."""
-    zeta = rng.standard_normal(k.size if n is None else (n, k.size))
-    return (sinpi(np.outer(x, k)) @ (math.sqrt(2.0) * zeta / (k * np.pi)).T).T
-
-
 def sample_brownian_bridge(
     x_grid, rng: np.random.Generator, modes: int = 512, n: int | None = None
 ) -> np.ndarray:
@@ -118,19 +55,9 @@ def sample_brownian_bridge(
     x = np.asarray(x_grid, dtype=float)
     if np.any(x < 0.0) or np.any(x > 1.0):
         raise ValueError("bridge grid must lie in [0, 1]")
-    return _sine_series(x, np.arange(1, modes + 1, dtype=float), rng, n)
-
-
-def sample_brownian_motion(
-    x_grid, rng: np.random.Generator, modes: int = 512, n: int | None = None
-) -> np.ndarray:
-    """Standard Brownian motion on [0, 1] through the mixed-boundary series
-    sum_k zeta_k sqrt(2) sin((k - 1/2) pi x) / ((k - 1/2) pi). With n,
-    returns n independent paths as rows of an (n, points) array."""
-    x = np.asarray(x_grid, dtype=float)
-    if np.any(x < 0.0) or np.any(x > 1.0):
-        raise ValueError("grid must lie in [0, 1]")
-    return _sine_series(x, np.arange(1, modes + 1, dtype=float) - 0.5, rng, n)
+    k = np.arange(1, modes + 1, dtype=float)
+    zeta = rng.standard_normal(modes if n is None else (n, modes))
+    return (sinpi(np.outer(x, k)) @ (math.sqrt(2.0) * zeta / (k * np.pi)).T).T
 
 
 def sample_two_sided_bm(x_grid, rng: np.random.Generator, n: int | None = None) -> np.ndarray:

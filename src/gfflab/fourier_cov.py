@@ -15,12 +15,10 @@ from typing import Callable
 
 import numpy as np
 
-from .basis import hermite_functions
 from .greens import gamma_fn
 from .quadrature import composite_legendre, gauss_legendre
 
 RADIAL_NODES = 1024  # 64 panels of 16 Gauss-Legendre nodes
-_PHYSICAL_BLOCK = 64  # rows of x per block of the inverse-transform cosine table (2 MB)
 TENSOR_NODES = 256
 FLOOR_TOL = 1e-12
 
@@ -75,25 +73,11 @@ class TestFunction:
         return vals
 
     def physical(self, x):
-        """Physical-space values by inverse-transform quadrature (d = 1).
-
-        For a real even transform this is sqrt(2/pi) * int_0^inf
-        profile(r) cos(x r) dr; functions with a known closed form
-        override the generic path through ``params``.
-        """
-        if "physical" in self.params:
-            return self.params["physical"](np.asarray(x, dtype=float))
-        if self.d != 1:
-            raise ValueError("generic physical-space evaluation is 1-d only")
-        x = np.atleast_1d(np.asarray(x, dtype=float))
-        r, w = gauss_legendre(self.xi_floor, self.xi_cut, 4 * RADIAL_NODES)
-        wp = w * self.profile(r)
-        vals = np.empty(x.shape)
-        for lo in range(0, x.size, _PHYSICAL_BLOCK):
-            rows = slice(lo, lo + _PHYSICAL_BLOCK)
-            vals[rows] = np.cos(np.outer(x[rows], r)) @ wp
-        vals *= math.sqrt(2.0 / math.pi)
-        return vals if vals.size > 1 else float(vals[0])
+        """Physical-space values, for test functions that carry a closed form
+        in ``params`` (gaussian_bump)."""
+        if "physical" not in self.params:
+            raise ValueError(f"{self.kind} test function has no closed physical form")
+        return self.params["physical"](np.asarray(x, dtype=float))
 
 
 def gaussian_bump(center=0.0, width: float = 1.0, d: int = 1, amplitude: float = 1.0) -> TestFunction:
@@ -164,32 +148,6 @@ def make_s0_function(freq: float, width: float, d: int = 1) -> TestFunction:
         center=None,
         params={"freq": freq, "width": width},
     )
-
-
-def hermite_test_function(n: int) -> TestFunction:
-    """The n-th Hermite function as a 1-d test function; its transform is
-    (-i)^n times itself."""
-    if n < 0:
-        raise ValueError("degree must be non-negative")
-
-    def profile(r):
-        return hermite_functions(n, np.asarray(r, dtype=float))[:, n]
-
-    phase = (-1j) ** n
-
-    def physical(x):
-        return hermite_functions(n, np.asarray(x, dtype=float))[:, n]
-
-    tf = TestFunction(
-        kind="hermite",
-        d=1,
-        profile=profile,
-        xi_floor=0.0,
-        xi_cut=math.sqrt(2.0 * n + 1.0) + 10.0,
-        center=None,
-        params={"n": n, "physical": physical, "phase": phase},
-    )
-    return tf
 
 
 def _pair_grid(f: TestFunction, g: TestFunction) -> tuple[float, float]:
@@ -356,26 +314,3 @@ def massive_limit_covariance(
         f, g, lambda r: sigma**2 / (2.0 * nu * (r * r + eps))
     )
 
-
-def hhat_norms(
-    f: TestFunction, gamma: float, variant: str = "homogeneous", eps: float = 1.0
-) -> float:
-    """Squared Sobolev-type norms of f in the Fourier domain.
-
-    'homogeneous' integrates |xi|^(2 gamma) |fhat|^2 and is rejected for
-    gamma <= -d/2 when fhat(0) != 0 (divergent); 'bessel' integrates
-    (eps + |xi|^2)^gamma |fhat|^2 and is finite for every gamma.
-    """
-    if variant == "homogeneous":
-        if gamma <= -0.5 * f.d and abs(complex(f.fhat_radial(np.zeros(1))[0])) > FLOOR_TOL:
-            raise ValueError(
-                f"homogeneous norm diverges for gamma = {gamma} <= -d/2 with fhat(0) != 0"
-            )
-        weight = lambda r: r ** (2.0 * gamma)
-    elif variant == "bessel":
-        if eps <= 0.0:
-            raise ValueError("bessel variant needs eps > 0")
-        weight = lambda r: (eps + r * r) ** gamma
-    else:
-        raise ValueError(f"unknown variant {variant!r}")
-    return _pair_integral(f, f, weight)

@@ -14,7 +14,6 @@ import math
 import numpy as np
 
 from .basis import EigenBasis, evaluate_matrix
-from .hilbert_scale import CoefficientField
 from .quadrature import gauss_hermite, gauss_legendre, half_line_nodes
 
 EULER_GAMMA = 0.5772156649015328606
@@ -243,10 +242,3 @@ def heat_poisson_identity(
         lhs = float(np.sum(w * heat_kernel(t, displacement, d=d, nu=nu, eps=eps)))
     return lhs, rhs
 
-
-def heat_semigroup(f: CoefficientField, nu: float, t: float) -> CoefficientField:
-    """The deterministic heat flow on coefficients: f_k -> exp(-lambda_k^2 nu t) f_k."""
-    if t < 0.0:
-        raise ValueError(f"semigroup time must be non-negative, got {t}")
-    decay = np.exp(-f.basis.lambdas_squared * nu * t)
-    return CoefficientField(f.basis, decay * f.coeffs)

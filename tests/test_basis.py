@@ -11,7 +11,6 @@ from gfflab.basis import (
     BasisKind,
     EigenBasis,
     _shell_order,
-    basis_from_descriptor,
     build_box_basis,
     build_hermite_basis,
     build_interval_basis,
@@ -351,17 +350,6 @@ class TestHelpers:
         assert cospi(1.5) == 0.0
         assert cospi(0.0) == 1.0
         assert cospi(1.0) == -1.0
-
-    def test_descriptor_round_trip(self):
-        for b in (
-            build_interval_basis("mixed", -0.5, 2.0, 9),
-            build_box_basis(2, 1.5, 7),
-            build_hermite_basis(2, 11),
-        ):
-            back = basis_from_descriptor(b.describe())
-            assert back.kind is b.kind
-            assert np.array_equal(back.lambdas, b.lambdas)
-            assert np.array_equal(back.indices, b.indices)
 
     def test_caller_arrays_stay_writeable(self):
         lambdas, indices = np.ones(3), np.ones((3, 1), dtype=np.int64)

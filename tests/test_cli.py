@@ -306,6 +306,17 @@ class TestRunner:
         err = capsys.readouterr().err
         assert "error: RuntimeError: boom" in err and "Traceback" not in err
 
+    @pytest.mark.parametrize("command", ["run", "run-all"])
+    def test_output_under_a_regular_file_exits_two(self, tmp_path, capsys, command):
+        blocker = os.path.join(tmp_path, "file")
+        open(blocker, "w").close()
+        path = self._write(tmp_path, f"experiment = weyl\noutput = {blocker}/run\n")
+        argv = ["run", path] if command == "run" else ["run-all", "--out", f"{blocker}/out"]
+        assert main(argv) == 2
+        out, err = capsys.readouterr()
+        assert err.startswith("config error: output ") and "Traceback" not in err
+        assert "PASS" not in out and "FAIL" not in out
+
     @pytest.mark.parametrize(
         "nu, eps, code",
         [

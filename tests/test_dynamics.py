@@ -1,5 +1,4 @@
 import math
-import os
 
 import numpy as np
 import pytest
@@ -10,20 +9,14 @@ from gfflab.dynamics import (
     SpectralState,
     convergence_curve,
     em_oracle_step,
-    evolve,
-    exact_step,
     kakutani_statistic,
-    load_checkpoint,
     sample_functional_values,
     sample_gaussian,
-    save_checkpoint,
-    stationary_sample,
     stationary_target,
     transition_moments,
-    zero_state,
 )
 from gfflab.experiments import standard_functionals
-from gfflab.fields import RngStream, sample_gff
+from gfflab.fields import RngStream
 from gfflab.stats import ks_gaussian, kolmogorov_sf, report_from_values, summarize_convergence
 
 
@@ -62,17 +55,6 @@ class TestTransitionMoments:
 
 
 class TestExactStep:
-    def test_requires_positive_dt(self, dirichlet16, rng):
-        state = zero_state(dirichlet16, 1.0, 1.0)
-        with pytest.raises(ValueError, match="positive"):
-            exact_step(state, 0.0, rng)
-
-    def test_rejects_constant_mode(self, rng):
-        basis = build_interval_basis("neumann", 0.0, 1.0, 4)
-        state = zero_state(basis, 1.0, 1.0)
-        with pytest.raises(ValueError, match="lambda_1 > 0"):
-            exact_step(state, 0.1, rng)
-
     def test_moments_after_one_step(self, single_mode):
         n = 100000
         stream = RngStream(31, 0)
@@ -126,7 +108,7 @@ class TestEmOracle:
         assert errs[1] / errs[2] == pytest.approx(2.0, rel=0.2)
 
     def test_stability_guard(self, dirichlet16, rng):
-        state = zero_state(dirichlet16, 1.0, 1.0)
+        state = SpectralState(dirichlet16, 0.0, np.zeros(16), 1.0, 1.0)
         with pytest.raises(ValueError, match="unstable"):
             em_oracle_step(state, 1.0, rng)
 
@@ -141,17 +123,6 @@ class TestEmOracle:
 
 
 class TestEvolve:
-    def test_deterministic_decay_curve(self, dirichlet16, rng):
-        phi = np.zeros(16)
-        phi[0] = 1.0
-        state = SpectralState(dirichlet16, 0.0, phi, 1.0, 0.0)
-        times = [0.1, 0.3, 0.6, 1.0]
-        path = evolve(state, times, rng)
-        lam2 = dirichlet16.lambdas_squared[0]
-        for t, st in zip(times, path):
-            assert st.coeffs[0] == pytest.approx(math.exp(-lam2 * t), rel=1e-13)
-            assert st.t == pytest.approx(t, rel=1e-15)
-
     def test_one_step_vs_two_steps_in_distribution(self, single_mode):
         n = 60000
         one = sample_functional_values(
@@ -185,20 +156,6 @@ class TestEvolve:
 
 
 class TestStationary:
-    def test_equals_scaled_free_field_draw(self, dirichlet64):
-        nu, sigma = 2.0, 1.5
-        st = stationary_sample(dirichlet64, nu, sigma, RngStream(37, 0).generator())
-        w = sample_gff(dirichlet64, 1.0, RngStream(37, 0).generator())
-        assert np.array_equal(st.coeffs, sigma / math.sqrt(2.0 * nu) * w.coeffs)
-
-    def test_coefficient_variance(self, dirichlet16):
-        gen = RngStream(38, 0).generator()
-        n = 50000
-        draws = np.array([stationary_sample(dirichlet16, 1.0, 1.0, gen).coeffs for _ in range(n)])
-        target = 0.5 / dirichlet16.lambdas_squared
-        var = draws.var(axis=0, ddof=1)
-        assert np.all(np.abs(var - target) < 4.0 * target * math.sqrt(2.0 / n))
-
     def test_moments_invariant_under_step(self, dirichlet16):
         gen = RngStream(39, 0).generator()
         n = 50000
@@ -224,15 +181,6 @@ class TestStationary:
         for k in (1, 8, 16):
             _, p = ks_gaussian(vals[:, k - 1], 0.0, 0.5 / lam2[k - 1])
             assert p > 1e-3
-
-    def test_cross_mode_independence(self, dirichlet16):
-        gen = RngStream(41, 0).generator()
-        n = 20000
-        draws = np.array([stationary_sample(dirichlet16, 1.0, 1.0, gen).coeffs for _ in range(n)])
-        corr = np.corrcoef(draws.T)
-        off = corr - np.diag(np.diag(corr))
-        assert np.abs(off).max() < 4.0 / math.sqrt(n)
-
 
 class TestKakutani:
     def test_long_time_limit_vanishes(self, dirichlet16):
@@ -391,24 +339,6 @@ class TestStateAndCheckpoint:
             SpectralState(dirichlet16, 0.0, np.zeros(4), 1.0, 1.0)
         with pytest.raises(ValueError, match="nu > 0"):
             SpectralState(dirichlet16, 0.0, np.zeros(16), 0.0, 1.0)
-
-    def test_round_trip(self, dirichlet16, rng, tmp_path):
-        state = exact_step(stationary_sample(dirichlet16, 1.3, 0.8, rng), 0.25, rng)
-        path = os.path.join(tmp_path, "state.csv")
-        save_checkpoint(state, path, seed_info="seed=2026")
-        back = load_checkpoint(path)
-        assert np.array_equal(back.coeffs, state.coeffs)
-        assert back.t == state.t
-        assert back.nu == state.nu
-        assert back.sigma == state.sigma
-        assert np.array_equal(back.basis.lambdas, state.basis.lambdas)
-
-    def test_header_format(self, dirichlet16, rng, tmp_path):
-        state = zero_state(dirichlet16, 1.0, 1.0)
-        path = os.path.join(tmp_path, "state.csv")
-        save_checkpoint(state, path)
-        with open(path) as fh:
-            assert fh.readline().strip() == "k,lambda,u_k"
 
     def test_stationary_target_formula(self, dirichlet16):
         w = np.stack([np.eye(16)[0], np.ones(16)], axis=1)

@@ -5,29 +5,17 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from gfflab.basis import build_interval_basis
 from gfflab.fields import (
     FOURIER_PHASE_PER_PANEL,
-    FieldSample,
     RngStream,
     _transform_on_grid,
     covariance_two_sided,
-    field_values,
     sample_brownian_bridge,
-    sample_brownian_motion,
-    sample_cylindrical_bm,
-    sample_gff,
     sample_two_sided_bm,
     two_sided_antiderivative,
 )
 from gfflab.fourier_cov import gaussian_bump, gff_covariance, make_s0_function
-from gfflab.greens import series_green
-from gfflab.hilbert_scale import CoefficientField, duality_pairing, unit_field
 from gfflab.quadrature import composite_legendre, gauss_legendre
-
-
-def mc_stderr_of_variance(var, n):
-    return var * math.sqrt(2.0 / n)
 
 
 class TestRngStream:
@@ -46,125 +34,6 @@ class TestRngStream:
         s = RngStream(7, 3)
         subs = {s.substream(i).stream_id for i in range(100)}
         assert len(subs) == 100
-
-
-class TestSampleGff:
-    def test_rejects_zero_mode(self, rng):
-        basis = build_interval_basis("neumann", 0.0, 1.0, 8)
-        with pytest.raises(ValueError, match="lambda_1 > 0"):
-            sample_gff(basis, 1.0, rng)
-
-    def test_white_noise_unit_variance(self, dirichlet16):
-        gen = RngStream(11, 0).generator()
-        draws = sample_gff(dirichlet16, 0.0, gen, n=4000).coeffs
-        var = draws.var(axis=0, ddof=1)
-        assert np.all(np.abs(var - 1.0) < 4.0 * mc_stderr_of_variance(1.0, 4000))
-
-    def test_first_mode_variance_matches_green(self, dirichlet16):
-        gen = RngStream(12, 0).generator()
-        n = 100000
-        draws = sample_gff(dirichlet16, 1.0, gen, n=n).coeffs[:, 0]
-        target = 1.0 / math.pi**2
-        assert draws.var(ddof=1) == pytest.approx(target, abs=3.0 * mc_stderr_of_variance(target, n))
-
-    def test_batch_rows_are_successive_draws(self, dirichlet16):
-        # one (n, size) block consumes the stream exactly like n single draws
-        gen = RngStream(26, 0).generator()
-        single = np.array([sample_gff(dirichlet16, 1.0, gen).coeffs for _ in range(5)])
-        batch = sample_gff(dirichlet16, 1.0, RngStream(26, 0).generator(), n=5)
-        assert single.shape == (5, 16) and batch.coeffs.shape == (5, 16)
-        assert np.array_equal(batch.coeffs, single)
-        pts = np.array([0.25, 0.5])
-        by_draw = np.array([field_values(FieldSample(dirichlet16, c), pts) for c in single])
-        np.testing.assert_allclose(field_values(batch, pts), by_draw, rtol=1e-13, atol=1e-15)
-
-    def test_pointwise_covariance_matches_series_green(self):
-        basis = build_interval_basis("dirichlet", 0.0, 1.0, 1024)
-        pts = np.array([0.2, 0.5, 0.8])
-        n = 20000
-        vals = field_values(sample_gff(basis, 1.0, RngStream(13, 0).generator(), n=n), pts)
-        assert vals.shape == (n, 3)
-        emp = vals.T @ vals / n
-        for i in range(3):
-            for j in range(3):
-                target = series_green(basis, 1.0, pts[i], pts[j])
-                se = math.sqrt((emp[i, i] * emp[j, j] + emp[i, j] ** 2) / n)
-                assert abs(emp[i, j] - target) < 4.0 * se
-
-
-class TestPairField:
-    def test_unit_functional_reads_coefficient(self, dirichlet16, rng):
-        w = sample_gff(dirichlet16, 1.0, rng)
-        wc = CoefficientField(w.basis, w.coeffs)
-        for k in (1, 7, 16):
-            assert duality_pairing(wc, unit_field(dirichlet16, k)) == w.coeffs[k - 1]
-
-    def test_pair_covariance_matches_weighted_inner_product(self, dirichlet16):
-        gen = RngStream(14, 0).generator()
-        f = unit_field(dirichlet16, 1)
-        g = unit_field(dirichlet16, 1)
-        n = 50000
-        prods = np.empty(n)
-        for i in range(n):
-            w = sample_gff(dirichlet16, 1.0, gen)
-            wc = CoefficientField(w.basis, w.coeffs)
-            prods[i] = duality_pairing(wc, f) * duality_pairing(wc, g)
-        target = 1.0 / dirichlet16.lambdas_squared[0]
-        se = prods.std(ddof=1) / math.sqrt(n)
-        assert abs(prods.mean() - target) < 3.0 * se
-
-    def test_mc_covariance_matrix_is_psd(self, dirichlet16):
-        gen = RngStream(15, 0).generator()
-        fns = [unit_field(dirichlet16, k) for k in (1, 2, 3, 5, 8)]
-        n = 2000
-        vals = np.array(
-            [
-                [
-                    duality_pairing(
-                        CoefficientField(dirichlet16, sample_gff(dirichlet16, 1.0, gen).coeffs), f
-                    )
-                    for f in fns
-                ]
-                for _ in range(n)
-            ]
-        )
-        cov = vals.T @ vals / n
-        eigs = np.linalg.eigvalsh(0.5 * (cov + cov.T))
-        assert eigs.min() > -1e-10
-
-
-class TestCylindricalBm:
-    def test_marginal_variance(self, dirichlet16):
-        gen = RngStream(16, 0).generator()
-        times = np.array([0.3, 0.7, 1.4])
-        n = 5000
-        w1 = np.array([sample_cylindrical_bm(dirichlet16, times, gen).values()[2] for _ in range(n)])
-        for j, t in enumerate(times):
-            var = w1[:, j].var(ddof=1)
-            assert abs(var - t) < 4.0 * mc_stderr_of_variance(t, n)
-
-    def test_cross_mode_covariance(self, dirichlet16):
-        gen = RngStream(17, 0).generator()
-        times = np.array([0.5, 1.0])
-        n = 8000
-        vals = np.array([sample_cylindrical_bm(dirichlet16, times, gen).values() for _ in range(n)])
-        # cov(w_1(0.5), w_1(1.0)) = 0.5; cov(w_1, w_2) = 0
-        c_same = np.mean(vals[:, 0, 0] * vals[:, 0, 1])
-        c_cross = np.mean(vals[:, 0, 1] * vals[:, 1, 1])
-        assert abs(c_same - 0.5) < 4.0 * np.std(vals[:, 0, 0] * vals[:, 0, 1]) / math.sqrt(n)
-        assert abs(c_cross) < 4.0 * np.std(vals[:, 0, 1] * vals[:, 1, 1]) / math.sqrt(n)
-
-    def test_quadratic_variation_of_single_mode(self):
-        basis = build_interval_basis("dirichlet", 0.0, 1.0, 1)
-        gen = RngStream(18, 0).generator()
-        times = np.linspace(1e-4, 1.0, 10000)
-        path = sample_cylindrical_bm(basis, times, gen).values()[0]
-        qv = float(np.sum(np.diff(np.concatenate(([0.0], path))) ** 2))
-        assert qv == pytest.approx(1.0, rel=0.05)
-
-    def test_decreasing_times_rejected(self, dirichlet16, rng):
-        with pytest.raises(ValueError, match="increasing"):
-            sample_cylindrical_bm(dirichlet16, [0.5, 0.2], rng)
 
 
 class TestBridgeAndMotion:
@@ -189,18 +58,6 @@ class TestBridgeAndMotion:
                 se = math.sqrt((emp[i, i] * emp[j, j] + emp[i, j] ** 2) / n)
                 assert abs(emp[i, j] - target[i, j]) < 4.0 * se
 
-    def test_motion_covariance_is_min(self):
-        gen = RngStream(20, 0).generator()
-        pts = np.array([0.3, 0.6])
-        n = 30000
-        vals = sample_brownian_motion(pts, gen, modes=512, n=n)
-        emp = vals.T @ vals / n
-        target = np.minimum.outer(pts, pts)
-        for i in range(2):
-            for j in range(2):
-                se = math.sqrt((emp[i, i] * emp[j, j] + emp[i, j] ** 2) / n)
-                assert abs(emp[i, j] - target[i, j]) < 4.0 * se
-
     def test_pointwise_variance_nondecreasing_in_modes(self):
         # partial sums of 2 sin^2(k pi x) / (k pi)^2 only grow
         x = 0.37
@@ -208,7 +65,7 @@ class TestBridgeAndMotion:
         terms = 2.0 * np.sin(k * np.pi * x) ** 2 / (k * np.pi) ** 2
         assert np.all(np.cumsum(terms)[1:] >= np.cumsum(terms)[:-1])
 
-    @pytest.mark.parametrize("sampler", [sample_brownian_bridge, sample_brownian_motion])
+    @pytest.mark.parametrize("sampler", [sample_brownian_bridge])
     def test_batch_rows_match_single_paths(self, sampler):
         pts = np.array([0.0, 0.3, 0.6, 1.0])
         gen = RngStream(27, 0).generator()
@@ -216,8 +73,7 @@ class TestBridgeAndMotion:
         assert single.shape == (5, 4)
         batch = sampler(pts, RngStream(27, 0).generator(), modes=64, n=5)
         np.testing.assert_allclose(batch, single, rtol=1e-13, atol=1e-15)
-        if sampler is sample_brownian_bridge:
-            assert np.all(batch[:, [0, 3]] == 0.0)
+        assert np.all(batch[:, [0, 3]] == 0.0)
 
     def test_seed_determinism(self):
         a = sample_brownian_bridge([0.2, 0.8], RngStream(21, 4).generator())

@@ -9,8 +9,6 @@ from gfflab.fourier_cov import (
     _pair_integral_tensor2d,
     gaussian_bump,
     gff_covariance,
-    hermite_test_function,
-    hhat_norms,
     make_s0_function,
     massive_limit_covariance,
     surface_measure,
@@ -33,25 +31,10 @@ class TestMakeS0Function:
         assert vals[0] == np.conj(vals[1])
         assert vals[2] == np.conj(vals[3])
 
-    def test_parseval_round_trip(self):
-        # transform-domain norm against the physical-space values obtained
-        # by inverse-transform quadrature
-        f = make_s0_function(4.0, 0.25)
-        r, w = gauss_legendre(f.xi_floor, f.xi_cut, 4096)
-        fourier_side = 2.0 * float(np.sum(w * f.fhat_radial(r) ** 2))
-        x, wx = composite_legendre(-30.0, 30.0, 240, 16)
-        vals = f.physical(x)
-        physical_side = float(np.sum(wx * vals**2))
-        assert fourier_side == pytest.approx(physical_side, abs=1e-8)
-
-    def test_blocked_physical_matches_unblocked_formula(self):
-        f = make_s0_function(4.0, 0.25)
-        x, _ = composite_legendre(-30.0, 30.0, 240, 16)  # 3840 points, 60 blocks
-        r, w = gauss_legendre(f.xi_floor, f.xi_cut, 4096)
-        full = math.sqrt(2.0 / math.pi) * (np.cos(np.outer(x, r)) @ (w * f.fhat_radial(r)))
-        vals = f.physical(x)
-        assert vals.shape == x.shape
-        assert np.all(np.abs(vals - full) <= 1e-15 * np.abs(full))
+    def test_physical_values_need_a_closed_form(self):
+        assert gaussian_bump(0.3, 0.8).physical(0.3) == 1.0
+        with pytest.raises(ValueError, match="no closed physical form"):
+            make_s0_function(4.0, 0.25).physical(0.0)
 
     def test_narrow_annulus_rejected(self):
         with pytest.raises(ValueError, match="floor"):
@@ -65,13 +48,6 @@ class TestMakeS0Function:
             weighted = (1.0 + r * r) ** (f.d + 1) * np.abs(f.fhat_radial(r))
             assert np.all(np.isfinite(weighted))
             assert weighted[-1] < 1e-6 * (weighted.max() + 1e-300)
-
-    def test_hermite_transform_eigenproperty(self):
-        # the transform of h_n is (-i)^n h_n; pair integrals only see |fhat|^2
-        f = hermite_test_function(3)
-        xi = np.linspace(-4.0, 4.0, 9)
-        assert np.allclose(np.abs(f.fhat(xi)), np.abs(f.physical(xi)), rtol=1e-12)
-
 
 class TestGffCovariance:
     def test_positive_for_equal_arguments(self):
@@ -246,39 +222,6 @@ class TestMassiveLimit:
         f = gaussian_bump(0.0, 1.0)
         with pytest.raises(ValueError, match="eps"):
             massive_limit_covariance(f, f, 1.0, 0.0)
-
-
-class TestHhatNorms:
-    def test_gamma_zero_is_l2_norm(self):
-        f = make_s0_function(4.0, 0.25)
-        r, w = gauss_legendre(f.xi_floor, f.xi_cut, 1024)
-        l2 = 2.0 * float(np.sum(w * f.fhat_radial(r) ** 2))
-        assert hhat_norms(f, 0.0, "homogeneous") == pytest.approx(l2, rel=1e-12)
-        assert hhat_norms(f, 0.0, "bessel", eps=1.0) == pytest.approx(l2, rel=1e-12)
-
-    def test_bessel_equivalence_factor(self):
-        f = gaussian_bump(0.0, 1.0)
-        for gamma in (-1.5, -0.5, 0.5, 1.5):
-            n1 = hhat_norms(f, gamma, "bessel", eps=1.0)
-            n2 = hhat_norms(f, gamma, "bessel", eps=2.0)
-            hi = max(2.0**gamma, 1.0)
-            lo = min(2.0**gamma, 1.0)
-            assert lo * n1 * (1 - 1e-12) <= n2 <= hi * n1 * (1 + 1e-12)
-
-    def test_annulus_functions_finite_for_all_gammas(self):
-        f = make_s0_function(4.0, 0.25)
-        for gamma in np.linspace(-3.0, 3.0, 13):
-            assert np.isfinite(hhat_norms(f, float(gamma), "homogeneous"))
-
-    def test_divergent_homogeneous_rejected(self):
-        f = gaussian_bump(0.0, 1.0)
-        with pytest.raises(ValueError, match="diverges"):
-            hhat_norms(f, -0.5, "homogeneous")
-
-    def test_unknown_variant(self):
-        f = gaussian_bump(0.0, 1.0)
-        with pytest.raises(ValueError, match="variant"):
-            hhat_norms(f, 0.0, "weighted")
 
 
 class TestRealness:

@@ -2,8 +2,6 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import example, given
-from hypothesis import strategies as st
 
 from gfflab.basis import build_interval_basis, evaluate_matrix
 from gfflab.greens import (
@@ -12,13 +10,11 @@ from gfflab.greens import (
     gamma_fn,
     heat_kernel,
     heat_poisson_identity,
-    heat_semigroup,
     log_divergence_check,
     potential_massive,
     potential_zero_mass,
     series_green,
 )
-from gfflab.hilbert_scale import CoefficientField, norm_gamma
 from gfflab.quadrature import composite_legendre, gauss_hermite_unweighted
 
 
@@ -362,28 +358,3 @@ class TestArrayKernels:
     def test_singular_point_in_array_rejected(self):
         with pytest.raises(ValueError, match="singular"):
             potential_massive(np.array([[1.0, 0.0, 0.0], [0.0, 0.0, 0.0]]), d=3, nu=1.0, eps=1.0)
-
-
-class TestHeatSemigroup:
-    @given(st.floats(0.01, 3.0), st.floats(0.01, 2.0))
-    @example(1.7714305196791273, 1.0 / 3.0)
-    def test_chapman_kolmogorov_on_coefficients(self, t, s):
-        basis = build_interval_basis("dirichlet", 0.0, 1.0, 12)
-        f = CoefficientField(basis, np.linspace(-1.0, 1.0, 12))
-        two_steps = heat_semigroup(heat_semigroup(f, 1.0, t), 1.0, s)
-        one_step = heat_semigroup(f, 1.0, t + s)
-        # exp(-x) carries about eps |x| relative error from the rounding of
-        # its argument x = lambda_k^2 nu (t + s), so the bound grows with x
-        rtol = 4.0 * np.finfo(float).eps * (1.0 + basis.lambdas_squared * (t + s))
-        # atol floor: coefficients this small sit in the denormal range
-        # where the two exponentiation orders underflow differently
-        gap = np.abs(two_steps.coeffs - one_step.coeffs)
-        assert np.all(gap <= rtol * np.abs(one_step.coeffs) + 1e-250)
-
-    @given(st.floats(0.0, 2.0), st.floats(-1.0, 1.5))
-    def test_exponential_decay_rate(self, t, gamma):
-        basis = build_interval_basis("dirichlet", 0.0, 1.0, 12)
-        f = CoefficientField(basis, np.linspace(0.2, 1.0, 12))
-        decayed = norm_gamma(heat_semigroup(f, 1.0, t), gamma)
-        bound = math.exp(-basis.lambdas_squared[0] * t) * norm_gamma(f, gamma)
-        assert decayed <= bound * (1.0 + 1e-12)

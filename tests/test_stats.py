@@ -3,9 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from gfflab.basis import build_interval_basis
-from gfflab.fields import RngStream, sample_gff
-from gfflab.hilbert_scale import CoefficientField, duality_pairing, unit_field
+from gfflab.fields import RngStream
 from gfflab.stats import (
     CovarianceReport,
     kolmogorov_sf,
@@ -50,25 +48,6 @@ class TestEstimateCovariance:
         corr = rep.empirical[0, 1] / rep.empirical[0, 0]
         assert corr == pytest.approx(1.0, rel=1e-12)
         assert rep.passed
-
-    def test_gff_functionals_against_series_green(self):
-        basis = build_interval_basis("dirichlet", 0.0, 1.0, 64)
-        fns = [unit_field(basis, 1), unit_field(basis, 2), unit_field(basis, 5)]
-        target = np.zeros((3, 3))
-        for i, f in enumerate(fns):
-            for j, g in enumerate(fns):
-                target[i, j] = float(
-                    np.sum(f.coeffs * g.coeffs / basis.lambdas_squared)
-                )
-        gen = RngStream(53, 0).generator()
-        values = values_by_draw(
-            lambda g: sample_gff(basis, 1.0, g),
-            [lambda w, f=f: duality_pairing(CoefficientField(w.basis, w.coeffs), f) for f in fns],
-            20000,
-            gen,
-        )
-        rep = report_from_values(values, target=target)
-        assert rep.zmax < 4.0
 
     def test_degenerate_functional_flagged(self):
         gen = RngStream(54, 0).generator()
