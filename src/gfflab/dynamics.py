@@ -1,6 +1,6 @@
 """Exact per-mode Ornstein-Uhlenbeck transitions of the spectral stochastic
-heat equation, the Monte Carlo pairings they give, their stationary
-covariance, the Gaussian-equivalence statistic, and an Euler-Maruyama
+heat equation, the Monte Carlo pairings they give, their stationary law
+and covariance, the Gaussian-equivalence statistic, and an Euler-Maruyama
 oracle used only for verification.
 
 Mode k relaxes at rate nu * lambda_k^2 toward a centered Gaussian with
@@ -16,7 +16,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .basis import EigenBasis
-from .fields import RngStream
+from .fields import RngStream, sample_gff
 from .stats import CovarianceReport, report_from_values
 
 MC_BLOCK = 4096  # fixed Monte Carlo block size; one rng substream per block
@@ -67,6 +67,13 @@ def em_oracle_step(state: SpectralState, dt: float, rng: np.random.Generator) ->
     xi = rng.standard_normal(state.basis.size)
     coeffs = state.coeffs * (1.0 - state.nu * lam2 * dt) + state.sigma * math.sqrt(dt) * xi
     return replace(state, t=state.t + dt, coeffs=coeffs)
+
+
+def stationary_sample(basis: EigenBasis, nu: float, sigma: float, rng: np.random.Generator) -> SpectralState:
+    """A draw from the invariant law: u_k = sigma (2 nu)^{-1/2} zeta_k / lambda_k,
+    the free field scaled by sigma / sqrt(2 nu)."""
+    field = sample_gff(basis, 1.0, rng)
+    return SpectralState(basis, 0.0, sigma / math.sqrt(2.0 * nu) * field.coeffs, nu, sigma)
 
 
 def kakutani_statistic(basis: EigenBasis, nu: float, t: float, terms: int | None = None) -> float:

@@ -1,7 +1,7 @@
-"""Samplers for the Gaussian objects on the line: the Brownian bridge via
-its sine series and the two-sided Brownian motion, together with the
-three equivalent quadrature routes to the two-sided covariance
-functional.
+"""Samplers for the Gaussian objects: the truncated free-field series, the
+Brownian bridge via its sine series and the two-sided Brownian motion on
+the line, together with the three equivalent quadrature routes to the
+two-sided covariance functional.
 
 All randomness flows through counter-based Philox streams keyed by
 (seed, stream_id), so identical keys reproduce identical samples and
@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import fourier_cov
-from .basis import sinpi
+from .basis import EigenBasis, evaluate_matrix, sinpi
 from .fourier_cov import TestFunction
 from .quadrature import composite_legendre, gauss_legendre, running_integral
 
@@ -44,6 +44,29 @@ class RngStream:
 
     def substream(self, i: int) -> "RngStream":
         return RngStream(self.seed, ((self.stream_id << 32) ^ i) % 2**64)
+
+
+@dataclass(frozen=True, eq=False)
+class FieldSample:
+    """One draw of a truncated free field, coefficient k with variance
+    lambda_k^(-2r); a batch of n draws holds coeffs of shape (n, size)."""
+
+    basis: EigenBasis
+    coeffs: np.ndarray
+
+
+def sample_gff(basis: EigenBasis, r: float, rng: np.random.Generator, n: int | None = None) -> FieldSample:
+    """A truncated free-field draw with coefficients zeta_k / lambda_k^r
+    (iid standard normal zeta); r = 1 gives the Green's-function covariance,
+    r = 0 white noise. With n, one (n, size) normal block gives n draws."""
+    basis.require_positive_spectrum("free-field sampling")
+    zeta = rng.standard_normal(basis.size if n is None else (n, basis.size))
+    return FieldSample(basis, zeta / basis.lambdas**r)
+
+
+def field_values(sample: FieldSample, points) -> np.ndarray:
+    """Pointwise values sum_k coeffs_k h_k(x), one row per draw of a batch."""
+    return (evaluate_matrix(sample.basis, points) @ sample.coeffs.T).T
 
 
 def sample_brownian_bridge(

@@ -314,3 +314,19 @@ def massive_limit_covariance(
         f, g, lambda r: sigma**2 / (2.0 * nu * (r * r + eps))
     )
 
+
+def hhat_norms(f: TestFunction, gamma: float, variant: str = "homogeneous", eps: float = 1.0) -> float:
+    """Squared Sobolev-type norms of f in the Fourier domain: 'homogeneous'
+    weighs |fhat|^2 by |xi|^(2 gamma) and is rejected as divergent for
+    gamma <= -d/2 when fhat(0) != 0; 'bessel' weighs it by (eps + |xi|^2)^gamma."""
+    if variant == "homogeneous":
+        if gamma <= -0.5 * f.d and abs(complex(f.fhat_radial(np.zeros(1))[0])) > FLOOR_TOL:
+            raise ValueError(f"homogeneous norm diverges for gamma = {gamma} <= -d/2 with fhat(0) != 0")
+        weight = lambda r: r ** (2.0 * gamma)
+    elif variant == "bessel":
+        if eps <= 0.0:
+            raise ValueError("bessel variant needs eps > 0")
+        weight = lambda r: (eps + r * r) ** gamma
+    else:
+        raise ValueError(f"unknown variant {variant!r}")
+    return _pair_integral(f, f, weight)

@@ -12,11 +12,12 @@ from gfflab.dynamics import (
     kakutani_statistic,
     sample_functional_values,
     sample_gaussian,
+    stationary_sample,
     stationary_target,
     transition_moments,
 )
 from gfflab.experiments import standard_functionals
-from gfflab.fields import RngStream
+from gfflab.fields import RngStream, sample_gff
 from gfflab.stats import ks_gaussian, kolmogorov_sf, report_from_values, summarize_convergence
 
 
@@ -55,6 +56,11 @@ class TestTransitionMoments:
 
 
 class TestExactStep:
+    def test_rejects_constant_mode(self):
+        basis = build_interval_basis("neumann", 0.0, 1.0, 4)
+        with pytest.raises(ValueError, match="lambda_1 > 0"):
+            sample_functional_values(basis, 1.0, 1.0, None, 0.1, 100, np.eye(4), RngStream(30, 0))
+
     def test_moments_after_one_step(self, single_mode):
         n = 100000
         stream = RngStream(31, 0)
@@ -123,6 +129,17 @@ class TestEmOracle:
 
 
 class TestEvolve:
+    def test_deterministic_decay_curve(self, dirichlet16):
+        # without noise the exact transition is the heat flow of the start
+        phi = np.zeros(16)
+        phi[0] = 1.0
+        lam2 = dirichlet16.lambdas_squared[0]
+        for t in [0.1, 0.3, 0.6, 1.0]:
+            vals = sample_functional_values(
+                dirichlet16, 1.0, 0.0, phi, t, 3, phi[:, None], RngStream(32, 0)
+            )
+            assert np.allclose(vals, math.exp(-lam2 * t), rtol=1e-13, atol=0.0)
+
     def test_one_step_vs_two_steps_in_distribution(self, single_mode):
         n = 60000
         one = sample_functional_values(
@@ -156,6 +173,20 @@ class TestEvolve:
 
 
 class TestStationary:
+    def test_equals_scaled_free_field_draw(self, dirichlet64):
+        nu, sigma = 2.0, 1.5
+        st = stationary_sample(dirichlet64, nu, sigma, RngStream(37, 0).generator())
+        w = sample_gff(dirichlet64, 1.0, RngStream(37, 0).generator())
+        assert np.array_equal(st.coeffs, sigma / math.sqrt(2.0 * nu) * w.coeffs)
+
+    def test_coefficient_variance(self, dirichlet16):
+        gen = RngStream(38, 0).generator()
+        n = 50000
+        draws = np.array([stationary_sample(dirichlet16, 1.0, 1.0, gen).coeffs for _ in range(n)])
+        target = 0.5 / dirichlet16.lambdas_squared
+        var = draws.var(axis=0, ddof=1)
+        assert np.all(np.abs(var - target) < 4.0 * target * math.sqrt(2.0 / n))
+
     def test_moments_invariant_under_step(self, dirichlet16):
         gen = RngStream(39, 0).generator()
         n = 50000
@@ -181,6 +212,15 @@ class TestStationary:
         for k in (1, 8, 16):
             _, p = ks_gaussian(vals[:, k - 1], 0.0, 0.5 / lam2[k - 1])
             assert p > 1e-3
+
+    def test_cross_mode_independence(self, dirichlet16):
+        gen = RngStream(41, 0).generator()
+        n = 20000
+        draws = np.array([stationary_sample(dirichlet16, 1.0, 1.0, gen).coeffs for _ in range(n)])
+        corr = np.corrcoef(draws.T)
+        off = corr - np.diag(np.diag(corr))
+        assert np.abs(off).max() < 4.0 / math.sqrt(n)
+
 
 class TestKakutani:
     def test_long_time_limit_vanishes(self, dirichlet16):

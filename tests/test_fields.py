@@ -5,17 +5,27 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from gfflab.basis import build_interval_basis
+from gfflab.dynamics import _functional_matrix
 from gfflab.fields import (
     FOURIER_PHASE_PER_PANEL,
+    FieldSample,
     RngStream,
     _transform_on_grid,
     covariance_two_sided,
+    field_values,
     sample_brownian_bridge,
+    sample_gff,
     sample_two_sided_bm,
     two_sided_antiderivative,
 )
 from gfflab.fourier_cov import gaussian_bump, gff_covariance, make_s0_function
+from gfflab.greens import series_green
 from gfflab.quadrature import composite_legendre, gauss_legendre
+
+
+def mc_stderr_of_variance(var, n):
+    return var * math.sqrt(2.0 / n)
 
 
 class TestRngStream:
@@ -34,6 +44,82 @@ class TestRngStream:
         s = RngStream(7, 3)
         subs = {s.substream(i).stream_id for i in range(100)}
         assert len(subs) == 100
+
+
+class TestSampleGff:
+    def test_rejects_zero_mode(self, rng):
+        basis = build_interval_basis("neumann", 0.0, 1.0, 8)
+        with pytest.raises(ValueError, match="lambda_1 > 0"):
+            sample_gff(basis, 1.0, rng)
+
+    def test_white_noise_unit_variance(self, dirichlet16):
+        gen = RngStream(11, 0).generator()
+        draws = sample_gff(dirichlet16, 0.0, gen, n=4000).coeffs
+        var = draws.var(axis=0, ddof=1)
+        assert np.all(np.abs(var - 1.0) < 4.0 * mc_stderr_of_variance(1.0, 4000))
+
+    def test_first_mode_variance_matches_green(self, dirichlet16):
+        gen = RngStream(12, 0).generator()
+        n = 100000
+        draws = sample_gff(dirichlet16, 1.0, gen, n=n).coeffs[:, 0]
+        target = 1.0 / math.pi**2
+        assert draws.var(ddof=1) == pytest.approx(target, abs=3.0 * mc_stderr_of_variance(target, n))
+
+    def test_batch_rows_are_successive_draws(self, dirichlet16):
+        # one (n, size) block consumes the stream exactly like n single draws
+        gen = RngStream(26, 0).generator()
+        single = np.array([sample_gff(dirichlet16, 1.0, gen).coeffs for _ in range(5)])
+        batch = sample_gff(dirichlet16, 1.0, RngStream(26, 0).generator(), n=5)
+        assert single.shape == (5, 16) and batch.coeffs.shape == (5, 16)
+        assert np.array_equal(batch.coeffs, single)
+        pts = np.array([0.25, 0.5])
+        by_draw = np.array([field_values(FieldSample(dirichlet16, c), pts) for c in single])
+        np.testing.assert_allclose(field_values(batch, pts), by_draw, rtol=1e-13, atol=1e-15)
+
+    def test_pointwise_covariance_matches_series_green(self):
+        basis = build_interval_basis("dirichlet", 0.0, 1.0, 1024)
+        pts = np.array([0.2, 0.5, 0.8])
+        n = 20000
+        vals = field_values(sample_gff(basis, 1.0, RngStream(13, 0).generator(), n=n), pts)
+        assert vals.shape == (n, 3)
+        emp = vals.T @ vals / n
+        for i in range(3):
+            for j in range(3):
+                target = series_green(basis, 1.0, pts[i], pts[j])
+                se = math.sqrt((emp[i, i] * emp[j, j] + emp[i, j] ** 2) / n)
+                assert abs(emp[i, j] - target) < 4.0 * se
+
+
+class TestPairField:
+    """Free-field draws paired with coefficient functionals through the
+    weight matrix the Monte Carlo runs use."""
+
+    def test_unit_functional_reads_coefficient(self, dirichlet16, rng):
+        w = sample_gff(dirichlet16, 1.0, rng)
+        for k in (1, 7, 16):
+            weights = _functional_matrix(dirichlet16, [np.eye(16)[k - 1]])
+            assert (w.coeffs @ weights)[0] == w.coeffs[k - 1]
+
+    def test_pair_covariance_matches_weighted_inner_product(self, dirichlet16):
+        gen = RngStream(14, 0).generator()
+        weights = _functional_matrix(dirichlet16, [np.eye(16)[0], np.eye(16)[0]])
+        n = 50000
+        prods = np.empty(n)
+        for i in range(n):
+            pair = sample_gff(dirichlet16, 1.0, gen).coeffs @ weights
+            prods[i] = pair[0] * pair[1]
+        target = 1.0 / dirichlet16.lambdas_squared[0]
+        se = prods.std(ddof=1) / math.sqrt(n)
+        assert abs(prods.mean() - target) < 3.0 * se
+
+    def test_mc_covariance_matrix_is_psd(self, dirichlet16):
+        gen = RngStream(15, 0).generator()
+        weights = _functional_matrix(dirichlet16, [np.eye(16)[k - 1] for k in (1, 2, 3, 5, 8)])
+        n = 2000
+        vals = np.array([sample_gff(dirichlet16, 1.0, gen).coeffs @ weights for _ in range(n)])
+        cov = vals.T @ vals / n
+        eigs = np.linalg.eigvalsh(0.5 * (cov + cov.T))
+        assert eigs.min() > -1e-10
 
 
 class TestBridgeAndMotion:

@@ -9,6 +9,7 @@ from gfflab.fourier_cov import (
     _pair_integral_tensor2d,
     gaussian_bump,
     gff_covariance,
+    hhat_norms,
     make_s0_function,
     massive_limit_covariance,
     surface_measure,
@@ -222,6 +223,39 @@ class TestMassiveLimit:
         f = gaussian_bump(0.0, 1.0)
         with pytest.raises(ValueError, match="eps"):
             massive_limit_covariance(f, f, 1.0, 0.0)
+
+
+class TestHhatNorms:
+    def test_gamma_zero_is_l2_norm(self):
+        f = make_s0_function(4.0, 0.25)
+        r, w = gauss_legendre(f.xi_floor, f.xi_cut, 1024)
+        l2 = 2.0 * float(np.sum(w * f.fhat_radial(r) ** 2))
+        assert hhat_norms(f, 0.0, "homogeneous") == pytest.approx(l2, rel=1e-12)
+        assert hhat_norms(f, 0.0, "bessel", eps=1.0) == pytest.approx(l2, rel=1e-12)
+
+    def test_bessel_equivalence_factor(self):
+        f = gaussian_bump(0.0, 1.0)
+        for gamma in (-1.5, -0.5, 0.5, 1.5):
+            n1 = hhat_norms(f, gamma, "bessel", eps=1.0)
+            n2 = hhat_norms(f, gamma, "bessel", eps=2.0)
+            hi = max(2.0**gamma, 1.0)
+            lo = min(2.0**gamma, 1.0)
+            assert lo * n1 * (1 - 1e-12) <= n2 <= hi * n1 * (1 + 1e-12)
+
+    def test_annulus_functions_finite_for_all_gammas(self):
+        f = make_s0_function(4.0, 0.25)
+        for gamma in np.linspace(-3.0, 3.0, 13):
+            assert np.isfinite(hhat_norms(f, float(gamma), "homogeneous"))
+
+    def test_divergent_homogeneous_rejected(self):
+        f = gaussian_bump(0.0, 1.0)
+        with pytest.raises(ValueError, match="diverges"):
+            hhat_norms(f, -0.5, "homogeneous")
+
+    def test_unknown_variant(self):
+        f = gaussian_bump(0.0, 1.0)
+        with pytest.raises(ValueError, match="variant"):
+            hhat_norms(f, 0.0, "weighted")
 
 
 class TestRealness:

@@ -3,7 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from gfflab.fields import RngStream
+from gfflab.basis import build_interval_basis
+from gfflab.dynamics import _functional_matrix
+from gfflab.fields import RngStream, sample_gff
 from gfflab.stats import (
     CovarianceReport,
     kolmogorov_sf,
@@ -48,6 +50,20 @@ class TestEstimateCovariance:
         corr = rep.empirical[0, 1] / rep.empirical[0, 0]
         assert corr == pytest.approx(1.0, rel=1e-12)
         assert rep.passed
+
+    def test_gff_functionals_against_series_green(self):
+        basis = build_interval_basis("dirichlet", 0.0, 1.0, 64)
+        weights = _functional_matrix(basis, [np.eye(64)[k - 1] for k in (1, 2, 5)])
+        target = weights.T @ (weights / basis.lambdas_squared[:, None])
+        gen = RngStream(53, 0).generator()
+        values = values_by_draw(
+            lambda g: sample_gff(basis, 1.0, g),
+            [lambda w, j=j: float(w.coeffs @ weights[:, j]) for j in range(3)],
+            20000,
+            gen,
+        )
+        rep = report_from_values(values, target=target)
+        assert rep.zmax < 4.0
 
     def test_degenerate_functional_flagged(self):
         gen = RngStream(54, 0).generator()
