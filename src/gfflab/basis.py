@@ -60,10 +60,9 @@ def sinpi(u):
     u = np.asarray(u, dtype=float)
     n = np.floor(u)
     r = u - n
-    r = np.where(r > 0.5, 1.0 - r, r)
-    s = np.sin(np.pi * r)
-    sign = np.where(np.mod(n, 2.0) == 0.0, 1.0, -1.0)
-    out = sign * s + 0.0  # normalize -0.0 to +0.0
+    half = 0.5 * n
+    s = np.sin(np.pi * np.minimum(r, 1.0 - r))
+    out = np.where(np.floor(half) == half, s, -s) + 0.0  # normalize -0.0 to +0.0
     return out if out.ndim else float(out)
 
 
@@ -173,26 +172,38 @@ def _shell_order(d: int, size: int, lo: int, power: int, cap: int):
     ragged range whose length is a searchsorted on the per-axis weights.
     As t -> t^power is injective on t >= 0, q and n_1 .. n_{d-1} fix n_d,
     so q * B^(d-1) + (n_1 .. n_{d-1} in base B), B = max coordinate + 1,
-    is a unique int64 sort key.
+    is a unique int64 sort key. The sorted keys are decoded, not gathered:
+    n_1 .. n_{d-1} are its base-B digits, q its quotient by B^(d-1), and
+    n_d^power = q - sum_{i<d} n_i^power. For power 2 the float square root
+    of that integer is exactly n_d: n_d^2 <= cap < 2^63 rounds to a double
+    within a relative 2^-53, so its root lies within less than half a unit
+    in the last place of the integer n_d.
     """
     base = (math.isqrt(cap) if power == 2 else cap) + 1
-    if (cap + 1) * base ** (d - 1) > 2**63:
+    shift = base ** (d - 1)
+    if (cap + 1) * shift > 2**63:
         raise ValueError(f"lattice sort key overflows int64 at d={d}, cap={cap}: size too large")
     values = np.arange(lo, base, dtype=np.int64)
     weights = values**power
-    cols, rest = [], np.array([cap], dtype=np.int64)
+    prefix, rest = np.zeros(1, dtype=np.int64), np.array([cap], dtype=np.int64)
     for axis in range(d):
         counts = np.searchsorted(weights, rest - (d - 1 - axis) * weights[0], side="right")
         pick = np.arange(counts.sum()) - np.repeat(np.cumsum(counts) - counts, counts)
         rest = np.repeat(rest, counts) - weights[pick]
-        cols = [np.repeat(c, counts) for c in cols] + [values[pick]]
+        prefix = np.repeat(prefix, counts)
+        if axis < d - 1:
+            prefix = prefix * base + values[pick]
     if rest.size < size:
         return None
-    key = cap - rest
-    for c in cols[:-1]:
-        key = key * base + c
-    order = np.argsort(key)[:size]
-    return np.stack([c[order] for c in cols], axis=1), cap - rest[order]
+    key = np.sort((cap - rest) * shift + prefix)[:size]
+    indices = np.empty((size, d), dtype=np.int64)
+    for axis in range(d - 2, -1, -1):
+        high = key // base  # a scalar floor division is far faster than np.divmod
+        indices[:, axis] = key - high * base
+        key = high
+    last = key - sum(indices[:, axis] ** power for axis in range(d - 1))
+    indices[:, -1] = np.sqrt(last) if power == 2 else last
+    return indices, key
 
 
 def build_box_basis(d: int, side: float, size: int) -> EigenBasis:

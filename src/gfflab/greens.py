@@ -92,14 +92,17 @@ def bessel_k(p: float, x):
     an exact Laplace-type representation above).
     """
     x = np.asarray(x, dtype=float)
-    if np.any(x <= 0.0):
+    if not np.all(x > 0.0):
         raise ValueError(f"bessel_k requires x > 0, got {x}")
     if p in (0.5, -0.5):
         return _float_or_array(np.sqrt(np.pi / (2.0 * x)) * np.exp(-x))
     if p != 0.0:
         raise ValueError(f"unsupported order {p}; only 0 and +-1/2 are implemented")
-    # each branch sees its own range only; np.where then picks per element
-    out = np.where(x <= 2.0, _k0_small(np.minimum(x, 2.0)), _k0_large(np.maximum(x, 2.0)))
+    # each branch sees its own range only; the quadrature branch (and its
+    # Gauss-Hermite rule) runs only when some point needs it
+    out = _k0_small(np.minimum(x, 2.0))
+    if np.any(x > 2.0):
+        out = np.where(x <= 2.0, out, _k0_large(np.maximum(x, 2.0)))
     return _float_or_array(out)
 
 
@@ -203,8 +206,8 @@ def series_green(basis: EigenBasis, nu: float, x, y, terms: int | None = None) -
     n = basis.size if terms is None else terms
     if not 1 <= n <= basis.size:
         raise ValueError(f"terms must be in 1..{basis.size}")
-    hx = evaluate_matrix(basis, _as_points(basis, x))[0, :n]
-    hy = evaluate_matrix(basis, _as_points(basis, y))[0, :n]
+    pts = np.concatenate((_as_points(basis, x), _as_points(basis, y)))
+    hx, hy = evaluate_matrix(basis, pts)[:, :n]
     return float(np.sum(hx * hy / (basis.lambdas_squared[:n] * nu)))
 
 

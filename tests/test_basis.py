@@ -57,6 +57,18 @@ def assert_same_bytes(basis, indices, lambdas):
     assert basis.lambdas.tobytes() == lambdas.tobytes()
 
 
+def old_sinpi(u):
+    """sinpi as it was written before the np.minimum form: the oracle of
+    the bit-identity test."""
+    u = np.asarray(u, dtype=float)
+    n = np.floor(u)
+    r = u - n
+    r = np.where(r > 0.5, 1.0 - r, r)
+    s = np.sin(np.pi * r)
+    sign = np.where(np.mod(n, 2.0) == 0.0, 1.0, -1.0)
+    return sign * s + 0.0
+
+
 def bisect_root(fn, lo, hi, iters=200):
     flo = fn(lo)
     for _ in range(iters):
@@ -209,13 +221,33 @@ class TestHermiteBasis:
 class TestShellOrder:
     @pytest.mark.parametrize(
         "kind, d, size",
-        [("box", 2, 200000), ("box", 3, 100000), ("hermite", 3, 200000)],
+        [
+            ("box", 2, 200000),
+            ("box", 3, 100000),
+            ("hermite", 3, 200000),
+            ("box", 1, 10**6),
+            ("hermite", 2, 200000),
+        ],
     )
     def test_large_sizes_match_lexsort_oracle(self, kind, d, size):
         if kind == "box":
             assert_same_bytes(build_box_basis(d, 1.0, size), *oracle_box(d, size))
         else:
             assert_same_bytes(build_hermite_basis(d, size), *oracle_hermite(d, size))
+
+    @pytest.mark.parametrize(
+        "d, size, lo, power",
+        # box d = 1: q = n_1^2 up to 10^12, the square-root decode at its
+        # largest q; hermite d = 2: the power-1 decode n_2 = q - n_1
+        [(1, 10**6, 1, 2), (2, 200000, 0, 1)],
+    )
+    def test_decoded_arrays_are_int64(self, d, size, lo, power):
+        cap = size**2 if power == 2 else next(m for m in itertools.count() if math.comb(m + d, d) >= size)
+        indices, q = _shell_order(d, size, lo, power, cap)
+        assert indices.dtype == np.int64 and q.dtype == np.int64
+        assert indices.shape == (size, d) and q.shape == (size,)
+        assert np.array_equal((indices**power).sum(axis=1), q)
+        assert int(q[-1]) == cap  # the last shell is reached
 
     @given(
         kind=st.sampled_from(["box", "hermite"]),
@@ -344,6 +376,24 @@ class TestHelpers:
         assert sinpi(123456.0) == 0.0
         assert sinpi(0.5) == 1.0
         assert sinpi(1.5) == -1.0
+
+    def test_sinpi_matches_the_old_formula_bit_for_bit(self):
+        rng = np.random.default_rng(12)
+        big = [2.0**55, -(2.0**55), 2.0**60, 1e300, -1e300, 0.0, -0.0]
+        u = np.concatenate((
+            rng.uniform(-1e6, 1e6, 100000),
+            rng.uniform(-3.0, 3.0, 100000),
+            np.arange(-2000, 2000) + 0.5,
+            big,
+        ))
+        grid = np.outer([0.3, 0.7, 1.0 / 3.0], np.arange(1, 100001, dtype=float))
+        for values in (u, grid):
+            assert sinpi(values).view(np.int64).tobytes() == old_sinpi(values).view(np.int64).tobytes()
+
+    def test_sinpi_integers_give_positive_zero(self):
+        n = np.arange(-1000, 1001, dtype=float)
+        assert sinpi(n).view(np.int64).tolist() == [0] * n.size
+        assert math.copysign(1.0, sinpi(-3.0)) == 1.0
 
     def test_cospi_exact_half_integer_zeros(self):
         assert cospi(0.5) == 0.0

@@ -3,9 +3,13 @@ import math
 import numpy as np
 import pytest
 
-from gfflab.basis import build_interval_basis, evaluate_matrix
+from gfflab import quadrature
+from gfflab.basis import build_box_basis, build_hermite_basis, build_interval_basis, evaluate_matrix
 from gfflab.greens import (
     EULER_GAMMA,
+    _as_points,
+    _k0_large,
+    _k0_small,
     bessel_k,
     gamma_fn,
     heat_kernel,
@@ -83,6 +87,40 @@ class TestBesselK:
             bessel_k(0.0, 0.0)
         with pytest.raises(ValueError, match="order"):
             bessel_k(1.0, 1.0)
+
+    @pytest.mark.parametrize("p", [0.0, 0.5])
+    @pytest.mark.parametrize("x", [math.nan, [1.0, math.nan, 5.0]], ids=["scalar", "array"])
+    def test_nan_is_rejected(self, p, x):
+        with pytest.raises(ValueError, match="x > 0"):
+            bessel_k(p, x)
+
+
+def where_k0(x):
+    """K_0 as bessel_k computed it before the branch guard: both branches on
+    every call, then np.where. The oracle of the bit-identity test."""
+    x = np.asarray(x, dtype=float)
+    return np.where(x <= 2.0, _k0_small(np.minimum(x, 2.0)), _k0_large(np.maximum(x, 2.0)))
+
+
+class TestK0BranchGuard:
+    def test_rule_is_built_only_when_a_point_needs_it(self):
+        quadrature._hermgauss.cache_clear()
+        bessel_k(0.0, [0.1, 1.0, 2.0])
+        assert quadrature._hermgauss.cache_info().currsize == 0
+        bessel_k(0.0, [1.0, 5.0])
+        assert quadrature._hermgauss.cache_info().currsize == 1
+
+    def test_values_match_the_where_formula_bit_for_bit(self):
+        x = np.concatenate((
+            np.linspace(0.01, 4.0, 401),
+            [2.0, np.nextafter(2.0, 3.0), np.nextafter(2.0, 1.0), 1e-300, 700.0],
+        ))
+        assert bessel_k(0.0, x).view(np.int64).tobytes() == where_k0(x).view(np.int64).tobytes()
+        for part in (x[x <= 2.0], x[x > 2.0]):
+            assert bessel_k(0.0, part).tobytes() == where_k0(part).tobytes()
+        for v in (0.5, 2.0, np.nextafter(2.0, 3.0), 5.0):
+            value = bessel_k(0.0, v)
+            assert type(value) is float and value == float(where_k0(v))
 
 
 class TestHeatKernel:
@@ -251,6 +289,22 @@ class TestSeriesGreen:
         v1 = series_green(basis, 1.0, 0.3, 0.4)
         v2 = series_green(basis, 2.0, 0.3, 0.4)
         assert v2 == pytest.approx(0.5 * v1, rel=1e-14)
+
+    @pytest.mark.parametrize(
+        "make, x, y",
+        [
+            (lambda: build_interval_basis("dirichlet", 0.0, 1.0, 10**5), 0.3, 0.7),
+            (lambda: build_box_basis(2, 1.0, 500), (0.3, 0.8), (0.6, 0.25)),
+            (lambda: build_hermite_basis(2, 300), (0.4, -1.1), (-0.2, 0.7)),
+        ],
+        ids=["dirichlet", "box2", "hermite2"],
+    )
+    def test_one_evaluation_matches_two_bit_for_bit(self, make, x, y):
+        basis = make()
+        hx = evaluate_matrix(basis, _as_points(basis, x))[0]
+        hy = evaluate_matrix(basis, _as_points(basis, y))[0]
+        two_calls = float(np.sum(hx * hy / (basis.lambdas_squared * 1.3)))
+        assert series_green(basis, 1.3, x, y).hex() == two_calls.hex()
 
     def test_constant_mode_rejected(self):
         basis = build_interval_basis("neumann", 0.0, 1.0, 8)
