@@ -58,12 +58,18 @@ def parse_basis_kind(kind: BasisKind | str) -> BasisKind:
 def sinpi(u):
     """sin(pi * u) with exact zeros at integer u."""
     u = np.asarray(u, dtype=float)
-    n = np.floor(u)
-    r = u - n
-    half = 0.5 * n
-    s = np.sin(np.pi * np.minimum(r, 1.0 - r))
-    out = np.where(np.floor(half) == half, s, -s) + 0.0  # normalize -0.0 to +0.0
-    return out if out.ndim else float(out)
+    v = np.atleast_1d(u)  # ufuncs return 0-d results as scalars, which cannot be written to
+    n = np.floor(v)
+    r = v - n
+    s = 1.0 - r
+    np.minimum(r, s, out=s)
+    s *= np.pi
+    np.sin(s, out=s)
+    n *= 0.5
+    np.floor(n, out=r)
+    np.negative(s, out=s, where=r != n)  # odd n
+    s += 0.0  # normalize -0.0 to +0.0
+    return s if u.ndim else float(s[0])
 
 
 def cospi(u):
@@ -93,6 +99,11 @@ def hermite_functions(n_max: int, x) -> np.ndarray:
     return out
 
 
+class _Handover(np.ndarray):
+    """The view a builder passes its own new array in, so that EigenBasis
+    keeps that array instead of copying it."""
+
+
 @dataclass(frozen=True, eq=False)
 class EigenBasis:
     """An ordered eigen-system (lambda_k, h_k), immutable after construction."""
@@ -108,9 +119,13 @@ class EigenBasis:
 
     def __post_init__(self):
         for name in ("lambdas", "indices"):
-            arr = np.array(getattr(self, name))  # a copy: the caller's array stays writeable
-            arr.setflags(write=False)
+            arr = getattr(self, name)
+            # a builder's array is kept; any other is copied, so the caller's stays writeable
+            arr = arr.base if type(arr) is _Handover else np.array(arr)
             object.__setattr__(self, name, arr)
+            while isinstance(arr, np.ndarray):  # the array and any array it views
+                arr.setflags(write=False)
+                arr = arr.base
 
     @property
     def lambdas_squared(self) -> np.ndarray:
@@ -155,11 +170,11 @@ def build_interval_basis(bc: BasisKind | str, a: float, b: float, size: int) -> 
         kind=kind,
         d=1,
         size=size,
-        lambdas=lambdas,
+        lambdas=lambdas.view(_Handover),
         alpha=1.0,
         c_weyl=np.pi / length,
         domain=((float(a), float(b)),),
-        indices=np.arange(1, size + 1, dtype=np.int64).reshape(-1, 1),
+        indices=np.arange(1, size + 1, dtype=np.int64).reshape(-1, 1).view(_Handover),
     )
 
 
@@ -183,26 +198,36 @@ def _shell_order(d: int, size: int, lo: int, power: int, cap: int):
     shift = base ** (d - 1)
     if (cap + 1) * shift > 2**63:
         raise ValueError(f"lattice sort key overflows int64 at d={d}, cap={cap}: size too large")
-    values = np.arange(lo, base, dtype=np.int64)
-    weights = values**power
-    prefix, rest = np.zeros(1, dtype=np.int64), np.array([cap], dtype=np.int64)
+    weights = np.arange(lo, base, dtype=np.int64) ** power
+    key = np.zeros(1, dtype=np.int64)  # q * shift + (n_1 .. n_axis in base B) so far
     for axis in range(d):
-        counts = np.searchsorted(weights, rest - (d - 1 - axis) * weights[0], side="right")
-        pick = np.arange(counts.sum()) - np.repeat(np.cumsum(counts) - counts, counts)
-        rest = np.repeat(rest, counts) - weights[pick]
-        prefix = np.repeat(prefix, counts)
+        counts = np.searchsorted(weights, cap - key // shift - (d - 1 - axis) * weights[0], side="right")
+        pick = np.arange(lo, lo + counts.sum(), dtype=np.int64)  # the coordinate n_axis
+        pick -= np.repeat(np.cumsum(counts) - counts, counts)
+        key = np.repeat(key, counts)
         if axis < d - 1:
-            prefix = prefix * base + values[pick]
-    if rest.size < size:
+            key += pick * base ** (d - 2 - axis)
+        pick **= power
+        pick *= shift
+        key += pick
+    if key.size < size:
         return None
-    key = np.sort((cap - rest) * shift + prefix)[:size]
+    key.sort()
+    key = key[:size]
+    del pick
     indices = np.empty((size, d), dtype=np.int64)
+    spare = None  # the quotients alternate between key's buffer and this one
     for axis in range(d - 2, -1, -1):
-        high = key // base  # a scalar floor division is far faster than np.divmod
-        indices[:, axis] = key - high * base
-        key = high
-    last = key - sum(indices[:, axis] ** power for axis in range(d - 1))
-    indices[:, -1] = np.sqrt(last) if power == 2 else last
+        high = np.floor_divide(key, base, out=spare)  # far faster than np.divmod
+        digit = np.multiply(high, base, out=indices[:, axis])
+        np.subtract(key, digit, out=digit)
+        key, spare = high, key
+    last = indices[:, -1]
+    np.copyto(last, key)
+    for axis in range(d - 1):
+        last -= np.square(indices[:, axis], out=spare) if power == 2 else indices[:, axis]
+    if power == 2:
+        np.sqrt(last, out=last, casting="unsafe")
     return indices, key
 
 
@@ -226,7 +251,9 @@ def build_box_basis(d: int, side: float, size: int) -> EigenBasis:
     while (shell := _shell_order(d, size, 1, 2, cap)) is None:
         cap *= 4
     indices, norm2 = shell
-    lambdas = np.pi * np.sqrt(norm2.astype(float)) / side
+    lambdas = np.sqrt(norm2, dtype=float)
+    lambdas *= np.pi
+    lambdas /= side
 
     c_weyl = {
         1: np.pi / side,
@@ -237,11 +264,11 @@ def build_box_basis(d: int, side: float, size: int) -> EigenBasis:
         kind=BasisKind.BOX_DIRICHLET,
         d=d,
         size=size,
-        lambdas=lambdas,
+        lambdas=lambdas.view(_Handover),
         alpha=1.0 / d,
         c_weyl=c_weyl,
         domain=tuple(((0.0, float(side)),) * d),
-        indices=indices,
+        indices=indices.view(_Handover),
     )
 
 
@@ -260,22 +287,25 @@ def build_hermite_basis(d: int, size: int) -> EigenBasis:
 
     if d == 1:
         indices = np.arange(size, dtype=np.int64).reshape(-1, 1)
+        degree = indices[:, 0]
     else:
         m = 0
         while math.comb(m + d, d) < size:
             m += 1
-        indices, _ = _shell_order(d, size, 0, 1, m)
+        indices, degree = _shell_order(d, size, 0, 1, m)
 
-    lam2 = 2.0 * indices.sum(axis=1).astype(float) + d
+    lambdas = np.multiply(degree, 2.0)
+    lambdas += d
+    np.sqrt(lambdas, out=lambdas)
     return EigenBasis(
         kind=BasisKind.HERMITE,
         d=d,
         size=size,
-        lambdas=np.sqrt(lam2),
+        lambdas=lambdas.view(_Handover),
         alpha=1.0 / (2 * d),
         c_weyl=(2.0**d * math.factorial(d)) ** (1.0 / (2 * d)),
         domain=None,
-        indices=indices,
+        indices=indices.view(_Handover),
     )
 
 
@@ -284,12 +314,13 @@ def _interval_axis_values(kind: BasisKind, a: float, b: float, modes: np.ndarray
     length = b - a
     rel = (x - a) / length
     modes = modes.astype(float)
-    if kind is BasisKind.INTERVAL_DIRICHLET:
-        return math.sqrt(2.0 / length) * sinpi(np.outer(rel, modes))
-    if kind is BasisKind.INTERVAL_MIXED:
-        return math.sqrt(2.0 / length) * sinpi(np.outer(rel, modes - 0.5))
-    out = math.sqrt(2.0 / length) * cospi(np.outer(rel, modes - 1.0))
-    out[:, modes == 1.0] = math.sqrt(1.0 / length)
+    if kind is BasisKind.INTERVAL_NEUMANN:
+        out = cospi(np.outer(rel, modes - 1.0))
+    else:
+        out = sinpi(np.outer(rel, modes - 0.5 if kind is BasisKind.INTERVAL_MIXED else modes))
+    out *= math.sqrt(2.0 / length)
+    if kind is BasisKind.INTERVAL_NEUMANN:
+        out[:, modes == 1.0] = math.sqrt(1.0 / length)
     return out
 
 

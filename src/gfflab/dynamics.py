@@ -87,10 +87,10 @@ def kakutani_statistic(basis: EigenBasis, nu: float, t: float, terms: int | None
     n = basis.size if terms is None else terms
     if not 1 <= n <= basis.size:
         raise ValueError(f"terms must be in 1..{basis.size}")
-    q = np.exp(-2.0 * nu * basis.lambdas_squared[:n] * t)
+    q = np.exp(-2.0 * nu * np.square(basis.lambdas[:n]) * t)
     # sqrt(1-q) - 1 written as -q / (1 + sqrt(1-q)) to avoid cancellation
-    dev = q / (1.0 + np.sqrt(1.0 - q))
-    return float(np.sum(dev * dev))
+    q /= 1.0 + np.sqrt(1.0 - q)
+    return float(np.sum(np.square(q, out=q)))
 
 
 def _functional_matrix(basis: EigenBasis, functionals) -> np.ndarray:

@@ -451,7 +451,7 @@ def exp_weyl(cfg) -> ExperimentResult:
     )
 
     b3 = build_hermite_basis(1, cfg.modes)
-    ratio3 = float(b3.lambdas_squared[-1] / b3.size)
+    ratio3 = float(b3.lambdas[-1] * b3.lambdas[-1] / b3.size)
     rel3 = abs(ratio3 - 2.0) / 2.0
     rows.append(
         {"kind": "hermite_d1", "terms": b3.size, "lambda_K": float(b3.lambdas[-1]),

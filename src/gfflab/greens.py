@@ -208,7 +208,8 @@ def series_green(basis: EigenBasis, nu: float, x, y, terms: int | None = None) -
         raise ValueError(f"terms must be in 1..{basis.size}")
     pts = np.concatenate((_as_points(basis, x), _as_points(basis, y)))
     hx, hy = evaluate_matrix(basis, pts)[:, :n]
-    return float(np.sum(hx * hy / (basis.lambdas_squared[:n] * nu)))
+    hx *= hy
+    return float(np.sum(np.divide(hx, np.square(basis.lambdas[:n]) * nu, out=hx)))
 
 
 def _as_points(basis: EigenBasis, x) -> np.ndarray:

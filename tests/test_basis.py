@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -67,6 +68,32 @@ def old_sinpi(u):
     s = np.sin(np.pi * r)
     sign = np.where(np.mod(n, 2.0) == 0.0, 1.0, -1.0)
     return sign * s + 0.0
+
+
+def old_interval_axis_values(kind, length, modes, rel):
+    """Interval eigenfunction values as written before they were scaled in
+    place: the oracle of the bit-identity test."""
+    modes = modes.astype(float)
+    if kind is BasisKind.INTERVAL_DIRICHLET:
+        return math.sqrt(2.0 / length) * old_sinpi(np.outer(rel, modes))
+    if kind is BasisKind.INTERVAL_MIXED:
+        return math.sqrt(2.0 / length) * old_sinpi(np.outer(rel, modes - 0.5))
+    out = math.sqrt(2.0 / length) * old_sinpi(np.outer(rel, modes - 1.0) + 0.5)
+    out[:, modes == 1.0] = math.sqrt(1.0 / length)
+    return out
+
+
+def traced_peak(fn, *args):
+    """fn(*args) and the peak of the memory it allocated, in bytes, as
+    tracemalloc counts it (numpy reports its array buffers there)."""
+    if tracemalloc.is_tracing():
+        pytest.skip("tracemalloc is already tracing")
+    tracemalloc.start()
+    try:
+        result = fn(*args)
+        return result, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def bisect_root(fn, lo, hi, iters=200):
@@ -279,6 +306,78 @@ class TestShellOrder:
         assert q.tolist() == [2, 5, 5]
 
 
+class TestInPlace:
+    """Builders and sinpi work in place: the same bits as the formulas they
+    replaced, within a budget of memory that a new temporary would break."""
+
+    @pytest.mark.parametrize(
+        "kind, d, size", [("box", 2, 200000), ("box", 3, 100000), ("hermite", 1, 200000), ("hermite", 2, 200000)]
+    )
+    def test_builder_peak_is_at_most_twice_its_output(self, kind, d, size):
+        build = (lambda: build_box_basis(d, 1.0, size)) if kind == "box" else (lambda: build_hermite_basis(d, size))
+        basis, peak = traced_peak(build)
+        assert peak <= 2 * (basis.lambdas.nbytes + basis.indices.nbytes)
+
+    def test_sinpi_peak_is_at_most_three_and_a_half_inputs(self):
+        u = np.random.default_rng(3).uniform(-50.0, 50.0, 200000)
+        _, peak = traced_peak(sinpi, u)
+        assert peak <= 3.5 * u.nbytes
+
+    @pytest.mark.parametrize("side", [1.0, 2.5])
+    @pytest.mark.parametrize("d, size", [(2, 200000), (3, 100000), (1, 1000)])
+    def test_box_eigenvalues_match_the_old_formula_bit_for_bit(self, d, size, side):
+        basis = build_box_basis(d, side, size)
+        q = (basis.indices**2).sum(axis=1)
+        old = np.pi * np.sqrt(q.astype(float)) / side
+        assert basis.lambdas.view(np.int64).tobytes() == old.view(np.int64).tobytes()
+
+    @pytest.mark.parametrize("d, size", [(1, 200000), (2, 200000), (3, 1000)])
+    def test_hermite_eigenvalues_match_the_old_formula_bit_for_bit(self, d, size):
+        basis = build_hermite_basis(d, size)
+        s = basis.indices.sum(axis=1)
+        old = np.sqrt(2.0 * s.astype(float) + d)
+        assert basis.lambdas.view(np.int64).tobytes() == old.view(np.int64).tobytes()
+
+    @pytest.mark.parametrize(
+        "kind, size",
+        [(BasisKind.INTERVAL_DIRICHLET, 100000), (BasisKind.INTERVAL_MIXED, 5000),
+         (BasisKind.INTERVAL_NEUMANN, 5000)],
+    )
+    def test_interval_values_match_the_old_formula_bit_for_bit(self, kind, size):
+        a, b = -0.5, 2.0
+        basis = build_interval_basis(kind, a, b, size)
+        x = np.array([0.3, 0.7, a, b, 1.0 / 3.0])
+        old = old_interval_axis_values(kind, b - a, basis.indices[:, 0], (x - a) / (b - a))
+        got = evaluate_matrix(basis, x)
+        assert got.view(np.int64).tobytes() == old.view(np.int64).tobytes()
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: build_interval_basis("dirichlet", 0.0, 1.0, 1000),
+            lambda: build_interval_basis("neumann", 0.0, 1.0, 1000),
+            lambda: build_box_basis(2, 1.0, 1000),
+            lambda: build_box_basis(3, 1.0, 1000),
+            lambda: build_hermite_basis(1, 1000),
+            lambda: build_hermite_basis(2, 1000),
+        ],
+    )
+    def test_builder_arrays_are_frozen_plain_and_unshared(self, make):
+        basis, again = make(), make()
+        for arr in (basis.lambdas, basis.indices):
+            assert type(arr) is np.ndarray and arr.flags.c_contiguous
+            view = arr
+            while view is not None:  # the array and every array it views
+                assert not view.flags.writeable
+                view = view.base
+            with pytest.raises(ValueError, match="read-only"):
+                arr.reshape(-1)[0] = 0
+        assert not np.shares_memory(basis.lambdas, basis.indices)
+        for first in (basis.lambdas, basis.indices):
+            for second in (again.lambdas, again.indices):
+                assert not np.shares_memory(first, second)
+
+
 class TestInvariants:
     @pytest.mark.parametrize(
         "make",
@@ -411,3 +510,17 @@ class TestHelpers:
         assert not b.lambdas.flags.writeable and not b.indices.flags.writeable
         lambdas[0], indices[0, 0] = 5.0, 7
         assert b.lambdas[0] == 1.0 and b.indices[0, 0] == 1
+
+        # a read-only array the caller owns is still the caller's: the
+        # caller can turn writing back on, so the basis copies it too
+        lambdas.setflags(write=False)
+        indices.setflags(write=False)
+        b = EigenBasis(
+            kind=BasisKind.INTERVAL_DIRICHLET, d=1, size=3, lambdas=lambdas, alpha=1.0,
+            c_weyl=1.0, domain=((0.0, math.pi),), indices=indices,
+        )
+        assert not np.shares_memory(b.lambdas, lambdas) and not np.shares_memory(b.indices, indices)
+        lambdas.setflags(write=True)
+        indices.setflags(write=True)
+        lambdas[0], indices[0, 0] = 9.0, 3
+        assert b.lambdas[0] == 5.0 and b.indices[0, 0] == 7

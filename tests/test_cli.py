@@ -185,6 +185,18 @@ class TestRunner:
         cfg = load_config(self._write(tmp_path, body))
         assert run(cfg) == 1
 
+    def test_stationary_verdict_does_not_depend_on_units(self, tmp_path, capsys):
+        # at sigma = 1e-100 every covariance is ~1e-200, and c_ii c_jj in
+        # the standard error would underflow to zero without the rescaling
+        zmax = {}
+        for sigma in ("1", "1e-100"):
+            path = self._write(tmp_path, f"experiment = stationary_bd\nsigma = {sigma}\noutput = {tmp_path}/s{sigma}\n")
+            assert main(["run", path]) == 0
+            with open(f"{tmp_path}/s{sigma}_stationary_bd_summary.json") as fh:
+                zmax[sigma] = json.load(fh)["zmax"]
+        assert "[stationary_bd] PASS" in capsys.readouterr().out
+        assert zmax["1e-100"] == pytest.approx(zmax["1"], rel=1e-9)
+
     def test_main_run_and_exit_codes(self, tmp_path, capsys):
         path = self._write(tmp_path, f"experiment = kakutani\noutput = {tmp_path}/k\n")
         assert main(["run", path]) == 0

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from gfflab.basis import build_hermite_basis, build_interval_basis
+from gfflab.basis import build_box_basis, build_hermite_basis, build_interval_basis
 from gfflab.dynamics import (
     MC_BLOCK,
     SpectralState,
@@ -222,7 +222,31 @@ class TestStationary:
         assert np.abs(off).max() < 4.0 / math.sqrt(n)
 
 
+def old_kakutani_statistic(basis, nu, t, n):
+    """kakutani_statistic as written before it worked in place: the oracle
+    of the bit-identity test."""
+    q = np.exp(-2.0 * nu * basis.lambdas_squared[:n] * t)
+    dev = q / (1.0 + np.sqrt(1.0 - q))
+    return float(np.sum(dev * dev))
+
+
 class TestKakutani:
+    @pytest.mark.parametrize(
+        "make, t",
+        [
+            (lambda: build_box_basis(3, 1.0, 100000), 0.1),
+            (lambda: build_interval_basis("dirichlet", 0.0, 1.0, 100000), 1e-5),
+            (lambda: build_hermite_basis(1, 200000), 0.01),
+        ],
+        ids=["box3", "dirichlet", "hermite1"],
+    )
+    def test_matches_the_old_formula_bit_for_bit(self, make, t):
+        basis = make()
+        for n in (1, 10, 100, 1000, 10000, basis.size):
+            got = kakutani_statistic(basis, 1.7, t, n)
+            assert got.hex() == old_kakutani_statistic(basis, 1.7, t, n).hex()
+            assert got > 0.0
+
     def test_long_time_limit_vanishes(self, dirichlet16):
         assert kakutani_statistic(dirichlet16, 1.0, 50.0) == 0.0
 

@@ -306,6 +306,14 @@ class TestSeriesGreen:
         two_calls = float(np.sum(hx * hy / (basis.lambdas_squared * 1.3)))
         assert series_green(basis, 1.3, x, y).hex() == two_calls.hex()
 
+    @pytest.mark.parametrize("terms", [1, 1000, 99999, 10**5])
+    def test_partial_sums_match_the_old_formula_bit_for_bit(self, terms):
+        # the old formula squared every lambda, then sliced and divided anew
+        basis = build_interval_basis("dirichlet", 0.0, 1.0, 10**5)
+        hx, hy = evaluate_matrix(basis, np.array([0.3, 0.7]))[:, :terms]
+        old = float(np.sum(hx * hy / (basis.lambdas_squared[:terms] * 1.3)))
+        assert series_green(basis, 1.3, 0.3, 0.7, terms).hex() == old.hex()
+
     def test_constant_mode_rejected(self):
         basis = build_interval_basis("neumann", 0.0, 1.0, 8)
         with pytest.raises(ValueError, match="lambda_1 > 0"):

@@ -1,0 +1,72 @@
+"""The bytes of every file `gff-lab run-all --seed 7` writes, and of the
+three large-spectrum runs of the benchmark, pinned by sha256.
+
+A change that is meant to keep every output byte-identical (a speed-up, a
+refactor) must keep these hashes. They depend on the floating-point stack,
+so the test runs only under the Python and numpy versions the manifest was
+made with, and skips elsewhere. A change that moves cells on purpose
+regenerates the manifest with
+
+    PYTHONPATH=src python tests/test_output_manifest.py --write
+
+and lists the moved cells in CHANGES.md.
+"""
+
+import contextlib
+import hashlib
+import io
+import json
+import platform
+import sys
+import tempfile
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from gfflab.cli import main
+
+MANIFEST = Path(__file__).with_name("output_sha256.json")
+# the configs of the spectra_large workload in perfbench/run.py
+LARGE_SPECTRA = {
+    "weyl": {"K": 200000},
+    "kakutani": {"basis.kind": "box_dirichlet", "basis.d": 3, "K": 100000},
+    "heat_poisson": {"K": 100000},
+}
+
+
+def versions() -> dict[str, str]:
+    return {"python": platform.python_version(), "numpy": np.__version__}
+
+
+def output_hashes(root: Path) -> dict[str, str]:
+    """sha256 of each output file, keyed by its path below root."""
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["run-all", "--seed", "7", "--out", str(root / "run-all")]) == 0
+        for name, keys in LARGE_SPECTRA.items():
+            lines = [f"experiment = {name}", "seed = 7"] + [f"{k} = {v}" for k, v in keys.items()]
+            config = root / f"{name}.cfg"
+            config.write_text("\n".join(lines + [f"output = {root}/large/{name}"]) + "\n")
+            assert main(["run", str(config)]) == 0
+    return {
+        path.relative_to(root).as_posix(): hashlib.sha256(path.read_bytes()).hexdigest()
+        for path in sorted(root.glob("*/*"))
+    }
+
+
+def test_outputs_match_the_manifest(tmp_path):
+    manifest = json.loads(MANIFEST.read_text(encoding="utf-8"))
+    if manifest["versions"] != versions():
+        pytest.skip(f"the manifest was made with {manifest['versions']}, this is {versions()}")
+    hashes = output_hashes(tmp_path)
+    assert len(hashes) == 2 * (11 + len(LARGE_SPECTRA))  # a CSV and a summary per run
+    assert hashes == manifest["sha256"]
+
+
+if __name__ == "__main__":
+    if sys.argv[1:] != ["--write"]:
+        sys.exit("usage: PYTHONPATH=src python tests/test_output_manifest.py --write")
+    with tempfile.TemporaryDirectory() as tmp:
+        manifest = {"versions": versions(), "sha256": output_hashes(Path(tmp))}
+    MANIFEST.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+    print(f"wrote {len(manifest['sha256'])} hashes to {MANIFEST}")

@@ -96,6 +96,33 @@ class TestEstimateCovariance:
         assert np.array_equal(rep.empirical, rep.empirical.T)
         assert np.array_equal(rep.target, rep.target.T)
 
+    def test_ordinary_covariances_keep_their_bits(self):
+        gen = RngStream(58, 0).generator()
+        values = gen.standard_normal((800, 3)) @ np.triu(np.ones((3, 3)))
+        rep = report_from_values(values)
+        diag = np.diag(rep.empirical)
+        old = np.sqrt((np.outer(diag, diag) + rep.empirical**2) / 800)
+        assert rep.stderr.tobytes() == old.tobytes()
+
+    @pytest.mark.parametrize("scale", [1e-100, 1e-140])
+    def test_tiny_covariances_keep_their_standard_error(self, scale):
+        # c_ii c_jj underflows below ~1e-154 per covariance; the z-scores
+        # must not depend on the units of the functionals
+        gen = RngStream(59, 0).generator()
+        values = gen.standard_normal((800, 3)) @ np.triu(np.ones((3, 3)))
+        target = np.array([[1.0, 1.0, 1.0], [1.0, 2.0, 2.0], [1.0, 2.0, 3.0]])
+        unit = report_from_values(values, target=target)
+        mixed = np.column_stack((values[:, :2], scale * values[:, 2]))
+        mixed_target = target * np.array([1.0, 1.0, scale])[:, None] * np.array([1.0, 1.0, scale])
+        for rep, ref_scale in (
+            (report_from_values(scale * values, target=scale**2 * target), scale**2 * np.ones((3, 3))),
+            (report_from_values(mixed, target=mixed_target), np.outer([1.0, 1.0, scale], [1.0, 1.0, scale])),
+        ):
+            assert np.isfinite(rep.zmax) and rep.passed == unit.passed
+            assert np.all(rep.stderr > 0.0)
+            np.testing.assert_allclose(rep.stderr, unit.stderr * ref_scale, rtol=1e-12)
+            np.testing.assert_allclose(rep.z, unit.z, rtol=1e-9)
+
 
 class TestKsGaussian:
     def test_calibration_on_true_null(self):
