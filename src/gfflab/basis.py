@@ -55,20 +55,32 @@ def parse_basis_kind(kind: BasisKind | str) -> BasisKind:
         raise ValueError(f"unknown basis kind {kind!r}") from None
 
 
+_SINPI_BLOCK = 8192  # values per pass: the three scratch arrays of a pass stay in cache
+
+
+def _sinpi_into(v: np.ndarray) -> np.ndarray:
+    """sin(pi * v) written over the C-contiguous float array v, with exact
+    zeros at integer v; one block of values at a time."""
+    flat = v.reshape(-1)
+    for lo in range(0, flat.size, _SINPI_BLOCK):
+        u = flat[lo : lo + _SINPI_BLOCK]
+        n = np.floor(u)
+        r = u - n
+        s = 1.0 - r
+        np.minimum(r, s, out=s)
+        s *= np.pi
+        np.sin(s, out=s)
+        n *= 0.5
+        np.floor(n, out=r)
+        np.negative(s, out=s, where=r != n)  # odd n
+        np.add(s, 0.0, out=u)  # normalize -0.0 to +0.0
+    return v
+
+
 def sinpi(u):
     """sin(pi * u) with exact zeros at integer u."""
     u = np.asarray(u, dtype=float)
-    v = np.atleast_1d(u)  # ufuncs return 0-d results as scalars, which cannot be written to
-    n = np.floor(v)
-    r = v - n
-    s = 1.0 - r
-    np.minimum(r, s, out=s)
-    s *= np.pi
-    np.sin(s, out=s)
-    n *= 0.5
-    np.floor(n, out=r)
-    np.negative(s, out=s, where=r != n)  # odd n
-    s += 0.0  # normalize -0.0 to +0.0
+    s = _sinpi_into(np.array(u, ndmin=1))  # a 0-d array cannot be written in place
     return s if u.ndim else float(s[0])
 
 
@@ -310,17 +322,19 @@ def build_hermite_basis(d: int, size: int) -> EigenBasis:
 
 
 def _interval_axis_values(kind: BasisKind, a: float, b: float, modes: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Values h_m(x) for interval eigenfunctions; shape (len(x), len(modes))."""
+    """Values h_m(x) for interval eigenfunctions; shape (len(x), len(modes)),
+    evaluated in place in the buffer of the phases."""
     length = b - a
     rel = (x - a) / length
-    modes = modes.astype(float)
     if kind is BasisKind.INTERVAL_NEUMANN:
-        out = cospi(np.outer(rel, modes - 1.0))
+        out = np.outer(rel, modes - 1.0)
+        out += 0.5  # cos(pi u) = sin(pi (u + 1/2))
     else:
-        out = sinpi(np.outer(rel, modes - 0.5 if kind is BasisKind.INTERVAL_MIXED else modes))
+        out = np.outer(rel, modes - 0.5 if kind is BasisKind.INTERVAL_MIXED else modes)
+    _sinpi_into(out)
     out *= math.sqrt(2.0 / length)
     if kind is BasisKind.INTERVAL_NEUMANN:
-        out[:, modes == 1.0] = math.sqrt(1.0 / length)
+        out[:, modes == 1] = math.sqrt(1.0 / length)
     return out
 
 

@@ -22,6 +22,7 @@ import math
 import os
 import sys
 from dataclasses import dataclass, field, fields
+from functools import lru_cache
 
 from .basis import BasisKind, parse_basis_kind
 from .experiments import EXPERIMENT_CHECKS, EXPERIMENT_DEFAULTS, EXPERIMENTS, ExperimentResult
@@ -199,7 +200,10 @@ def list_experiments() -> str:
     return "\n".join(lines)
 
 
-def main(argv=None) -> int:
+@lru_cache(maxsize=1)
+def _parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process; parse_args leaves it
+    unchanged, so every call of main starts from the same defaults."""
     parser = argparse.ArgumentParser(prog="gff-lab", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -213,8 +217,11 @@ def main(argv=None) -> int:
     all_p.add_argument("--out", default="out", help="output directory")
 
     sub.add_parser("list", help="print the experiment registry")
+    return parser
 
-    args = parser.parse_args(argv)
+
+def main(argv=None) -> int:
+    args = _parser().parse_args(argv)
     if args.command == "list":
         print(list_experiments())
         return 0

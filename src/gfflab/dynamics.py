@@ -106,18 +106,19 @@ def _functional_matrix(basis: EigenBasis, functionals) -> np.ndarray:
 def sample_gaussian(mean, cov, n_samples: int, stream: RngStream) -> np.ndarray:
     """n_samples draws of N(mean, cov) as an (n_samples, p) array: block b
     of MC_BLOCK rows is mean + z @ factor.T, z ~ N(0, I_p) from substream
-    2 b (even numbers only, which keeps the draws of earlier versions).
+    2 b (even numbers only, which keeps the draws of earlier versions),
+    written into its rows of the one output array.
     eigh eigenvalues below p eps times the largest count as zero, so a
     singular cov (repeated functionals) gives exactly repeated columns."""
     evals, evecs = np.linalg.eigh(np.asarray(cov, dtype=float))
     floor = evals.size * np.finfo(float).eps * evals.max(initial=0.0)
     factor = evecs * np.sqrt(np.where(evals > floor, evals, 0.0))
-    blocks = []
-    for b in range((n_samples + MC_BLOCK - 1) // MC_BLOCK):
-        m = min(MC_BLOCK, n_samples - b * MC_BLOCK)
-        z = stream.substream(2 * b).generator().standard_normal((m, evals.size))
-        blocks.append(mean + z @ factor.T)
-    return np.concatenate(blocks, axis=0)
+    out = np.empty((n_samples, evals.size))
+    for b, lo in enumerate(range(0, n_samples, MC_BLOCK)):
+        rows = out[lo : lo + MC_BLOCK]
+        z = stream.substream(2 * b).generator().standard_normal(rows.shape)
+        np.add(mean, z @ factor.T, out=rows)
+    return out
 
 
 def sample_functional_values(

@@ -38,6 +38,14 @@ EXPERIMENT_DEFAULTS: dict[str, dict] = {
 # the reference potential, the divisor of the relative error, underflows to
 # 0 from m = 737.8 (nu = 1) and m = 741.5 (eps = 1) on.
 HEAT_POISSON_MAX_MASS = 700.0
+# The 256-node time rule of heat_poisson_identity meets the default
+# tol.rel = 1e-6 at |x| = 1 only while the time scales 1/(4 nu) and 1/eps of
+# the integrand lie within reach of its nodes. Over the other range, the
+# worst crossings are nu = 1.8e-4 (at eps = 1e-2) and 28.3 (at eps = 1e3),
+# and eps = 4.7e-3 (at nu = 1e-3) and 2328 (at nu = 10); inside both ranges
+# the worst relerr is 4.6e-8.
+HEAT_POISSON_NU_RANGE = (1e-3, 10.0)
+HEAT_POISSON_EPS_RANGE = (1e-2, 1e3)
 
 
 def _require_positive_spectrum(cfg) -> None:
@@ -47,12 +55,18 @@ def _require_positive_spectrum(cfg) -> None:
         )
 
 
-def _require_representable_potential(cfg) -> None:
+def _require_resolved_potential(cfg) -> None:
     mass = math.sqrt(cfg.eps / cfg.nu)
     if not mass <= HEAT_POISSON_MAX_MASS:
         raise ValueError(
             f"nu and eps: heat_poisson needs sqrt(eps / nu) <= {HEAT_POISSON_MAX_MASS:g}"
             f" (got {mass:g}; nu = {cfg.nu}, eps = {cfg.eps})"
+        )
+    (nu_lo, nu_hi), (eps_lo, eps_hi) = HEAT_POISSON_NU_RANGE, HEAT_POISSON_EPS_RANGE
+    if not (nu_lo <= cfg.nu <= nu_hi and eps_lo <= cfg.eps <= eps_hi):
+        raise ValueError(
+            f"nu and eps: heat_poisson's time rule needs {nu_lo:g} <= nu <= {nu_hi:g}"
+            f" and {eps_lo:g} <= eps <= {eps_hi:g} (got nu = {cfg.nu}, eps = {cfg.eps})"
         )
 
 
@@ -62,7 +76,7 @@ EXPERIMENT_CHECKS = {
     "stationary_hermite": _require_positive_spectrum,
     "convergence_curve": _require_positive_spectrum,
     "kakutani": _require_positive_spectrum,
-    "heat_poisson": _require_representable_potential,
+    "heat_poisson": _require_resolved_potential,
 }
 
 

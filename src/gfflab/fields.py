@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -124,24 +125,50 @@ def two_sided_antiderivative(f, x, r_max: float = 20.0) -> np.ndarray:
     return out if np.ndim(x) else float(out[0])
 
 
-def _transform_on_grid(even, odd, r_max: float, panels: int, xi) -> np.ndarray:
-    """Unitary Fourier transforms at frequencies xi of functions on the grid
-    -x, x with x = composite_legendre(0, r_max, panels, 16); the rows of even
-    and odd hold w(x) (f(x) +- f(-x)) for quadrature weights w.
+@lru_cache(maxsize=1)
+def _fourier_tables(r_max: float, panels: int, xi_max: float) -> tuple[np.ndarray, ...]:
+    """The xi rule (xi, wxi) = composite_legendre(0, xi_max, panels, 16) of the
+    fourier route and the trig tables of its x grid, x = composite_legendre(0,
+    r_max, panels, 16): cos and sin of the (panels, xi) centre angles and of
+    the (16, xi) offset angles. Built once per grid and read-only; only the
+    last grid is held."""
+    xi, wxi = composite_legendre(0.0, xi_max, panels, 16)
+    edges = np.linspace(0.0, r_max, panels + 1)
+    centre = np.outer(0.5 * (edges[:-1] + edges[1:]), xi)
+    half = 0.5 * r_max / panels
+    offset = np.outer(gauss_legendre(-half, half, 16)[0], xi)
+    cc, co = np.cos(centre), np.cos(offset)
+    tables = (xi, wxi, cc, np.sin(centre, out=centre), co, np.sin(offset, out=offset))
+    for a in tables:
+        a.setflags(write=False)
+    return tables
+
+
+def _transform_on_grid(even, odd, r_max: float, panels: int, xi_max: float) -> np.ndarray:
+    """Unitary Fourier transforms at the nodes xi of _fourier_tables of
+    functions on the grid -x, x with x = composite_legendre(0, r_max, panels,
+    16); the rows of even and odd hold w(x) (f(x) +- f(-x)) for quadrature
+    weights w.
 
     Each node is a panel centre c plus an offset s, so by angle addition
     cos(x xi) = cos(c xi) cos(s xi) - sin(c xi) sin(s xi) and
     sin(x xi) = sin(c xi) cos(s xi) + cos(c xi) sin(s xi): the trig tables are
     (panels, xi) and (16, xi), and the sums over panels are matrix products."""
-    edges = np.linspace(0.0, r_max, panels + 1)
-    centre = np.outer(0.5 * (edges[:-1] + edges[1:]), xi)
-    half = 0.5 * r_max / panels
-    offset = np.outer(gauss_legendre(-half, half, 16)[0], xi)
-    cc, sc, co, so = np.cos(centre), np.sin(centre), np.cos(offset), np.sin(offset)
+    _, _, cc, sc, co, so = _fourier_tables(r_max, panels, xi_max)
     # (rows, panels * 16) -> (rows, 16, panels): one row per function and offset
     even, odd = (np.swapaxes(a.reshape(-1, panels, 16), 1, 2) for a in (even, odd))
-    re = np.sum((even @ cc) * co - (even @ sc) * so, axis=1)
-    im = np.sum((odd @ sc) * co + (odd @ cc) * so, axis=1)
+    a = even @ cc
+    a *= co
+    b = even @ sc
+    b *= so
+    a -= b
+    re = np.sum(a, axis=1)
+    np.matmul(odd, sc, out=a)
+    a *= co
+    np.matmul(odd, cc, out=b)
+    b *= so
+    a += b
+    im = np.sum(a, axis=1)
     return (re - 1j * im) / math.sqrt(2.0 * math.pi)
 
 
@@ -241,9 +268,9 @@ def covariance_two_sided(
         # [0, r_max], so f and g enter through their even and odd parts; xi
         # runs on the same 16-node panels
         x, wx = composite_legendre(0.0, r_max, panels, 16)
-        xi, wxi = composite_legendre(0.0, xi_max, panels, 16)
+        xi, wxi = _fourier_tables(r_max, panels, xi_max)[:2]
         plus, minus = wx * np.stack([f(x), g(x)]), wx * np.stack([f(-x), g(-x)])
-        fh, gh = _transform_on_grid(plus + minus, plus - minus, r_max, panels, xi)
+        fh, gh = _transform_on_grid(plus + minus, plus - minus, r_max, panels, xi_max)
         f0, g0 = np.sum(plus + minus, axis=1) / math.sqrt(2.0 * math.pi)
         num = np.real((fh - f0) * np.conj(gh - g0))
         value = 2.0 * float(np.sum(wxi * num / (xi * xi)))

@@ -149,7 +149,7 @@ def potential_massive(x, *, d: int, nu: float, eps: float):
     r = _radius(d, x)
     m = math.sqrt(eps / nu)
     if d == 1:
-        return _float_or_array(np.exp(-m * r) / (2.0 * math.sqrt(eps * nu)))
+        return _float_or_array(np.exp(-m * r) / (2.0 * math.sqrt(eps) * math.sqrt(nu)))
     if np.any(r == 0.0):
         raise ValueError("massive potential is singular at x = 0 for d >= 2")
     if d == 2:

@@ -22,6 +22,7 @@ from gfflab.basis import (
     gram_matrix,
     sinpi,
 )
+from gfflab.greens import series_green
 
 
 def oracle_box(d, size):
@@ -322,6 +323,14 @@ class TestInPlace:
         u = np.random.default_rng(3).uniform(-50.0, 50.0, 200000)
         _, peak = traced_peak(sinpi, u)
         assert peak <= 3.5 * u.nbytes
+
+    def test_series_green_peak_is_at_most_half_the_old_one(self):
+        # 7.06 MiB with the phase buffer, three sinpi temporaries and a float
+        # copy of the modes; in place it is the buffer, one scratch array of
+        # its size and boolean masks
+        basis = build_interval_basis("dirichlet", 0.0, 1.0, 10**5)
+        _, peak = traced_peak(series_green, basis, 1.0, 0.3, 0.7)
+        assert peak <= 0.5 * 7.06 * 2**20
 
     @pytest.mark.parametrize("side", [1.0, 2.5])
     @pytest.mark.parametrize("d, size", [(2, 200000), (3, 100000), (1, 1000)])

@@ -14,6 +14,7 @@ from gfflab.basis import BasisKind
 from gfflab.cli import (
     ConfigError,
     ExperimentConfig,
+    _parser,
     list_experiments,
     load_config,
     main,
@@ -352,6 +353,32 @@ class TestRunner:
         assert os.path.exists(f"{tmp_path}/h_heat_poisson.csv") == (code != 2)
 
     @pytest.mark.parametrize(
+        "nu, eps, code",
+        [
+            (1e-3, 1e-2, 0),
+            (10.0, 1e-2, 0),
+            (10.0, 1e3, 0),
+            (9.99e-4, 1.0, 2),
+            (10.01, 1.0, 2),
+            (1.0, 9.99e-3, 2),
+            (1.0, 1000.1, 2),
+            (1e200, 1e200, 2),
+            (1e-200, 1e-200, 2),
+        ],
+    )
+    def test_heat_poisson_time_rule_bound(self, tmp_path, capsys, nu, eps, code):
+        # the 256-node time rule meets tol.rel = 1e-6 for 1e-3 <= nu <= 10 and
+        # 1e-2 <= eps <= 1e3; at nu = eps = 1e200 it would give lhs = 0, a false FAIL
+        path = self._write(
+            tmp_path,
+            f"experiment = heat_poisson\nK = 100\nnu = {nu!r}\neps = {eps!r}\noutput = {tmp_path}/h\n",
+        )
+        assert main(["run", path]) == code
+        err = capsys.readouterr().err
+        assert ("time rule" in err) == (code == 2) and "Traceback" not in err
+        assert os.path.exists(f"{tmp_path}/h_heat_poisson.csv") == (code != 2)
+
+    @pytest.mark.parametrize(
         "name, line",
         [
             ("weyl", "nu = nan"),
@@ -442,6 +469,66 @@ class TestRunAll:
         assert main(["run-all", "--seed", "-1", "--out", str(tmp_path)]) == 2
         assert "seed" in capsys.readouterr().err
         assert not os.listdir(tmp_path)
+
+
+class TestSharedParser:
+    """One parser serves every main call of a process; no call may see the
+    flags of another."""
+
+    @pytest.fixture()
+    def seen(self, monkeypatch):
+        """(experiment, seed, output) of every run, with the experiments stubbed."""
+        calls = []
+
+        def stub(cfg):
+            calls.append((cfg.experiment, cfg.seed, cfg.output))
+            return ExperimentResult([{"x": 1.0}], {"passed": True})
+
+        for name in list(EXPERIMENTS):
+            monkeypatch.setitem(EXPERIMENTS, name, stub)
+        return calls
+
+    @pytest.fixture()
+    def config(self, tmp_path):
+        path = os.path.join(tmp_path, "w.cfg")
+        with open(path, "w") as fh:
+            fh.write(f"experiment = weyl\nseed = 11\noutput = {tmp_path}/w\n")
+        return path
+
+    def test_parser_is_built_once(self):
+        assert _parser() is _parser()
+
+    def test_seed_override_does_not_leak(self, tmp_path, config, seen, capsys):
+        assert main(["run", config, "--seed", "3"]) == 0
+        assert main(["run", config]) == 0
+        assert seen == [("weyl", 3, f"{tmp_path}/w"), ("weyl", 11, f"{tmp_path}/w")]
+
+    def test_out_override_does_not_leak(self, tmp_path, config, seen, capsys):
+        assert main(["run", config, "--out", f"{tmp_path}/o"]) == 0
+        assert main(["run", config]) == 0
+        assert seen == [("weyl", 11, f"{tmp_path}/o"), ("weyl", 11, f"{tmp_path}/w")]
+
+    def test_run_all_after_run_keeps_its_defaults(self, tmp_path, config, seen, capsys, monkeypatch):
+        fresh = [(name, 7, f"out/{name}") for name in sorted(EXPERIMENTS)]
+        assert main(["run", config, "--seed", "3", "--out", f"{tmp_path}/o"]) == 0
+        assert main(["run-all", "--seed", "5", "--out", f"{tmp_path}/all"]) == 0
+        del seen[:]
+        monkeypatch.chdir(tmp_path)  # the default --out is relative
+        assert main(["run-all"]) == 0
+        assert seen == fresh
+
+    @pytest.mark.parametrize(
+        "argv",
+        [[], ["bogus"], ["run"], ["run", "a.cfg", "--seed", "x"], ["run-all", "--jobs", "2"],
+         ["list", "extra"]],
+    )
+    def test_bad_argv_exits_two_each_time(self, argv, capsys):
+        for _ in range(2):
+            with pytest.raises(SystemExit) as exc:
+                main(argv)
+            assert exc.value.code == 2
+            assert "usage: gff-lab" in capsys.readouterr().err
+        assert main(["list"]) == 0
 
 
 _BAD_FLOATS = ["nan", "inf", "-inf", "-1", "0", "banana"]

@@ -21,6 +21,21 @@ from gfflab.fields import RngStream, sample_gff
 from gfflab.stats import ks_gaussian, kolmogorov_sf, report_from_values, summarize_convergence
 
 
+def old_sample_gaussian(mean, cov, n_samples, stream):
+    """sample_gaussian as it was before the blocks were written into one
+    output array: a list of blocks and a concatenation, the oracle of the
+    bit-identity test."""
+    evals, evecs = np.linalg.eigh(np.asarray(cov, dtype=float))
+    floor = evals.size * np.finfo(float).eps * evals.max(initial=0.0)
+    factor = evecs * np.sqrt(np.where(evals > floor, evals, 0.0))
+    blocks = []
+    for b in range((n_samples + MC_BLOCK - 1) // MC_BLOCK):
+        m = min(MC_BLOCK, n_samples - b * MC_BLOCK)
+        z = stream.substream(2 * b).generator().standard_normal((m, evals.size))
+        blocks.append(mean + z @ factor.T)
+    return np.concatenate(blocks, axis=0)
+
+
 @pytest.fixture()
 def single_mode():
     return build_interval_basis("dirichlet", 0.0, math.pi, 1)  # lambda = pi/L = 1
@@ -395,6 +410,22 @@ class TestReducedRankSampler:
         z = stream.substream(2).generator().standard_normal((10, 2))
         expected = np.array([1.0, -2.0]) + z * [2.0, 3.0]
         assert np.allclose(vals[MC_BLOCK:], expected, rtol=1e-15, atol=0.0)
+
+    @pytest.mark.parametrize("n", [1, MC_BLOCK - 1, MC_BLOCK, MC_BLOCK + 1, 50000])
+    @pytest.mark.parametrize("p", [1, 5, 6, "singular"])
+    def test_gaussian_draw_matches_the_old_code_bit_for_bit(self, n, p):
+        if p == "singular":  # e3 repeats e2, as in the stationary checks at K = 2
+            basis = build_interval_basis("dirichlet", 0.0, 1.0, 2)
+            w = np.stack(standard_functionals(basis)[0], axis=1)
+            cov, mean = w.T @ (w / basis.lambdas_squared[:, None]), np.linspace(-1.0, 1.0, 6)
+        else:
+            a = RngStream(50, p).generator().standard_normal((p, p + 2))
+            cov, mean = a @ a.T, np.arange(p) - 0.5
+        stream = RngStream(51, 3)
+        got = sample_gaussian(mean, cov, n, stream)
+        want = old_sample_gaussian(mean, cov, n, stream)
+        assert got.shape == want.shape == (n, mean.size)
+        assert got.view(np.int64).tobytes() == want.view(np.int64).tobytes()
 
 
 class TestStateAndCheckpoint:

@@ -1,4 +1,6 @@
+import gc
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -11,6 +13,7 @@ from gfflab.fields import (
     FOURIER_PHASE_PER_PANEL,
     FieldSample,
     RngStream,
+    _fourier_tables,
     _transform_on_grid,
     covariance_two_sided,
     field_values,
@@ -305,6 +308,20 @@ def full_table_transform(even, odd, x, xi, block=256):
     return (re - 1j * im) / math.sqrt(2.0 * math.pi)
 
 
+def old_transform_on_grid(even, odd, r_max, panels, xi):
+    """_transform_on_grid as it was before its tables were cached and its
+    products formed in place: the oracle of the bit-identity test."""
+    edges = np.linspace(0.0, r_max, panels + 1)
+    centre = np.outer(0.5 * (edges[:-1] + edges[1:]), xi)
+    half = 0.5 * r_max / panels
+    offset = np.outer(gauss_legendre(-half, half, 16)[0], xi)
+    cc, sc, co, so = np.cos(centre), np.sin(centre), np.cos(offset), np.sin(offset)
+    even, odd = (np.swapaxes(a.reshape(-1, panels, 16), 1, 2) for a in (even, odd))
+    re = np.sum((even @ cc) * co - (even @ sc) * so, axis=1)
+    im = np.sum((odd @ sc) * co + (odd @ cc) * so, axis=1)
+    return (re - 1j * im) / math.sqrt(2.0 * math.pi)
+
+
 PAIRS = {
     "gauss": (
         lambda x: np.exp(-0.5 * (x - 0.4) ** 2),
@@ -352,7 +369,7 @@ class TestCovarianceTwoSided:
         plus = wx * np.stack([h(x) for h in funcs])
         minus = wx * np.stack([h(-x) for h in funcs])
         want = full_table_transform(plus + minus, plus - minus, x, xi)
-        got = _transform_on_grid(plus + minus, plus - minus, r_max, panels, xi)
+        got = _transform_on_grid(plus + minus, plus - minus, r_max, panels, xi_max)
         assert got.shape == want.shape == (len(funcs), panels * 16)
         scale = np.max(np.abs(want), axis=1, keepdims=True)
         assert np.all(np.abs(got - want) <= 1e-13 * scale)
@@ -451,3 +468,53 @@ class TestCovarianceTwoSided:
         f = lambda x: np.exp(-x * x)
         with pytest.raises(ValueError, match="mode"):
             covariance_two_sided(f, f, "spectral")
+
+
+# the grids of test_panel_transform_matches_full_table
+TRANSFORM_GRIDS = [(16, 20.0, 40.0), (100, 20.0, 40.0), (256, 20.0, 40.0), (2048, 20.0, 40.0),
+                   (256, 7.5, 13.0)]
+
+
+class TestFourierTables:
+    @pytest.mark.parametrize("n_nodes, r_max, xi_max", TRANSFORM_GRIDS)
+    def test_transform_matches_the_old_code_bit_for_bit(self, n_nodes, r_max, xi_max):
+        panels = max(n_nodes // 16, 1)
+        x, wx = composite_legendre(0.0, r_max, panels, 16)
+        xi, _ = composite_legendre(0.0, xi_max, panels, 16)
+        funcs = [*PAIRS["gauss"], PAIRS["odd"][0], lambda v: np.exp(-np.abs(v))]
+        plus = wx * np.stack([h(x) for h in funcs])
+        minus = wx * np.stack([h(-x) for h in funcs])
+        for rows in (2, 4):  # the two-row call of covariance_two_sided, and more rows
+            even, odd = plus[:rows] + minus[:rows], plus[:rows] - minus[:rows]
+            want = old_transform_on_grid(even, odd, r_max, panels, xi)
+            got = _transform_on_grid(even, odd, r_max, panels, xi_max)
+            assert got.view(np.int64).tobytes() == want.view(np.int64).tobytes()
+
+    def test_second_pair_on_a_grid_builds_no_table(self):
+        _fourier_tables.cache_clear()
+        for f, g in PAIRS.values():
+            covariance_two_sided(f, g, "fourier")
+        assert _fourier_tables.cache_info().misses == 1
+
+    @pytest.mark.parametrize("n_nodes, r_max, xi_max", TRANSFORM_GRIDS)
+    def test_tables_are_the_rule_and_its_angles_read_only(self, n_nodes, r_max, xi_max):
+        panels = max(n_nodes // 16, 1)
+        tables = _fourier_tables(r_max, panels, xi_max)
+        xi, wxi = composite_legendre(0.0, xi_max, panels, 16)
+        assert tables[0].tobytes() == xi.tobytes() and tables[1].tobytes() == wxi.tobytes()
+        assert [a.shape for a in tables[2:]] == [(panels, xi.size)] * 2 + [(16, xi.size)] * 2
+        for a in tables:
+            assert not a.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                a[0] = 0.0
+
+    def test_a_new_grid_replaces_the_tables(self):
+        _fourier_tables.cache_clear()
+        f, g = PAIRS["gauss"]
+        covariance_two_sided(f, g, "fourier")
+        first = [weakref.ref(a) for a in _fourier_tables(20.0, 128, 40.0)]
+        covariance_two_sided(f, g, "fourier", n_nodes=256, xi_max=20.0)
+        gc.collect()
+        assert all(ref() is None for ref in first)  # at most one grid stays held
+        info = _fourier_tables.cache_info()
+        assert (info.misses, info.maxsize, info.currsize) == (2, 1, 1)

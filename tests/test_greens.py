@@ -5,6 +5,7 @@ import pytest
 
 from gfflab import quadrature
 from gfflab.basis import build_box_basis, build_hermite_basis, build_interval_basis, evaluate_matrix
+from gfflab.experiments import HEAT_POISSON_EPS_RANGE, HEAT_POISSON_MAX_MASS, HEAT_POISSON_NU_RANGE
 from gfflab.greens import (
     EULER_GAMMA,
     _as_points,
@@ -174,6 +175,12 @@ class TestPotentials:
         oracle = float(np.sum(w * vals))
         assert potential_massive(1.0, d=2, nu=1.0, eps=1.0) == pytest.approx(oracle, rel=1e-6)
 
+    @pytest.mark.parametrize("scale", [1e-200, 1e200])
+    def test_massive_1d_at_extreme_parameters(self, scale):
+        # eps * nu leaves the floats here; sqrt(eps) * sqrt(nu) does not
+        value = potential_massive(1.0, d=1, nu=scale, eps=scale)
+        assert value == pytest.approx(math.exp(-1.0) / (2.0 * scale), rel=1e-15)
+
     def test_massive_radially_decreasing(self):
         for d in (1, 2, 3):
             radii = np.linspace(0.2, 4.0, 25)
@@ -335,6 +342,29 @@ class TestHeatPoissonIdentity:
         a, b = heat_poisson_identity([1.3, 0.4], [0.3, 0.4], **kw)
         c, d_ = heat_poisson_identity(1.0, **kw)
         assert (a, b) == (c, d_)
+
+    @staticmethod
+    def worst_whole_space_relerr(nu, eps):
+        """The worst relerr of heat_poisson's three whole-space rows."""
+        pairs = [heat_poisson_identity(1.0, d=d, nu=nu, eps=eps) for d in (1, 2, 3)]
+        return max(abs(lhs - rhs) / abs(rhs) for lhs, rhs in pairs)
+
+    def test_time_rule_meets_the_default_tolerance_across_the_config_range(self):
+        (nu_lo, nu_hi), (eps_lo, eps_hi) = HEAT_POISSON_NU_RANGE, HEAT_POISSON_EPS_RANGE
+        for nu in np.geomspace(nu_lo, nu_hi, 9):
+            for eps in np.geomspace(eps_lo, min(eps_hi, HEAT_POISSON_MAX_MASS**2 * nu), 11):
+                assert self.worst_whole_space_relerr(nu, eps) < 1e-7, (nu, eps)
+
+    @pytest.mark.parametrize(
+        "nu, eps",
+        # past each side of the range, next to its measured crossing: nu = 1.8e-4
+        # (eps = 1e-2), 28.3 (eps = 1e3); eps = 4.7e-3 (nu = 1e-3), 2328 (nu = 10)
+        [(1e-4, 1e-2), (30.0, 1e3), (1e-3, 3e-3), (10.0, 3e3)],
+    )
+    def test_time_rule_misses_the_default_tolerance_past_the_config_range(self, nu, eps):
+        (nu_lo, nu_hi), (eps_lo, eps_hi) = HEAT_POISSON_NU_RANGE, HEAT_POISSON_EPS_RANGE
+        assert not (nu_lo <= nu <= nu_hi and eps_lo <= eps <= eps_hi)
+        assert self.worst_whole_space_relerr(nu, eps) > 1e-6
 
     def test_bounded_truncation_error_bound(self):
         # the per-mode time integral int_0^T e^{-lambda^2 nu t} dt is closed form;

@@ -1,5 +1,6 @@
 """The bytes of every file `gff-lab run-all --seed 7` writes, and of the
-three large-spectrum runs of the benchmark, pinned by sha256.
+three large-spectrum and the three wide Monte Carlo runs of the benchmark,
+pinned by sha256.
 
 A change that is meant to keep every output byte-identical (a speed-up, a
 refactor) must keep these hashes. They depend on the floating-point stack,
@@ -27,11 +28,19 @@ import pytest
 from gfflab.cli import main
 
 MANIFEST = Path(__file__).with_name("output_sha256.json")
-# the configs of the spectra_large workload in perfbench/run.py
-LARGE_SPECTRA = {
-    "weyl": {"K": 200000},
-    "kakutani": {"basis.kind": "box_dirichlet", "basis.d": 3, "K": 100000},
-    "heat_poisson": {"K": 100000},
+# the configs of the spectra_large and mc_wide workloads in perfbench/run.py,
+# by the directory their outputs go to
+BENCH_CONFIGS = {
+    "large": {
+        "weyl": {"K": 200000},
+        "kakutani": {"basis.kind": "box_dirichlet", "basis.d": 3, "K": 100000},
+        "heat_poisson": {"K": 100000},
+    },
+    "mc_wide": {
+        "stationary_bd": {"K": 4096, "M": 10000},
+        "convergence_curve": {"K": 2048, "M": 10000},
+        "bridge_cov": {"K": 4096, "M": 10000},
+    },
 }
 
 
@@ -43,11 +52,12 @@ def output_hashes(root: Path) -> dict[str, str]:
     """sha256 of each output file, keyed by its path below root."""
     with contextlib.redirect_stdout(io.StringIO()):
         assert main(["run-all", "--seed", "7", "--out", str(root / "run-all")]) == 0
-        for name, keys in LARGE_SPECTRA.items():
-            lines = [f"experiment = {name}", "seed = 7"] + [f"{k} = {v}" for k, v in keys.items()]
-            config = root / f"{name}.cfg"
-            config.write_text("\n".join(lines + [f"output = {root}/large/{name}"]) + "\n")
-            assert main(["run", str(config)]) == 0
+        for workload, configs in BENCH_CONFIGS.items():
+            for name, keys in configs.items():
+                lines = [f"experiment = {name}", "seed = 7"] + [f"{k} = {v}" for k, v in keys.items()]
+                config = root / f"{name}.cfg"
+                config.write_text("\n".join(lines + [f"output = {root}/{workload}/{name}"]) + "\n")
+                assert main(["run", str(config)]) == 0
     return {
         path.relative_to(root).as_posix(): hashlib.sha256(path.read_bytes()).hexdigest()
         for path in sorted(root.glob("*/*"))
@@ -59,7 +69,8 @@ def test_outputs_match_the_manifest(tmp_path):
     if manifest["versions"] != versions():
         pytest.skip(f"the manifest was made with {manifest['versions']}, this is {versions()}")
     hashes = output_hashes(tmp_path)
-    assert len(hashes) == 2 * (11 + len(LARGE_SPECTRA))  # a CSV and a summary per run
+    runs = 11 + sum(len(configs) for configs in BENCH_CONFIGS.values())
+    assert len(hashes) == 2 * runs  # a CSV and a summary per run
     assert hashes == manifest["sha256"]
 
 

@@ -29,7 +29,7 @@ KEPT = {
     "fields.field_values": "pointwise values of free-field draws, checked against series_green",
     "dynamics.stationary_sample": "the invariant law as the scaled free field (the paper's claim)",
     "fourier_cov.hhat_norms": "Fourier-side Sobolev norms of the test functions the fields pair with",
-    "basis.cospi": "evaluate_matrix's Neumann columns, checked by the gram and eigen oracles",
+    "basis.cospi": "cos(pi u) with exact half-integer zeros; evaluate_matrix's Neumann columns shift in place instead",
     "basis.hermite_functions": "evaluate_matrix's Hermite columns, checked by the gram and eigen oracles",
     "basis.evaluate": "the exported point evaluator of one eigenfunction",
 }
