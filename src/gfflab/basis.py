@@ -84,11 +84,6 @@ def sinpi(u):
     return s if u.ndim else float(s[0])
 
 
-def cospi(u):
-    """cos(pi * u) with exact zeros at half-integer u."""
-    return sinpi(np.asarray(u, dtype=float) + 0.5)
-
-
 def hermite_functions(n_max: int, x) -> np.ndarray:
     """Values of the L2-normalized Hermite functions h_0 .. h_{n_max}.
 

@@ -139,12 +139,11 @@ def validate_config(cfg: ExperimentConfig) -> None:
         raise ConfigError(f"basis.a must be below basis.b (got {cfg.a}, {cfg.b})")
     if list(cfg.t_list) != sorted(cfg.t_list):
         raise ConfigError(f"t_list must be increasing (got {cfg.t_list})")
-    check = EXPERIMENT_CHECKS.get(cfg.experiment)
-    if check is not None:
-        try:
+    try:
+        for check in EXPERIMENT_CHECKS.get(cfg.experiment, ()):
             check(cfg)
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from None
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
 
 
 def _format_cell(value) -> str:

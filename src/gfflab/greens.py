@@ -14,7 +14,7 @@ import math
 import numpy as np
 
 from .basis import EigenBasis, evaluate_matrix
-from .quadrature import gauss_hermite, gauss_legendre, half_line_nodes
+from .quadrature import gauss_hermite, half_line_nodes
 
 EULER_GAMMA = 0.5772156649015328606
 
@@ -220,29 +220,25 @@ def _as_points(basis: EigenBasis, x) -> np.ndarray:
 _TIME_QUAD_NODES = 256
 
 
-def heat_poisson_identity(
-    x, y=None, t_max: float | None = None, *, d: int, nu: float, eps: float
-) -> tuple[float, float]:
-    """Both sides of 'time integral of the heat kernel equals the potential'
-    in the whole space R^d at displacement x - y (x alone when y is None).
+def heat_poisson_identity(x, y=None, *, d: int, nu: float, eps: float) -> tuple[float, float]:
+    """Both sides of 'time integral of the decaying heat kernel equals the
+    massive potential' in the whole space R^d at displacement x - y (x alone
+    when y is None).
 
     The left side integrates the heat kernel in time by 256-node
-    Gauss-Legendre (mapped to (0, inf) via t = s/(1-s) when t_max is None),
-    the right side is the closed-form potential: massive for eps > 0,
-    zero-mass for eps = 0.
+    Gauss-Legendre, mapped to (0, inf) via t = tau s/(1-s) with
+    tau = 1/sqrt(eps nu): at |x| = 1 the integrand's exponent
+    -(eps t + 1/(4 nu t)) is stationary at t = tau/2, so the accuracy
+    depends on the mass sqrt(eps/nu) alone. The right side is the
+    closed-form massive potential.
     """
-    _check_kernel_params(nu, eps)
     displacement = float(np.sqrt(np.sum(np.square(x if y is None else np.subtract(x, y)))))
-    # the closed form first: it rejects an unsupported d before any quadrature
-    if eps > 0.0:
-        rhs = potential_massive(displacement, d=d, nu=nu, eps=eps)
-    else:
-        rhs = potential_zero_mass(displacement, d=d, nu=nu)
-    if t_max is None:
-        t, w = half_line_nodes(_TIME_QUAD_NODES)
-    else:
-        t, w = gauss_legendre(0.0, t_max, _TIME_QUAD_NODES)
+    # the closed form first: it rejects bad nu, eps or d before any quadrature
+    rhs = potential_massive(displacement, d=d, nu=nu, eps=eps)
+    t, w = half_line_nodes(_TIME_QUAD_NODES)
+    tau = 1.0 / (math.sqrt(eps) * math.sqrt(nu))
+    t *= tau
+    w *= tau
     with np.errstate(under="ignore"):
         lhs = float(np.sum(w * heat_kernel(t, displacement, d=d, nu=nu, eps=eps)))
     return lhs, rhs
-

@@ -68,12 +68,14 @@ def report_from_values(
     empirical = centered.T @ centered / (n - 1)
     empirical = 0.5 * (empirical + empirical.T)
     diag = np.diag(empirical)
-    outer = np.outer(diag, diag)
-    stderr = np.sqrt((outer + empirical**2) / n)
-    # where c_ii c_jj underflows: sqrt(c_ii) sqrt(c_jj) sqrt((1 + rho^2) / n)
-    tiny = (outer < np.finfo(float).tiny) & np.outer(diag > 0.0, diag > 0.0)
-    scale = np.outer(np.sqrt(diag), np.sqrt(diag))[tiny]
-    stderr[tiny] = scale * np.sqrt((1.0 + (empirical[tiny] / scale) ** 2) / n)
+    with np.errstate(over="ignore"):
+        outer = np.outer(diag, diag)
+        stderr = np.sqrt((outer + empirical**2) / n)
+    # where c_ii c_jj underflows, or overflows (an infinite stderr gives z = 0
+    # whatever the draw): sqrt(c_ii) sqrt(c_jj) sqrt((1 + rho^2) / n)
+    rescale = ((outer < np.finfo(float).tiny) | (stderr == np.inf)) & np.outer(diag > 0.0, diag > 0.0)
+    scale = np.outer(np.sqrt(diag), np.sqrt(diag))[rescale]
+    stderr[rescale] = scale * np.sqrt((1.0 + (empirical[rescale] / scale) ** 2) / n)
 
     notes = [f"degenerate functional {labels[j]}" for j in np.flatnonzero(diag == 0.0)]
     if target is None:

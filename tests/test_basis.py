@@ -15,7 +15,6 @@ from gfflab.basis import (
     build_box_basis,
     build_hermite_basis,
     build_interval_basis,
-    cospi,
     eigen_residual,
     evaluate,
     evaluate_matrix,
@@ -502,12 +501,6 @@ class TestHelpers:
         n = np.arange(-1000, 1001, dtype=float)
         assert sinpi(n).view(np.int64).tolist() == [0] * n.size
         assert math.copysign(1.0, sinpi(-3.0)) == 1.0
-
-    def test_cospi_exact_half_integer_zeros(self):
-        assert cospi(0.5) == 0.0
-        assert cospi(1.5) == 0.0
-        assert cospi(0.0) == 1.0
-        assert cospi(1.0) == -1.0
 
     def test_caller_arrays_stay_writeable(self):
         lambdas, indices = np.ones(3), np.ones((3, 1), dtype=np.int64)

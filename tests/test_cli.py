@@ -44,6 +44,7 @@ REGISTRY_NAMES = [
     "fourier_limits",
     "weyl",
 ]
+SIGMA_READERS = ["stationary_bd", "stationary_hermite", "convergence_curve", "fourier_limits"]
 
 
 class TestConfigParsing:
@@ -352,31 +353,80 @@ class TestRunner:
         assert ("nu and eps" in err) == (code == 2) and "Traceback" not in err
         assert os.path.exists(f"{tmp_path}/h_heat_poisson.csv") == (code != 2)
 
+    @pytest.mark.parametrize("name", ["heat_poisson", "greens_checks"])
     @pytest.mark.parametrize(
         "nu, eps, code",
         [
             (1e-3, 1e-2, 0),
             (10.0, 1e-2, 0),
             (10.0, 1e3, 0),
-            (9.99e-4, 1.0, 2),
-            (10.01, 1.0, 2),
-            (1.0, 9.99e-3, 2),
-            (1.0, 1000.1, 2),
-            (1e200, 1e200, 2),
-            (1e-200, 1e-200, 2),
+            # outside the (nu, eps) box of earlier versions: heat_poisson
+            # exited 2 there, greens_checks FAILed at nu = 100, 1e-4, 0.15
+            # and eps = 1e-3
+            (100.0, 1.0, 0),
+            (1e-4, 1.0, 0),
+            (0.15, 1.0, 0),
+            (1.0, 1e-3, 0),
+            (1e200, 1e200, 0),
+            (1e-200, 1e-200, 0),
+            # sqrt(eps / nu) on both sides of 0.02 and of 700
+            (1.0, 4.01e-4, 0),
+            (1.0, 3.99e-4, 2),
+            (1.0, 489999.0, 0),
+            (1.0, 490001.0, 2),
+            (1e300, 1e-300, 2),
         ],
     )
-    def test_heat_poisson_time_rule_bound(self, tmp_path, capsys, nu, eps, code):
-        # the 256-node time rule meets tol.rel = 1e-6 for 1e-3 <= nu <= 10 and
-        # 1e-2 <= eps <= 1e3; at nu = eps = 1e200 it would give lhs = 0, a false FAIL
+    def test_time_rule_mass_interval(self, tmp_path, capsys, name, nu, eps, code):
         path = self._write(
             tmp_path,
-            f"experiment = heat_poisson\nK = 100\nnu = {nu!r}\neps = {eps!r}\noutput = {tmp_path}/h\n",
+            f"experiment = {name}\nK = 100\nnu = {nu!r}\neps = {eps!r}\noutput = {tmp_path}/h\n",
         )
         assert main(["run", path]) == code
         err = capsys.readouterr().err
-        assert ("time rule" in err) == (code == 2) and "Traceback" not in err
-        assert os.path.exists(f"{tmp_path}/h_heat_poisson.csv") == (code != 2)
+        assert (f"nu and eps: {name} needs 0.02 <= sqrt(eps / nu) <= 700" in err) == (code == 2)
+        assert "Traceback" not in err
+        assert os.path.exists(f"{tmp_path}/h_{name}.csv") == (code != 2)
+
+    @pytest.mark.parametrize(
+        "eps, code",
+        [(1e-3, 0), (1e3, 0), (9.99e-4, 2), (1000.1, 2), (1e-6, 2), (1e100, 2)],
+    )
+    def test_fourier_limits_eps_interval(self, tmp_path, capsys, eps, code):
+        path = self._write(
+            tmp_path, f"experiment = fourier_limits\neps = {eps!r}\noutput = {tmp_path}/f\n"
+        )
+        assert main(["run", path]) == code
+        err = capsys.readouterr().err
+        assert ("eps: fourier_limits needs 0.001 <= eps <= 1000" in err) == (code == 2)
+        assert "Traceback" not in err
+        assert os.path.exists(f"{tmp_path}/f_fourier_limits.csv") == (code != 2)
+
+    @pytest.mark.parametrize(
+        "name, sigma, code",
+        [
+            ("stationary_bd", 1e-100, 0),
+            ("stationary_bd", 1e100, 0),
+            ("stationary_hermite", 1e-100, 0),
+            ("convergence_curve", 1e100, 0),
+            ("fourier_limits", 1e-100, 0),
+            ("weyl", 1e300, 0),  # weyl does not read sigma
+            *[(name, sigma, 2) for name in SIGMA_READERS for sigma in (9.9e-101, 1.01e100)],
+            *[(name, sigma, 2) for name in SIGMA_READERS for sigma in (1e-300, 1e300)],
+        ],
+    )
+    def test_sigma_interval(self, tmp_path, capsys, name, sigma, code):
+        # sigma**2 overflows from 1.34e154 on, and stationary variances underflow
+        # below 4.5e-160: both crashed these runs (exit 3) in earlier versions
+        path = self._write(
+            tmp_path,
+            f"experiment = {name}\nsigma = {sigma!r}\nM = 2000\noutput = {tmp_path}/s\n",
+        )
+        assert main(["run", path]) == code
+        err = capsys.readouterr().err
+        assert (f"sigma: {name} needs 1e-100 <= sigma <= 1e+100" in err) == (code == 2)
+        assert "Traceback" not in err
+        assert os.path.exists(f"{tmp_path}/s_{name}.csv") == (code != 2)
 
     @pytest.mark.parametrize(
         "name, line",
@@ -593,7 +643,7 @@ class TestConfigSpace:
             out, err = io.StringIO(), io.StringIO()
             with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
                 code = main(["run", path])
-            assert code in (0, 1, 2, 3)
+            assert code in (0, 1, 2)
             assert "Traceback" not in err.getvalue()
             prefix = f"{config['output']}_{config['experiment']}"
             if code == 1:

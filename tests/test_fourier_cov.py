@@ -15,6 +15,7 @@ from gfflab.fourier_cov import (
     surface_measure,
     transient_covariance,
 )
+from gfflab.experiments import FOURIER_LIMITS_EPS_RANGE, _massive_physical_oracle
 from gfflab.greens import potential_massive, potential_zero_mass
 from gfflab.quadrature import composite_legendre, gauss_legendre
 
@@ -223,6 +224,25 @@ class TestMassiveLimit:
         f = gaussian_bump(0.0, 1.0)
         with pytest.raises(ValueError, match="eps"):
             massive_limit_covariance(f, f, 1.0, 0.0)
+
+    @staticmethod
+    def massive_vs_physical_relerr(eps, nu=1.0):
+        """The relerr of fourier_limits' massive_vs_physical row."""
+        fg = gaussian_bump(0.3, 0.8)
+        oracle = _massive_physical_oracle(fg, nu, eps, 1.0)
+        return abs(massive_limit_covariance(fg, fg, nu, eps) - oracle) / oracle
+
+    @pytest.mark.parametrize("nu", [1e-3, 1.0, 1e3])
+    def test_rule_meets_the_default_tolerance_across_the_eps_range(self, nu):
+        for eps in np.geomspace(*FOURIER_LIMITS_EPS_RANGE, 13):
+            assert self.massive_vs_physical_relerr(eps, nu) < 1e-7, (nu, eps)
+
+    @pytest.mark.parametrize("eps", [1e-4, 1e4])
+    def test_rule_misses_the_default_tolerance_past_the_eps_range(self, eps):
+        # measured: the relerr first exceeds 1e-6 at eps = 5.7e-4 and 4.1e3
+        lo, hi = FOURIER_LIMITS_EPS_RANGE
+        assert not lo <= eps <= hi
+        assert self.massive_vs_physical_relerr(eps) > 1e-6
 
 
 class TestHhatNorms:

@@ -5,7 +5,7 @@ import pytest
 
 from gfflab import quadrature
 from gfflab.basis import build_box_basis, build_hermite_basis, build_interval_basis, evaluate_matrix
-from gfflab.experiments import HEAT_POISSON_EPS_RANGE, HEAT_POISSON_MAX_MASS, HEAT_POISSON_NU_RANGE
+from gfflab.experiments import MASS_RANGE
 from gfflab.greens import (
     EULER_GAMMA,
     _as_points,
@@ -190,12 +190,15 @@ class TestPotentials:
     def test_massive_requires_positive_mass(self):
         with pytest.raises(ValueError, match="eps > 0"):
             potential_massive(1.0, d=2, nu=1.0, eps=0.0)
+        # the time rule's scale 1/sqrt(eps nu) needs a mass as well
+        with pytest.raises(ValueError, match="eps > 0"):
+            heat_poisson_identity(1.0, d=2, nu=1.0, eps=0.0)
 
     @pytest.mark.parametrize("d", [0, 4, 5])
     def test_massive_unsupported_dimension_rejected_at_spec(self, d):
         with pytest.raises(ValueError, match="d in 1, 2, 3"):
             potential_massive(1.0, d=d, nu=1.0, eps=1.0)
-        # the identity checks d before integrating, whatever eps selects
+        # the identity checks d before integrating
         with pytest.raises(ValueError, match="d in 1, 2, 3"):
             heat_poisson_identity(1.0, d=d, nu=1.0, eps=1.0)
 
@@ -349,22 +352,25 @@ class TestHeatPoissonIdentity:
         pairs = [heat_poisson_identity(1.0, d=d, nu=nu, eps=eps) for d in (1, 2, 3)]
         return max(abs(lhs - rhs) / abs(rhs) for lhs, rhs in pairs)
 
-    def test_time_rule_meets_the_default_tolerance_across_the_config_range(self):
-        (nu_lo, nu_hi), (eps_lo, eps_hi) = HEAT_POISSON_NU_RANGE, HEAT_POISSON_EPS_RANGE
-        for nu in np.geomspace(nu_lo, nu_hi, 9):
-            for eps in np.geomspace(eps_lo, min(eps_hi, HEAT_POISSON_MAX_MASS**2 * nu), 11):
-                assert self.worst_whole_space_relerr(nu, eps) < 1e-7, (nu, eps)
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_unit_parameters_keep_the_unscaled_rule(self, d):
+        # tau = 1 at nu = eps = 1, so the registered cells keep their bits
+        t, w = quadrature.half_line_nodes(256)
+        lhs, _ = heat_poisson_identity(1.0, d=d, nu=1.0, eps=1.0)
+        assert lhs == float(np.sum(w * heat_kernel(t, 1.0, d=d, nu=1.0, eps=1.0)))
 
-    @pytest.mark.parametrize(
-        "nu, eps",
-        # past each side of the range, next to its measured crossing: nu = 1.8e-4
-        # (eps = 1e-2), 28.3 (eps = 1e3); eps = 4.7e-3 (nu = 1e-3), 2328 (nu = 10)
-        [(1e-4, 1e-2), (30.0, 1e3), (1e-3, 3e-3), (10.0, 3e3)],
-    )
-    def test_time_rule_misses_the_default_tolerance_past_the_config_range(self, nu, eps):
-        (nu_lo, nu_hi), (eps_lo, eps_hi) = HEAT_POISSON_NU_RANGE, HEAT_POISSON_EPS_RANGE
-        assert not (nu_lo <= nu <= nu_hi and eps_lo <= eps <= eps_hi)
-        assert self.worst_whole_space_relerr(nu, eps) > 1e-6
+    @pytest.mark.parametrize("nu", [1e-8, 1e-3, 1.0, 1e3, 1e8])
+    def test_time_rule_meets_the_default_tolerance_across_the_mass_range(self, nu):
+        # the relerr depends on the mass alone; 0.0219 is its worst point inside
+        lo, hi = MASS_RANGE
+        for m in [*np.geomspace(lo, hi, 25), 0.0219]:
+            assert self.worst_whole_space_relerr(nu, m * m * nu) < 1e-7, (nu, m)
+
+    def test_time_rule_misses_the_default_tolerance_below_the_mass_range(self):
+        # measured: the worst relerr first exceeds 1e-6 at m = 0.0128
+        m = 0.01
+        assert m < MASS_RANGE[0]
+        assert self.worst_whole_space_relerr(1.0, m * m) > 1e-6
 
     def test_bounded_truncation_error_bound(self):
         # the per-mode time integral int_0^T e^{-lambda^2 nu t} dt is closed form;

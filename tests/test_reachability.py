@@ -22,14 +22,13 @@ KEPT = {
     "basis.gram_matrix": "independent oracle of the bases' orthonormality",
     "basis.eigen_residual": "independent oracle of the eigen-equation",
     "quadrature.tensor_grid": "the product rule of the gram_matrix oracle",
-    "quadrature.gauss_hermite_unweighted": "perfbench/tracer.py binds it by name",
+    "quadrature.gauss_hermite_unweighted": "the Hermite-basis rule of the gram_matrix oracle",
     "fourier_cov._pair_integral_tensor2d": "d = 2 tensor-grid oracle of the radial pair integral",
     "fields.sample_two_sided_bm": "the only Monte Carlo check of covariance_two_sided's law",
     "fields.sample_gff": "direct draw of the free field, the Monte Carlo check of series_green",
     "fields.field_values": "pointwise values of free-field draws, checked against series_green",
     "dynamics.stationary_sample": "the invariant law as the scaled free field (the paper's claim)",
     "fourier_cov.hhat_norms": "Fourier-side Sobolev norms of the test functions the fields pair with",
-    "basis.cospi": "cos(pi u) with exact half-integer zeros; evaluate_matrix's Neumann columns shift in place instead",
     "basis.hermite_functions": "evaluate_matrix's Hermite columns, checked by the gram and eigen oracles",
     "basis.evaluate": "the exported point evaluator of one eigenfunction",
 }

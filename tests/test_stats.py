@@ -104,10 +104,11 @@ class TestEstimateCovariance:
         old = np.sqrt((np.outer(diag, diag) + rep.empirical**2) / 800)
         assert rep.stderr.tobytes() == old.tobytes()
 
-    @pytest.mark.parametrize("scale", [1e-100, 1e-140])
+    @pytest.mark.parametrize("scale", [1e-100, 1e-140, 1e100, 1e140])
     def test_tiny_covariances_keep_their_standard_error(self, scale):
-        # c_ii c_jj underflows below ~1e-154 per covariance; the z-scores
-        # must not depend on the units of the functionals
+        # c_ii c_jj underflows below ~1e-154 per covariance, and overflows
+        # above ~1e154; the z-scores must not depend on the units of the
+        # functionals
         gen = RngStream(59, 0).generator()
         values = gen.standard_normal((800, 3)) @ np.triu(np.ones((3, 3)))
         target = np.array([[1.0, 1.0, 1.0], [1.0, 2.0, 2.0], [1.0, 2.0, 3.0]])
