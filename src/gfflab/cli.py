@@ -25,7 +25,7 @@ from dataclasses import dataclass, field, fields
 from functools import lru_cache
 
 from .basis import BasisKind, parse_basis_kind
-from .experiments import EXPERIMENT_CHECKS, EXPERIMENT_DEFAULTS, EXPERIMENTS, ExperimentResult
+from .experiments import EXPERIMENT_TABLE, EXPERIMENTS, ExperimentResult
 
 
 class ConfigError(Exception):
@@ -108,7 +108,7 @@ def parse_config_text(text: str) -> ExperimentConfig:
         )
 
     cfg = ExperimentConfig()
-    for key, value in {**EXPERIMENT_DEFAULTS.get(name, {}), **raw}.items():
+    for key, value in {**EXPERIMENT_TABLE[name][0], **raw}.items():
         f = _KEYS[key]
         try:
             setattr(cfg, f.name, f.metadata["parser"](value))
@@ -140,8 +140,8 @@ def validate_config(cfg: ExperimentConfig) -> None:
     if list(cfg.t_list) != sorted(cfg.t_list):
         raise ConfigError(f"t_list must be increasing (got {cfg.t_list})")
     try:
-        for check in EXPERIMENT_CHECKS.get(cfg.experiment, ()):
-            check(cfg)
+        for require in EXPERIMENT_TABLE[cfg.experiment][1]:
+            require(cfg)
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
 

@@ -21,6 +21,8 @@ from gfflab.basis import (
     gram_matrix,
     sinpi,
 )
+from gfflab.cli import parse_config_text
+from gfflab.experiments import exp_weyl
 from gfflab.greens import series_green
 
 
@@ -330,6 +332,13 @@ class TestInPlace:
         basis = build_interval_basis("dirichlet", 0.0, 1.0, 10**5)
         _, peak = traced_peak(series_green, basis, 1.0, 0.3, 0.7)
         assert peak <= 0.5 * 7.06 * 2**20
+
+    def test_weyl_holds_one_basis_at_a_time(self):
+        # 7.93 MiB when the box basis stayed alive while the Hermite one was built
+        cfg = parse_config_text("experiment = weyl\nK = 200000\n")
+        _, box_peak = traced_peak(build_box_basis, 2, 1.0, 200000)
+        _, peak = traced_peak(exp_weyl, cfg)
+        assert peak <= 1.05 * box_peak
 
     @pytest.mark.parametrize("side", [1.0, 2.5])
     @pytest.mark.parametrize("d, size", [(2, 200000), (3, 100000), (1, 1000)])

@@ -2,6 +2,7 @@ import contextlib
 import io
 import json
 import os
+import re
 import tempfile
 from dataclasses import fields
 
@@ -22,8 +23,7 @@ from gfflab.cli import (
     run,
 )
 from gfflab.experiments import (
-    EXPERIMENT_CHECKS,
-    EXPERIMENT_DEFAULTS,
+    EXPERIMENT_TABLE,
     EXPERIMENTS,
     ExperimentResult,
     _stationary_invariance_pvalues,
@@ -126,11 +126,10 @@ class TestRegistry:
             assert doc.strip()  # every entry carries help text
 
 
-    def test_experiment_tables_use_registered_names_and_keys(self):
+    def test_experiment_table_has_one_row_per_registered_name(self):
         keys = {f.metadata["key"] for f in fields(ExperimentConfig)}
-        assert set(EXPERIMENT_DEFAULTS) <= set(EXPERIMENTS)
-        assert set(EXPERIMENT_CHECKS) <= set(EXPERIMENTS)
-        for name, defaults in EXPERIMENT_DEFAULTS.items():
+        assert list(EXPERIMENT_TABLE) == list(EXPERIMENTS)
+        for name, (defaults, _) in EXPERIMENT_TABLE.items():
             assert set(defaults) <= keys - {"experiment", "output", "seed"}, name
             parse_config_text(f"experiment = {name}\n")
 
@@ -429,6 +428,39 @@ class TestRunner:
         assert os.path.exists(f"{tmp_path}/s_{name}.csv") == (code != 2)
 
     @pytest.mark.parametrize(
+        "name, extra",
+        [("weyl", ""), ("stationary_hermite", ""), ("kakutani", "basis.kind = hermite\n"),
+         ("stationary_bd", "basis.kind = hermite\n")],
+    )
+    def test_hermite_size_limit_exits_two(self, tmp_path, capsys, name, extra):
+        # earlier versions built up to a whole box basis first, then crashed (exit 3)
+        path = self._write(tmp_path, f"experiment = {name}\n{extra}K = 1000001\noutput = {tmp_path}/h\n")
+        assert main(["run", path]) == 2
+        err = capsys.readouterr().err
+        assert f"K: {name} needs 1 <= K <= 1e+06 (got 1000001)" in err and "Traceback" not in err
+        assert not os.path.exists(f"{tmp_path}/h_{name}.csv")
+
+    def test_hermite_size_limit_is_inclusive(self, tmp_path, capsys):
+        path = self._write(
+            tmp_path, f"experiment = kakutani\nbasis.kind = hermite\nK = 1000000\noutput = {tmp_path}/k\n"
+        )
+        assert main(["run", path]) == 0
+        assert "[kakutani] PASS" in capsys.readouterr().out
+
+    def test_hermite_size_limit_only_on_hermite_bases(self, tmp_path):
+        for name in ("kakutani", "stationary_bd", "convergence_curve"):
+            parse_config_text(f"experiment = {name}\nK = 1000001\n")
+        parse_config_text("experiment = heat_poisson\nbasis.kind = hermite\nK = 1000001\n")
+
+    @pytest.mark.parametrize("line", ["nu = 6", "nu = 10", "nu = 1000", "sigma = 3e3", "sigma = 1e4"])
+    def test_fourier_limits_scales_with_nu_and_sigma(self, tmp_path, capsys, line):
+        # the fixed transient grid FAILed from nu = 6 on, and the absolute
+        # massless gate from sigma = 3e3 on (exit 1)
+        path = self._write(tmp_path, f"experiment = fourier_limits\n{line}\noutput = {tmp_path}/f\n")
+        assert main(["run", path]) == 0
+        assert "[fourier_limits] PASS" in capsys.readouterr().out
+
+    @pytest.mark.parametrize(
         "name, line",
         [
             ("weyl", "nu = nan"),
@@ -658,9 +690,21 @@ def test_documented_keys_match_the_key_table():
     docs = os.path.join(os.path.dirname(os.path.dirname(__file__)), "docs", "experiments.md")
     with open(docs, encoding="utf-8") as fh:
         section = fh.read().split("## Config keys", 1)[1].split("\n## ", 1)[0]
-    documented = set()
+    documented = {}  # key -> its default cell
     for line in section.splitlines():
         if line.startswith("| `"):
-            first_cell = line.split("|")[1]
-            documented.update(part.strip().strip("`") for part in first_cell.split(","))
-    assert documented == {f.metadata["key"] for f in fields(ExperimentConfig)}
+            cells = line.split("|")
+            for part in cells[1].split(","):
+                documented[part.strip().strip("`")] = cells[3]
+    parsers = {f.metadata["key"]: f.metadata["parser"] for f in fields(ExperimentConfig)}
+    assert set(documented) == set(parsers)
+    # every per-experiment default of the table, as "`name`, ...: `value`"
+    for name, (defaults, _) in EXPERIMENT_TABLE.items():
+        for key, value in defaults.items():
+            listed = {}
+            for part in documented[key].split(";"):
+                names, colon, text = part.partition(":")
+                if colon:
+                    listed.update(dict.fromkeys(re.findall(r"`(\w+)`", names), re.findall(r"`([^`]+)`", text)[0]))
+            assert name in listed, (key, name)
+            assert parsers[key](listed[name]) == parsers[key](value), (key, name)
