@@ -17,7 +17,6 @@ import numpy as np
 
 from .basis import EigenBasis
 from .fields import RngStream, sample_gff
-from .stats import CovarianceReport, report_from_values
 
 MC_BLOCK = 4096  # fixed Monte Carlo block size; one rng substream per block
 
@@ -93,16 +92,6 @@ def kakutani_statistic(basis: EigenBasis, nu: float, t: float, terms: int | None
     return float(np.sum(np.square(q, out=q)))
 
 
-def _functional_matrix(basis: EigenBasis, functionals) -> np.ndarray:
-    cols = []
-    for f in functionals:
-        c = np.asarray(f, dtype=float)
-        if c.shape != (basis.size,):
-            raise ValueError("functional length does not match basis size")
-        cols.append(c)
-    return np.stack(cols, axis=1)
-
-
 def sample_gaussian(mean, cov, n_samples: int, stream: RngStream) -> np.ndarray:
     """n_samples draws of N(mean, cov) as an (n_samples, p) array: block b
     of MC_BLOCK rows is mean + z @ factor.T, z ~ N(0, I_p) from substream
@@ -149,41 +138,4 @@ def stationary_target(basis: EigenBasis, nu: float, sigma: float, weights: np.nd
     """Limit covariance matrix sigma^2/(2 nu) sum_k f_k g_k / lambda_k^2."""
     scale = sigma**2 / (2.0 * nu)
     return scale * (weights.T @ (weights / basis.lambdas_squared[:, None]))
-
-
-def convergence_curve(
-    basis: EigenBasis,
-    nu: float,
-    sigma: float,
-    phi,
-    t_list,
-    n_samples: int,
-    f_list,
-    stream: RngStream,
-    g_list=None,
-    z_threshold: float = 4.0,
-) -> list[tuple[float, CovarianceReport]]:
-    """Empirical covariance of the tested solution against the stationary
-    target at each time, one report per time.
-
-    The target is always the limit law, so the per-time maximal deviation
-    traces the decaying transient.
-    """
-    if n_samples < 100:
-        raise ValueError("fewer than 100 samples gives useless statistics")
-    functionals = list(f_list) + (list(g_list) if g_list is not None else [])
-    weights = _functional_matrix(basis, functionals)
-    target = stationary_target(basis, nu, sigma, weights)
-    labels = [f"f{j+1}" for j in range(weights.shape[1])]
-    out = []
-    for i, t in enumerate(np.asarray(t_list, dtype=float)):
-        values = sample_functional_values(
-            basis, nu, sigma, phi, float(t), n_samples, weights, stream.substream(i)
-        )
-        report = report_from_values(
-            values, target=target, labels=labels, z_threshold=z_threshold,
-            seed_info=f"seed={stream.seed} stream={stream.stream_id} t={t}",
-        )
-        out.append((float(t), report))
-    return out
 

@@ -42,6 +42,12 @@ FOURIER_LIMITS_EPS_RANGE = (1e-3, 1e3)
 # a factor 1e100 of room on each side for 1/(2 nu), 1/lambda^2 and the
 # Monte Carlo sums.
 SIGMA_RANGE = (1e-100, 1e100)
+# the field scale sigma^2 / (2 nu): at the defaults, times scaled by 1 / nu,
+# the stationary checks crash from 1e-320 down (the KS variance underflows to
+# 0) and FAIL from 1e304 up (the sum of squares of the M draws overflows). The
+# range keeps a factor 1e50 on each side for 1/lambda^2 and M, and holds every
+# sigma in SIGMA_RANGE at any nu in [1e-3, 1e3].
+FIELD_SCALE_RANGE = (1e-250, 1e250)
 
 
 def _require_positive_spectrum(cfg) -> None:
@@ -63,13 +69,15 @@ def _require_within(keys: str, quantity: str, value, bounds, cfg) -> None:
 _MASS = partial(_require_within, "nu and eps", "sqrt(eps / nu)", lambda cfg: math.sqrt(cfg.eps / cfg.nu), MASS_RANGE)
 _FOURIER_EPS = partial(_require_within, "eps", "eps", lambda cfg: cfg.eps, FOURIER_LIMITS_EPS_RANGE)
 _SIGMA = partial(_require_within, "sigma", "sigma", lambda cfg: cfg.sigma, SIGMA_RANGE)
+_FIELD_SCALE = partial(_require_within, "nu and sigma", "sigma^2 / (2 nu)",
+                       lambda cfg: cfg.sigma * cfg.sigma / (2.0 * cfg.nu), FIELD_SCALE_RANGE)
 _HERMITE_K = partial(_require_within, "K", "K", lambda cfg: cfg.modes, (1, HERMITE_SIZE_LIMIT))
 # the same bound where build_basis builds the basis that basis.kind names
 _BASIS_K = partial(
     _require_within, "K", "K", lambda cfg: cfg.modes if cfg.basis_kind is BasisKind.HERMITE else None,
     (1, HERMITE_SIZE_LIMIT),
 )
-_DYNAMICS = (_require_positive_spectrum, _SIGMA, _BASIS_K)
+_DYNAMICS = (_require_positive_spectrum, _SIGMA, _FIELD_SCALE, _BASIS_K)
 
 # one row per registered experiment: the raw-config-key defaults applied
 # before user overrides, and the requirements on the resolved config,
@@ -84,7 +92,7 @@ EXPERIMENT_TABLE: dict[str, tuple[dict, tuple]] = {
     "log_divergence_2d": ({}, ()),
     "bridge_cov": ({"M": 50000, "K": 1024}, ()),
     "two_sided_cov": ({"tol.rel": 1e-6}, ()),
-    "fourier_limits": ({"tol.rel": 1e-6}, (_SIGMA, _FOURIER_EPS)),
+    "fourier_limits": ({"tol.rel": 1e-6}, (_SIGMA, _FIELD_SCALE, _FOURIER_EPS)),
     "weyl": ({"K": 10000}, (_HERMITE_K,)),
 }
 
@@ -106,19 +114,14 @@ def build_basis(cfg) -> EigenBasis:
     return build_interval_basis(cfg.basis_kind, cfg.a, cfg.b, cfg.modes)
 
 
-def standard_functionals(basis: EigenBasis) -> tuple[list[np.ndarray], list[str]]:
-    """Six fixed coefficient functionals used by the stationary checks."""
+def standard_functionals(basis: EigenBasis) -> tuple[np.ndarray, list[str]]:
+    """The (K, 6) weights of the six fixed coefficient functionals of the
+    stationary checks, one column each, and their labels."""
     k = np.arange(1, basis.size + 1, dtype=float)
     units = np.zeros((3, basis.size))  # e1, e2, e3; repeated when K < 3
     units[np.arange(3), np.minimum(np.arange(3), basis.size - 1)] = 1.0
-    fns = [
-        *units,
-        1.0 / k,
-        (-1.0) ** (k + 1) / k,
-        np.exp(-k / 8.0),
-    ]
-    labels = ["e1", "e2", "e3", "1/k", "(-1)^(k+1)/k", "exp(-k/8)"]
-    return fns, labels
+    weights = np.stack([*units, 1.0 / k, (-1.0) ** (k + 1) / k, np.exp(-k / 8.0)], axis=1)
+    return weights, ["e1", "e2", "e3", "1/k", "(-1)^(k+1)/k", "exp(-k/8)"]
 
 
 def _report_rows(report: stats.CovarianceReport) -> list[dict]:
@@ -131,7 +134,26 @@ def _report_rows(report: stats.CovarianceReport) -> list[dict]:
     ]
 
 
-def _stationary_invariance_pvalues(basis, cfg, stream: RngStream, extra_dt: float = 0.3):
+def _stationary_reports(basis, cfg, runs) -> list[tuple[float, stats.CovarianceReport]]:
+    """One (t, report) per (t, stream) of runs: the six standard pairings
+    drawn at time t from a zero start, against the stationary target."""
+    weights, labels = standard_functionals(basis)
+    target = dynamics.stationary_target(basis, cfg.nu, cfg.sigma, weights)
+    return [
+        (t, stats.report_from_values(
+            dynamics.sample_functional_values(
+                basis, cfg.nu, cfg.sigma, None, t, cfg.samples, weights, stream
+            ),
+            target=target, labels=labels, z_threshold=cfg.z_threshold,
+        ))
+        for t, stream in runs
+    ]
+
+
+INVARIANCE_STEP = 0.3  # the extra exact step of the invariance check
+
+
+def _stationary_invariance_pvalues(basis, cfg, stream: RngStream):
     """KS p-values of the marginals of modes 1, K // 2 and K (the distinct
     ones when K < 4) after one extra exact step from a stationary start (the
     law must not move)."""
@@ -142,7 +164,7 @@ def _stationary_invariance_pvalues(basis, cfg, stream: RngStream, extra_dt: floa
     lam2 = basis.lambdas_squared[idx]
     scale = cfg.sigma / math.sqrt(2.0 * cfg.nu)
     start = scale * gen.standard_normal((n, len(modes))) / basis.lambdas[idx]
-    decay, var = dynamics.transition_moments(lam2, cfg.nu, cfg.sigma, extra_dt)
+    decay, var = dynamics.transition_moments(lam2, cfg.nu, cfg.sigma, INVARIANCE_STEP)
     stepped = start * decay + np.sqrt(var) * gen.standard_normal((n, len(modes)))
     pvalues = [stats.ks_gaussian(stepped[:, j], 0.0, scale**2 / v)[1] for j, v in enumerate(lam2)]
     return list(zip(modes, pvalues))
@@ -152,17 +174,7 @@ def exp_stationary_bd(cfg) -> ExperimentResult:
     """Stationary covariance of the bounded-domain heat evolution against
     the free-field target, plus one-step invariance of the stationary law."""
     basis = build_basis(cfg)
-    fns, labels = standard_functionals(basis)
-    stream = RngStream(cfg.seed, 0)
-    weights = np.stack(fns, axis=1)
-    values = dynamics.sample_functional_values(
-        basis, cfg.nu, cfg.sigma, None, cfg.t, cfg.samples, weights, stream
-    )
-    target = dynamics.stationary_target(basis, cfg.nu, cfg.sigma, weights)
-    report = stats.report_from_values(
-        values, target=target, labels=labels, z_threshold=cfg.z_threshold,
-        seed_info=f"seed={cfg.seed}",
-    )
+    [(_, report)] = _stationary_reports(basis, cfg, [(cfg.t, RngStream(cfg.seed, 0))])
     ks = _stationary_invariance_pvalues(basis, cfg, RngStream(cfg.seed, 1))
     return ExperimentResult(_report_rows(report), {
         "zmax": report.zmax,
@@ -183,12 +195,10 @@ def exp_convergence_curve(cfg) -> ExperimentResult:
     """Approach to the stationary covariance along a time grid: the maximal
     deviation from the limit must shrink and the final time must pass."""
     basis = build_basis(cfg)
-    fns, labels = standard_functionals(basis)
-    curve = dynamics.convergence_curve(
-        basis, cfg.nu, cfg.sigma, None, cfg.t_list, cfg.samples, fns,
-        RngStream(cfg.seed, 0), z_threshold=cfg.z_threshold,
-    )
-    summ = stats.summarize_convergence(curve)
+    stream = RngStream(cfg.seed, 0)
+    summ = stats.summarize_convergence(_stationary_reports(
+        basis, cfg, [(t, stream.substream(i)) for i, t in enumerate(cfg.t_list)]
+    ))
     return ExperimentResult(summ.rows, {
         "monotone": summ.monotone,
         "final_passed": summ.passed,
@@ -229,67 +239,57 @@ def _bessel_cosh_oracle(p: float, x: float) -> float:
     return float(np.sum(w * np.exp(-x * np.cosh(u)) * np.cosh(p * u)))
 
 
+def _relerr_result(cases) -> ExperimentResult:
+    """One row per (kernel, x, lhs, rhs, tolerance) case with the relative
+    error of lhs against rhs; passes when each is below its own tolerance."""
+    rows = [
+        {"kernel": kernel, "x": float(x), "lhs": lhs, "rhs": rhs,
+         "relerr": abs(lhs - rhs) / max(abs(rhs), 1e-300)}
+        for kernel, x, lhs, rhs, _ in cases
+    ]
+    return ExperimentResult(rows, {
+        "worst_relerr": max(r["relerr"] for r in rows),
+        "passed": all(r["relerr"] < tol for r, (*_, tol) in zip(rows, cases)),
+    })
+
+
 def exp_greens_checks(cfg) -> ExperimentResult:
     """Closed-form kernels against independent quadrature oracles."""
-    rows = []
-
-    def add(kernel, x, lhs, rhs):
-        rel = abs(lhs - rhs) / max(abs(rhs), 1e-300)
-        rows.append({"kernel": kernel, "x": float(x), "lhs": lhs, "rhs": rhs, "relerr": rel})
-
-    for x in (0.1, 1.0, 10.0):
-        add("bessel_k_half", x, greens.bessel_k(0.5, x), _bessel_cosh_oracle(0.5, x))
-    for x in (0.5, 1.0, 5.0):
-        add("bessel_k0", x, greens.bessel_k(0.0, x), _bessel_cosh_oracle(0.0, x))
+    tol = cfg.rel_tol
+    cases = [("bessel_k_half", x, greens.bessel_k(0.5, x), _bessel_cosh_oracle(0.5, x), tol)
+             for x in (0.1, 1.0, 10.0)]
+    cases += [("bessel_k0", x, greens.bessel_k(0.0, x), _bessel_cosh_oracle(0.0, x), tol)
+              for x in (0.5, 1.0, 5.0)]
 
     half_width = 40.0 * math.sqrt(cfg.nu)  # the kernel's width at t = 0.7 is sqrt(1.4 nu)
     xg, wg = composite_legendre(-half_width, half_width, 80, 16)
     mass = float(np.sum(wg * greens.heat_kernel(0.7, xg, d=1, nu=cfg.nu, eps=cfg.eps)))
-    add("heat_kernel_mass", 0.7, mass, math.exp(-0.7 * cfg.eps))
+    cases.append(("heat_kernel_mass", 0.7, mass, math.exp(-0.7 * cfg.eps), tol))
 
     lhs, _ = greens.heat_poisson_identity(1.0, d=2, nu=cfg.nu, eps=cfg.eps)
     massive = greens.potential_massive(1.0, d=2, nu=cfg.nu, eps=cfg.eps)
-    add("potential_massive_2d", 1.0, massive, lhs)
+    cases.append(("potential_massive_2d", 1.0, massive, lhs, tol))
 
+    # the massless limit converges like sqrt(eps / nu) |x| relative, here 2e-4
     limit_lhs = greens.potential_massive(2.0, d=3, nu=cfg.nu, eps=1e-8 * cfg.nu)
     limit_rhs = greens.potential_zero_mass(2.0, d=3, nu=cfg.nu)
-    add("zero_mass_limit_3d", 2.0, limit_lhs, limit_rhs)
+    cases.append(("zero_mass_limit_3d", 2.0, limit_lhs, limit_rhs, 1e-3))
 
-    for z in (0.5, 1.5, 3.7):
-        add("gamma", z, greens.gamma_fn(z), math.gamma(z))
-
-    worst = max(r["relerr"] for r in rows)
-    # the massless limit converges like sqrt(eps / nu) |x| relative, here 2e-4
-    passed = all(
-        r["relerr"] < (1e-3 if r["kernel"] == "zero_mass_limit_3d" else cfg.rel_tol) for r in rows
-    )
-    return ExperimentResult(rows, {"worst_relerr": worst, "passed": passed})
+    cases += [("gamma", z, greens.gamma_fn(z), math.gamma(z), tol) for z in (0.5, 1.5, 3.7)]
+    return _relerr_result(cases)
 
 
 def exp_heat_poisson(cfg) -> ExperimentResult:
     """Time integral of the heat kernel against the potential, whole space
     and bounded interval."""
-    rows = []
-    for d in (1, 2, 3):
-        lhs, rhs = greens.heat_poisson_identity(1.0, d=d, nu=cfg.nu, eps=cfg.eps)
-        rows.append(
-            {"kernel": f"whole_space_d{d}", "x": 1.0, "lhs": lhs, "rhs": rhs,
-             "relerr": abs(lhs - rhs) / abs(rhs)}
-        )
+    cases = [(f"whole_space_d{d}", 1.0,
+              *greens.heat_poisson_identity(1.0, d=d, nu=cfg.nu, eps=cfg.eps), cfg.rel_tol)
+             for d in (1, 2, 3)]
     basis = build_interval_basis("dirichlet", 0.0, 1.0, cfg.modes)
     val = greens.series_green(basis, cfg.nu, 0.3, 0.7, cfg.modes)
     exact = (min(0.3, 0.7) - 0.3 * 0.7) / cfg.nu
-    rows.append(
-        {"kernel": "interval_series", "x": 0.3, "lhs": val, "rhs": exact,
-         "relerr": abs(val - exact) / abs(exact)}
-    )
-    passed = all(
-        r["relerr"] < (cfg.rel_tol if r["kernel"].startswith("whole") else 1e-3) for r in rows
-    )
-    return ExperimentResult(rows, {
-        "worst_relerr": max(r["relerr"] for r in rows),
-        "passed": passed,
-    })
+    cases.append(("interval_series", 0.3, val, exact, 1e-3))
+    return _relerr_result(cases)
 
 
 def exp_log_divergence_2d(cfg) -> ExperimentResult:
@@ -329,7 +329,7 @@ def exp_bridge_cov(cfg) -> ExperimentResult:
     )
     report = stats.report_from_values(
         values, target=target, labels=[f"x={v}" for v in grid],
-        z_threshold=cfg.z_threshold, seed_info=f"seed={cfg.seed}",
+        z_threshold=cfg.z_threshold,
     )
     boundary = fields.sample_brownian_bridge(
         np.array([0.0, 1.0]), RngStream(cfg.seed, 1).generator(), modes=modes

@@ -37,7 +37,6 @@ class CovarianceReport:
     zmax: float
     passed: bool
     samples: int
-    seed_info: str = ""
     notes: list[str] = field(default_factory=list)
 
     @property
@@ -50,7 +49,6 @@ def report_from_values(
     target: np.ndarray | None = None,
     labels: list[str] | None = None,
     z_threshold: float = DEFAULT_Z_THRESHOLD,
-    seed_info: str = "",
 ) -> CovarianceReport:
     """Build a report from an (n_samples, p) matrix of functional values.
 
@@ -95,7 +93,6 @@ def report_from_values(
         zmax=zmax,
         passed=bool(zmax < z_threshold),
         samples=n,
-        seed_info=seed_info,
         notes=notes,
     )
 

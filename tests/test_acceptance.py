@@ -45,8 +45,7 @@ def verdict(number: int, name: str, ok: bool, detail: str = "") -> bool:
 
 def stationary_zmax(basis, seed: int) -> float:
     nu = sigma = 1.0
-    fns, labels = standard_functionals(basis)
-    weights = np.stack(fns, axis=1)
+    weights, labels = standard_functionals(basis)
     values = sample_functional_values(
         basis, nu, sigma, None, 5.0, 20000, weights, RngStream(seed, 0)
     )

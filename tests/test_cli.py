@@ -26,6 +26,7 @@ from gfflab.experiments import (
     EXPERIMENT_TABLE,
     EXPERIMENTS,
     ExperimentResult,
+    _relerr_result,
     _stationary_invariance_pvalues,
     build_basis,
 )
@@ -125,6 +126,15 @@ class TestRegistry:
             name, _, doc = line.partition(":")
             assert doc.strip()  # every entry carries help text
 
+
+    def test_relerr_cases_carry_their_own_tolerance(self):
+        cases = [("a", 1, 1.0 + 1e-4, 1.0, 1e-3), ("b", 2.5, 0.0, 0.0, 1e-12)]
+        result = _relerr_result(cases)
+        assert [list(r) for r in result.rows] == [["kernel", "x", "lhs", "rhs", "relerr"]] * 2
+        assert result.rows[1] == {"kernel": "b", "x": 2.5, "lhs": 0.0, "rhs": 0.0, "relerr": 0.0}
+        assert result.summary == {"worst_relerr": pytest.approx(1e-4), "passed": True}
+        # the same error against a tolerance of its own below it
+        assert not _relerr_result([cases[0][:4] + (1e-5,), cases[1]]).summary["passed"]
 
     def test_experiment_table_has_one_row_per_registered_name(self):
         keys = {f.metadata["key"] for f in fields(ExperimentConfig)}
@@ -428,6 +438,66 @@ class TestRunner:
         assert os.path.exists(f"{tmp_path}/s_{name}.csv") == (code != 2)
 
     @pytest.mark.parametrize(
+        "name, nu, sigma",
+        [
+            # sigma inside SIGMA_RANGE, sigma^2 / (2 nu) no float: these crashed
+            # (exit 3), or FAILed on a NaN target (exit 1), in earlier versions
+            ("stationary_bd", 1.06e-242, 1.05e34),
+            ("stationary_hermite", 8.3e228, 1.2e-64),
+            ("fourier_limits", 3.7e287, 2.3e-39),
+            ("convergence_curve", 1e-250, 1e30),
+        ],
+    )
+    def test_field_scale_outside_the_floats_exits_two(self, tmp_path, capsys, name, nu, sigma):
+        path = self._write(
+            tmp_path, f"experiment = {name}\nnu = {nu!r}\nsigma = {sigma!r}\noutput = {tmp_path}/s\n"
+        )
+        assert main(["run", path]) == 2
+        err = capsys.readouterr().err
+        assert f"nu and sigma: {name} needs 1e-250 <= sigma^2 / (2 nu) <= 1e+250" in err
+        assert "Traceback" not in err
+        assert not os.path.exists(f"{tmp_path}/s_{name}.csv")
+
+    # (nu, sigma) just inside and just outside each end of FIELD_SCALE_RANGE:
+    # field scales 9.8e249 and 1.02e250, 1.02e-250 and 9.8e-251
+    FIELD_SCALE_EDGES = [((5.1e-51, 1e100), (4.9e-51, 1e100)), ((4.9e49, 1e-100), (5.1e49, 1e-100))]
+
+    @pytest.mark.parametrize("name", SIGMA_READERS)
+    @pytest.mark.parametrize("inside, outside", FIELD_SCALE_EDGES)
+    def test_field_scale_bound_edges(self, name, inside, outside):
+        parse_config_text(f"experiment = {name}\nnu = {inside[0]!r}\nsigma = {inside[1]!r}\n")
+        message = rf"nu and sigma: {name} needs 1e-250 <= sigma\^2 / \(2 nu\) <= 1e\+250"
+        with pytest.raises(ConfigError, match=message):
+            parse_config_text(f"experiment = {name}\nnu = {outside[0]!r}\nsigma = {outside[1]!r}\n")
+
+    @pytest.mark.parametrize("name", SIGMA_READERS)
+    def test_field_scale_bound_keeps_the_usual_range(self, name):
+        for nu in (1e-3, 1e3):
+            for sigma in (1e-100, 1e100):
+                parse_config_text(f"experiment = {name}\nnu = {nu!r}\nsigma = {sigma!r}\n")
+
+    @pytest.mark.parametrize(
+        "name, edge",
+        [*[(name, edge) for name in SIGMA_READERS[:3] for edge in (0, 1)], ("fourier_limits", 1)],
+    )
+    def test_field_scale_edges_pass(self, tmp_path, capsys, name, edge):
+        # with the times scaled by 1 / nu the checks PASS at both ends; fourier_limits
+        # FAILs at large scales, where its phi_transient rows cancel
+        nu, sigma = self.FIELD_SCALE_EDGES[edge][0]
+        times = {
+            "stationary_bd": f"t = {5.0 / nu!r}\n",
+            "stationary_hermite": f"t = {5.0 / nu!r}\n",
+            "convergence_curve": f"t_list = {0.1 / nu!r},{2.0 / nu!r}\n",
+            "fourier_limits": "",
+        }[name]
+        path = self._write(
+            tmp_path,
+            f"experiment = {name}\nnu = {nu!r}\nsigma = {sigma!r}\n{times}M = 2000\noutput = {tmp_path}/s\n",
+        )
+        assert main(["run", path]) == 0
+        assert f"[{name}] PASS" in capsys.readouterr().out
+
+    @pytest.mark.parametrize(
         "name, extra",
         [("weyl", ""), ("stationary_hermite", ""), ("kakutani", "basis.kind = hermite\n"),
          ("stationary_bd", "basis.kind = hermite\n")],
@@ -614,7 +684,13 @@ class TestSharedParser:
 
 
 _BAD_FLOATS = ["nan", "inf", "-inf", "-1", "0", "banana"]
-_POSITIVE = st.one_of(st.floats(1e-3, 1e3), st.sampled_from([1e-300, 1e300])).map(repr)
+# log-uniform draws over 1e-300..1e300 reach the field scales sigma^2 / (2 nu)
+# that are no float, which crashed runs (exit 3) before FIELD_SCALE_RANGE
+_POSITIVE = st.one_of(
+    st.floats(1e-3, 1e3),
+    st.sampled_from([1e-300, 1e300]),
+    st.floats(-300.0, 300.0).map(lambda e: 10.0**e),
+).map(repr)
 
 # every config key: (valid values, invalid values); K and M stay small
 CONFIG_SPACE = {

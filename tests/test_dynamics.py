@@ -7,7 +7,6 @@ from gfflab.basis import build_box_basis, build_hermite_basis, build_interval_ba
 from gfflab.dynamics import (
     MC_BLOCK,
     SpectralState,
-    convergence_curve,
     em_oracle_step,
     kakutani_statistic,
     sample_functional_values,
@@ -16,7 +15,8 @@ from gfflab.dynamics import (
     stationary_target,
     transition_moments,
 )
-from gfflab.experiments import standard_functionals
+from gfflab.cli import ExperimentConfig
+from gfflab.experiments import _stationary_reports, standard_functionals
 from gfflab.fields import RngStream, sample_gff
 from gfflab.stats import ks_gaussian, kolmogorov_sf, report_from_values, summarize_convergence
 
@@ -306,19 +306,17 @@ class TestConvergenceCurve:
         assert vals.mean() == pytest.approx(expected_mean, abs=3.0 * se)
 
     def test_curve_reaches_stationarity(self, dirichlet64, stream):
-        fns = [np.eye(64)[0], np.eye(64)[3], 1.0 / np.arange(1, 65)]
-        curve = convergence_curve(
-            dirichlet64, 1.0, 1.0, None, [0.02, 0.1, 1.0, 5.0], 20000, fns, stream
+        cfg = ExperimentConfig(samples=20000)
+        times = [0.02, 0.1, 1.0, 5.0]
+        curve = _stationary_reports(
+            dirichlet64, cfg, [(t, stream.substream(i)) for i, t in enumerate(times)]
         )
         summary = summarize_convergence(curve)
+        assert [t for t, _ in curve] == times
         assert summary.passed
         assert summary.monotone
         assert curve[-1][1].zmax < 4.0
         assert curve[0][1].zmax > 4.0  # far from stationarity at t = 0.02
-
-    def test_sample_count_guard(self, dirichlet16, stream):
-        with pytest.raises(ValueError, match="100"):
-            convergence_curve(dirichlet16, 1.0, 1.0, None, [1.0], 50, [np.ones(16)], stream)
 
 
 def _ks_two_sample_p(a, b) -> float:
@@ -355,8 +353,7 @@ class TestReducedRankSampler:
 
     @pytest.fixture()
     def weights(self, dirichlet16):
-        fns, _ = standard_functionals(dirichlet16)
-        return np.stack(fns, axis=1)
+        return standard_functionals(dirichlet16)[0]
 
     def per_mode(self, basis, start, weights, stream):
         return per_mode_pairings(basis, 1.0, 1.0, start, self.T, self.N, weights, stream)
@@ -395,8 +392,7 @@ class TestReducedRankSampler:
 
     def test_rank_deficient_covariance(self):
         basis = build_interval_basis("dirichlet", 0.0, 1.0, 2)
-        fns, _ = standard_functionals(basis)  # e3 repeats e2
-        w = np.stack(fns, axis=1)
+        w, _ = standard_functionals(basis)  # e3 repeats e2
         vals = sample_functional_values(basis, 1.0, 1.0, None, 1.0, 5000, w, RngStream(48, 0))
         assert np.all(np.isfinite(vals))
         # a rounding-level eigenvalue must not put noise on the null direction
@@ -416,7 +412,7 @@ class TestReducedRankSampler:
     def test_gaussian_draw_matches_the_old_code_bit_for_bit(self, n, p):
         if p == "singular":  # e3 repeats e2, as in the stationary checks at K = 2
             basis = build_interval_basis("dirichlet", 0.0, 1.0, 2)
-            w = np.stack(standard_functionals(basis)[0], axis=1)
+            w, _ = standard_functionals(basis)
             cov, mean = w.T @ (w / basis.lambdas_squared[:, None]), np.linspace(-1.0, 1.0, 6)
         else:
             a = RngStream(50, p).generator().standard_normal((p, p + 2))

@@ -41,6 +41,13 @@ BENCH_CONFIGS = {
         "convergence_curve": {"K": 2048, "M": 10000},
         "bridge_cov": {"K": 4096, "M": 10000},
     },
+    # the Monte Carlo checks off their defaults: at K = 2 the six functionals
+    # repeat, and stationary_bd runs on the d = 3 box
+    "mc_off_default": {
+        "convergence_curve": {"basis.kind": "mixed", "K": 2, "t_list": "0.05,3", "M": 300},
+        "stationary_hermite": {"K": 2, "M": 500, "nu": 0.4, "sigma": 3},
+        "stationary_bd": {"basis.kind": "box", "basis.d": 3, "K": 50, "t": 2, "nu": 0.7},
+    },
 }
 
 
