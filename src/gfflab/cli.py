@@ -108,7 +108,7 @@ def parse_config_text(text: str) -> ExperimentConfig:
         )
 
     cfg = ExperimentConfig()
-    for key, value in {**EXPERIMENT_TABLE[name][0], **raw}.items():
+    for key, value in {**EXPERIMENT_TABLE[name][1], **raw}.items():
         f = _KEYS[key]
         try:
             setattr(cfg, f.name, f.metadata["parser"](value))
@@ -140,7 +140,7 @@ def validate_config(cfg: ExperimentConfig) -> None:
     if list(cfg.t_list) != sorted(cfg.t_list):
         raise ConfigError(f"t_list must be increasing (got {cfg.t_list})")
     try:
-        for require in EXPERIMENT_TABLE[cfg.experiment][1]:
+        for require in EXPERIMENT_TABLE[cfg.experiment][2]:
             require(cfg)
     except ValueError as exc:
         raise ConfigError(str(exc)) from None

@@ -44,10 +44,16 @@ class SpectralState:
 def transition_moments(lam2, nu: float, sigma: float, dt: float):
     """Decay factor and noise variance of the exact transition over dt:
     mean multiplier exp(-nu lam2 dt), variance
-    sigma^2 (1 - exp(-2 nu lam2 dt)) / (2 nu lam2)."""
+    sigma^2 (1 - exp(-2 nu lam2 dt)) / (2 nu lam2). Where 2 nu lam2
+    overflows, the variance is the stationary sigma^2 / (2 nu) / lam2."""
     lam2 = np.asarray(lam2, dtype=float)
-    decay = np.exp(-nu * lam2 * dt)
-    var = sigma**2 * (-np.expm1(-2.0 * nu * lam2 * dt)) / (2.0 * nu * lam2)
+    with np.errstate(over="ignore"):
+        decay = np.exp(-nu * lam2 * dt)
+        rate = 2.0 * nu * lam2
+        var = sigma**2 * (-np.expm1(-rate * dt)) / rate
+    overflow = np.isinf(rate)
+    if overflow.any():
+        var = np.where(overflow, sigma**2 / (2.0 * nu) / lam2, var)
     return decay, var
 
 

@@ -263,22 +263,14 @@ def gff_covariance(
     return nu_scale * value
 
 
-def transient_covariance(
-    f: TestFunction,
-    g: TestFunction,
-    phi: TestFunction | None,
-    t: float,
-    nu: float,
-    sigma: float,
-) -> float:
-    """Covariance of the whole-space heat evolution tested against f and g
-    at time t, starting from the deterministic profile phi (None for zero).
+def transient_covariance(f: TestFunction, g: TestFunction, t: float, nu: float, sigma: float) -> float:
+    """Covariance of the whole-space heat evolution from a zero start,
+    tested against f and g at time t: the integral of fhat conj(ghat)
+    sigma^2 (1 - exp(-2 t nu |xi|^2)) / (2 nu |xi|^2), which increases to
+    the free-field covariance as t grows.
 
-    The noise part integrates fhat conj(ghat) (1 - exp(-2 t nu |xi|^2)) /
-    (2 nu |xi|^2); the initial-condition part is the rank-one product of
-    the heat-smoothed pairings of phi with f and with g. As t grows the
-    first term increases to the free-field covariance and the second
-    decays to zero.
+    A deterministic start phi adds the rank-one product of
+    heat_pairing(phi, f, t, nu) and heat_pairing(phi, g, t, nu).
     """
     if t < 0.0:
         raise ValueError(f"time must be non-negative, got {t}")
@@ -289,11 +281,14 @@ def transient_covariance(
         z = 2.0 * t * nu * r * r
         return sigma**2 * (-np.expm1(-z)) / (2.0 * nu * r * r)
 
-    value = _pair_integral(f, g, noise_weight)
-    if phi is not None:
-        heat = lambda r: np.exp(-t * nu * r * r)
-        value += _pair_integral(phi, f, heat) * _pair_integral(phi, g, heat)
-    return value
+    return _pair_integral(f, g, noise_weight)
+
+
+def heat_pairing(phi: TestFunction, f: TestFunction, t: float, nu: float) -> float:
+    """The pairing of f with the start phi after heat flow for time t: the
+    integral of phihat conj(fhat) exp(-t nu |xi|^2), which decays to zero
+    as t grows."""
+    return _pair_integral(phi, f, lambda r: np.exp(-t * nu * r * r))
 
 
 def massive_limit_covariance(

@@ -177,22 +177,6 @@ def potential_zero_mass(x, *, d: int, nu: float):
     )
 
 
-def log_divergence_check(nu: float, x, eps_list) -> np.ndarray:
-    """Residuals of the two-dimensional small-mass expansion
-    Phi_eps = Phi_0 - log(eps)/(4 pi nu) + r(eps).
-
-    The residuals tend to the constant (log 2 - gamma_E)/(2 pi nu) from
-    above as eps -> 0, so their magnitudes decrease along a decreasing
-    eps list.
-    """
-    phi0 = potential_zero_mass(x, d=2, nu=nu)
-    out = []
-    for eps in np.asarray(eps_list, dtype=float):
-        phi = potential_massive(x, d=2, nu=nu, eps=float(eps))
-        out.append(phi - phi0 + math.log(eps) / (4.0 * math.pi * nu))
-    return np.array(out)
-
-
 def series_green(basis: EigenBasis, nu: float, x, y, terms: int | None = None) -> float:
     """Partial sum of the eigenfunction series
     sum_{k<=terms} h_k(x) h_k(y) / (nu lambda_k^2).

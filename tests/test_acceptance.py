@@ -23,6 +23,7 @@ from gfflab.fields import RngStream, covariance_two_sided, sample_brownian_bridg
 from gfflab.fourier_cov import (
     gaussian_bump,
     gff_covariance,
+    heat_pairing,
     make_s0_function,
     massive_limit_covariance,
     transient_covariance,
@@ -225,15 +226,11 @@ def test_criterion_08_whole_space_limit():
     f = make_s0_function(4.0, 0.25)
     t_star = 40.0 / (nu * (f.params["freq"] / 2.0) ** 2)
     limit = gff_covariance(f, f, nu_scale=sigma**2 / (2.0 * nu))
-    val = transient_covariance(f, f, None, t_star, nu, sigma)
+    val = transient_covariance(f, f, t_star, nu, sigma)
     rel_gap = abs(val - limit) / limit
 
     phi = gaussian_bump(0.0, 1.0)
-    transients = []
-    for t in (0.05, 0.1, 0.2, 0.4):
-        full = transient_covariance(f, f, phi, t, nu, sigma)
-        noise = transient_covariance(f, f, None, t, nu, sigma)
-        transients.append(full - noise)
+    transients = [heat_pairing(phi, f, t, nu) ** 2 for t in (0.05, 0.1, 0.2, 0.4)]
     monotone = all(a > b for a, b in zip(transients[:-1], transients[1:]))
 
     ok = verdict(

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gfflab import quadrature
+from gfflab import fourier_cov, greens, quadrature
 from gfflab.basis import BasisKind
 from gfflab.cli import (
     ConfigError,
@@ -139,9 +139,40 @@ class TestRegistry:
     def test_experiment_table_has_one_row_per_registered_name(self):
         keys = {f.metadata["key"] for f in fields(ExperimentConfig)}
         assert list(EXPERIMENT_TABLE) == list(EXPERIMENTS)
-        for name, (defaults, _) in EXPERIMENT_TABLE.items():
+        for name, (function, defaults, _) in EXPERIMENT_TABLE.items():
+            assert EXPERIMENTS[name] is function
             assert set(defaults) <= keys - {"experiment", "output", "seed"}, name
             parse_config_text(f"experiment = {name}\n")
+
+
+class TestComputedOnce:
+    """Each kernel value an experiment reports is computed once."""
+
+    @staticmethod
+    def count_calls(monkeypatch, module, names, experiment) -> dict[str, int]:
+        calls = dict.fromkeys(names, 0)
+        for name in names:
+            def counting(*args, _name=name, _fn=getattr(module, name), **kwargs):
+                calls[_name] += 1
+                return _fn(*args, **kwargs)
+
+            monkeypatch.setattr(module, name, counting)
+        EXPERIMENTS[experiment](parse_config_text(f"experiment = {experiment}\n"))
+        return calls
+
+    @pytest.mark.parametrize(
+        "experiment, massive, zero_mass", [("log_divergence_2d", 4, 1), ("greens_checks", 2, 1)]
+    )
+    def test_potentials(self, monkeypatch, experiment, massive, zero_mass):
+        names = ["potential_massive", "potential_zero_mass"]
+        calls = self.count_calls(monkeypatch, greens, names, experiment)
+        assert calls == {"potential_massive": massive, "potential_zero_mass": zero_mass}
+
+    def test_fourier_limits_pair_integrals(self, monkeypatch):
+        # the noise limit, one heat pairing per phi_transient time, the
+        # massive value and the massless value, each once
+        calls = self.count_calls(monkeypatch, fourier_cov, ["_pair_integral"], "fourier_limits")
+        assert calls == {"_pair_integral": 8}
 
 
 class TestRunner:
@@ -478,11 +509,10 @@ class TestRunner:
 
     @pytest.mark.parametrize(
         "name, edge",
-        [*[(name, edge) for name in SIGMA_READERS[:3] for edge in (0, 1)], ("fourier_limits", 1)],
+        [(name, edge) for name in SIGMA_READERS for edge in (0, 1)],
     )
     def test_field_scale_edges_pass(self, tmp_path, capsys, name, edge):
-        # with the times scaled by 1 / nu the checks PASS at both ends; fourier_limits
-        # FAILs at large scales, where its phi_transient rows cancel
+        # with the times scaled by 1 / nu the checks PASS at both ends
         nu, sigma = self.FIELD_SCALE_EDGES[edge][0]
         times = {
             "stationary_bd": f"t = {5.0 / nu!r}\n",
@@ -510,6 +540,16 @@ class TestRunner:
         assert f"K: {name} needs 1 <= K <= 1e+06 (got 1000001)" in err and "Traceback" not in err
         assert not os.path.exists(f"{tmp_path}/h_{name}.csv")
 
+    def test_stationary_modes_beyond_the_float_range_of_nu_lambda2(self, tmp_path, capsys):
+        # 2 nu lambda_K^2 = 3.3e308 overflows: the variance of mode 4096 read 0
+        # and its KS p was 1e-12 (exit 1) in earlier versions
+        path = self._write(
+            tmp_path,
+            f"experiment = stationary_bd\nnu = 1e300\nsigma = 1e100\nK = 4096\nM = 2000\noutput = {tmp_path}/s\n",
+        )
+        assert main(["run", path]) == 0
+        assert "[stationary_bd] PASS" in capsys.readouterr().out
+
     def test_hermite_size_limit_is_inclusive(self, tmp_path, capsys):
         path = self._write(
             tmp_path, f"experiment = kakutani\nbasis.kind = hermite\nK = 1000000\noutput = {tmp_path}/k\n"
@@ -522,10 +562,16 @@ class TestRunner:
             parse_config_text(f"experiment = {name}\nK = 1000001\n")
         parse_config_text("experiment = heat_poisson\nbasis.kind = hermite\nK = 1000001\n")
 
-    @pytest.mark.parametrize("line", ["nu = 6", "nu = 10", "nu = 1000", "sigma = 3e3", "sigma = 1e4"])
+    @pytest.mark.parametrize(
+        "line",
+        ["nu = 6", "nu = 10", "nu = 1000", "sigma = 3e3", "sigma = 1e4", "sigma = 3e4", "sigma = 1e50",
+         "sigma = 1e100"],
+    )
     def test_fourier_limits_scales_with_nu_and_sigma(self, tmp_path, capsys, line):
-        # the fixed transient grid FAILed from nu = 6 on, and the absolute
-        # massless gate from sigma = 3e3 on (exit 1)
+        # the fixed transient grid FAILed from nu = 6 on, the absolute
+        # massless gate from sigma = 3e3 on, and the phi_transient rows,
+        # taken as the difference of two covariances, from sigma = 3e4 on
+        # (exit 1)
         path = self._write(tmp_path, f"experiment = fourier_limits\n{line}\noutput = {tmp_path}/f\n")
         assert main(["run", path]) == 0
         assert "[fourier_limits] PASS" in capsys.readouterr().out
@@ -775,7 +821,7 @@ def test_documented_keys_match_the_key_table():
     parsers = {f.metadata["key"]: f.metadata["parser"] for f in fields(ExperimentConfig)}
     assert set(documented) == set(parsers)
     # every per-experiment default of the table, as "`name`, ...: `value`"
-    for name, (defaults, _) in EXPERIMENT_TABLE.items():
+    for name, (_, defaults, _) in EXPERIMENT_TABLE.items():
         for key, value in defaults.items():
             listed = {}
             for part in documented[key].split(";"):

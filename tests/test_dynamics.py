@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -68,6 +69,20 @@ class TestTransitionMoments:
             total *= transition_moments(lam2, 1.0, 1.0, dt)[0]
         direct = transition_moments(lam2, 1.0, 1.0, 1.0)[0]
         assert np.allclose(total, direct, rtol=1e-13)
+
+    def test_overflowing_rate_keeps_the_stationary_variance(self):
+        # 2 nu lam2 = 3.3e308 overflows for the last mode, whose variance read 0
+        lam2 = np.array([1.0, 1.66e8])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            decay, var = transition_moments(lam2, 1e300, 1e100, 5.0)
+        assert np.array_equal(decay, [0.0, 0.0])
+        assert var[1] == 1e200 / 2e300 / 1.66e8
+        assert transition_moments(1.66e8, 1e300, 1e100, 5.0)[1] == var[1]  # a scalar lam2 too
+        # bit for bit the closed form wherever 2 nu lam2 is finite
+        assert var[0] == 1e200 * (-np.expm1(-2e300 * 5.0)) / 2e300
+        closed = 1.3**2 * (-np.expm1(-2.0 * 0.7 * 4.0 * 0.3)) / (2.0 * 0.7 * 4.0)
+        assert transition_moments(4.0, 0.7, 1.3, 0.3)[1] == closed
 
 
 class TestExactStep:

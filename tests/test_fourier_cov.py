@@ -9,6 +9,7 @@ from gfflab.fourier_cov import (
     _pair_integral_tensor2d,
     gaussian_bump,
     gff_covariance,
+    heat_pairing,
     hhat_norms,
     make_s0_function,
     massive_limit_covariance,
@@ -143,19 +144,19 @@ class TestGffCovariance:
 class TestTransientCovariance:
     def test_zero_time_zero_start(self):
         f = make_s0_function(4.0, 0.25)
-        assert transient_covariance(f, f, None, 0.0, 1.0, 1.0) == 0.0
+        assert transient_covariance(f, f, 0.0, 1.0, 1.0) == 0.0
 
     def test_limit_reaches_free_field(self):
         f = make_s0_function(4.0, 0.25)
         t_star = 40.0 / (1.0 * (f.params["freq"] / 2.0) ** 2)
         limit = gff_covariance(f, f, nu_scale=0.5)
-        val = transient_covariance(f, f, None, t_star, 1.0, 1.0)
+        val = transient_covariance(f, f, t_star, 1.0, 1.0)
         assert abs(val - limit) / limit < 1e-8
 
     def test_noise_term_monotone_in_time(self):
         f = make_s0_function(4.0, 0.25)
         times = [0.01, 0.05, 0.1, 0.5, 1.0]
-        vals = [transient_covariance(f, f, None, t, 1.0, 1.0) for t in times]
+        vals = [transient_covariance(f, f, t, 1.0, 1.0) for t in times]
         assert np.all(np.diff(vals) > 0.0)
 
     def test_phi_term_against_direct_quadrature(self):
@@ -163,30 +164,23 @@ class TestTransientCovariance:
         f = make_s0_function(4.0, 0.25)
         phi = gaussian_bump(0.0, 1.0)
         for t in (0.05, 0.2):
-            full = transient_covariance(f, f, phi, t, 1.0, 1.0)
-            noise = transient_covariance(f, f, None, t, 1.0, 1.0)
             r, w = gauss_legendre(f.xi_floor, f.xi_cut, 4096)
             pairing = 2.0 * float(
                 np.sum(w * np.exp(-t * r * r) * phi.fhat_radial(r) * f.fhat_radial(r))
             )
-            assert full - noise == pytest.approx(pairing**2, rel=1e-8, abs=1e-300)
+            assert heat_pairing(phi, f, t, 1.0) ** 2 == pytest.approx(pairing**2, rel=1e-8, abs=1e-300)
 
     def test_phi_term_decays(self):
         f = make_s0_function(4.0, 0.25)
         phi = gaussian_bump(0.0, 1.0)
-        vals = []
-        for t in (0.05, 0.1, 0.2, 0.4):
-            vals.append(
-                transient_covariance(f, f, phi, t, 1.0, 1.0)
-                - transient_covariance(f, f, None, t, 1.0, 1.0)
-            )
+        vals = [heat_pairing(phi, f, t, 1.0) ** 2 for t in (0.05, 0.1, 0.2, 0.4)]
         assert np.all(np.diff(vals) < 0.0)
         assert vals[-1] >= 0.0
 
     def test_negative_time_rejected(self):
         f = make_s0_function(4.0, 0.25)
         with pytest.raises(ValueError, match="non-negative"):
-            transient_covariance(f, f, None, -1.0, 1.0, 1.0)
+            transient_covariance(f, f, -1.0, 1.0, 1.0)
 
 
 class TestMassiveLimit:

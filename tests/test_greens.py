@@ -5,7 +5,8 @@ import pytest
 
 from gfflab import quadrature
 from gfflab.basis import build_box_basis, build_hermite_basis, build_interval_basis, evaluate_matrix
-from gfflab.experiments import MASS_RANGE
+from gfflab.cli import parse_config_text
+from gfflab.experiments import MASS_RANGE, exp_log_divergence_2d
 from gfflab.greens import (
     EULER_GAMMA,
     _as_points,
@@ -15,7 +16,6 @@ from gfflab.greens import (
     gamma_fn,
     heat_kernel,
     heat_poisson_identity,
-    log_divergence_check,
     potential_massive,
     potential_zero_mass,
     series_green,
@@ -247,9 +247,15 @@ class TestPotentials:
         )
 
 
+def log_residual(nu, x, eps):
+    """r(eps) in the planar expansion Phi_eps = Phi_0 - log(eps)/(4 pi nu) + r(eps)."""
+    phi = potential_massive(x, d=2, nu=nu, eps=eps)
+    return phi - potential_zero_mass(x, d=2, nu=nu) + math.log(eps) / (4.0 * math.pi * nu)
+
+
 class TestLogDivergence:
     def test_residuals_shrink(self):
-        r = log_divergence_check(1.0, 1.0, [1e-6, 1e-8])
+        r = [log_residual(1.0, 1.0, eps) for eps in (1e-6, 1e-8)]
         assert abs(r[1]) < abs(r[0])
         # the limit constant of the residual
         assert r[1] == pytest.approx((math.log(2.0) - EULER_GAMMA) / (2.0 * math.pi), abs=1e-6)
@@ -264,8 +270,15 @@ class TestLogDivergence:
         phi_eps_quad = float(np.sum(w * heat))
         phi0 = potential_zero_mass(xr, d=2, nu=nu)
         residual_quad = phi_eps_quad - phi0 + math.log(eps) / (4 * math.pi * nu)
-        residual_bessel = log_divergence_check(nu, xr, [eps])[0]
+        residual_bessel = log_residual(nu, xr, eps)
         assert residual_bessel == pytest.approx(residual_quad, abs=1e-6)
+
+    def test_experiment_residual_column(self):
+        cfg = parse_config_text("experiment = log_divergence_2d\nnu = 1.7\n")
+        rows = exp_log_divergence_2d(cfg).rows
+        assert len(rows) == 4
+        for row in rows:
+            assert row["residual"] == log_residual(1.7, 1.0, row["eps"])
 
     def test_slope_matches_log_coefficient(self):
         nu = 1.7

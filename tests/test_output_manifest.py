@@ -10,7 +10,8 @@ regenerates the manifest with
 
     PYTHONPATH=src python tests/test_output_manifest.py --write
 
-and lists the moved cells in CHANGES.md.
+which prints each key it adds, changes or drops, and lists the moved cells
+in CHANGES.md.
 """
 
 import contextlib
@@ -84,7 +85,16 @@ def test_outputs_match_the_manifest(tmp_path):
 if __name__ == "__main__":
     if sys.argv[1:] != ["--write"]:
         sys.exit("usage: PYTHONPATH=src python tests/test_output_manifest.py --write")
+    old = json.loads(MANIFEST.read_text(encoding="utf-8"))["sha256"] if MANIFEST.exists() else {}
     with tempfile.TemporaryDirectory() as tmp:
         manifest = {"versions": versions(), "sha256": output_hashes(Path(tmp))}
+    new = manifest["sha256"]
+    for key in sorted(old.keys() | new.keys()):
+        if key not in old:
+            print(f"added {key}")
+        elif key not in new:
+            print(f"dropped {key}")
+        elif old[key] != new[key]:
+            print(f"changed {key}")
     MANIFEST.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n", encoding="utf-8")
-    print(f"wrote {len(manifest['sha256'])} hashes to {MANIFEST}")
+    print(f"wrote {len(new)} hashes to {MANIFEST}")
