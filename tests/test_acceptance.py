@@ -18,7 +18,7 @@ from gfflab.dynamics import (
     stationary_target,
     transition_moments,
 )
-from gfflab.experiments import standard_functionals
+from gfflab.experiments import _two_sided_gauss_oracle, standard_functionals
 from gfflab.fields import RngStream, covariance_two_sided, sample_brownian_bridge
 from gfflab.fourier_cov import (
     gaussian_bump,
@@ -191,14 +191,18 @@ def test_criterion_06_log_divergence_slope():
 
 
 def test_criterion_07_one_dimensional_covariance_chain():
+    # (f, g, closed form from folded-normal means)
     pairs = [
-        (lambda x: np.exp(-0.5 * (x - 0.4) ** 2), lambda x: np.exp(-0.5 * (x + 0.2) ** 2 / 0.49)),
-        (lambda x: np.exp(-0.5 * x * x / 1.21), lambda x: np.exp(-0.5 * (x - 1.0) ** 2)),
+        (lambda x: np.exp(-0.5 * (x - 0.4) ** 2), lambda x: np.exp(-0.5 * (x + 0.2) ** 2 / 0.49),
+         _two_sided_gauss_oracle((0.4, 1.0), (-0.2, 0.7))),
+        (lambda x: np.exp(-0.5 * x * x / 1.21), lambda x: np.exp(-0.5 * (x - 1.0) ** 2),
+         _two_sided_gauss_oracle((0.0, 1.1), (1.0, 1.0))),
     ]
-    worst = 0.0
-    for f, g in pairs:
-        vals = [covariance_two_sided(f, g, m) for m in ("direct", "antiderivative", "fourier")]
-        worst = max(worst, max(vals) - min(vals))
+    worst = max(
+        abs(covariance_two_sided(f, g, m) - target)
+        for f, g, target in pairs
+        for m in ("direct", "antiderivative")
+    )
     modes_ok = worst < 1e-6
 
     s0a = make_s0_function(4.0, 0.25)
@@ -216,7 +220,7 @@ def test_criterion_07_one_dimensional_covariance_chain():
     ok = verdict(
         7, "two-sided Brownian covariance chain",
         modes_ok and exact_ok and not_gff_ok,
-        f"mode spread={worst:.1e}, exact={exact_ok}, mean-gap={gap:.1e}",
+        f"worst closed-form error={worst:.1e}, exact={exact_ok}, mean-gap={gap:.1e}",
     )
     assert ok
 

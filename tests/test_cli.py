@@ -246,12 +246,44 @@ class TestRunner:
         assert "[kakutani] PASS" in out
 
     def test_kakutani_below_first_checkpoint(self, tmp_path, capsys):
+        # one checkpoint makes the tail 0 by construction: earlier versions
+        # PASSed here without testing anything
         path = self._write(tmp_path, f"experiment = kakutani\nK = 5\noutput = {tmp_path}/k\n")
-        assert main(["run", path]) == 0
-        with open(f"{tmp_path}/k_kakutani.csv") as fh:
-            lines = fh.read().splitlines()
-        assert lines[0] == "terms,statistic,tail_from_previous"
-        assert [line.split(",")[0] for line in lines[1:]] == ["5"]
+        assert main(["run", path]) == 2
+        err = capsys.readouterr().err
+        assert "K: kakutani needs 11 <= K (got 5)" in err and "Traceback" not in err
+        assert not os.path.exists(f"{tmp_path}/k_kakutani.csv")
+
+    @pytest.mark.parametrize(
+        "name, floor, extra",
+        [("kakutani", 11, ""), ("heat_poisson", 32, ""),
+         ("heat_poisson", 32, "nu = 1e-4\neps = 1e-4\n"), ("heat_poisson", 32, "nu = 1e4\neps = 1e4\n"),
+         ("weyl", 158, "")],
+    )
+    def test_smallest_k_that_resolves_the_claim(self, tmp_path, capsys, name, floor, extra):
+        # below the floor each verdict FAILed (heat_poisson at K = 31, weyl at
+        # K = 157) or PASSed vacuously (kakutani at K <= 10) in earlier versions
+        below = self._write(tmp_path, f"experiment = {name}\n{extra}K = {floor - 1}\noutput = {tmp_path}/b\n")
+        assert main(["run", below]) == 2
+        err = capsys.readouterr().err
+        assert f"K: {name} needs {floor} <= K (got {floor - 1})" in err and "Traceback" not in err
+        assert not os.path.exists(f"{tmp_path}/b_{name}.csv")
+        at = self._write(tmp_path, f"experiment = {name}\n{extra}K = {floor}\noutput = {tmp_path}/a\n")
+        assert main(["run", at]) == 0
+        assert f"[{name}] PASS" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("nu", [1e-4, 0.01, 1e4])
+    def test_log_divergence_slope_at_any_nu(self, tmp_path, capsys, nu):
+        # the fixed eps of earlier versions put the small-mass regime at
+        # sqrt(eps / nu): relerr 0.30 at nu = 1e-4 and 1.5e-2 at nu = 0.01 (FAIL)
+        relerr = {}
+        for value in (1.0, nu):
+            path = self._write(tmp_path, f"experiment = log_divergence_2d\nnu = {value!r}\noutput = {tmp_path}/l{value}\n")
+            assert main(["run", path]) == 0
+            with open(f"{tmp_path}/l{value}_log_divergence_2d_summary.json") as fh:
+                relerr[value] = json.load(fh)["relerr"]
+        assert "FAIL" not in capsys.readouterr().out
+        assert relerr[nu] == pytest.approx(relerr[1.0], rel=1e-9)
 
     def test_main_config_error_exit_two(self, tmp_path, capsys):
         path = self._write(tmp_path, "experiment = weyl\nnu = -1\n")

@@ -1,19 +1,16 @@
-import gc
 import math
-import weakref
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from gfflab.basis import build_interval_basis
+from gfflab.experiments import _folded_normal_mean, _two_sided_gauss_oracle
 from gfflab.fields import (
-    FOURIER_PHASE_PER_PANEL,
     FieldSample,
     RngStream,
-    _fourier_tables,
-    _transform_on_grid,
     covariance_two_sided,
     field_values,
     sample_brownian_bridge,
@@ -294,39 +291,18 @@ def per_node_direct(f, g, r_max, n_nodes):
     return total
 
 
-def full_table_transform(even, odd, x, xi, block=256):
-    """The Fourier transforms of the two-sided route with cos(x xi) and
-    sin(x xi) evaluated on the whole (x, xi) table in row blocks, as a
-    reference for the panel-factored transform."""
-    re = np.zeros((even.shape[0], xi.size))
-    im = np.zeros_like(re)
-    for lo in range(0, x.size, block):
-        phase = np.outer(x[lo : lo + block], xi)
-        re += even[:, lo : lo + block] @ np.cos(phase)
-        im += odd[:, lo : lo + block] @ np.sin(phase)
-    return (re - 1j * im) / math.sqrt(2.0 * math.pi)
-
-
-def old_transform_on_grid(even, odd, r_max, panels, xi):
-    """_transform_on_grid as it was before its tables were cached and its
-    products formed in place: the oracle of the bit-identity test."""
-    edges = np.linspace(0.0, r_max, panels + 1)
-    centre = np.outer(0.5 * (edges[:-1] + edges[1:]), xi)
-    half = 0.5 * r_max / panels
-    offset = np.outer(gauss_legendre(-half, half, 16)[0], xi)
-    cc, sc, co, so = np.cos(centre), np.sin(centre), np.cos(offset), np.sin(offset)
-    even, odd = (np.swapaxes(a.reshape(-1, panels, 16), 1, 2) for a in (even, odd))
-    re = np.sum((even @ cc) * co - (even @ sc) * so, axis=1)
-    im = np.sum((odd @ sc) * co + (odd @ cc) * so, axis=1)
-    return (re - 1j * im) / math.sqrt(2.0 * math.pi)
-
-
 PAIRS = {
     "gauss": (
         lambda x: np.exp(-0.5 * (x - 0.4) ** 2),
         lambda x: np.exp(-0.5 * (x + 0.2) ** 2 / 0.49),
     ),
     "odd": (lambda x: x * np.exp(-x * x), lambda x: x * np.exp(-x * x)),
+}
+# E(W[f] W[g]) of each pair in closed form: folded-normal means for the
+# Gaussians, int F^2 with F = -exp(-x^2) / 2 for the odd pair
+CLOSED_FORMS = {
+    "gauss": _two_sided_gauss_oracle((0.4, 1.0), (-0.2, 0.7)),
+    "odd": math.sqrt(2.0 * math.pi) / 8.0,
 }
 
 
@@ -350,77 +326,34 @@ class TestCovarianceTwoSided:
         got = covariance_two_sided(f, g, "antiderivative", n_nodes=256)
         assert got == pytest.approx(total, rel=1e-13, abs=0.0)
 
-    @pytest.mark.parametrize(
-        "n_nodes, r_max, xi_max",
-        [(16, 20.0, 40.0), (100, 20.0, 40.0), (256, 20.0, 40.0), (2048, 20.0, 40.0),
-         (256, 7.5, 13.0)],
-    )
-    def test_panel_transform_matches_full_table(self, n_nodes, r_max, xi_max):
-        panels = max(n_nodes // 16, 1)
-        x, wx = composite_legendre(0.0, r_max, panels, 16)
-        xi, _ = composite_legendre(0.0, xi_max, panels, 16)
-        funcs = [
-            *PAIRS["gauss"],
-            PAIRS["odd"][0],
-            lambda v: np.exp(-np.abs(v)),
-            lambda v: np.exp(-8.0 * (v - 3.0) ** 2),
-        ]
-        plus = wx * np.stack([h(x) for h in funcs])
-        minus = wx * np.stack([h(-x) for h in funcs])
-        want = full_table_transform(plus + minus, plus - minus, x, xi)
-        got = _transform_on_grid(plus + minus, plus - minus, r_max, panels, xi_max)
-        assert got.shape == want.shape == (len(funcs), panels * 16)
-        scale = np.max(np.abs(want), axis=1, keepdims=True)
-        assert np.all(np.abs(got - want) <= 1e-13 * scale)
-
+    @pytest.mark.parametrize("mode", ["direct", "antiderivative"])
     @pytest.mark.parametrize("pair", sorted(PAIRS))
     @pytest.mark.parametrize(
-        "n_nodes, r_max, xi_max",
-        # xi_max * r_max / panels = 6.25 (the default), 25 (the bound), 11.6,
-        # 6.1 and 25 again
-        [(2048, 20.0, 40.0), (256, 20.0, 20.0), (500, 12.0, 30.0), (256, 7.5, 13.0),
-         (512, 20.0, 40.0)],
+        "n_nodes, r_max",
+        [(2048, 20.0), (256, 20.0), (500, 12.0), (256, 7.5), (512, 20.0)],
     )
-    def test_fourier_agrees_with_direct(self, pair, n_nodes, r_max, xi_max):
+    def test_routes_match_closed_forms(self, mode, pair, n_nodes, r_max):
         f, g = PAIRS[pair]
-        assert xi_max * r_max / (n_nodes // 16) <= FOURIER_PHASE_PER_PANEL
-        kw = {"r_max": r_max, "n_nodes": n_nodes, "xi_max": xi_max}
-        fourier = covariance_two_sided(f, g, "fourier", **kw)
-        assert fourier == pytest.approx(covariance_two_sided(f, g, "direct", **kw), abs=1e-12)
+        got = covariance_two_sided(f, g, mode, r_max=r_max, n_nodes=n_nodes)
+        assert got == pytest.approx(CLOSED_FORMS[pair], abs=1e-12)
 
-    @pytest.mark.parametrize(
-        "n_nodes, r_max, xi_max, need",
-        # 26.7 just above the bound, 50 off by 1e-5 before the guard, 800
-        [(240, 20.0, 20.0, 256), (256, 20.0, 40.0, 512), (16, 20.0, 40.0, 512)],
-    )
-    def test_fourier_beyond_reach_rejected(self, n_nodes, r_max, xi_max, need):
+    def test_callable_rejected_in_fourier_mode(self):
         f, g = PAIRS["gauss"]
-        kw = {"r_max": r_max, "n_nodes": n_nodes, "xi_max": xi_max}
-        with pytest.raises(ValueError, match=f"under-resolved.*n_nodes >= {need}"):
-            covariance_two_sided(f, g, "fourier", **kw)
-        # the guard is the fourier route's own: x-only routes still run
-        assert covariance_two_sided(f, g, "direct", **kw) > 0.0
-        kw["n_nodes"] = need
-        assert covariance_two_sided(f, g, "fourier", **kw) == pytest.approx(
-            covariance_two_sided(f, g, "direct", **kw), abs=1e-12
-        )
+        with pytest.raises(ValueError, match="fourier mode takes TestFunction inputs only"):
+            covariance_two_sided(f, g, "fourier")
+        with pytest.raises(ValueError, match="fourier mode takes TestFunction inputs only"):
+            covariance_two_sided(gaussian_bump(0.4, 1.0), g, "fourier")
 
-    @pytest.mark.parametrize("mode", ["direct", "antiderivative", "fourier"])
+    @pytest.mark.parametrize("mode", ["direct", "antiderivative"])
     @pytest.mark.parametrize(
         "kwargs, name",
         [({"n_nodes": 0}, "n_nodes"), ({"n_nodes": -16}, "n_nodes"), ({"r_max": 0.0}, "r_max"),
-         ({"r_max": -20.0}, "r_max"), ({"xi_max": 0.0}, "xi_max"), ({"xi_max": -40.0}, "xi_max")],
+         ({"r_max": -20.0}, "r_max")],
     )
     def test_rejects_empty_or_reversed_window(self, mode, kwargs, name):
         f = lambda x: np.exp(-x * x)
         with pytest.raises(ValueError, match=f"{name} must be positive"):
             covariance_two_sided(f, f, mode, **kwargs)
-
-    def test_three_modes_agree_gaussian_pair(self):
-        f = lambda x: np.exp(-0.5 * (x - 0.4) ** 2)
-        g = lambda x: np.exp(-0.5 * (x + 0.2) ** 2 / 0.49)
-        vals = [covariance_two_sided(f, g, m) for m in ("direct", "antiderivative", "fourier")]
-        assert max(vals) - min(vals) < 1e-6
 
     def test_odd_function_yields_positive_value(self):
         f = lambda x: x * np.exp(-x * x)
@@ -441,10 +374,11 @@ class TestCovarianceTwoSided:
         # grid bias from the trapezoidal pairing is well under the MC noise
         assert abs(est - target) < 5.0 * se
 
-    def test_first_moment_guard(self):
+    @pytest.mark.parametrize("mode", ["direct", "antiderivative"])
+    def test_first_moment_guard(self, mode):
         heavy = lambda x: 1.0 / (1.0 + x * x)
         with pytest.raises(ValueError, match="first-moment"):
-            covariance_two_sided(heavy, heavy, "fourier")
+            covariance_two_sided(heavy, heavy, mode)
 
     def test_s0_fourier_equals_free_field_exactly(self):
         f = make_s0_function(4.0, 0.25)
@@ -469,51 +403,18 @@ class TestCovarianceTwoSided:
             covariance_two_sided(f, f, "spectral")
 
 
-# the grids of test_panel_transform_matches_full_table
-TRANSFORM_GRIDS = [(16, 20.0, 40.0), (100, 20.0, 40.0), (256, 20.0, 40.0), (2048, 20.0, 40.0),
-                   (256, 7.5, 13.0)]
+class TestTwoSidedClosedForm:
+    @pytest.mark.parametrize("mu, s", [(0.0, 1.0), (0.4, 1.0), (-0.6, math.hypot(1.0, 0.7)), (3.0, 0.5)])
+    def test_folded_normal_mean_against_mpmath(self, mu, s):
+        want = mpmath.quad(lambda x: abs(x) * mpmath.npdf(x, mu, s), [-mpmath.inf, 0, mpmath.inf])
+        assert _folded_normal_mean(mu, s) == pytest.approx(float(want), rel=1e-14)
 
+    def test_centred_pair_by_hand(self):
+        # f = g = exp(-x^2 / 2): E|X| = E|Y| = sqrt(2 / pi) and E|X - Y| = 2 / sqrt(pi)
+        want = (2.0 - math.sqrt(2.0)) * math.sqrt(2.0 * math.pi)
+        assert _two_sided_gauss_oracle((0.0, 1.0), (0.0, 1.0)) == pytest.approx(want, rel=1e-15)
 
-class TestFourierTables:
-    @pytest.mark.parametrize("n_nodes, r_max, xi_max", TRANSFORM_GRIDS)
-    def test_transform_matches_the_old_code_bit_for_bit(self, n_nodes, r_max, xi_max):
-        panels = max(n_nodes // 16, 1)
-        x, wx = composite_legendre(0.0, r_max, panels, 16)
-        xi, _ = composite_legendre(0.0, xi_max, panels, 16)
-        funcs = [*PAIRS["gauss"], PAIRS["odd"][0], lambda v: np.exp(-np.abs(v))]
-        plus = wx * np.stack([h(x) for h in funcs])
-        minus = wx * np.stack([h(-x) for h in funcs])
-        for rows in (2, 4):  # the two-row call of covariance_two_sided, and more rows
-            even, odd = plus[:rows] + minus[:rows], plus[:rows] - minus[:rows]
-            want = old_transform_on_grid(even, odd, r_max, panels, xi)
-            got = _transform_on_grid(even, odd, r_max, panels, xi_max)
-            assert got.view(np.int64).tobytes() == want.view(np.int64).tobytes()
-
-    def test_second_pair_on_a_grid_builds_no_table(self):
-        _fourier_tables.cache_clear()
-        for f, g in PAIRS.values():
-            covariance_two_sided(f, g, "fourier")
-        assert _fourier_tables.cache_info().misses == 1
-
-    @pytest.mark.parametrize("n_nodes, r_max, xi_max", TRANSFORM_GRIDS)
-    def test_tables_are_the_rule_and_its_angles_read_only(self, n_nodes, r_max, xi_max):
-        panels = max(n_nodes // 16, 1)
-        tables = _fourier_tables(r_max, panels, xi_max)
-        xi, wxi = composite_legendre(0.0, xi_max, panels, 16)
-        assert tables[0].tobytes() == xi.tobytes() and tables[1].tobytes() == wxi.tobytes()
-        assert [a.shape for a in tables[2:]] == [(panels, xi.size)] * 2 + [(16, xi.size)] * 2
-        for a in tables:
-            assert not a.flags.writeable
-            with pytest.raises(ValueError, match="read-only"):
-                a[0] = 0.0
-
-    def test_a_new_grid_replaces_the_tables(self):
-        _fourier_tables.cache_clear()
-        f, g = PAIRS["gauss"]
-        covariance_two_sided(f, g, "fourier")
-        first = [weakref.ref(a) for a in _fourier_tables(20.0, 128, 40.0)]
-        covariance_two_sided(f, g, "fourier", n_nodes=256, xi_max=20.0)
-        gc.collect()
-        assert all(ref() is None for ref in first)  # at most one grid stays held
-        info = _fourier_tables.cache_info()
-        assert (info.misses, info.maxsize, info.currsize) == (2, 1, 1)
+    def test_fourier_subtracted_value_matches_closed_form(self):
+        f, g = gaussian_bump(0.4, 1.0), gaussian_bump(-0.2, 0.7)
+        got = covariance_two_sided(f, g, "fourier")
+        assert got == pytest.approx(_two_sided_gauss_oracle((0.4, 1.0), (-0.2, 0.7)), rel=1e-14)
