@@ -355,6 +355,28 @@ class TestCovarianceTwoSided:
         with pytest.raises(ValueError, match=f"{name} must be positive"):
             covariance_two_sided(f, f, mode, **kwargs)
 
+    def test_three_modes_agree_gaussian_pair(self):
+        f = lambda x: np.exp(-0.5 * (x - 0.4) ** 2)
+        g = lambda x: np.exp(-0.5 * (x + 0.2) ** 2 / 0.49)
+        vals = [covariance_two_sided(f, g, m) for m in ("direct", "antiderivative")]
+        vals.append(covariance_two_sided(gaussian_bump(0.4, 1.0), gaussian_bump(-0.2, 0.7), "fourier"))
+        assert max(vals) - min(vals) < 1e-6
+
+    @pytest.mark.parametrize(
+        "f_bump, g_bump",
+        # (centre, width) of each Gaussian: the two pairs of acceptance
+        # criterion 7, a centred pair and a pair straddling the origin
+        [((0.4, 1.0), (-0.2, 0.7)), ((0.0, 1.1), (1.0, 1.0)), ((0.0, 1.0), (0.0, 1.0)),
+         ((2.0, 0.5), (-1.0, 0.8))],
+    )
+    def test_fourier_agrees_with_direct(self, f_bump, g_bump):
+        (cf, wf), (cg, wg) = f_bump, g_bump
+        f = lambda x: np.exp(-0.5 * (x - cf) ** 2 / wf**2)
+        g = lambda x: np.exp(-0.5 * (x - cg) ** 2 / wg**2)
+        fourier = covariance_two_sided(gaussian_bump(cf, wf), gaussian_bump(cg, wg), "fourier")
+        assert fourier == pytest.approx(covariance_two_sided(f, g, "direct"), abs=1e-12)
+        assert fourier == pytest.approx(_two_sided_gauss_oracle(f_bump, g_bump), abs=1e-12)
+
     def test_odd_function_yields_positive_value(self):
         f = lambda x: x * np.exp(-x * x)
         v = covariance_two_sided(f, f, "antiderivative")
@@ -413,6 +435,18 @@ class TestTwoSidedClosedForm:
         # f = g = exp(-x^2 / 2): E|X| = E|Y| = sqrt(2 / pi) and E|X - Y| = 2 / sqrt(pi)
         want = (2.0 - math.sqrt(2.0)) * math.sqrt(2.0 * math.pi)
         assert _two_sided_gauss_oracle((0.0, 1.0), (0.0, 1.0)) == pytest.approx(want, rel=1e-15)
+
+    def test_oracle_is_symmetric(self):
+        a, b = (0.4, 1.0), (-0.2, 0.7)
+        assert _two_sided_gauss_oracle(a, b) == pytest.approx(_two_sided_gauss_oracle(b, a), rel=1e-15)
+
+    def test_opposite_half_lines_do_not_correlate(self):
+        # min(|x|, |y|) vanishes on opposite-sign pairs, so bumps far out on
+        # either side of the origin have covariance 0 to rounding
+        f = lambda x: np.exp(-0.5 * (x - 5.0) ** 2 / 0.25)
+        g = lambda x: np.exp(-0.5 * (x + 5.0) ** 2 / 0.25)
+        assert abs(_two_sided_gauss_oracle((5.0, 0.5), (-5.0, 0.5))) < 1e-12
+        assert abs(covariance_two_sided(f, g, "direct")) < 1e-12
 
     def test_fourier_subtracted_value_matches_closed_form(self):
         f, g = gaussian_bump(0.4, 1.0), gaussian_bump(-0.2, 0.7)
