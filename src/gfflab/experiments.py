@@ -21,7 +21,7 @@ from .basis import (
     build_interval_basis,
 )
 from .fields import RngStream
-from .quadrature import composite_legendre, gauss_legendre
+from .quadrature import TILE_NODES, composite_legendre, gauss_legendre
 
 # The time rule of heat_poisson_identity, run at |x| = 1 by heat_poisson and
 # greens_checks, has a relerr that depends on the mass m = sqrt(eps / nu)
@@ -455,13 +455,18 @@ def _massive_physical_oracle(fg, nu: float, eps: float, sigma: float) -> float:
     lo, hi = center - 12.0 * width, center + 12.0 * width
     x, w = composite_legendre(lo, hi, 25, 16)
     # ten 16-node panels on each side of every outer node, one call per side
-    edges = np.linspace(lo, x, 11, axis=-1)
-    yl, wl = (a.reshape(x.size, -1) for a in gauss_legendre(edges[:, :-1], edges[:, 1:], 16))
-    edges = np.linspace(x, hi, 11, axis=-1)
-    yr, wr = (a.reshape(x.size, -1) for a in gauss_legendre(edges[:, :-1], edges[:, 1:], 16))
-    phi_l = greens.potential_massive(x[:, None] - yl, d=1, nu=nu, eps=nu * eps)
-    phi_r = greens.potential_massive(yr - x[:, None], d=1, nu=nu, eps=nu * eps)
-    inner = np.sum(wl * phi_l * fg.physical(yl) + wr * phi_r * fg.physical(yr), axis=1)
+    # and tile of outer nodes; each row's inner sum depends on its row alone
+    inner = np.empty(x.size)
+    rows = max(TILE_NODES // (10 * 16), 1)
+    for i in range(0, x.size, rows):
+        xt = x[i : i + rows]
+        edges = np.linspace(lo, xt, 11, axis=-1)
+        yl, wl = (a.reshape(xt.size, -1) for a in gauss_legendre(edges[:, :-1], edges[:, 1:], 16))
+        edges = np.linspace(xt, hi, 11, axis=-1)
+        yr, wr = (a.reshape(xt.size, -1) for a in gauss_legendre(edges[:, :-1], edges[:, 1:], 16))
+        phi_l = greens.potential_massive(xt[:, None] - yl, d=1, nu=nu, eps=nu * eps)
+        phi_r = greens.potential_massive(yr - xt[:, None], d=1, nu=nu, eps=nu * eps)
+        inner[i : i + rows] = np.sum(wl * phi_l * fg.physical(yl) + wr * phi_r * fg.physical(yr), axis=1)
     return 0.5 * sigma**2 * float(np.sum(w * fg.physical(x) * inner))
 
 

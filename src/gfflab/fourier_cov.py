@@ -166,8 +166,9 @@ def _pair_integral(
     """integral over R^d of (fhat - c_f)(conj(ghat) - c_g) * weight(|xi|),
     with c = fhat(0) when subtract_zero is set and 0 otherwise.
 
-    Radial reduction applies whenever the product has no net phase (equal
-    or absent centers); otherwise d = 1 uses Hermitian symmetry on the
+    Radial reduction applies whenever the product has no net phase: absent
+    centers, or equal ones without subtract_zero (fhat - fhat(0) keeps the
+    phase of a shifted f); otherwise d = 1 uses Hermitian symmetry on the
     half line and d = 2 a tensor grid. The radial and half-line integrals
     run on n_nodes // 16 panels of 16 Gauss-Legendre nodes over the shared
     support (n_nodes rounds down to whole panels, and at least one), and
@@ -183,7 +184,7 @@ def _pair_integral(
         return 0.0
     panels = max(n_nodes // 16, 1)
 
-    if f.center == g.center:
+    if f.center == g.center and (f.center is None or not subtract_zero):
         r, w = composite_legendre(lo, hi, panels, 16)
         vf = f.fhat_radial(r)
         vg = g.fhat_radial(r)

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -75,6 +76,24 @@ def em_ensemble():
         return state.coeffs
 
     return paths
+
+
+@pytest.fixture(scope="session")
+def traced_peak():
+    """fn(*args) and the peak of the memory it allocated, in bytes, as
+    tracemalloc counts it (numpy reports its array buffers there)."""
+
+    def peak(fn, *args):
+        if tracemalloc.is_tracing():
+            pytest.skip("tracemalloc is already tracing")
+        tracemalloc.start()
+        try:
+            result = fn(*args)
+            return result, tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    return peak
 
 
 def assert_close(actual, expected, rel=1e-12, abs_tol=0.0, label=""):

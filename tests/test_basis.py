@@ -1,6 +1,5 @@
 import itertools
 import math
-import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -83,19 +82,6 @@ def old_interval_axis_values(kind, length, modes, rel):
     out = math.sqrt(2.0 / length) * old_sinpi(np.outer(rel, modes - 1.0) + 0.5)
     out[:, modes == 1.0] = math.sqrt(1.0 / length)
     return out
-
-
-def traced_peak(fn, *args):
-    """fn(*args) and the peak of the memory it allocated, in bytes, as
-    tracemalloc counts it (numpy reports its array buffers there)."""
-    if tracemalloc.is_tracing():
-        pytest.skip("tracemalloc is already tracing")
-    tracemalloc.start()
-    try:
-        result = fn(*args)
-        return result, tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
 
 
 def bisect_root(fn, lo, hi, iters=200):
@@ -315,17 +301,17 @@ class TestInPlace:
     @pytest.mark.parametrize(
         "kind, d, size", [("box", 2, 200000), ("box", 3, 100000), ("hermite", 1, 200000), ("hermite", 2, 200000)]
     )
-    def test_builder_peak_is_at_most_twice_its_output(self, kind, d, size):
+    def test_builder_peak_is_at_most_twice_its_output(self, kind, d, size, traced_peak):
         build = (lambda: build_box_basis(d, 1.0, size)) if kind == "box" else (lambda: build_hermite_basis(d, size))
         basis, peak = traced_peak(build)
         assert peak <= 2 * (basis.lambdas.nbytes + basis.indices.nbytes)
 
-    def test_sinpi_peak_is_at_most_three_and_a_half_inputs(self):
+    def test_sinpi_peak_is_at_most_three_and_a_half_inputs(self, traced_peak):
         u = np.random.default_rng(3).uniform(-50.0, 50.0, 200000)
         _, peak = traced_peak(sinpi, u)
         assert peak <= 3.5 * u.nbytes
 
-    def test_series_green_peak_is_at_most_half_the_old_one(self):
+    def test_series_green_peak_is_at_most_half_the_old_one(self, traced_peak):
         # 7.06 MiB with the phase buffer, three sinpi temporaries and a float
         # copy of the modes; in place it is the buffer, one scratch array of
         # its size and boolean masks
@@ -333,7 +319,7 @@ class TestInPlace:
         _, peak = traced_peak(series_green, basis, 1.0, 0.3, 0.7)
         assert peak <= 0.5 * 7.06 * 2**20
 
-    def test_weyl_holds_one_basis_at_a_time(self):
+    def test_weyl_holds_one_basis_at_a_time(self, traced_peak):
         # 7.93 MiB when the box basis stayed alive while the Hermite one was built
         cfg = parse_config_text("experiment = weyl\nK = 200000\n")
         _, box_peak = traced_peak(build_box_basis, 2, 1.0, 200000)

@@ -402,6 +402,55 @@ class TestCovarianceTwoSided:
         with pytest.raises(ValueError, match="first-moment"):
             covariance_two_sided(heavy, heavy, mode)
 
+    @pytest.mark.parametrize("mode", ["direct", "antiderivative"])
+    @pytest.mark.parametrize("centre", [10.0, -10.0])
+    def test_bump_at_half_the_window_passes_the_guard(self, mode, centre):
+        # the outer half holds 52 % of int |x f| for a bump at r_max / 2, the
+        # outermost eighth 6.4e-51; the old half-window guard refused it
+        f = lambda x: np.exp(-2.0 * (x - centre) ** 2)
+        g = lambda x: np.exp(-0.5 * (x - 0.9 * centre) ** 2 / 0.49)
+        for other, bump in ((f, (centre, 0.5)), (g, (0.9 * centre, 0.7))):
+            want = _two_sided_gauss_oracle((centre, 0.5), bump)
+            assert covariance_two_sided(f, other, mode) == pytest.approx(want, rel=1e-12)
+
+    @pytest.mark.parametrize("mode", ["direct", "antiderivative"])
+    @pytest.mark.parametrize(
+        "f, refused",
+        # the share of int |x f| in the outermost eighth of [0, 20], against 2e-3
+        [(lambda x: np.exp(-np.abs(x) / 2.25), True),  # 2.3e-3
+         (lambda x: (1.0 + x * x) ** -1.75, True),  # 2.5e-3
+         (lambda x: (1.0 + x * x) ** -1.5, True),  # 7.5e-3
+         (lambda x: np.exp(-np.abs(x) / 2.0), False),  # 1.0e-3
+         (lambda x: (1.0 + x * x) ** -2.0, False)],  # 7.6e-4
+        ids=["exp_2.25", "power_1.75", "power_1.5", "exp_2", "power_2"],
+    )
+    def test_first_moment_guard_edge(self, mode, f, refused):
+        g = lambda x: np.exp(-x * x)
+        if refused:
+            with pytest.raises(ValueError, match="first-moment"):
+                covariance_two_sided(f, g, mode)
+        else:
+            assert math.isfinite(covariance_two_sided(f, g, mode))
+
+    def test_fourier_accuracy_limit(self):
+        # the grid ends at the narrower transform's cut, 12 / 1.3, and drops
+        # the cross term of the narrower bump beyond it: -8.1e-11 here, where
+        # direct is off by -1.7e-16; equal widths match to rounding
+        f, g = gaussian_bump(3.0, 0.6), gaussian_bump(2.5, 1.3)
+        want = _two_sided_gauss_oracle((3.0, 0.6), (2.5, 1.3))
+        assert covariance_two_sided(f, g, "fourier") == pytest.approx(want, rel=1e-9)
+        f = gaussian_bump(0.0, 1.0)
+        want = _two_sided_gauss_oracle((0.0, 1.0), (0.0, 1.0))
+        assert covariance_two_sided(f, f, "fourier") == pytest.approx(want, rel=1e-15)
+
+    @pytest.mark.parametrize("centre", [1.0, 3.0, 10.0, -10.0])
+    def test_fourier_on_a_shared_nonzero_centre(self, centre):
+        # f - fhat(0) keeps the phase of the shift, so the radial shortcut for
+        # equal centres does not apply; it read -84 % to -99 % here
+        f = gaussian_bump(centre, 0.5)
+        want = _two_sided_gauss_oracle((centre, 0.5), (centre, 0.5))
+        assert covariance_two_sided(f, f, "fourier") == pytest.approx(want, rel=1e-15)
+
     def test_s0_fourier_equals_free_field_exactly(self):
         f = make_s0_function(4.0, 0.25)
         g = make_s0_function(5.0, 0.3)

@@ -4,11 +4,18 @@ import mpmath
 import numpy as np
 import pytest
 
+from gfflab import experiments, greens, quadrature
+from gfflab.cli import parse_config_text
+from gfflab.experiments import _massive_physical_oracle, exp_fourier_limits, exp_two_sided_cov
+from gfflab.fourier_cov import gaussian_bump
 from gfflab.quadrature import (
+    TILE_NODES,
     composite_legendre,
     gauss_legendre,
     running_integral,
 )
+
+GAPS_PER_TILE = TILE_NODES // 24
 
 
 def mp_legendre_rule(n, start, dps=40):
@@ -91,3 +98,87 @@ class TestCompositeAndRunning:
         out = running_integral(h, 0.0, np.linspace(0.5, 4.0, 50))
         assert calls == [(50, 24)]
         assert out[-1] == pytest.approx(4.0**3 / 3.0, rel=1e-14)
+
+
+def untiled_running_integral(h, start, x):
+    """running_integral as it was before tiling: one rule for every gap."""
+    edges = np.concatenate(([start], np.asarray(x, dtype=float)))
+    q, w = gauss_legendre(edges[:-1], edges[1:], 24)
+    return np.cumsum(np.sum(w * h(q), axis=-1))
+
+
+def untiled_massive_oracle(fg, nu, eps, sigma):
+    """experiments._massive_physical_oracle as it was before tiling: the
+    whole (400 outer x 160 inner) node table per side at once."""
+    center = fg.center[0] if fg.center else 0.0
+    width = fg.params["width"]
+    lo, hi = center - 12.0 * width, center + 12.0 * width
+    x, w = composite_legendre(lo, hi, 25, 16)
+    edges = np.linspace(lo, x, 11, axis=-1)
+    yl, wl = (a.reshape(x.size, -1) for a in gauss_legendre(edges[:, :-1], edges[:, 1:], 16))
+    edges = np.linspace(x, hi, 11, axis=-1)
+    yr, wr = (a.reshape(x.size, -1) for a in gauss_legendre(edges[:, :-1], edges[:, 1:], 16))
+    phi_l = greens.potential_massive(x[:, None] - yl, d=1, nu=nu, eps=nu * eps)
+    phi_r = greens.potential_massive(yr - x[:, None], d=1, nu=nu, eps=nu * eps)
+    inner = np.sum(wl * phi_l * fg.physical(yl) + wr * phi_r * fg.physical(yr), axis=1)
+    return 0.5 * sigma**2 * float(np.sum(w * fg.physical(x) * inner))
+
+
+class TestTiles:
+    """The two nested rules reduce one tile of rows at a time: the same bits
+    as the whole table, within a memory budget that the whole table breaks."""
+
+    @pytest.mark.parametrize(
+        "gaps", [1, GAPS_PER_TILE - 1, GAPS_PER_TILE, GAPS_PER_TILE + 1, 2048]
+    )
+    @pytest.mark.parametrize("descending", [False, True])
+    def test_running_integral_keeps_every_bit(self, gaps, descending):
+        h = lambda y: np.sin(3.0 * y) * np.exp(-0.5 * (y - 0.4) ** 2) + y
+        x = np.sort(np.random.default_rng(gaps).uniform(0.0, 20.0, gaps))
+        start = 0.0
+        if descending:
+            x, start = x[::-1], 20.0
+        got = running_integral(h, start, x)
+        assert got.tobytes() == untiled_running_integral(h, start, x).tobytes()
+
+    def test_running_integral_calls_integrand_once_per_tile(self):
+        calls = []
+
+        def h(y):
+            calls.append(y.shape)
+            return y * y
+
+        x = np.linspace(0.0, 4.0, 2 * GAPS_PER_TILE + 2)[1:]
+        out = running_integral(h, 0.0, x)
+        assert calls == [(GAPS_PER_TILE, 24), (GAPS_PER_TILE, 24), (1, 24)]
+        assert out[-1] == pytest.approx(4.0**3 / 3.0, rel=1e-14)
+
+    def test_running_integral_of_no_gaps_is_empty(self):
+        assert running_integral(np.exp, 0.0, np.empty(0)).shape == (0,)
+
+    @pytest.mark.parametrize("tile", [24, 1000])
+    def test_running_integral_at_other_tile_sizes(self, tile, monkeypatch):
+        monkeypatch.setattr(quadrature, "TILE_NODES", tile)
+        x = np.linspace(0.0, 7.0, 2049)[1:]
+        got = running_integral(np.cos, 0.0, x)
+        assert got.tobytes() == untiled_running_integral(np.cos, 0.0, x).tobytes()
+
+    @pytest.mark.parametrize("tile", [160, 1000, TILE_NODES, 400 * 160])
+    @pytest.mark.parametrize("nu, eps", [(1.0, 1.0), (1e-3, 1e-3), (1e3, 1e3)])
+    def test_massive_oracle_keeps_every_bit(self, nu, eps, tile, monkeypatch):
+        # one outer row per tile, six rows with a short last tile, the default
+        # and the whole table in one tile
+        monkeypatch.setattr(experiments, "TILE_NODES", tile)
+        fg = gaussian_bump(0.3, 0.8)
+        assert _massive_physical_oracle(fg, nu, eps, 1.0) == untiled_massive_oracle(fg, nu, eps, 1.0)
+
+    @pytest.mark.parametrize(
+        "name, run",
+        # untiled: 5.42 MiB (fourier_limits) and 1.96 MiB (two_sided_cov)
+        [("fourier_limits", exp_fourier_limits), ("two_sided_cov", exp_two_sided_cov)],
+    )
+    def test_experiment_peak_is_below_one_mib(self, name, run, traced_peak):
+        cfg = parse_config_text(f"experiment = {name}\n")
+        result, peak = traced_peak(run, cfg)
+        assert result.summary["passed"]
+        assert peak < 2**20
