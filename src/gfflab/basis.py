@@ -416,11 +416,9 @@ def eigen_residual(basis: EigenBasis, k: int, n_probe: int = 17) -> float:
     elif basis.kind is BasisKind.BOX_DIRICHLET:
         lo = [a + 0.05 * (b - a) for a, b in basis.domain]
         hi = [b - 0.05 * (b - a) for a, b in basis.domain]
-        rng = np.random.default_rng(k)
-        probes = rng.uniform(lo, hi, size=(n_probe, basis.d))
+        probes = np.random.default_rng(k).uniform(lo, hi, size=(n_probe, basis.d))
     else:
-        rng = np.random.default_rng(k)
-        probes = rng.uniform(-3.0, 3.0, size=(n_probe, basis.d))
+        probes = np.random.default_rng(k).uniform(-3.0, 3.0, size=(n_probe, basis.d))
 
     center = evaluate_matrix(basis, probes)[:, k - 1]
     lap = np.zeros(n_probe)

@@ -18,7 +18,7 @@ import numpy as np
 from .basis import EigenBasis
 from .fields import RngStream, sample_gff
 
-MC_BLOCK = 4096  # fixed Monte Carlo block size; one rng substream per block
+MC_BLOCK = 4096  # rows of normals drawn at a time; a memory tile only, the draws do not depend on it
 
 
 @dataclass(frozen=True, eq=False)
@@ -99,20 +99,19 @@ def kakutani_statistic(basis: EigenBasis, nu: float, t: float, terms: int | None
 
 
 def sample_gaussian(mean, cov, n_samples: int, stream: RngStream) -> np.ndarray:
-    """n_samples draws of N(mean, cov) as an (n_samples, p) array: block b
-    of MC_BLOCK rows is mean + z @ factor.T, z ~ N(0, I_p) from substream
-    2 b (even numbers only, which keeps the draws of earlier versions),
-    written into its rows of the one output array.
+    """n_samples rows mean + z factor^T of N(mean, cov), z ~ N(0, I_p) from the
+    stream's one generator in tiles of MC_BLOCK rows; einsum rounds a row alike
+    at any tile height (a BLAS product does not), so MC_BLOCK changes no bit.
     eigh eigenvalues below p eps times the largest count as zero, so a
     singular cov (repeated functionals) gives exactly repeated columns."""
     evals, evecs = np.linalg.eigh(np.asarray(cov, dtype=float))
     floor = evals.size * np.finfo(float).eps * evals.max(initial=0.0)
     factor = evecs * np.sqrt(np.where(evals > floor, evals, 0.0))
     out = np.empty((n_samples, evals.size))
-    for b, lo in enumerate(range(0, n_samples, MC_BLOCK)):
+    gen = stream.generator()
+    for lo in range(0, n_samples, MC_BLOCK):
         rows = out[lo : lo + MC_BLOCK]
-        z = stream.substream(2 * b).generator().standard_normal(rows.shape)
-        np.add(mean, z @ factor.T, out=rows)
+        np.add(mean, np.einsum("ij,kj->ik", gen.standard_normal(rows.shape), factor), out=rows)
     return out
 
 

@@ -6,6 +6,7 @@ rows, a structured summary, and a pass/fail verdict.
 from __future__ import annotations
 
 import math
+import zlib
 from dataclasses import dataclass
 from functools import partial
 
@@ -88,6 +89,15 @@ _KAKUTANI_K, _HEAT_POISSON_K, _WEYL_K = (
     partial(_require_within, "K", "K", lambda cfg: cfg.modes, (lo, math.inf)) for lo in (11, 32, 158)
 )
 
+# the random streams of an experiment, by role: each is keyed by the path
+# (crc32 of the experiment name, role number), so none shares draws
+STREAM_ROLES = {"pairings": 0, "invariance": 1, "boundary": 2}
+
+
+def experiment_stream(cfg, role: str) -> RngStream:
+    return RngStream(cfg.seed, (zlib.crc32(cfg.experiment.encode()), STREAM_ROLES[role]))
+
+
 @dataclass(eq=False)
 class ExperimentResult:
     """CSV rows, each a dict in column order, and the summary with its
@@ -165,8 +175,8 @@ def exp_stationary_bd(cfg) -> ExperimentResult:
     """Stationary covariance of the bounded-domain heat evolution against
     the free-field target, plus one-step invariance of the stationary law."""
     basis = build_basis(cfg)
-    [(_, report)] = _stationary_reports(basis, cfg, [(cfg.t, RngStream(cfg.seed, 0))])
-    ks = _stationary_invariance_pvalues(basis, cfg, RngStream(cfg.seed, 1))
+    [(_, report)] = _stationary_reports(basis, cfg, [(cfg.t, experiment_stream(cfg, "pairings"))])
+    ks = _stationary_invariance_pvalues(basis, cfg, experiment_stream(cfg, "invariance"))
     return ExperimentResult(_report_rows(report), {
         "zmax": report.zmax,
         "z_threshold": cfg.z_threshold,
@@ -186,7 +196,7 @@ def exp_convergence_curve(cfg) -> ExperimentResult:
     """Approach to the stationary covariance along a time grid: the maximal
     deviation from the limit must shrink and the final time must pass."""
     basis = build_basis(cfg)
-    stream = RngStream(cfg.seed, 0)
+    stream = experiment_stream(cfg, "pairings")
     summ = stats.summarize_convergence(_stationary_reports(
         basis, cfg, [(t, stream.substream(i)) for i, t in enumerate(cfg.t_list)]
     ))
@@ -312,14 +322,14 @@ def exp_bridge_cov(cfg) -> ExperimentResult:
     target = np.minimum.outer(grid, grid) - np.outer(grid, grid)
 
     values = dynamics.sample_gaussian(
-        np.zeros(grid.size), weights.T @ weights, cfg.samples, RngStream(cfg.seed, 0)
+        np.zeros(grid.size), weights.T @ weights, cfg.samples, experiment_stream(cfg, "pairings")
     )
     report = stats.report_from_values(
         values, target=target, labels=[f"x={v}" for v in grid],
         z_threshold=cfg.z_threshold,
     )
     boundary = fields.sample_brownian_bridge(
-        np.array([0.0, 1.0]), RngStream(cfg.seed, 1).generator(), modes=modes
+        np.array([0.0, 1.0]), experiment_stream(cfg, "boundary").generator(), modes=modes
     )
     boundary_ok = bool(np.all(boundary == 0.0))
     return ExperimentResult(_report_rows(report), {

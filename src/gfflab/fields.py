@@ -4,9 +4,8 @@ the line, together with the two-sided covariance functional: two
 physical-space quadrature routes for callables and one Fourier route for
 TestFunction objects.
 
-All randomness flows through counter-based Philox streams keyed by
-(seed, stream_id), so identical keys reproduce identical samples and
-distinct stream ids give statistically independent sequences.
+Every random stream is a Philox generator keyed by SeedSequence(seed, path):
+equal keys repeat a sample, and distinct paths, at any depth, are independent.
 """
 
 from __future__ import annotations
@@ -24,20 +23,17 @@ from .quadrature import composite_legendre, running_integral
 
 @dataclass(frozen=True)
 class RngStream:
-    """A reproducible random stream: same (seed, stream_id) means the same
-    sample sequence, distinct stream ids are independent."""
+    """The Philox generator seeded by SeedSequence(seed, spawn_key=path); a
+    negative seed or path entry is numpy's ValueError."""
 
     seed: int
-    stream_id: int = 0
+    path: tuple[int, ...] = ()
 
     def generator(self) -> np.random.Generator:
-        key = np.array(
-            [self.seed % 2**64, self.stream_id % 2**64], dtype=np.uint64
-        )
-        return np.random.Generator(np.random.Philox(key=key))
+        return np.random.Generator(np.random.Philox(np.random.SeedSequence(self.seed, spawn_key=self.path)))
 
     def substream(self, i: int) -> "RngStream":
-        return RngStream(self.seed, ((self.stream_id << 32) ^ i) % 2**64)
+        return RngStream(self.seed, (*self.path, i))
 
 
 @dataclass(frozen=True, eq=False)
@@ -135,8 +131,6 @@ def _check_first_moment(f, r_max: float) -> None:
             "int |x f(x)| dx keeps growing across the truncation window; "
             "the first-moment condition appears violated"
         )
-
-
 
 
 def covariance_two_sided(f, g, mode: str = "direct", r_max: float = 20.0, n_nodes: int = 2048) -> float:

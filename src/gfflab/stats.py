@@ -150,10 +150,8 @@ def summarize_convergence(reports: list[tuple[float, CovarianceReport]]) -> Conv
         {"t": float(t), "zmax": rep.zmax, "transient": rep.max_deviation, "passed": rep.passed}
         for t, rep in reports
     ]
-    monotone = True
-    for (_, prev), (_, cur) in zip(reports[:-1], reports[1:]):
-        slack = 3.0 * float(np.max(cur.stderr))
-        if cur.max_deviation > prev.max_deviation + slack:
-            monotone = False
-            break
+    monotone = not any(
+        cur.max_deviation > prev.max_deviation + 3.0 * float(np.max(cur.stderr))
+        for (_, prev), (_, cur) in zip(reports[:-1], reports[1:])
+    )
     return ConvergenceSummary(rows=rows, monotone=monotone, passed=rows[-1]["passed"])

@@ -35,12 +35,12 @@ def hermite16():
 
 @pytest.fixture()
 def rng():
-    return RngStream(2026, 0).generator()
+    return RngStream(2026, (0,)).generator()
 
 
 @pytest.fixture()
 def stream():
-    return RngStream(2026, 0)
+    return RngStream(2026, (0,))
 
 
 @pytest.fixture(scope="session")

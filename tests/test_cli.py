@@ -29,8 +29,8 @@ from gfflab.experiments import (
     _relerr_result,
     _stationary_invariance_pvalues,
     build_basis,
+    experiment_stream,
 )
-from gfflab.fields import RngStream
 
 REGISTRY_NAMES = [
     "stationary_bd",
@@ -352,7 +352,7 @@ class TestRunner:
         assert sorted(ks) == sorted(f"mode_{k}" for k in tested)
         # one p-value per distinct mode, none dropped by a repeated key
         cfg = load_config(path)
-        pvalues = _stationary_invariance_pvalues(build_basis(cfg), cfg, RngStream(cfg.seed, 1))
+        pvalues = _stationary_invariance_pvalues(build_basis(cfg), cfg, experiment_stream(cfg, "invariance"))
         assert [k for k, _ in pvalues] == tested
 
     @pytest.mark.parametrize(

@@ -4,6 +4,7 @@ import warnings
 import numpy as np
 import pytest
 
+from gfflab import dynamics
 from gfflab.basis import build_box_basis, build_hermite_basis, build_interval_basis
 from gfflab.dynamics import (
     MC_BLOCK,
@@ -22,19 +23,15 @@ from gfflab.fields import RngStream, sample_gff
 from gfflab.stats import ks_gaussian, kolmogorov_sf, report_from_values, summarize_convergence
 
 
-def old_sample_gaussian(mean, cov, n_samples, stream):
-    """sample_gaussian as it was before the blocks were written into one
-    output array: a list of blocks and a concatenation, the oracle of the
-    bit-identity test."""
+def one_generator_sample_gaussian(mean, cov, n_samples, stream):
+    """sample_gaussian without its tiles: all n_samples rows of normals in
+    one draw from the stream's generator and one product with the factor,
+    the oracle of the bit-identity test; also returns the BLAS product."""
     evals, evecs = np.linalg.eigh(np.asarray(cov, dtype=float))
     floor = evals.size * np.finfo(float).eps * evals.max(initial=0.0)
     factor = evecs * np.sqrt(np.where(evals > floor, evals, 0.0))
-    blocks = []
-    for b in range((n_samples + MC_BLOCK - 1) // MC_BLOCK):
-        m = min(MC_BLOCK, n_samples - b * MC_BLOCK)
-        z = stream.substream(2 * b).generator().standard_normal((m, evals.size))
-        blocks.append(mean + z @ factor.T)
-    return np.concatenate(blocks, axis=0)
+    z = stream.generator().standard_normal((n_samples, evals.size))
+    return mean + np.einsum("ij,kj->ik", z, factor), mean + z @ factor.T
 
 
 @pytest.fixture()
@@ -89,11 +86,11 @@ class TestExactStep:
     def test_rejects_constant_mode(self):
         basis = build_interval_basis("neumann", 0.0, 1.0, 4)
         with pytest.raises(ValueError, match="lambda_1 > 0"):
-            sample_functional_values(basis, 1.0, 1.0, None, 0.1, 100, np.eye(4), RngStream(30, 0))
+            sample_functional_values(basis, 1.0, 1.0, None, 0.1, 100, np.eye(4), RngStream(30, (0,)))
 
     def test_moments_after_one_step(self, single_mode):
         n = 100000
-        stream = RngStream(31, 0)
+        stream = RngStream(31, (0,))
         vals = sample_functional_values(
             single_mode, 1.0, 1.0, np.array([1.0]), 1.0, n, np.array([[1.0]]), stream
         )[:, 0]
@@ -124,7 +121,7 @@ class TestExactStep:
         # the stepper itself: an ensemble of n paths at dt = 1e-2 against the
         # recursion's moments at that dt, 3 sigma bands
         n, dt = 100000, 1e-2
-        u = em_ensemble(n, dt, 1.0, RngStream(32, 0))
+        u = em_ensemble(n, dt, 1.0, RngStream(32, (0,)))
         mean, var = em_moments(dt)
         assert u.mean() == pytest.approx(mean, abs=3.0 * math.sqrt(var / n))
         assert u.var(ddof=1) == pytest.approx(var, abs=3.0 * var * math.sqrt(2.0 / n))
@@ -154,7 +151,7 @@ class TestEmOracle:
         target = dt / (1.0 - (1.0 - dt) ** 2)
         assert em_moments(dt, t_end)[1] == pytest.approx(target, rel=1e-6)
         assert target == pytest.approx(0.5, abs=0.5 * dt)  # the SDE's 1/2 up to O(dt)
-        u = em_ensemble(n, dt, t_end, RngStream(34, 0))
+        u = em_ensemble(n, dt, t_end, RngStream(34, (0,)))
         assert u.var(ddof=1) == pytest.approx(target, abs=4.0 * target * math.sqrt(2.0 / n))
 
 
@@ -166,16 +163,16 @@ class TestEvolve:
         lam2 = dirichlet16.lambdas_squared[0]
         for t in [0.1, 0.3, 0.6, 1.0]:
             vals = sample_functional_values(
-                dirichlet16, 1.0, 0.0, phi, t, 3, phi[:, None], RngStream(32, 0)
+                dirichlet16, 1.0, 0.0, phi, t, 3, phi[:, None], RngStream(32, (0,))
             )
             assert np.allclose(vals, math.exp(-lam2 * t), rtol=1e-13, atol=0.0)
 
     def test_one_step_vs_two_steps_in_distribution(self, single_mode):
         n = 60000
         one = sample_functional_values(
-            single_mode, 1.0, 1.0, np.array([1.0]), 1.0, n, np.array([[1.0]]), RngStream(35, 0)
+            single_mode, 1.0, 1.0, np.array([1.0]), 1.0, n, np.array([[1.0]]), RngStream(35, (0,))
         )[:, 0]
-        gen = RngStream(36, 0).generator()
+        gen = RngStream(36, (0,)).generator()
         state = np.ones(n)
         for _ in range(2):
             d, v = transition_moments(1.0, 1.0, 1.0, 0.5)
@@ -205,12 +202,12 @@ class TestEvolve:
 class TestStationary:
     def test_equals_scaled_free_field_draw(self, dirichlet64):
         nu, sigma = 2.0, 1.5
-        st = stationary_sample(dirichlet64, nu, sigma, RngStream(37, 0).generator())
-        w = sample_gff(dirichlet64, 1.0, RngStream(37, 0).generator())
+        st = stationary_sample(dirichlet64, nu, sigma, RngStream(37, (0,)).generator())
+        w = sample_gff(dirichlet64, 1.0, RngStream(37, (0,)).generator())
         assert np.array_equal(st.coeffs, sigma / math.sqrt(2.0 * nu) * w.coeffs)
 
     def test_coefficient_variance(self, dirichlet16):
-        gen = RngStream(38, 0).generator()
+        gen = RngStream(38, (0,)).generator()
         n = 50000
         draws = np.array([stationary_sample(dirichlet16, 1.0, 1.0, gen).coeffs for _ in range(n)])
         target = 0.5 / dirichlet16.lambdas_squared
@@ -218,7 +215,7 @@ class TestStationary:
         assert np.all(np.abs(var - target) < 4.0 * target * math.sqrt(2.0 / n))
 
     def test_moments_invariant_under_step(self, dirichlet16):
-        gen = RngStream(39, 0).generator()
+        gen = RngStream(39, (0,)).generator()
         n = 50000
         lam2 = dirichlet16.lambdas_squared
         scale = 1.0 / math.sqrt(2.0)
@@ -231,7 +228,7 @@ class TestStationary:
         assert np.abs(stepped.mean(axis=0)).max() < 4.0 * math.sqrt(target.max() / n)
 
     def test_ks_stationarity_after_five_steps(self, dirichlet16):
-        gen = RngStream(40, 0).generator()
+        gen = RngStream(40, (0,)).generator()
         n = 5000
         lam2 = dirichlet16.lambdas_squared
         scale = 1.0 / math.sqrt(2.0)
@@ -244,7 +241,7 @@ class TestStationary:
             assert p > 1e-3
 
     def test_cross_mode_independence(self, dirichlet16):
-        gen = RngStream(41, 0).generator()
+        gen = RngStream(41, (0,)).generator()
         n = 20000
         draws = np.array([stationary_sample(dirichlet16, 1.0, 1.0, gen).coeffs for _ in range(n)])
         corr = np.corrcoef(draws.T)
@@ -314,7 +311,7 @@ class TestConvergenceCurve:
         w = np.zeros((16, 1))
         w[0, 0] = 1.0
         vals = sample_functional_values(
-            dirichlet16, 1.0, 1.0, phi, t, 50000, w, RngStream(42, 0)
+            dirichlet16, 1.0, 1.0, phi, t, 50000, w, RngStream(42, (0,))
         )[:, 0]
         expected_mean = 0.7 * math.exp(-dirichlet16.lambdas_squared[0] * t)
         se = vals.std(ddof=1) / math.sqrt(vals.size)
@@ -345,15 +342,16 @@ def _ks_two_sample_p(a, b) -> float:
 
 def per_mode_pairings(basis, nu, sigma, start, t, n_samples, weights, stream):
     """Reference sampler: every mode drawn by its exact transition from
-    ``start``, block b of MC_BLOCK rows from substream 2 b, then paired with
-    the weights. It is the per-mode block loop the library used before it
-    drew the p pairings through their p x p covariance factor."""
+    ``start``, in blocks of MC_BLOCK rows from the stream's generator, then
+    paired with the weights. It is the per-mode block loop the library used
+    before it drew the p pairings through their p x p covariance factor."""
     decay, var = transition_moments(basis.lambdas_squared, nu, sigma, t)
     sd = np.sqrt(var)
+    gen = stream.generator()
     blocks = []
     for b in range((n_samples + MC_BLOCK - 1) // MC_BLOCK):
         m = min(MC_BLOCK, n_samples - b * MC_BLOCK)
-        u = sd * stream.substream(2 * b).generator().standard_normal((m, basis.size))
+        u = sd * gen.standard_normal((m, basis.size))
         u += start * decay
         blocks.append(u @ weights)
     return np.concatenate(blocks, axis=0)
@@ -386,10 +384,10 @@ class TestReducedRankSampler:
     def test_agrees_with_per_mode_oracle(self, dirichlet16, weights, start):
         phi = None if start == "zero" else 3.0 * np.cos(np.arange(16)) / np.arange(1, 17)
         reduced = sample_functional_values(
-            dirichlet16, 1.0, 1.0, phi, self.T, self.N, weights, RngStream(45, 0)
+            dirichlet16, 1.0, 1.0, phi, self.T, self.N, weights, RngStream(45, (0,))
         )
         oracle = self.per_mode(
-            dirichlet16, np.zeros(16) if phi is None else phi, weights, RngStream(46, 0)
+            dirichlet16, np.zeros(16) if phi is None else phi, weights, RngStream(46, (0,))
         )
         assert reduced.shape == oracle.shape == (self.N, 6)
         self.assert_same_law(reduced, oracle)
@@ -398,7 +396,7 @@ class TestReducedRankSampler:
         phi = np.linspace(1.0, -1.0, 16)
         decay, var = transition_moments(dirichlet16.lambdas_squared, 1.0, 1.0, self.T)
         vals = sample_functional_values(
-            dirichlet16, 1.0, 1.0, phi, self.T, self.N, weights, RngStream(47, 0)
+            dirichlet16, 1.0, 1.0, phi, self.T, self.N, weights, RngStream(47, (0,))
         )
         target = weights.T @ (var[:, None] * weights)
         assert report_from_values(vals, target=target).zmax < 4.0
@@ -408,35 +406,39 @@ class TestReducedRankSampler:
     def test_rank_deficient_covariance(self):
         basis = build_interval_basis("dirichlet", 0.0, 1.0, 2)
         w, _ = standard_functionals(basis)  # e3 repeats e2
-        vals = sample_functional_values(basis, 1.0, 1.0, None, 1.0, 5000, w, RngStream(48, 0))
+        vals = sample_functional_values(basis, 1.0, 1.0, None, 1.0, 5000, w, RngStream(48, (0,)))
         assert np.all(np.isfinite(vals))
         # a rounding-level eigenvalue must not put noise on the null direction
         assert np.abs(vals[:, 1] - vals[:, 2]).max() <= 1e-14 * np.abs(vals[:, 1]).max()
 
     def test_block_layout_of_gaussian_draw(self):
-        stream = RngStream(49, 0)
+        stream = RngStream(49, (0,))
         n = MC_BLOCK + 10
         vals = sample_gaussian(np.array([1.0, -2.0]), np.diag([4.0, 9.0]), n, stream)
         assert vals.shape == (n, 2)
-        z = stream.substream(2).generator().standard_normal((10, 2))
+        # the rows after the first tile continue the same generator
+        z = stream.generator().standard_normal((n, 2))[MC_BLOCK:]
         expected = np.array([1.0, -2.0]) + z * [2.0, 3.0]
         assert np.allclose(vals[MC_BLOCK:], expected, rtol=1e-15, atol=0.0)
 
+    @pytest.mark.parametrize("tile", [1000, 4096, 10**6])
     @pytest.mark.parametrize("n", [1, MC_BLOCK - 1, MC_BLOCK, MC_BLOCK + 1, 50000])
     @pytest.mark.parametrize("p", [1, 5, 6, "singular"])
-    def test_gaussian_draw_matches_the_old_code_bit_for_bit(self, n, p):
+    def test_gaussian_draw_matches_one_generator_bit_for_bit(self, monkeypatch, n, p, tile):
+        monkeypatch.setattr(dynamics, "MC_BLOCK", tile)
         if p == "singular":  # e3 repeats e2, as in the stationary checks at K = 2
             basis = build_interval_basis("dirichlet", 0.0, 1.0, 2)
             w, _ = standard_functionals(basis)
             cov, mean = w.T @ (w / basis.lambdas_squared[:, None]), np.linspace(-1.0, 1.0, 6)
         else:
-            a = RngStream(50, p).generator().standard_normal((p, p + 2))
+            a = RngStream(50, (p,)).generator().standard_normal((p, p + 2))
             cov, mean = a @ a.T, np.arange(p) - 0.5
-        stream = RngStream(51, 3)
+        stream = RngStream(51, (3,))
         got = sample_gaussian(mean, cov, n, stream)
-        want = old_sample_gaussian(mean, cov, n, stream)
+        want, blas = one_generator_sample_gaussian(mean, cov, n, stream)
         assert got.shape == want.shape == (n, mean.size)
         assert got.view(np.int64).tobytes() == want.view(np.int64).tobytes()
+        assert np.allclose(got, blas, rtol=0.0, atol=1e-13 * (1.0 + np.abs(blas).max()))
 
 
 class TestStateAndCheckpoint:

@@ -7,7 +7,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from gfflab.basis import build_interval_basis
-from gfflab.experiments import _folded_normal_mean, _two_sided_gauss_oracle
+from gfflab.cli import ExperimentConfig, parse_config_text
+from gfflab.experiments import EXPERIMENTS, _folded_normal_mean, _two_sided_gauss_oracle, experiment_stream
 from gfflab.fields import (
     FieldSample,
     RngStream,
@@ -27,22 +28,115 @@ def mc_stderr_of_variance(var, n):
     return var * math.sqrt(2.0 / n)
 
 
+def first_value(stream: RngStream) -> float:
+    return float(stream.generator().standard_normal())
+
+
+PATHS = st.lists(st.integers(0, 2**32 - 1), max_size=4).map(tuple)
+
+
 class TestRngStream:
-    @given(st.integers(0, 2**32 - 1), st.integers(0, 2**16 - 1))
-    def test_same_key_same_stream(self, seed, sid):
-        a = RngStream(seed, sid).generator().standard_normal(8)
-        b = RngStream(seed, sid).generator().standard_normal(8)
+    @given(st.integers(0, 2**32 - 1), PATHS)
+    def test_same_key_same_stream(self, seed, path):
+        a = RngStream(seed, path).generator().standard_normal(8)
+        b = RngStream(seed, path).generator().standard_normal(8)
         assert np.array_equal(a, b)
 
     def test_distinct_streams_differ(self):
-        a = RngStream(7, 0).generator().standard_normal(16)
-        b = RngStream(7, 1).generator().standard_normal(16)
+        a = RngStream(7, (0,)).generator().standard_normal(16)
+        b = RngStream(7, (1,)).generator().standard_normal(16)
         assert not np.array_equal(a, b)
 
     def test_substreams_are_distinct(self):
-        s = RngStream(7, 3)
-        subs = {s.substream(i).stream_id for i in range(100)}
-        assert len(subs) == 100
+        s = RngStream(7, (3,))
+        firsts = {first_value(s.substream(i)) for i in range(100)}
+        assert len(firsts) == 100
+
+    @given(st.integers(0, 2**32 - 1), PATHS, PATHS)
+    def test_distinct_paths_draw_distinct_first_values(self, seed, a, b):
+        if a != b:
+            assert first_value(RngStream(seed, a)) != first_value(RngStream(seed, b))
+
+    @given(st.integers(0, 2**32 - 1), st.lists(st.integers(0, 2**32 - 1), max_size=3).map(tuple),
+           st.integers(0, 2**32 - 1))
+    def test_a_child_never_equals_its_parent(self, seed, path, i):
+        parent = RngStream(seed, path)
+        child = parent.substream(i)
+        assert child != parent
+        assert first_value(child) != first_value(parent)
+
+    def test_nested_substreams_of_distinct_parents_differ(self):
+        root = RngStream(7)
+        a = root.substream(0).substream(3).substream(5).generator().standard_normal(16)
+        b = root.substream(1).substream(3).substream(5).generator().standard_normal(16)
+        assert not np.array_equal(a, b)
+
+    def test_substream_zero_is_not_its_parent(self):
+        parent = RngStream(7)
+        assert parent.substream(0) != parent
+        assert first_value(parent.substream(0)) != first_value(parent)
+
+    def test_seeds_do_not_wrap_at_2_to_the_64(self):
+        assert first_value(RngStream(2**64)) != first_value(RngStream(0))
+
+    def test_negative_seed_is_refused(self):
+        with pytest.raises(ValueError, match="non-negative"):
+            RngStream(-1).generator()
+
+
+# the spawn_key of every stream the Monte Carlo experiments draw, by
+# (experiment, role, *index); the first entry is crc32 of the experiment name
+STREAM_MAP = {
+    ("stationary_bd", "pairings"): (1325758374, 0),
+    ("stationary_bd", "invariance"): (1325758374, 1),
+    ("stationary_hermite", "pairings"): (2860014911, 0),
+    ("stationary_hermite", "invariance"): (2860014911, 1),
+    **{("convergence_curve", "pairings", i): (159319778, 0, i) for i in range(4)},
+    ("bridge_cov", "pairings"): (2656012861, 0),
+    ("bridge_cov", "boundary"): (2656012861, 2),
+}
+
+
+class TestExperimentStreams:
+    @pytest.mark.parametrize("entry, key", STREAM_MAP.items(), ids=lambda v: "-".join(map(str, v)))
+    def test_stream_map(self, entry, key):
+        name, role, *index = entry
+        stream = experiment_stream(ExperimentConfig(experiment=name), role)
+        assert (stream.substream(*index) if index else stream).path == key
+
+    def test_experiment_ids_are_distinct(self):
+        ids = {experiment_stream(ExperimentConfig(experiment=n), "pairings").path[0] for n in EXPERIMENTS}
+        assert len(ids) == len(EXPERIMENTS)
+
+    @pytest.fixture(scope="class")
+    def drawn(self):
+        """The paths of the streams each Monte Carlo experiment draws from at
+        seed 7, in the order it draws them."""
+        record, generator = [], RngStream.generator
+        mp = pytest.MonkeyPatch()
+        mp.setattr(RngStream, "generator", lambda s: record.append(s.path) or generator(s))
+        paths = {}
+        try:
+            for name in {entry[0] for entry in STREAM_MAP}:
+                record.clear()
+                EXPERIMENTS[name](parse_config_text(f"experiment = {name}\nM = 100"))
+                paths[name] = list(record)
+        finally:
+            mp.undo()
+        return paths
+
+    def test_experiments_draw_the_streams_of_the_map(self, drawn):
+        for name, paths in drawn.items():
+            assert sorted(paths) == sorted(key for entry, key in STREAM_MAP.items() if entry[0] == name)
+
+    def test_first_draws_of_the_experiments_differ(self, drawn):
+        firsts = [first_value(RngStream(7, paths[0])) for paths in drawn.values()]
+        assert len(firsts) == 4 and len(set(firsts)) == 4
+
+    def test_bridge_boundary_is_not_the_invariance_stream(self):
+        boundary = experiment_stream(ExperimentConfig(experiment="bridge_cov"), "boundary")
+        invariance = experiment_stream(ExperimentConfig(experiment="stationary_bd"), "invariance")
+        assert first_value(boundary) != first_value(invariance)
 
 
 class TestSampleGff:
@@ -52,13 +146,13 @@ class TestSampleGff:
             sample_gff(basis, 1.0, rng)
 
     def test_white_noise_unit_variance(self, dirichlet16):
-        gen = RngStream(11, 0).generator()
+        gen = RngStream(11, (0,)).generator()
         draws = sample_gff(dirichlet16, 0.0, gen, n=4000).coeffs
         var = draws.var(axis=0, ddof=1)
         assert np.all(np.abs(var - 1.0) < 4.0 * mc_stderr_of_variance(1.0, 4000))
 
     def test_first_mode_variance_matches_green(self, dirichlet16):
-        gen = RngStream(12, 0).generator()
+        gen = RngStream(12, (0,)).generator()
         n = 100000
         draws = sample_gff(dirichlet16, 1.0, gen, n=n).coeffs[:, 0]
         target = 1.0 / math.pi**2
@@ -66,9 +160,9 @@ class TestSampleGff:
 
     def test_batch_rows_are_successive_draws(self, dirichlet16):
         # one (n, size) block consumes the stream exactly like n single draws
-        gen = RngStream(26, 0).generator()
+        gen = RngStream(26, (0,)).generator()
         single = np.array([sample_gff(dirichlet16, 1.0, gen).coeffs for _ in range(5)])
-        batch = sample_gff(dirichlet16, 1.0, RngStream(26, 0).generator(), n=5)
+        batch = sample_gff(dirichlet16, 1.0, RngStream(26, (0,)).generator(), n=5)
         assert single.shape == (5, 16) and batch.coeffs.shape == (5, 16)
         assert np.array_equal(batch.coeffs, single)
         pts = np.array([0.25, 0.5])
@@ -79,7 +173,7 @@ class TestSampleGff:
         basis = build_interval_basis("dirichlet", 0.0, 1.0, 1024)
         pts = np.array([0.2, 0.5, 0.8])
         n = 20000
-        vals = field_values(sample_gff(basis, 1.0, RngStream(13, 0).generator(), n=n), pts)
+        vals = field_values(sample_gff(basis, 1.0, RngStream(13, (0,)).generator(), n=n), pts)
         assert vals.shape == (n, 3)
         emp = vals.T @ vals / n
         for i in range(3):
@@ -100,7 +194,7 @@ class TestPairField:
             assert (w.coeffs @ weights)[0] == w.coeffs[k - 1]
 
     def test_pair_covariance_matches_weighted_inner_product(self, dirichlet16):
-        gen = RngStream(14, 0).generator()
+        gen = RngStream(14, (0,)).generator()
         weights = np.eye(16)[:, [0, 0]]
         n = 50000
         prods = np.empty(n)
@@ -112,7 +206,7 @@ class TestPairField:
         assert abs(prods.mean() - target) < 3.0 * se
 
     def test_mc_covariance_matrix_is_psd(self, dirichlet16):
-        gen = RngStream(15, 0).generator()
+        gen = RngStream(15, (0,)).generator()
         weights = np.eye(16)[:, [0, 1, 2, 4, 7]]  # e1, e2, e3, e5, e8
         n = 2000
         vals = np.array([sample_gff(dirichlet16, 1.0, gen).coeffs @ weights for _ in range(n)])
@@ -132,7 +226,7 @@ class TestBridgeAndMotion:
             sample_brownian_bridge(np.array([-0.1, 0.5]), rng)
 
     def test_bridge_covariance(self):
-        gen = RngStream(19, 0).generator()
+        gen = RngStream(19, (0,)).generator()
         pts = np.array([0.3, 0.6])
         n = 30000
         vals = sample_brownian_bridge(pts, gen, modes=512, n=n)
@@ -153,16 +247,16 @@ class TestBridgeAndMotion:
     @pytest.mark.parametrize("sampler", [sample_brownian_bridge])
     def test_batch_rows_match_single_paths(self, sampler):
         pts = np.array([0.0, 0.3, 0.6, 1.0])
-        gen = RngStream(27, 0).generator()
+        gen = RngStream(27, (0,)).generator()
         single = np.array([sampler(pts, gen, modes=64) for _ in range(5)])
         assert single.shape == (5, 4)
-        batch = sampler(pts, RngStream(27, 0).generator(), modes=64, n=5)
+        batch = sampler(pts, RngStream(27, (0,)).generator(), modes=64, n=5)
         np.testing.assert_allclose(batch, single, rtol=1e-13, atol=1e-15)
         assert np.all(batch[:, [0, 3]] == 0.0)
 
     def test_seed_determinism(self):
-        a = sample_brownian_bridge([0.2, 0.8], RngStream(21, 4).generator())
-        b = sample_brownian_bridge([0.2, 0.8], RngStream(21, 4).generator())
+        a = sample_brownian_bridge([0.2, 0.8], RngStream(21, (4,)).generator())
+        b = sample_brownian_bridge([0.2, 0.8], RngStream(21, (4,)).generator())
         assert np.array_equal(a, b)
 
 
@@ -171,7 +265,7 @@ class TestTwoSidedBm:
         assert sample_two_sided_bm(np.array([0.0]), rng)[0] == 0.0
 
     def test_opposite_signs_uncorrelated(self):
-        gen = RngStream(22, 0).generator()
+        gen = RngStream(22, (0,)).generator()
         n = 40000
         vals = sample_two_sided_bm(np.array([1.0, -2.0]), gen, n=n)
         c = float(np.mean(vals[:, 0] * vals[:, 1]))
@@ -179,7 +273,7 @@ class TestTwoSidedBm:
         assert abs(c) < 3.0 * se
 
     def test_same_sign_covariance_is_min(self):
-        gen = RngStream(23, 0).generator()
+        gen = RngStream(23, (0,)).generator()
         n = 40000
         vals = sample_two_sided_bm(np.array([1.0, 2.0]), gen, n=n)
         c = float(np.mean(vals[:, 0] * vals[:, 1]))
@@ -187,7 +281,7 @@ class TestTwoSidedBm:
         assert abs(c - 1.0) < 4.0 * se
 
     def test_increment_variance_across_origin(self):
-        gen = RngStream(24, 0).generator()
+        gen = RngStream(24, (0,)).generator()
         n = 40000
         vals = sample_two_sided_bm(np.array([0.5, -0.7]), gen, n=n)
         d2 = (vals[:, 0] - vals[:, 1]) ** 2
@@ -388,7 +482,7 @@ class TestCovarianceTwoSided:
         target = covariance_two_sided(f, f, "direct")
         grid = np.linspace(-4.0, 4.0, 81)
         wq = np.gradient(grid)
-        gen = RngStream(25, 0).generator()
+        gen = RngStream(25, (0,)).generator()
         n = 20000
         vals = sample_two_sided_bm(grid, gen, n=n) @ (wq * f(grid))
         est = float(np.mean(vals**2))

@@ -26,14 +26,14 @@ def values_by_draw(sampler, functionals, n_samples, rng):
 
 class TestEstimateCovariance:
     def test_scalar_unit_variance(self):
-        gen = RngStream(50, 0).generator()
+        gen = RngStream(50, (0,)).generator()
         values = gen.standard_normal((100000, 1))
         rep = report_from_values(values, target=np.array([[1.0]]))
         assert rep.zmax < 3.0
         assert rep.passed
 
     def test_loop_path_matches_core(self):
-        gen = RngStream(51, 0).generator()
+        gen = RngStream(51, (0,)).generator()
         values = values_by_draw(
             lambda g: g.standard_normal(), [lambda v: v, lambda v: 2.0 * v], 1000, gen
         )
@@ -42,7 +42,7 @@ class TestEstimateCovariance:
         assert rep.empirical[0, 1] == pytest.approx(2.0 * rep.empirical[0, 0], rel=1e-12)
 
     def test_perfectly_correlated_pair(self):
-        gen = RngStream(52, 0).generator()
+        gen = RngStream(52, (0,)).generator()
         x = gen.standard_normal(20000)
         values = np.stack([x, x], axis=1)
         rep = report_from_values(values, target=np.array([[1.0, 1.0], [1.0, 1.0]]))
@@ -54,7 +54,7 @@ class TestEstimateCovariance:
         basis = build_interval_basis("dirichlet", 0.0, 1.0, 64)
         weights = np.eye(64)[:, [0, 1, 4]]  # e1, e2, e5
         target = weights.T @ (weights / basis.lambdas_squared[:, None])
-        gen = RngStream(53, 0).generator()
+        gen = RngStream(53, (0,)).generator()
         values = values_by_draw(
             lambda g: sample_gff(basis, 1.0, g),
             [lambda w, j=j: float(w.coeffs @ weights[:, j]) for j in range(3)],
@@ -65,13 +65,13 @@ class TestEstimateCovariance:
         assert rep.zmax < 4.0
 
     def test_degenerate_functional_flagged(self):
-        gen = RngStream(54, 0).generator()
+        gen = RngStream(54, (0,)).generator()
         values = np.stack([gen.standard_normal(500), np.zeros(500)], axis=1)
         rep = report_from_values(values, target=np.zeros((2, 2)))
         assert any("degenerate" in n for n in rep.notes)
 
     def test_sample_floor(self):
-        gen = RngStream(55, 0).generator()
+        gen = RngStream(55, (0,)).generator()
         values = values_by_draw(lambda g: g.standard_normal(), [lambda v: v], 50, gen)
         with pytest.raises(ValueError, match="100"):
             report_from_values(values)
@@ -81,7 +81,7 @@ class TestEstimateCovariance:
         truth = 2.5
         means = []
         for rep_idx in range(200):
-            gen = RngStream(56, rep_idx).generator()
+            gen = RngStream(56, (rep_idx,)).generator()
             values = math.sqrt(truth) * gen.standard_normal((400, 1))
             means.append(report_from_values(values).empirical[0, 0])
         grand = float(np.mean(means))
@@ -89,14 +89,14 @@ class TestEstimateCovariance:
         assert abs(grand - truth) < 3.0 * se
 
     def test_symmetry_exact(self):
-        gen = RngStream(57, 0).generator()
+        gen = RngStream(57, (0,)).generator()
         values = gen.standard_normal((600, 4)) @ np.triu(np.ones((4, 4)))
         rep = report_from_values(values)
         assert np.array_equal(rep.empirical, rep.empirical.T)
         assert np.array_equal(rep.target, rep.target.T)
 
     def test_ordinary_covariances_keep_their_bits(self):
-        gen = RngStream(58, 0).generator()
+        gen = RngStream(58, (0,)).generator()
         values = gen.standard_normal((800, 3)) @ np.triu(np.ones((3, 3)))
         rep = report_from_values(values)
         diag = np.diag(rep.empirical)
@@ -108,7 +108,7 @@ class TestEstimateCovariance:
         # c_ii c_jj underflows below ~1e-154 per covariance, and overflows
         # above ~1e154; the z-scores must not depend on the units of the
         # functionals
-        gen = RngStream(59, 0).generator()
+        gen = RngStream(59, (0,)).generator()
         values = gen.standard_normal((800, 3)) @ np.triu(np.ones((3, 3)))
         target = np.array([[1.0, 1.0, 1.0], [1.0, 2.0, 2.0], [1.0, 2.0, 3.0]])
         unit = report_from_values(values, target=target)
@@ -128,13 +128,13 @@ class TestKsGaussian:
     def test_calibration_on_true_null(self):
         hits = 0
         for seed in range(100):
-            gen = RngStream(58, seed).generator()
+            gen = RngStream(58, (seed,)).generator()
             _, p = ks_gaussian(gen.standard_normal(10000), 0.0, 1.0)
             hits += p > 1e-3
         assert hits >= 99
 
     def test_power_against_shift(self):
-        gen = RngStream(59, 0).generator()
+        gen = RngStream(59, (0,)).generator()
         _, p = ks_gaussian(gen.standard_normal(10000) + 0.2, 0.0, 1.0)
         assert p < 1e-6
 
@@ -153,7 +153,7 @@ class TestKsGaussian:
     def test_matches_per_sample_erf(self, mu, var):
         # the array CDF equals the per-sample math.erf one bit for bit, also
         # in both tails beyond |z| = 8 where erf saturates
-        gen = RngStream(60, 0).generator()
+        gen = RngStream(60, (0,)).generator()
         sd = math.sqrt(var)
         z = np.concatenate([gen.standard_normal(5000), [-40.0, -12.5, -8.01, 8.01, 12.5, 40.0]])
         x = mu + sd * z
