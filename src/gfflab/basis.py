@@ -4,8 +4,8 @@ Laplacian, and the harmonic oscillator (Hermite operator) on R^d.
 Each basis stores the positive square roots lambda_k of the operator
 eigenvalues (so the Laplacian eigenvalue is -lambda_k^2), sorted
 non-decreasingly with lexicographic multi-index tie-breaking, together with
-the Weyl exponent alpha and the asymptotic constant c_weyl such that
-lambda_k ~ c_weyl * k^alpha.
+the Weyl constant c_weyl: lambda_k ~ c_weyl * k^(1/d) on a d-dimensional
+interval or box, and c_weyl * k^(1/(2d)) for the Hermite operator.
 """
 
 from __future__ import annotations
@@ -119,7 +119,6 @@ class EigenBasis:
     d: int
     size: int
     lambdas: np.ndarray  # shape (size,), non-decreasing, Lambda h_k = lambda_k h_k
-    alpha: float
     c_weyl: float
     domain: tuple[tuple[float, float], ...] | None
     indices: np.ndarray  # (size, d) int64; interval: mode numbers, hermite: degrees
@@ -178,7 +177,6 @@ def build_interval_basis(bc: BasisKind | str, a: float, b: float, size: int) -> 
         d=1,
         size=size,
         lambdas=lambdas.view(_Handover),
-        alpha=1.0,
         c_weyl=np.pi / length,
         domain=((float(a), float(b)),),
         indices=np.arange(1, size + 1, dtype=np.int64).reshape(-1, 1).view(_Handover),
@@ -272,7 +270,6 @@ def build_box_basis(d: int, side: float, size: int) -> EigenBasis:
         d=d,
         size=size,
         lambdas=lambdas.view(_Handover),
-        alpha=1.0 / d,
         c_weyl=c_weyl,
         domain=tuple(((0.0, float(side)),) * d),
         indices=indices.view(_Handover),
@@ -309,7 +306,6 @@ def build_hermite_basis(d: int, size: int) -> EigenBasis:
         d=d,
         size=size,
         lambdas=lambdas.view(_Handover),
-        alpha=1.0 / (2 * d),
         c_weyl=(2.0**d * math.factorial(d)) ** (1.0 / (2 * d)),
         domain=None,
         indices=indices.view(_Handover),

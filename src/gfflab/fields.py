@@ -1,8 +1,8 @@
 """Samplers for the Gaussian objects: the truncated free-field series, the
 Brownian bridge via its sine series and the two-sided Brownian motion on
 the line, together with the two-sided covariance functional: two
-physical-space quadrature routes for callables and one Fourier route for
-TestFunction objects.
+physical-space quadrature routes for callables, and the Fourier route of
+fourier_cov for TestFunction objects.
 
 Every random stream is a Philox generator keyed by SeedSequence(seed, path):
 equal keys repeat a sample, and distinct paths, at any depth, are independent.
@@ -152,14 +152,8 @@ def covariance_two_sided(f, g, mode: str = "direct", r_max: float = 20.0, n_node
     by 2.8e-14 relative on 16 panels, 3.2e-8 on 8 and 1e-2 on 4; the bump
     exp(-128 (x - 3)^2) is off by 8.7e-3 on 16 panels.
 
-    The fourier mode takes TestFunction objects only. Its integral runs on
-    the same annulus grid as gff_covariance, so the two agree exactly when
-    fhat(0) = ghat(0) = 0. The grid ends at the smaller cut 12 / width, and
-    beyond it only the constant product fhat(0) ghat(0) / xi^2 is added back:
-    the cross term of the narrower bump is dropped. Bumps of equal width
-    match the closed form to 1e-15, but gaussian_bump(3, 0.6) against
-    gaussian_bump(2.5, 1.3) is off by -8.1e-11 relative (direct: -1.7e-16),
-    and the centred pair of those widths by 1.2e-9.
+    The fourier mode takes TestFunction objects only; see
+    fourier_cov.two_sided_covariance.
     """
     if mode == "fourier":
         if not (isinstance(f, TestFunction) and isinstance(g, TestFunction)):
@@ -167,16 +161,7 @@ def covariance_two_sided(f, g, mode: str = "direct", r_max: float = 20.0, n_node
                 "fourier mode takes TestFunction inputs only; integrate callables "
                 "in direct or antiderivative mode"
             )
-        if f.d != 1 or g.d != 1:
-            raise ValueError("the two-sided Brownian motion lives on the line")
-        value = fourier_cov._pair_integral(
-            f, g, lambda r: 1.0 / (r * r), subtract_zero=True
-        )
-        # exact tail of the constant-product part beyond the grid cutoff
-        f0 = float(f.fhat_radial(np.zeros(1))[0])
-        g0 = float(g.fhat_radial(np.zeros(1))[0])
-        _, hi = fourier_cov._pair_grid(f, g)
-        return value + 2.0 * f0 * g0 / hi
+        return fourier_cov.two_sided_covariance(f, g)
     if isinstance(f, TestFunction) or isinstance(g, TestFunction):
         raise ValueError("TestFunction inputs are supported only in fourier mode")
 

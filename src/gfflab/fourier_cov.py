@@ -1,7 +1,8 @@
 """Deterministic Fourier-domain covariance functionals on R^d: test
 functions whose transforms vanish near the origin, the free-field
-covariance integral, the finite-time covariance of the whole-space heat
-evolution, and massive-case limits.
+covariance integral, the two-sided Brownian covariance on the line, the
+finite-time covariance of the whole-space heat evolution, and massive-case
+limits.
 
 Conventions: unitary Fourier transform fhat(xi) = (2 pi)^(-d/2) *
 integral of exp(-i x.xi) f(x) dx, so Parseval holds without extra factors.
@@ -15,7 +16,6 @@ from typing import Callable
 
 import numpy as np
 
-from .greens import gamma_fn
 from .quadrature import composite_legendre, gauss_legendre
 
 RADIAL_NODES = 1024  # 64 panels of 16 Gauss-Legendre nodes
@@ -35,7 +35,7 @@ def _smooth_step(u):
 
 def surface_measure(d: int) -> float:
     """Surface area of the unit sphere in R^d (2 for d = 1)."""
-    return 2.0 * math.pi ** (0.5 * d) / gamma_fn(0.5 * d)
+    return 2.0 * math.pi ** (0.5 * d) / math.gamma(0.5 * d)
 
 
 @dataclass(frozen=True, eq=False)
@@ -80,11 +80,11 @@ class TestFunction:
         return self.params["physical"](np.asarray(x, dtype=float))
 
 
-def gaussian_bump(center=0.0, width: float = 1.0, d: int = 1, amplitude: float = 1.0) -> TestFunction:
-    """The Gaussian amplitude * exp(-|x - center|^2 / (2 width^2)).
+def gaussian_bump(center=0.0, width: float = 1.0, d: int = 1) -> TestFunction:
+    """The Gaussian exp(-|x - center|^2 / (2 width^2)).
 
-    Its transform is amplitude * width^d * exp(-width^2 |xi|^2 / 2) times
-    the phase factor from the shift; fhat(0) is nonzero, so this is not a
+    Its transform is width^d * exp(-width^2 |xi|^2 / 2) times the phase
+    factor from the shift; fhat(0) is nonzero, so this is not a
     floor-certified test function.
     """
     if width <= 0.0:
@@ -92,7 +92,7 @@ def gaussian_bump(center=0.0, width: float = 1.0, d: int = 1, amplitude: float =
     c = np.atleast_1d(np.asarray(center, dtype=float))
     if c.size != d:
         raise ValueError(f"center has dimension {c.size}, expected {d}")
-    amp = amplitude * width**d
+    amp = width**d
 
     def profile(r):
         return amp * np.exp(-0.5 * (width * r) ** 2)
@@ -103,7 +103,7 @@ def gaussian_bump(center=0.0, width: float = 1.0, d: int = 1, amplitude: float =
             dist2 = (pts - c[0]) ** 2
         else:
             dist2 = ((pts - c) ** 2).sum(axis=-1)
-        return amplitude * np.exp(-0.5 * dist2 / width**2)
+        return np.exp(-0.5 * dist2 / width**2)
 
     centered = bool(np.all(c == 0.0))
     return TestFunction(
@@ -113,7 +113,7 @@ def gaussian_bump(center=0.0, width: float = 1.0, d: int = 1, amplitude: float =
         xi_floor=0.0,
         xi_cut=12.0 / width,
         center=None if centered else tuple(c),
-        params={"width": width, "amplitude": amplitude, "physical": physical},
+        params={"width": width, "physical": physical},
     )
 
 
@@ -150,10 +150,9 @@ def make_s0_function(freq: float, width: float, d: int = 1) -> TestFunction:
     )
 
 
-def _pair_grid(f: TestFunction, g: TestFunction) -> tuple[float, float]:
-    lo = max(f.xi_floor, g.xi_floor)
-    hi = min(f.xi_cut, g.xi_cut)
-    return lo, hi
+def _fhat0(f: TestFunction) -> float:
+    """fhat(0), which the phase factor of a centre leaves unchanged."""
+    return float(f.fhat_radial(np.zeros(1))[0])
 
 
 def _pair_integral(
@@ -161,7 +160,6 @@ def _pair_integral(
     g: TestFunction,
     weight: Callable[[np.ndarray], np.ndarray],
     subtract_zero: bool = False,
-    n_nodes: int = RADIAL_NODES,
 ) -> float:
     """integral over R^d of (fhat - c_f)(conj(ghat) - c_g) * weight(|xi|),
     with c = fhat(0) when subtract_zero is set and 0 otherwise.
@@ -170,70 +168,52 @@ def _pair_integral(
     centers, or equal ones without subtract_zero (fhat - fhat(0) keeps the
     phase of a shifted f); otherwise d = 1 uses Hermitian symmetry on the
     half line and d = 2 a tensor grid. The radial and half-line integrals
-    run on n_nodes // 16 panels of 16 Gauss-Legendre nodes over the shared
-    support (n_nodes rounds down to whole panels, and at least one), and
-    the weighted terms are summed with math.fsum.
+    run on RADIAL_NODES / 16 panels of 16 Gauss-Legendre nodes over the
+    shared support, and the weighted terms are summed with math.fsum.
     """
-    if not n_nodes > 0:
-        raise ValueError(f"n_nodes must be positive (got {n_nodes})")
     if f.d != g.d:
         raise ValueError("test functions live in different dimensions")
     d = f.d
-    lo, hi = _pair_grid(f, g)
+    lo, hi = max(f.xi_floor, g.xi_floor), min(f.xi_cut, g.xi_cut)
     if hi <= lo:
         return 0.0
-    panels = max(n_nodes // 16, 1)
+    c_f, c_g = (_fhat0(f), _fhat0(g)) if subtract_zero else (0.0, 0.0)
+    radial = f.center == g.center and (f.center is None or not subtract_zero)
+    if not radial and d != 1:
+        if d == 2:
+            return _pair_integral_tensor2d(f, g, weight, c_f, c_g)
+        raise ValueError("non-radial pairs are supported only for d <= 2")
 
-    if f.center == g.center and (f.center is None or not subtract_zero):
-        r, w = composite_legendre(lo, hi, panels, 16)
-        vf = f.fhat_radial(r)
-        vg = g.fhat_radial(r)
-        if subtract_zero:
-            vf = vf - f.fhat_radial(np.zeros(1))[0]
-            vg = vg - g.fhat_radial(np.zeros(1))[0]
-        integrand = vf * vg * weight(r) * r ** (d - 1)
+    r, w = composite_legendre(lo, hi, RADIAL_NODES // 16, 16)
+    if radial:
+        integrand = (f.fhat_radial(r) - c_f) * (g.fhat_radial(r) - c_g) * weight(r) * r ** (d - 1)
         return surface_measure(d) * math.fsum(w * integrand)
-
-    if d == 1:
-        r, w = composite_legendre(lo, hi, panels, 16)
-        vf = f.fhat(r)
-        vg = g.fhat(r)
-        if subtract_zero:
-            vf = vf - complex(f.fhat(np.zeros(1))[0])
-            vg = vg - complex(g.fhat(np.zeros(1))[0])
-        integrand = np.real(vf * np.conj(vg)) * weight(r)
-        return 2.0 * math.fsum(w * integrand)
-
-    if d == 2:
-        return _pair_integral_tensor2d(f, g, weight, subtract_zero)
-
-    raise ValueError("non-radial pairs are supported only for d <= 2")
+    integrand = np.real((f.fhat(r) - c_f) * np.conj(g.fhat(r) - c_g)) * weight(r)
+    return 2.0 * math.fsum(w * integrand)
 
 
 def _pair_integral_tensor2d(
     f: TestFunction,
     g: TestFunction,
     weight: Callable[[np.ndarray], np.ndarray],
-    subtract_zero: bool = False,
-    n_nodes: int = TENSOR_NODES,
+    c_f: float,
+    c_g: float,
 ) -> float:
-    """Full tensor-grid quadrature in d = 2 (cross-check for the radial path)."""
-    _, hi = _pair_grid(f, g)
-    x, wx = gauss_legendre(-hi, hi, n_nodes)
+    """The pair integral of _pair_integral, less the constants c_f and c_g,
+    by a full tensor grid in d = 2 (cross-check for the radial path)."""
+    hi = min(f.xi_cut, g.xi_cut)
+    x, wx = gauss_legendre(-hi, hi, TENSOR_NODES)
     pts = np.stack(np.meshgrid(x, x, indexing="ij"), axis=-1).reshape(-1, 2)
     w2 = np.multiply.outer(wx, wx).reshape(-1)
-    vf = f.fhat(pts)
-    vg = g.fhat(pts)
-    if subtract_zero:
-        vf = vf - complex(f.fhat(np.zeros((1, 2)))[0])
-        vg = vg - complex(g.fhat(np.zeros((1, 2)))[0])
+    vf = f.fhat(pts) - c_f
+    vg = g.fhat(pts) - c_g
     r = np.sqrt((pts**2).sum(axis=1))
     wvals = np.where(r > 0.0, weight(np.maximum(r, 1e-300)), 0.0)
     return float(np.sum(w2 * np.real(vf * np.conj(vg)) * wvals))
 
 
 def _check_floor(f: TestFunction, name: str) -> None:
-    if f.xi_floor <= 0.0 and abs(complex(f.fhat_radial(np.zeros(1))[0])) > FLOOR_TOL:
+    if f.xi_floor <= 0.0 and abs(_fhat0(f)) > FLOOR_TOL:
         raise ValueError(
             f"{name} has fhat(0) != 0 and no annulus floor; the |xi|^-2 "
             "integral diverges in d <= 2"
@@ -245,23 +225,42 @@ def gff_covariance(
     g: TestFunction,
     nu_scale: float = 1.0,
     check_floor: bool = True,
-    n_nodes: int = RADIAL_NODES,
 ) -> float:
     """nu_scale times the free-field covariance integral of fhat conj(ghat)
     over |xi|^2.
 
     In d <= 2 both functions must carry an annulus floor (the integrand is
     otherwise non-integrable at the origin); pass check_floor=False only
-    for diagnostic comparisons of the raw truncated quadrature. n_nodes
-    rounds down to whole panels of 16 nodes (see _pair_integral).
+    for diagnostic comparisons of the raw truncated quadrature.
     """
-    if not n_nodes > 0:
-        raise ValueError(f"n_nodes must be positive (got {n_nodes})")
     if check_floor and f.d <= 2:
         _check_floor(f, "f")
         _check_floor(g, "g")
-    value = _pair_integral(f, g, lambda r: 1.0 / (r * r), n_nodes=n_nodes)
+    value = _pair_integral(f, g, lambda r: 1.0 / (r * r))
     return nu_scale * value
+
+
+def two_sided_covariance(f: TestFunction, g: TestFunction) -> float:
+    """E(W[f] W[g]) for the two-sided Brownian motion on the line: the
+    integral of (fhat - fhat(0)) conj(ghat - ghat(0)) over xi^2.
+
+    The subtracted integral runs on the grid of gff_covariance, so the two
+    agree exactly when fhat(0) = ghat(0) = 0. Past the smaller of the two
+    cuts the transform that ends there is below rounding, and the other one,
+    h, leaves the cross term -c h / xi^2 with the first one's c = fhat(0).
+    It runs on the same rule up to h's own cut, and is skipped when c = 0.
+    The tail 2 fhat(0) ghat(0) / cut of the constant product is exact.
+    """
+    if f.d != 1 or g.d != 1:
+        raise ValueError("the two-sided Brownian motion lives on the line")
+    value = _pair_integral(f, g, lambda r: 1.0 / (r * r), subtract_zero=True)
+    f0, g0 = _fhat0(f), _fhat0(g)
+    hi = min(f.xi_cut, g.xi_cut)
+    h, c = (f, g0) if f.xi_cut > g.xi_cut else (g, f0)
+    if c != 0.0 and h.xi_cut > hi:
+        r, w = composite_legendre(hi, h.xi_cut, RADIAL_NODES // 16, 16)
+        value -= 2.0 * c * math.fsum(w * np.real(h.fhat(r)) / (r * r))
+    return value + 2.0 * f0 * g0 / hi
 
 
 def transient_covariance(f: TestFunction, g: TestFunction, t: float, nu: float, sigma: float) -> float:
@@ -316,7 +315,7 @@ def hhat_norms(f: TestFunction, gamma: float, variant: str = "homogeneous", eps:
     weighs |fhat|^2 by |xi|^(2 gamma) and is rejected as divergent for
     gamma <= -d/2 when fhat(0) != 0; 'bessel' weighs it by (eps + |xi|^2)^gamma."""
     if variant == "homogeneous":
-        if gamma <= -0.5 * f.d and abs(complex(f.fhat_radial(np.zeros(1))[0])) > FLOOR_TOL:
+        if gamma <= -0.5 * f.d and abs(_fhat0(f)) > FLOOR_TOL:
             raise ValueError(f"homogeneous norm diverges for gamma = {gamma} <= -d/2 with fhat(0) != 0")
         weight = lambda r: r ** (2.0 * gamma)
     elif variant == "bessel":

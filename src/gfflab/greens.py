@@ -1,5 +1,5 @@
-"""Closed-form kernels and the special functions they need: Gamma, the
-modified Bessel functions K_0 and K_{1/2}, whole-space heat kernels and
+"""Closed-form kernels and the special functions they need: the modified
+Bessel functions K_0 and K_{1/2}, whole-space heat kernels and
 potentials, and the eigenfunction series for Green's functions on bounded
 domains.
 
@@ -17,34 +17,6 @@ from .basis import EigenBasis, evaluate_matrix
 from .quadrature import gauss_hermite, half_line_nodes
 
 EULER_GAMMA = 0.5772156649015328606
-
-# Lanczos approximation, g = 7, 9 coefficients; relative error < 1e-12 on
-# the arguments used by the potentials.
-_LANCZOS_COEFFS = (
-    0.99999999999980993,
-    676.5203681218851,
-    -1259.1392167224028,
-    771.32342877765313,
-    -176.61502916214059,
-    12.507343278686905,
-    -0.13857109526572012,
-    9.9843695780195716e-6,
-    1.5056327351493116e-7,
-)
-
-
-def gamma_fn(x: float) -> float:
-    """Gamma function via the Lanczos approximation (reflection for x < 1/2)."""
-    if x <= 0.0 and x == math.floor(x):
-        raise ValueError(f"gamma function pole at {x}")
-    if x < 0.5:
-        return math.pi / (math.sin(math.pi * x) * gamma_fn(1.0 - x))
-    z = x - 1.0
-    acc = _LANCZOS_COEFFS[0]
-    for i, c in enumerate(_LANCZOS_COEFFS[1:], start=1):
-        acc += c / (z + i)
-    t = z + 7.5
-    return math.sqrt(2.0 * math.pi) * t ** (z + 0.5) * math.exp(-t) * acc
 
 
 def _k0_small(x: np.ndarray) -> np.ndarray:
@@ -173,7 +145,7 @@ def potential_zero_mass(x, *, d: int, nu: float):
     if d == 2:
         return _float_or_array(-np.log(r / math.sqrt(nu)) / (2.0 * math.pi * nu))
     return _float_or_array(
-        gamma_fn(0.5 * d - 1.0) / (4.0 * math.pi ** (0.5 * d) * nu * r ** (d - 2))
+        math.gamma(0.5 * d - 1.0) / (4.0 * math.pi ** (0.5 * d) * nu * r ** (d - 2))
     )
 
 

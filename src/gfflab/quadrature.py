@@ -59,14 +59,6 @@ def _leggauss(n: int) -> tuple[np.ndarray, np.ndarray]:
     return x, w
 
 
-@lru_cache(maxsize=32)
-def _hermgauss(n: int) -> tuple[np.ndarray, np.ndarray]:
-    x, w = np.polynomial.hermite.hermgauss(n)
-    x.setflags(write=False)
-    w.setflags(write=False)
-    return x, w
-
-
 def gauss_legendre(a, b, n: int) -> tuple[np.ndarray, np.ndarray]:
     """Nodes and weights of the n-point Gauss-Legendre rule on [a, b]; array
     endpoints give one rule per interval along a new last axis."""
@@ -102,9 +94,13 @@ def running_integral(h, start: float, x) -> np.ndarray:
     return np.cumsum(sums)
 
 
+@lru_cache(maxsize=32)
 def gauss_hermite(n: int) -> tuple[np.ndarray, np.ndarray]:
     """Nodes and weights for integrals against exp(-x^2) on the line."""
-    return _hermgauss(n)
+    x, w = np.polynomial.hermite.hermgauss(n)
+    x.setflags(write=False)
+    w.setflags(write=False)
+    return x, w
 
 
 def gauss_hermite_unweighted(n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -117,7 +113,7 @@ def gauss_hermite_unweighted(n: int) -> tuple[np.ndarray, np.ndarray]:
     """
     if n > 350:
         raise ValueError("unweighted Gauss-Hermite overflows beyond 350 nodes")
-    x, w = _hermgauss(n)
+    x, w = gauss_hermite(n)
     return x, w * np.exp(x * x)
 
 

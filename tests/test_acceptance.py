@@ -34,7 +34,7 @@ from gfflab.greens import (
     potential_massive,
     series_green,
 )
-from gfflab.quadrature import composite_legendre, gauss_legendre
+from gfflab.quadrature import composite_legendre
 from gfflab.stats import ks_gaussian, report_from_values
 
 
@@ -244,23 +244,11 @@ def test_criterion_08_whole_space_limit():
     assert ok
 
 
-def test_criterion_09_massive_case():
+def test_criterion_09_massive_case(massive_oracle_1d):
     nu, eps, sigma = 1.0, 1.0, 1.0
     fg = gaussian_bump(0.3, 0.8)
     value = massive_limit_covariance(fg, fg, nu, eps, sigma)
-
-    # physical-space double quadrature with the kernel kink split exactly
-    lo, hi = 0.3 - 10.0, 0.3 + 10.0
-    x, w = gauss_legendre(lo, hi, 400)
-    inner = np.empty_like(x)
-    for i, xi in enumerate(x):
-        yl, wl = gauss_legendre(lo, xi, 160)
-        yr, wr = gauss_legendre(xi, hi, 160)
-        kl = np.array([potential_massive(xi - v, d=1, nu=nu, eps=nu * eps) for v in yl])
-        kr = np.array([potential_massive(v - xi, d=1, nu=nu, eps=nu * eps) for v in yr])
-        inner[i] = float(np.sum(wl * kl * fg.physical(yl)) + np.sum(wr * kr * fg.physical(yr)))
-    oracle = 0.5 * sigma**2 * float(np.sum(w * fg.physical(x) * inner))
-    oracle_rel = abs(value - oracle) / abs(oracle)
+    oracle_rel = abs(value - massive_oracle_1d) / abs(massive_oracle_1d)
 
     f = make_s0_function(4.0, 0.25)
     limit = gff_covariance(f, f, nu_scale=sigma**2 / (2.0 * nu))

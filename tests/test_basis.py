@@ -500,7 +500,7 @@ class TestHelpers:
     def test_caller_arrays_stay_writeable(self):
         lambdas, indices = np.ones(3), np.ones((3, 1), dtype=np.int64)
         b = EigenBasis(
-            kind=BasisKind.INTERVAL_DIRICHLET, d=1, size=3, lambdas=lambdas, alpha=1.0,
+            kind=BasisKind.INTERVAL_DIRICHLET, d=1, size=3, lambdas=lambdas,
             c_weyl=1.0, domain=((0.0, math.pi),), indices=indices,
         )
         assert lambdas.flags.writeable and indices.flags.writeable
@@ -513,7 +513,7 @@ class TestHelpers:
         lambdas.setflags(write=False)
         indices.setflags(write=False)
         b = EigenBasis(
-            kind=BasisKind.INTERVAL_DIRICHLET, d=1, size=3, lambdas=lambdas, alpha=1.0,
+            kind=BasisKind.INTERVAL_DIRICHLET, d=1, size=3, lambdas=lambdas,
             c_weyl=1.0, domain=((0.0, math.pi),), indices=indices,
         )
         assert not np.shares_memory(b.lambdas, lambdas) and not np.shares_memory(b.indices, indices)

@@ -526,16 +526,20 @@ class TestCovarianceTwoSided:
         else:
             assert math.isfinite(covariance_two_sided(f, g, mode))
 
-    def test_fourier_accuracy_limit(self):
-        # the grid ends at the narrower transform's cut, 12 / 1.3, and drops
-        # the cross term of the narrower bump beyond it: -8.1e-11 here, where
-        # direct is off by -1.7e-16; equal widths match to rounding
-        f, g = gaussian_bump(3.0, 0.6), gaussian_bump(2.5, 1.3)
-        want = _two_sided_gauss_oracle((3.0, 0.6), (2.5, 1.3))
-        assert covariance_two_sided(f, g, "fourier") == pytest.approx(want, rel=1e-9)
-        f = gaussian_bump(0.0, 1.0)
-        want = _two_sided_gauss_oracle((0.0, 1.0), (0.0, 1.0))
-        assert covariance_two_sided(f, f, "fourier") == pytest.approx(want, rel=1e-15)
+    @pytest.mark.parametrize(
+        "f_bump, g_bump",
+        # (centre, width): the narrower bump's transform outlasts the wider
+        # one's cut, 12 / width, so its cross term with the other's fhat(0)
+        # runs past the pair grid; dropping it read -8.1e-11, 1.2e-9 and
+        # 9.8e-2 relative on the first three pairs
+        [((3.0, 0.6), (2.5, 1.3)), ((0.0, 0.6), (0.0, 1.3)), ((0.0, 0.3), (0.0, 3.0)),
+         ((0.0, 1.0), (0.0, 1.0))],
+    )
+    def test_fourier_accuracy_limit(self, f_bump, g_bump):
+        want = _two_sided_gauss_oracle(f_bump, g_bump)
+        for a, b in ((f_bump, g_bump), (g_bump, f_bump)):
+            got = covariance_two_sided(gaussian_bump(*a), gaussian_bump(*b), "fourier")
+            assert got == pytest.approx(want, rel=2e-15)
 
     @pytest.mark.parametrize("centre", [1.0, 3.0, 10.0, -10.0])
     def test_fourier_on_a_shared_nonzero_centre(self, centre):
@@ -556,6 +560,11 @@ class TestCovarianceTwoSided:
         sub = covariance_two_sided(f, g, "fourier")
         unsub = gff_covariance(f, g, nu_scale=1.0, check_floor=False)
         assert abs(sub - unsub) > 1e-3
+
+    def test_fourier_mode_only_on_the_line(self):
+        f = gaussian_bump((0.0, 0.0), 1.0, d=2)
+        with pytest.raises(ValueError, match="lives on the line"):
+            covariance_two_sided(f, f, "fourier")
 
     def test_testfunction_only_in_fourier_mode(self):
         f = gaussian_bump(0.0, 1.0)

@@ -5,7 +5,6 @@ import pytest
 
 from gfflab.fourier_cov import (
     TestFunction,
-    _pair_integral,
     _pair_integral_tensor2d,
     gaussian_bump,
     gff_covariance,
@@ -17,7 +16,7 @@ from gfflab.fourier_cov import (
     transient_covariance,
 )
 from gfflab.experiments import FOURIER_LIMITS_EPS_RANGE, _massive_physical_oracle
-from gfflab.greens import potential_massive, potential_zero_mass
+from gfflab.greens import potential_zero_mass
 from gfflab.quadrature import composite_legendre, gauss_legendre
 
 
@@ -111,7 +110,7 @@ class TestGffCovariance:
     def test_radial_reduction_against_tensor_grid(self):
         f = make_s0_function(4.0, 0.25, d=2)
         radial = gff_covariance(f, f)
-        tensor = _pair_integral_tensor2d(f, f, lambda r: 1.0 / (r * r))
+        tensor = _pair_integral_tensor2d(f, f, lambda r: 1.0 / (r * r), 0.0, 0.0)
         assert radial == pytest.approx(tensor, abs=1e-8)
 
     def test_radial_rule_is_64_panels_of_16(self):
@@ -120,20 +119,6 @@ class TestGffCovariance:
         r, w = composite_legendre(2.5, 7.0, 64, 16)
         integrand = f.fhat_radial(r) * g.fhat_radial(r) * (1.0 / (r * r)) * r**0
         assert gff_covariance(f, g) == surface_measure(1) * math.fsum(w * integrand)
-
-    def test_nodes_round_down_to_whole_panels(self):
-        f = make_s0_function(4.0, 0.25)
-        g = make_s0_function(5.0, 0.3)
-        assert gff_covariance(f, g, n_nodes=1039) == gff_covariance(f, g, n_nodes=1024)
-        assert gff_covariance(f, g, n_nodes=15) == gff_covariance(f, g, n_nodes=16)
-
-    @pytest.mark.parametrize("n_nodes", [0, -16])
-    def test_nonpositive_node_count_rejected(self, n_nodes):
-        f = make_s0_function(4.0, 0.25)
-        with pytest.raises(ValueError, match="n_nodes must be positive"):
-            gff_covariance(f, f, n_nodes=n_nodes)
-        with pytest.raises(ValueError, match="n_nodes must be positive"):
-            _pair_integral(f, f, lambda r: 1.0 / (r * r), n_nodes=n_nodes)
 
     def test_surface_measures(self):
         assert surface_measure(1) == pytest.approx(2.0, rel=1e-14)
@@ -184,22 +169,10 @@ class TestTransientCovariance:
 
 
 class TestMassiveLimit:
-    def test_against_physical_space_oracle_1d(self):
-        # double quadrature of f Phi f with inner integrals split at the kink
-        nu, eps, sigma = 1.0, 1.0, 1.0
+    def test_against_physical_space_oracle_1d(self, massive_oracle_1d):
         fg = gaussian_bump(0.3, 0.8)
-        value = massive_limit_covariance(fg, fg, nu, eps, sigma)
-        lo, hi = 0.3 - 10.0, 0.3 + 10.0
-        x, w = gauss_legendre(lo, hi, 400)
-        inner = np.empty_like(x)
-        for i, xi in enumerate(x):
-            yl, wl = gauss_legendre(lo, xi, 160)
-            yr, wr = gauss_legendre(xi, hi, 160)
-            kl = np.array([potential_massive(xi - v, d=1, nu=nu, eps=nu * eps) for v in yl])
-            kr = np.array([potential_massive(v - xi, d=1, nu=nu, eps=nu * eps) for v in yr])
-            inner[i] = float(np.sum(wl * kl * fg.physical(yl)) + np.sum(wr * kr * fg.physical(yr)))
-        oracle = 0.5 * sigma**2 * float(np.sum(w * fg.physical(x) * inner))
-        assert value == pytest.approx(oracle, rel=1e-6)
+        value = massive_limit_covariance(fg, fg, 1.0, 1.0, 1.0)
+        assert value == pytest.approx(massive_oracle_1d, rel=1e-6)
 
     def test_large_mass_decay(self):
         f = gaussian_bump(0.0, 1.0)

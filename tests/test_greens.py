@@ -13,7 +13,6 @@ from gfflab.greens import (
     _k0_large,
     _k0_small,
     bessel_k,
-    gamma_fn,
     heat_kernel,
     heat_poisson_identity,
     potential_massive,
@@ -29,33 +28,6 @@ def bessel_cosh_oracle(p, x, cutoff=80.0):
     u_max = math.acosh(cutoff / x) if x < cutoff else 2.0
     u, w = composite_legendre(0.0, u_max, 80, 20)
     return float(np.sum(w * np.exp(-x * np.cosh(u)) * np.cosh(p * u)))
-
-
-def gamma_integral_oracle(z):
-    """Quadrature of int_0^inf t^(z-1) exp(-t) dt, substituted t = u^2 so
-    half-integer powers stay smooth at the origin."""
-    u, w = composite_legendre(0.0, 9.0, 120, 16)
-    return float(np.sum(w * 2.0 * u ** (2.0 * z - 1.0) * np.exp(-u * u)))
-
-
-class TestGamma:
-    def test_against_stdlib(self):
-        for z in (0.5, 1.0, 1.5, 2.0, 2.5, 3.7, 5.0, 10.2, 0.1, 0.9):
-            assert gamma_fn(z) == pytest.approx(math.gamma(z), rel=1e-12)
-
-    def test_against_integral_definition(self):
-        for z in (1.5, 2.0, 3.0, 4.5):
-            assert gamma_fn(z) == pytest.approx(gamma_integral_oracle(z), rel=1e-10)
-
-    def test_half_integer_values(self):
-        assert gamma_fn(0.5) == pytest.approx(math.sqrt(math.pi), rel=1e-14)
-        assert gamma_fn(1.5) == pytest.approx(0.5 * math.sqrt(math.pi), rel=1e-14)
-
-    def test_poles_rejected(self):
-        with pytest.raises(ValueError, match="pole"):
-            gamma_fn(0.0)
-        with pytest.raises(ValueError, match="pole"):
-            gamma_fn(-2.0)
 
 
 class TestBesselK:
@@ -105,11 +77,11 @@ def where_k0(x):
 
 class TestK0BranchGuard:
     def test_rule_is_built_only_when_a_point_needs_it(self):
-        quadrature._hermgauss.cache_clear()
+        quadrature.gauss_hermite.cache_clear()
         bessel_k(0.0, [0.1, 1.0, 2.0])
-        assert quadrature._hermgauss.cache_info().currsize == 0
+        assert quadrature.gauss_hermite.cache_info().currsize == 0
         bessel_k(0.0, [1.0, 5.0])
-        assert quadrature._hermgauss.cache_info().currsize == 1
+        assert quadrature.gauss_hermite.cache_info().currsize == 1
 
     def test_values_match_the_where_formula_bit_for_bit(self):
         x = np.concatenate((

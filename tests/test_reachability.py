@@ -1,6 +1,7 @@
 """Every function defined in gfflab is called by the command line (every
 registered experiment at its defaults, the registry listing and one config
-file run), or is listed in KEPT with the reason it stays."""
+file run), or is listed in KEPT with the reason it stays; and no gfflab
+module reads another one's private names."""
 
 import ast
 import contextlib
@@ -85,3 +86,45 @@ def called_functions(tmp_path) -> set[str]:
 
 def test_unreached_functions_are_exactly_the_kept_ones(tmp_path):
     assert defined_functions() - called_functions(tmp_path) == set(KEPT)
+
+
+def _private(name: str) -> bool:
+    return name.startswith("_") and not name.startswith("__")
+
+
+def cross_module_private_reads() -> set[str]:
+    """"<file>:<line> <module>.<name>" for each read of another gfflab
+    module's private name, through `from .module import _name` or as an
+    attribute of a module bound by `from . import module`."""
+    modules = {path.stem for path in SRC.glob("*.py")}
+    reads = set()
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        bound = {}  # local name -> the gfflab module it is bound to
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.ImportFrom):
+                continue
+            if node.level == 1:
+                source = node.module or ""  # "" is the package itself
+            elif node.module == "gfflab" or (node.module or "").startswith("gfflab."):
+                source = node.module.removeprefix("gfflab").lstrip(".")
+            else:
+                continue
+            for alias in node.names:
+                if not source and alias.name in modules:
+                    bound[alias.asname or alias.name] = alias.name
+                elif source and source != path.stem and _private(alias.name):
+                    reads.add(f"{path.name}:{node.lineno} {source}.{alias.name}")
+        for node in ast.walk(tree):
+            if (
+                isinstance(node, ast.Attribute)
+                and isinstance(node.value, ast.Name)
+                and bound.get(node.value.id, path.stem) != path.stem
+                and _private(node.attr)
+            ):
+                reads.add(f"{path.name}:{node.lineno} {bound[node.value.id]}.{node.attr}")
+    return reads
+
+
+def test_no_module_reads_another_modules_private_names():
+    assert cross_module_private_reads() == set()
