@@ -14,6 +14,7 @@ from gfflab.fourier_cov import (
     massive_limit_covariance,
     surface_measure,
     transient_covariance,
+    two_sided_covariance,
 )
 from gfflab.experiments import FOURIER_LIMITS_EPS_RANGE, _massive_physical_oracle
 from gfflab.greens import potential_zero_mass
@@ -124,6 +125,21 @@ class TestGffCovariance:
         assert surface_measure(1) == pytest.approx(2.0, rel=1e-14)
         assert surface_measure(2) == pytest.approx(2.0 * math.pi, rel=1e-14)
         assert surface_measure(3) == pytest.approx(4.0 * math.pi, rel=1e-14)
+
+    def test_surface_measure_dimension_recursion(self):
+        # |S^(d+1)| = 2 pi |S^(d-1)| / d ties every dimension to d = 1 and d = 2
+        for d in range(1, 7):
+            assert surface_measure(d + 2) == pytest.approx(2.0 * math.pi * surface_measure(d) / d, rel=1e-14)
+
+
+class TestTwoSidedCovariance:
+    def test_equals_gff_covariance_for_a_mean_zero_pair(self):
+        # fhat(0) = 0 on both sides: no subtraction, no cross term, no tail
+        f = make_s0_function(4.0, 0.25)
+        g = make_s0_function(5.0, 0.6)
+        assert f.xi_cut != g.xi_cut
+        assert two_sided_covariance(f, g) == gff_covariance(f, g)
+        assert two_sided_covariance(g, f) == gff_covariance(g, f)
 
 
 class TestTransientCovariance:

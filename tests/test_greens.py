@@ -201,6 +201,13 @@ class TestPotentials:
         value = potential_zero_mass(1.0, d=3, nu=1.0)
         assert value == pytest.approx(1.0 / (4.0 * math.pi), rel=1e-14)
 
+    def test_zero_mass_riesz_constant_in_d4_and_d5(self):
+        # Gamma(d/2 - 1) / (4 pi^(d/2)) is 1 / (4 pi^2) in d = 4 and 1 / (8 pi^2) in d = 5
+        nu, r = 0.7, 1.3
+        x4, x5 = [r, 0.0, 0.0, 0.0], [0.0, r, 0.0, 0.0, 0.0]
+        assert potential_zero_mass(x4, d=4, nu=nu) == pytest.approx(1.0 / (4.0 * math.pi**2 * nu * r**2), rel=1e-14)
+        assert potential_zero_mass(x5, d=5, nu=nu) == pytest.approx(1.0 / (8.0 * math.pi**2 * nu * r**3), rel=1e-14)
+
     def test_zero_mass_log_zero_at_unit_radius(self):
         assert potential_zero_mass([1.0, 0.0], d=2, nu=1.0) == 0.0
 
