@@ -159,17 +159,18 @@ def _pair_integral(
     f: TestFunction,
     g: TestFunction,
     weight: Callable[[np.ndarray], np.ndarray],
-    subtract_zero: bool = False,
+    subtract: tuple[float, float] = (0.0, 0.0),
 ) -> float:
-    """integral over R^d of (fhat - c_f)(conj(ghat) - c_g) * weight(|xi|),
-    with c = fhat(0) when subtract_zero is set and 0 otherwise.
+    """integral over R^d of (fhat - c_f)(conj(ghat) - c_g) * weight(|xi|)
+    with (c_f, c_g) = subtract.
 
     Radial reduction applies whenever the product has no net phase: absent
-    centers, or equal ones without subtract_zero (fhat - fhat(0) keeps the
+    centers, or equal ones with nothing subtracted (fhat - c_f keeps the
     phase of a shifted f); otherwise d = 1 uses Hermitian symmetry on the
-    half line and d = 2 a tensor grid. The radial and half-line integrals
-    run on RADIAL_NODES / 16 panels of 16 Gauss-Legendre nodes over the
-    shared support, and the weighted terms are summed with math.fsum.
+    half line and d = 2, with nothing subtracted, a tensor grid. The radial
+    and half-line integrals run on RADIAL_NODES / 16 panels of 16
+    Gauss-Legendre nodes over the shared support, and the weighted terms
+    are summed with math.fsum.
     """
     if f.d != g.d:
         raise ValueError("test functions live in different dimensions")
@@ -177,12 +178,12 @@ def _pair_integral(
     lo, hi = max(f.xi_floor, g.xi_floor), min(f.xi_cut, g.xi_cut)
     if hi <= lo:
         return 0.0
-    c_f, c_g = (_fhat0(f), _fhat0(g)) if subtract_zero else (0.0, 0.0)
-    radial = f.center == g.center and (f.center is None or not subtract_zero)
+    c_f, c_g = subtract
+    radial = f.center == g.center and (f.center is None or not any(subtract))
     if not radial and d != 1:
-        if d == 2:
-            return _pair_integral_tensor2d(f, g, weight, c_f, c_g)
-        raise ValueError("non-radial pairs are supported only for d <= 2")
+        if d == 2 and not any(subtract):
+            return _pair_integral_tensor2d(f, g, weight)
+        raise ValueError("non-radial pairs are supported only for d = 1 and unsubtracted d = 2")
 
     r, w = composite_legendre(lo, hi, RADIAL_NODES // 16, 16)
     if radial:
@@ -196,17 +197,15 @@ def _pair_integral_tensor2d(
     f: TestFunction,
     g: TestFunction,
     weight: Callable[[np.ndarray], np.ndarray],
-    c_f: float,
-    c_g: float,
 ) -> float:
-    """The pair integral of _pair_integral, less the constants c_f and c_g,
-    by a full tensor grid in d = 2 (cross-check for the radial path)."""
+    """The unsubtracted pair integral of _pair_integral by a full tensor
+    grid in d = 2 (cross-check for the radial path)."""
     hi = min(f.xi_cut, g.xi_cut)
     x, wx = gauss_legendre(-hi, hi, TENSOR_NODES)
     pts = np.stack(np.meshgrid(x, x, indexing="ij"), axis=-1).reshape(-1, 2)
     w2 = np.multiply.outer(wx, wx).reshape(-1)
-    vf = f.fhat(pts) - c_f
-    vg = g.fhat(pts) - c_g
+    vf = f.fhat(pts)
+    vg = g.fhat(pts)
     r = np.sqrt((pts**2).sum(axis=1))
     wvals = np.where(r > 0.0, weight(np.maximum(r, 1e-300)), 0.0)
     return float(np.sum(w2 * np.real(vf * np.conj(vg)) * wvals))
@@ -253,8 +252,8 @@ def two_sided_covariance(f: TestFunction, g: TestFunction) -> float:
     """
     if f.d != 1 or g.d != 1:
         raise ValueError("the two-sided Brownian motion lives on the line")
-    value = _pair_integral(f, g, lambda r: 1.0 / (r * r), subtract_zero=True)
     f0, g0 = _fhat0(f), _fhat0(g)
+    value = _pair_integral(f, g, lambda r: 1.0 / (r * r), (f0, g0))
     hi = min(f.xi_cut, g.xi_cut)
     h, c = (f, g0) if f.xi_cut > g.xi_cut else (g, f0)
     if c != 0.0 and h.xi_cut > hi:

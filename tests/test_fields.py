@@ -539,7 +539,7 @@ class TestCovarianceTwoSided:
         want = _two_sided_gauss_oracle(f_bump, g_bump)
         for a, b in ((f_bump, g_bump), (g_bump, f_bump)):
             got = covariance_two_sided(gaussian_bump(*a), gaussian_bump(*b), "fourier")
-            assert got == pytest.approx(want, rel=2e-15)
+            assert got == pytest.approx(want, rel=1e-15)
 
     @pytest.mark.parametrize("centre", [1.0, 3.0, 10.0, -10.0])
     def test_fourier_on_a_shared_nonzero_centre(self, centre):

@@ -111,7 +111,7 @@ class TestGffCovariance:
     def test_radial_reduction_against_tensor_grid(self):
         f = make_s0_function(4.0, 0.25, d=2)
         radial = gff_covariance(f, f)
-        tensor = _pair_integral_tensor2d(f, f, lambda r: 1.0 / (r * r), 0.0, 0.0)
+        tensor = _pair_integral_tensor2d(f, f, lambda r: 1.0 / (r * r))
         assert radial == pytest.approx(tensor, abs=1e-8)
 
     def test_radial_rule_is_64_panels_of_16(self):
