@@ -14,7 +14,6 @@ from .basis import (
     build_box_basis,
     build_hermite_basis,
     build_interval_basis,
-    evaluate,
 )
 from .dynamics import SpectralState, kakutani_statistic
 from .fields import (
@@ -41,7 +40,6 @@ __all__ = [
     "build_box_basis",
     "build_hermite_basis",
     "build_interval_basis",
-    "evaluate",
     "SpectralState",
     "kakutani_statistic",
     "RngStream",

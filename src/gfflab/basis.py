@@ -368,18 +368,6 @@ def _check_in_domain(x: np.ndarray, a: float, b: float) -> None:
         raise ValueError(f"point outside domain [{a}, {b}]")
 
 
-def evaluate(basis: EigenBasis, k: int, x) -> float:
-    """Value of the k-th eigenfunction (1-based) at a single point."""
-    if not 1 <= k <= basis.size:
-        raise ValueError(f"eigenfunction index {k} out of range 1..{basis.size}")
-    pt = np.atleast_1d(np.asarray(x, dtype=float))
-    if basis.d == 1:
-        vals = evaluate_matrix(basis, pt.reshape(-1))
-    else:
-        vals = evaluate_matrix(basis, pt.reshape(1, -1))
-    return float(vals[0, k - 1])
-
-
 def gram_matrix(basis: EigenBasis, n_nodes: int | None = None) -> np.ndarray:
     """L2 Gram matrix of the basis under Gauss quadrature.
 

@@ -3,9 +3,10 @@ heat equation, the Monte Carlo pairings they give, their stationary law
 and covariance, the Gaussian-equivalence statistic, and an Euler-Maruyama
 oracle used only for verification.
 
-Mode k relaxes at rate nu * lambda_k^2 toward a centered Gaussian with
-variance sigma^2 / (2 nu lambda_k^2); the transition from time zero is
-sampled exactly, so no time-discretization error enters production runs.
+Mode k follows the Ornstein-Uhlenbeck law of fourier_cov at q = lambda_k^2:
+it relaxes at rate nu * lambda_k^2 toward a centered Gaussian with variance
+sigma^2 / (2 nu lambda_k^2); the transition from time zero is sampled
+exactly, so no time-discretization error enters production runs.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ import numpy as np
 
 from .basis import EigenBasis
 from .fields import RngStream, sample_gff
+from .fourier_cov import ou_decay, ou_variance
 
 MC_BLOCK = 4096  # rows of normals drawn at a time; a memory tile only, the draws do not depend on it
 
@@ -39,22 +41,6 @@ class SpectralState:
         object.__setattr__(self, "coeffs", c)
         if self.nu <= 0.0 or self.sigma < 0.0:
             raise ValueError("need nu > 0 and sigma >= 0")
-
-
-def transition_moments(lam2, nu: float, sigma: float, dt: float):
-    """Decay factor and noise variance of the exact transition over dt:
-    mean multiplier exp(-nu lam2 dt), variance
-    sigma^2 (1 - exp(-2 nu lam2 dt)) / (2 nu lam2). Where 2 nu lam2
-    overflows, the variance is the stationary sigma^2 / (2 nu) / lam2."""
-    lam2 = np.asarray(lam2, dtype=float)
-    with np.errstate(over="ignore"):
-        decay = np.exp(-nu * lam2 * dt)
-        rate = 2.0 * nu * lam2
-        var = sigma**2 * (-np.expm1(-rate * dt)) / rate
-    overflow = np.isinf(rate)
-    if overflow.any():
-        var = np.where(overflow, sigma**2 / (2.0 * nu) / lam2, var)
-    return decay, var
 
 
 def em_oracle_step(state: SpectralState, dt: float, rng: np.random.Generator) -> SpectralState:
@@ -92,7 +78,7 @@ def kakutani_statistic(basis: EigenBasis, nu: float, t: float, terms: int | None
     n = basis.size if terms is None else terms
     if not 1 <= n <= basis.size:
         raise ValueError(f"terms must be in 1..{basis.size}")
-    q = np.exp(-2.0 * nu * np.square(basis.lambdas[:n]) * t)
+    q = ou_decay(np.square(basis.lambdas[:n]), nu, 2.0 * t)
     # sqrt(1-q) - 1 written as -q / (1 + sqrt(1-q)) to avoid cancellation
     q /= 1.0 + np.sqrt(1.0 - q)
     return float(np.sum(np.square(q, out=q)))
@@ -129,18 +115,20 @@ def sample_functional_values(
     array, using one exact transition from time zero.
 
     ``phi`` is None (zero start) or a coefficient vector (deterministic
-    start); the pairings are then exactly N(W^T (decay phi), W^T diag(var) W),
-    drawn by sample_gaussian.
+    start); the pairings are then exactly N(W^T (decay phi), W^T diag(var) W)
+    with the decay and variance of fourier_cov's law, drawn by
+    sample_gaussian.
     """
     basis.require_positive_spectrum("dynamics")
-    decay, var = transition_moments(basis.lambdas_squared, nu, sigma, t)
-    start = np.zeros(basis.size) if phi is None else decay * np.asarray(phi, dtype=float)
-    cov = weights.T @ (var[:, None] * weights)
-    return sample_gaussian(start @ weights, cov, n_samples, stream)
+    lam2 = basis.lambdas_squared
+    var = ou_variance(lam2, nu, sigma, t)
+    mean = 0.0 if phi is None else (ou_decay(lam2, nu, t) * np.asarray(phi, dtype=float)) @ weights
+    return sample_gaussian(mean, weights.T @ (var[:, None] * weights), n_samples, stream)
 
 
 def stationary_target(basis: EigenBasis, nu: float, sigma: float, weights: np.ndarray) -> np.ndarray:
-    """Limit covariance matrix sigma^2/(2 nu) sum_k f_k g_k / lambda_k^2."""
-    scale = sigma**2 / (2.0 * nu)
-    return scale * (weights.T @ (weights / basis.lambdas_squared[:, None]))
+    """Limit covariance matrix W^T diag(var) W with the stationary variance
+    sigma^2 / (2 nu lambda_k^2) of fourier_cov's law."""
+    var = ou_variance(basis.lambdas_squared, nu, sigma, math.inf)
+    return weights.T @ (var[:, None] * weights)
 

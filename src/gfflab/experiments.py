@@ -165,7 +165,8 @@ def _stationary_invariance_pvalues(basis, cfg, stream: RngStream):
     lam2 = basis.lambdas_squared[idx]
     scale = cfg.sigma / math.sqrt(2.0 * cfg.nu)
     start = scale * gen.standard_normal((n, len(modes))) / basis.lambdas[idx]
-    decay, var = dynamics.transition_moments(lam2, cfg.nu, cfg.sigma, INVARIANCE_STEP)
+    decay = fourier_cov.ou_decay(lam2, cfg.nu, INVARIANCE_STEP)
+    var = fourier_cov.ou_variance(lam2, cfg.nu, cfg.sigma, INVARIANCE_STEP)
     stepped = start * decay + np.sqrt(var) * gen.standard_normal((n, len(modes)))
     pvalues = [stats.ks_gaussian(stepped[:, j], 0.0, scale**2 / v)[1] for j, v in enumerate(lam2)]
     return list(zip(modes, pvalues))
@@ -391,12 +392,12 @@ def exp_two_sided_cov(cfg) -> ExperimentResult:
     s0a = fourier_cov.make_s0_function(4.0, 0.25)
     s0b = fourier_cov.make_s0_function(5.0, 0.3)
     lhs = fields.covariance_two_sided(s0a, s0b, "fourier")
-    rhs = fourier_cov.gff_covariance(s0a, s0b, nu_scale=1.0)
+    rhs = fourier_cov.gff_covariance(s0a, s0b)
     row("s0_pair", "fourier", lhs, rhs)
 
     tfa, tfb = (fourier_cov.gaussian_bump(c, w) for c, w in bumps)
     sub = fields.covariance_two_sided(tfa, tfb, "fourier")
-    unsub = fourier_cov.gff_covariance(tfa, tfb, nu_scale=1.0, check_floor=False)
+    unsub = fourier_cov.gff_covariance(tfa, tfb, check_floor=False)
     row("nonzero_mean", "subtracted", sub, gauss_target)
     # the unsubtracted integral diverges at xi = 0: it is not the covariance
     row("nonzero_mean", "unsubtracted", unsub, gauss_target)
@@ -420,7 +421,7 @@ def exp_fourier_limits(cfg) -> ExperimentResult:
     phi = fourier_cov.gaussian_bump(0.0, 1.0)
     rows = []
 
-    limit = fourier_cov.gff_covariance(f, f, nu_scale=cfg.sigma**2 / (2.0 * cfg.nu))
+    limit = cfg.sigma**2 / (2.0 * cfg.nu) * fourier_cov.gff_covariance(f, f)
     t_star = 40.0 / (cfg.nu * (f.params["freq"] / 2.0) ** 2)
     at_t = fourier_cov.transient_covariance(f, f, t_star, cfg.nu, cfg.sigma)
     rel_gap = abs(at_t - limit) / limit

@@ -2,7 +2,9 @@
 functions whose transforms vanish near the origin, the free-field
 covariance integral, the two-sided Brownian covariance on the line, the
 finite-time covariance of the whole-space heat evolution, and massive-case
-limits.
+limits; and the Ornstein-Uhlenbeck law of one frequency q that both the
+Fourier weights (q = |xi|^2) and the spectral transitions of dynamics
+(q = lambda_k^2) use.
 
 Conventions: unitary Fourier transform fhat(xi) = (2 pi)^(-d/2) *
 integral of exp(-i x.xi) f(x) dx, so Parseval holds without extra factors.
@@ -31,6 +33,28 @@ def _smooth_step(u):
         hi = np.where(u < 1.0, np.exp(-1.0 / np.maximum(1.0 - u, 1e-300)), 0.0)
     out = np.where(u <= 0.0, 0.0, np.where(u >= 1.0, 1.0, lo / (lo + hi)))
     return out
+
+
+def ou_decay(q, nu: float, t: float):
+    """exp(-nu q t), the mean multiplier of the Ornstein-Uhlenbeck law of
+    frequency q over time t; 0 where nu q t overflows."""
+    with np.errstate(over="ignore"):
+        return np.exp(-nu * np.asarray(q, dtype=float) * t)
+
+
+def ou_variance(q, nu: float, sigma: float, t: float):
+    """sigma^2 (1 - exp(-2 nu q t)) / (2 nu q), the variance the law gains
+    from a zero start over time t; t = inf gives the stationary
+    sigma^2 / (2 nu q), and q + eps the massive law. Where 2 nu q overflows,
+    the variance is the stationary sigma^2 / (2 nu) / q."""
+    q = np.asarray(q, dtype=float)
+    with np.errstate(over="ignore"):
+        rate = 2.0 * nu * q
+        var = sigma**2 * (-np.expm1(-rate * t)) / rate
+    overflow = np.isinf(rate)
+    if overflow.any():
+        var = np.where(overflow, sigma**2 / (2.0 * nu) / q, var)
+    return var
 
 
 def surface_measure(d: int) -> float:
@@ -219,14 +243,8 @@ def _check_floor(f: TestFunction, name: str) -> None:
         )
 
 
-def gff_covariance(
-    f: TestFunction,
-    g: TestFunction,
-    nu_scale: float = 1.0,
-    check_floor: bool = True,
-) -> float:
-    """nu_scale times the free-field covariance integral of fhat conj(ghat)
-    over |xi|^2.
+def gff_covariance(f: TestFunction, g: TestFunction, check_floor: bool = True) -> float:
+    """The free-field covariance integral of fhat conj(ghat) over |xi|^2.
 
     In d <= 2 both functions must carry an annulus floor (the integrand is
     otherwise non-integrable at the origin); pass check_floor=False only
@@ -235,8 +253,7 @@ def gff_covariance(
     if check_floor and f.d <= 2:
         _check_floor(f, "f")
         _check_floor(g, "g")
-    value = _pair_integral(f, g, lambda r: 1.0 / (r * r))
-    return nu_scale * value
+    return _pair_integral(f, g, lambda r: 1.0 / (r * r))
 
 
 def two_sided_covariance(f: TestFunction, g: TestFunction) -> float:
@@ -275,19 +292,14 @@ def transient_covariance(f: TestFunction, g: TestFunction, t: float, nu: float, 
         raise ValueError(f"time must be non-negative, got {t}")
     if nu <= 0.0:
         raise ValueError(f"nu must be positive, got {nu}")
-
-    def noise_weight(r):
-        z = 2.0 * t * nu * r * r
-        return sigma**2 * (-np.expm1(-z)) / (2.0 * nu * r * r)
-
-    return _pair_integral(f, g, noise_weight)
+    return _pair_integral(f, g, lambda r: ou_variance(r * r, nu, sigma, t))
 
 
 def heat_pairing(phi: TestFunction, f: TestFunction, t: float, nu: float) -> float:
     """The pairing of f with the start phi after heat flow for time t: the
     integral of phihat conj(fhat) exp(-t nu |xi|^2), which decays to zero
     as t grows."""
-    return _pair_integral(phi, f, lambda r: np.exp(-t * nu * r * r))
+    return _pair_integral(phi, f, lambda r: ou_decay(r * r, nu, t))
 
 
 def massive_limit_covariance(
@@ -304,23 +316,4 @@ def massive_limit_covariance(
         raise ValueError(f"mass eps must be positive, got {eps}")
     if nu <= 0.0:
         raise ValueError(f"nu must be positive, got {nu}")
-    return _pair_integral(
-        f, g, lambda r: sigma**2 / (2.0 * nu * (r * r + eps))
-    )
-
-
-def hhat_norms(f: TestFunction, gamma: float, variant: str = "homogeneous", eps: float = 1.0) -> float:
-    """Squared Sobolev-type norms of f in the Fourier domain: 'homogeneous'
-    weighs |fhat|^2 by |xi|^(2 gamma) and is rejected as divergent for
-    gamma <= -d/2 when fhat(0) != 0; 'bessel' weighs it by (eps + |xi|^2)^gamma."""
-    if variant == "homogeneous":
-        if gamma <= -0.5 * f.d and abs(_fhat0(f)) > FLOOR_TOL:
-            raise ValueError(f"homogeneous norm diverges for gamma = {gamma} <= -d/2 with fhat(0) != 0")
-        weight = lambda r: r ** (2.0 * gamma)
-    elif variant == "bessel":
-        if eps <= 0.0:
-            raise ValueError("bessel variant needs eps > 0")
-        weight = lambda r: (eps + r * r) ** gamma
-    else:
-        raise ValueError(f"unknown variant {variant!r}")
-    return _pair_integral(f, f, weight)
+    return _pair_integral(f, g, lambda r: ou_variance(r * r + eps, nu, sigma, math.inf))

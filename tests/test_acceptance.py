@@ -16,7 +16,6 @@ from gfflab.dynamics import (
     kakutani_statistic,
     sample_functional_values,
     stationary_target,
-    transition_moments,
 )
 from gfflab.experiments import _two_sided_gauss_oracle, standard_functionals
 from gfflab.fields import RngStream, covariance_two_sided, sample_brownian_bridge
@@ -26,6 +25,8 @@ from gfflab.fourier_cov import (
     heat_pairing,
     make_s0_function,
     massive_limit_covariance,
+    ou_decay,
+    ou_variance,
     transient_covariance,
 )
 from gfflab.greens import (
@@ -65,7 +66,7 @@ def test_criterion_01_stationary_bounded_domain():
 def test_criterion_02_ou_exactness(em_moments, em_ensemble):
     # the exact transition against the Euler-Maruyama oracle, lambda = nu = sigma = 1
     n, t_end = 100000, 1.0
-    decay, var_exact = transition_moments(1.0, 1.0, 1.0, t_end)
+    decay, var_exact = ou_decay(1.0, 1.0, t_end), ou_variance(1.0, 1.0, 1.0, t_end)
 
     # exact one-step draws against the closed form, 3 sigma bands
     basis = build_interval_basis("dirichlet", 0.0, math.pi, 1)  # lambda = 1
@@ -98,7 +99,7 @@ def test_criterion_02_ou_exactness(em_moments, em_ensemble):
     # reproduces the closed form to 1e-14 relative
     var = 0.0
     for piece in (0.17, 0.03, 0.4, 0.25, 0.15):
-        d, s = transition_moments(1.0, 1.0, 1.0, piece)
+        d, s = ou_decay(1.0, 1.0, piece), ou_variance(1.0, 1.0, 1.0, piece)
         var = var * d * d + s
     closed = 0.5 * (1.0 - math.exp(-2.0))
     exactness_ok = abs(var - closed) <= 1e-14 * closed
@@ -207,13 +208,13 @@ def test_criterion_07_one_dimensional_covariance_chain():
 
     s0a = make_s0_function(4.0, 0.25)
     s0b = make_s0_function(5.0, 0.3)
-    exact_ok = covariance_two_sided(s0a, s0b, "fourier") == gff_covariance(s0a, s0b, nu_scale=1.0)
+    exact_ok = covariance_two_sided(s0a, s0b, "fourier") == gff_covariance(s0a, s0b)
 
     f = gaussian_bump(0.4, 1.0)
     g = gaussian_bump(-0.2, 0.7)
     gap = abs(
         covariance_two_sided(f, g, "fourier")
-        - gff_covariance(f, g, nu_scale=1.0, check_floor=False)
+        - gff_covariance(f, g, check_floor=False)
     )
     not_gff_ok = gap > 1e-3
 
@@ -229,7 +230,7 @@ def test_criterion_08_whole_space_limit():
     nu = sigma = 1.0
     f = make_s0_function(4.0, 0.25)
     t_star = 40.0 / (nu * (f.params["freq"] / 2.0) ** 2)
-    limit = gff_covariance(f, f, nu_scale=sigma**2 / (2.0 * nu))
+    limit = sigma**2 / (2.0 * nu) * gff_covariance(f, f)
     val = transient_covariance(f, f, t_star, nu, sigma)
     rel_gap = abs(val - limit) / limit
 
@@ -251,7 +252,7 @@ def test_criterion_09_massive_case(massive_oracle_1d):
     oracle_rel = abs(value - massive_oracle_1d) / abs(massive_oracle_1d)
 
     f = make_s0_function(4.0, 0.25)
-    limit = gff_covariance(f, f, nu_scale=sigma**2 / (2.0 * nu))
+    limit = sigma**2 / (2.0 * nu) * gff_covariance(f, f)
     massless_gap = abs(massive_limit_covariance(f, f, nu, 1e-8, sigma) - limit)
 
     ok = verdict(
@@ -310,7 +311,7 @@ def test_criterion_12_hermite_stationarity():
     lam2 = basis.lambdas_squared
     scale = 1.0 / math.sqrt(2.0)
     vals = scale * gen.standard_normal((n, 64)) / basis.lambdas
-    d, v = transition_moments(lam2, 1.0, 1.0, 0.3)
+    d, v = ou_decay(lam2, 1.0, 0.3), ou_variance(lam2, 1.0, 1.0, 0.3)
     vals = vals * d + np.sqrt(v) * gen.standard_normal((n, 64))
     p_values = []
     for kmode in (1, 32, 64):

@@ -15,7 +15,6 @@ from gfflab.basis import (
     build_hermite_basis,
     build_interval_basis,
     eigen_residual,
-    evaluate,
     evaluate_matrix,
     gram_matrix,
     sinpi,
@@ -103,11 +102,11 @@ class TestIntervalBasis:
 
     def test_dirichlet_midpoint_value(self):
         b = build_interval_basis("dirichlet", 0.0, 1.0, 1)
-        assert evaluate(b, 1, 0.5) == pytest.approx(math.sqrt(2.0), rel=1e-15)
+        assert evaluate_matrix(b, 0.5)[0, 0] == pytest.approx(math.sqrt(2.0), rel=1e-15)
 
     def test_evaluate_quarter_point(self):
         b = build_interval_basis("dirichlet", 0.0, 1.0, 4)
-        assert evaluate(b, 2, 0.25) == pytest.approx(math.sqrt(2.0), rel=1e-15)
+        assert evaluate_matrix(b, 0.25)[0, 1] == pytest.approx(math.sqrt(2.0), rel=1e-15)
 
     def test_mixed_eigenvalues_against_characteristic_roots(self):
         # oracle: roots of cos(lambda) = 0 located by bisection
@@ -122,13 +121,12 @@ class TestIntervalBasis:
     def test_neumann_has_constant_mode(self):
         b = build_interval_basis("neumann", 0.0, 2.0, 3)
         assert b.lambdas[0] == 0.0
-        assert evaluate(b, 1, 0.3) == pytest.approx(math.sqrt(0.5), rel=1e-15)
+        assert evaluate_matrix(b, 0.3)[0, 0] == pytest.approx(math.sqrt(0.5), rel=1e-15)
 
     def test_boundary_values_exact_zero(self):
         b = build_interval_basis("dirichlet", 0.0, 1.0, 7)
         for k in range(1, 8):
-            assert evaluate(b, k, 0.0) == 0.0
-            assert evaluate(b, k, 1.0) == 0.0
+            assert evaluate_matrix(b, [0.0, 1.0])[:, k - 1].tolist() == [0.0, 0.0]
 
     def test_invalid_interval_rejected(self):
         with pytest.raises(ValueError, match="a < b"):
@@ -150,7 +148,7 @@ class TestBoxBasis:
         assert np.array_equal(box.lambdas, line.lambdas)
         for x in (0.13, 0.5, 0.77):
             for k in (1, 5, 12):
-                assert evaluate(box, k, x) == evaluate(line, k, x)
+                assert evaluate_matrix(box, x)[0, k - 1] == evaluate_matrix(line, x)[0, k - 1]
 
     def test_weyl_ratio_against_lattice_count(self):
         b = build_box_basis(2, 1.0, 10000)
@@ -194,7 +192,7 @@ class TestHermiteBasis:
 
     def test_ground_state_normalization(self):
         b = build_hermite_basis(1, 1)
-        assert evaluate(b, 1, 0.0) == pytest.approx(np.pi**-0.25, rel=1e-15)
+        assert evaluate_matrix(b, 0.0)[0, 0] == pytest.approx(np.pi**-0.25, rel=1e-15)
 
     def test_eigenvalues_2d(self):
         b = build_hermite_basis(2, 3)
@@ -217,7 +215,7 @@ class TestHermiteBasis:
         norm = math.pi**-0.25 * 2 ** (-n / 2) / math.sqrt(math.factorial(n))
         expected = float(h_poly) * norm * math.exp(-float(x) ** 2 / 2)
         b = build_hermite_basis(1, 25)
-        assert evaluate(b, 21, 1.3) == pytest.approx(expected, rel=1e-12)
+        assert evaluate_matrix(b, 1.3)[0, 20] == pytest.approx(expected, rel=1e-12)
 
     def test_oversized_request_rejected(self):
         with pytest.raises(ValueError, match="exceeds"):
@@ -441,25 +439,19 @@ class TestInvariants:
 
 
 class TestEvaluation:
-    def test_index_out_of_range(self, dirichlet16):
-        with pytest.raises(ValueError, match="out of range"):
-            evaluate(dirichlet16, 17, 0.5)
-        with pytest.raises(ValueError, match="out of range"):
-            evaluate(dirichlet16, 0, 0.5)
-
     def test_point_outside_domain(self, dirichlet16):
         with pytest.raises(ValueError, match="outside"):
-            evaluate(dirichlet16, 1, 1.5)
+            evaluate_matrix(dirichlet16, 1.5)
 
     def test_hermite_accepts_any_real(self, hermite16):
-        assert np.isfinite(evaluate(hermite16, 16, 25.0))
+        assert np.isfinite(evaluate_matrix(hermite16, 25.0)[0, 15])
 
     def test_matrix_matches_pointwise(self, dirichlet16):
         pts = np.array([0.1, 0.5, 0.9])
         m = evaluate_matrix(dirichlet16, pts)
         for i, x in enumerate(pts):
             for k in range(1, 17):
-                assert m[i, k - 1] == evaluate(dirichlet16, k, x)
+                assert m[i, k - 1] == evaluate_matrix(dirichlet16, x)[0, k - 1]
 
     def test_box_evaluation_is_product(self):
         b = build_box_basis(2, 1.0, 6)
@@ -467,8 +459,8 @@ class TestEvaluation:
         x = (0.3, 0.8)
         for k in range(1, 7):
             n1, n2 = b.indices[k - 1]
-            expected = evaluate(line, int(n1), x[0]) * evaluate(line, int(n2), x[1])
-            assert evaluate(b, k, x) == pytest.approx(expected, rel=1e-14)
+            expected = evaluate_matrix(line, x[0])[0, n1 - 1] * evaluate_matrix(line, x[1])[0, n2 - 1]
+            assert evaluate_matrix(b, x)[0, k - 1] == pytest.approx(expected, rel=1e-14)
 
 
 class TestHelpers:

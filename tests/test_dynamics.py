@@ -1,5 +1,4 @@
 import math
-import warnings
 
 import numpy as np
 import pytest
@@ -15,11 +14,11 @@ from gfflab.dynamics import (
     sample_gaussian,
     stationary_sample,
     stationary_target,
-    transition_moments,
 )
 from gfflab.cli import ExperimentConfig
 from gfflab.experiments import _stationary_reports, standard_functionals
 from gfflab.fields import RngStream, sample_gff
+from gfflab.fourier_cov import ou_decay, ou_variance
 from gfflab.stats import ks_gaussian, kolmogorov_sf, report_from_values, summarize_convergence
 
 
@@ -37,49 +36,6 @@ def one_generator_sample_gaussian(mean, cov, n_samples, stream):
 @pytest.fixture()
 def single_mode():
     return build_interval_basis("dirichlet", 0.0, math.pi, 1)  # lambda = pi/L = 1
-
-
-class TestTransitionMoments:
-    def test_halving_time_plugin(self):
-        _, var = transition_moments(1.0, 1.0, 1.0, math.log(2.0) / 2.0)
-        assert var == pytest.approx(0.25, rel=1e-15)
-
-    def test_saturation_is_exact(self):
-        decay, var = transition_moments(1.0, 1.0, 1.0, 60.0)
-        assert var == 0.5
-        assert decay == pytest.approx(0.0, abs=1e-25)
-
-    def test_composition_matches_closed_form(self):
-        lam2, nu, sigma = 4.0, 0.7, 1.3
-        parts = [0.1, 0.25, 0.4, 0.05, 0.7, 0.3, 0.2]
-        var = 0.0
-        for dt in parts:
-            d, s = transition_moments(lam2, nu, sigma, dt)
-            var = var * d * d + s
-        _, direct = transition_moments(lam2, nu, sigma, sum(parts))
-        assert var == pytest.approx(direct, rel=1e-14)
-
-    def test_decay_composition(self):
-        lam2 = np.array([1.0, 9.8696, 400.0])
-        total = np.ones(3)
-        for dt in (0.17, 0.03, 0.8):
-            total *= transition_moments(lam2, 1.0, 1.0, dt)[0]
-        direct = transition_moments(lam2, 1.0, 1.0, 1.0)[0]
-        assert np.allclose(total, direct, rtol=1e-13)
-
-    def test_overflowing_rate_keeps_the_stationary_variance(self):
-        # 2 nu lam2 = 3.3e308 overflows for the last mode, whose variance read 0
-        lam2 = np.array([1.0, 1.66e8])
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            decay, var = transition_moments(lam2, 1e300, 1e100, 5.0)
-        assert np.array_equal(decay, [0.0, 0.0])
-        assert var[1] == 1e200 / 2e300 / 1.66e8
-        assert transition_moments(1.66e8, 1e300, 1e100, 5.0)[1] == var[1]  # a scalar lam2 too
-        # bit for bit the closed form wherever 2 nu lam2 is finite
-        assert var[0] == 1e200 * (-np.expm1(-2e300 * 5.0)) / 2e300
-        closed = 1.3**2 * (-np.expm1(-2.0 * 0.7 * 4.0 * 0.3)) / (2.0 * 0.7 * 4.0)
-        assert transition_moments(4.0, 0.7, 1.3, 0.3)[1] == closed
 
 
 class TestExactStep:
@@ -104,7 +60,7 @@ class TestExactStep:
         # recursions, so its weak error is checked without sampling noise:
         # the gaps to the exact transition halve with dt (weak order 1, the
         # ratio tends to 2) and Richardson extrapolation leaves O(dt^2).
-        decay, var = transition_moments(1.0, 1.0, 1.0, 1.0)
+        decay, var = ou_decay(1.0, 1.0, 1.0), ou_variance(1.0, 1.0, 1.0, 1.0)
         exact = np.array([decay, var])
         dts = [1e-2 / 2**j for j in range(6)]
         gaps = np.array([np.subtract(em_moments(dt), exact) for dt in dts])
@@ -175,7 +131,7 @@ class TestEvolve:
         gen = RngStream(36, (0,)).generator()
         state = np.ones(n)
         for _ in range(2):
-            d, v = transition_moments(1.0, 1.0, 1.0, 0.5)
+            d, v = ou_decay(1.0, 1.0, 0.5), ou_variance(1.0, 1.0, 1.0, 0.5)
             state = state * d + math.sqrt(v) * gen.standard_normal(n)
         se_mean = math.hypot(one.std(ddof=1), state.std(ddof=1)) / math.sqrt(n)
         assert one.mean() == pytest.approx(state.mean(), abs=3.0 * se_mean)
@@ -189,7 +145,7 @@ class TestEvolve:
         nu, sigma, gamma, t = 1.0, 1.0, 0.75, 0.3
         lam2 = dirichlet16.lambdas_squared
         phi = 1.0 / np.arange(1, 17)
-        _, var = transition_moments(lam2, nu, sigma, t)
+        var = ou_variance(lam2, nu, sigma, t)
         second_moment = float(
             np.sum(lam2 ** (1 - gamma) * (np.exp(-2 * nu * lam2 * t) * phi**2 + var))
         )
@@ -220,7 +176,7 @@ class TestStationary:
         lam2 = dirichlet16.lambdas_squared
         scale = 1.0 / math.sqrt(2.0)
         start = scale * gen.standard_normal((n, 16)) / dirichlet16.lambdas
-        d, v = transition_moments(lam2, 1.0, 1.0, 0.37)
+        d, v = ou_decay(lam2, 1.0, 0.37), ou_variance(lam2, 1.0, 1.0, 0.37)
         stepped = start * d + np.sqrt(v) * gen.standard_normal((n, 16))
         target = 0.5 / lam2
         var = stepped.var(axis=0, ddof=1)
@@ -234,7 +190,7 @@ class TestStationary:
         scale = 1.0 / math.sqrt(2.0)
         vals = scale * gen.standard_normal((n, 16)) / dirichlet16.lambdas
         for _ in range(5):
-            d, v = transition_moments(lam2, 1.0, 1.0, 0.2)
+            d, v = ou_decay(lam2, 1.0, 0.2), ou_variance(lam2, 1.0, 1.0, 0.2)
             vals = vals * d + np.sqrt(v) * gen.standard_normal((n, 16))
         for k in (1, 8, 16):
             _, p = ks_gaussian(vals[:, k - 1], 0.0, 0.5 / lam2[k - 1])
@@ -345,7 +301,7 @@ def per_mode_pairings(basis, nu, sigma, start, t, n_samples, weights, stream):
     ``start``, in blocks of MC_BLOCK rows from the stream's generator, then
     paired with the weights. It is the per-mode block loop the library used
     before it drew the p pairings through their p x p covariance factor."""
-    decay, var = transition_moments(basis.lambdas_squared, nu, sigma, t)
+    decay, var = ou_decay(basis.lambdas_squared, nu, t), ou_variance(basis.lambdas_squared, nu, sigma, t)
     sd = np.sqrt(var)
     gen = stream.generator()
     blocks = []
@@ -394,7 +350,8 @@ class TestReducedRankSampler:
 
     def test_moments_are_exact(self, dirichlet16, weights):
         phi = np.linspace(1.0, -1.0, 16)
-        decay, var = transition_moments(dirichlet16.lambdas_squared, 1.0, 1.0, self.T)
+        lam2 = dirichlet16.lambdas_squared
+        decay, var = ou_decay(lam2, 1.0, self.T), ou_variance(lam2, 1.0, 1.0, self.T)
         vals = sample_functional_values(
             dirichlet16, 1.0, 1.0, phi, self.T, self.N, weights, RngStream(47, (0,))
         )

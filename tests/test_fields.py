@@ -552,13 +552,13 @@ class TestCovarianceTwoSided:
     def test_s0_fourier_equals_free_field_exactly(self):
         f = make_s0_function(4.0, 0.25)
         g = make_s0_function(5.0, 0.3)
-        assert covariance_two_sided(f, g, "fourier") == gff_covariance(f, g, nu_scale=1.0)
+        assert covariance_two_sided(f, g, "fourier") == gff_covariance(f, g)
 
     def test_nonzero_mean_pair_differs_from_unsubtracted(self):
         f = gaussian_bump(0.4, 1.0)
         g = gaussian_bump(-0.2, 0.7)
         sub = covariance_two_sided(f, g, "fourier")
-        unsub = gff_covariance(f, g, nu_scale=1.0, check_floor=False)
+        unsub = gff_covariance(f, g, check_floor=False)
         assert abs(sub - unsub) > 1e-3
 
     def test_fourier_mode_only_on_the_line(self):

@@ -29,9 +29,7 @@ KEPT = {
     "fields.sample_gff": "direct draw of the free field, the Monte Carlo check of series_green",
     "fields.field_values": "pointwise values of free-field draws, checked against series_green",
     "dynamics.stationary_sample": "the invariant law as the scaled free field (the paper's claim)",
-    "fourier_cov.hhat_norms": "Fourier-side Sobolev norms of the test functions the fields pair with",
     "basis.hermite_functions": "evaluate_matrix's Hermite columns, checked by the gram and eigen oracles",
-    "basis.evaluate": "the exported point evaluator of one eigenfunction",
 }
 
 
