@@ -199,6 +199,11 @@ class TestOuLaw:
         for q, nu, sigma in [(1.0, 1.0, 1.0), (4.0, 0.7, 1.3), (np.pi**2 * 7.0, 0.3, 1.7), (1e-3, 4.0, 3.0)]:
             assert ou_variance(q, nu, sigma, math.inf) == sigma**2 / (2.0 * nu * q)
 
+    def test_zero_time_is_the_start(self):
+        q = np.array([1e-3, 1.0, 1e6])
+        assert np.array_equal(ou_decay(q, 0.7, 0.0), [1.0, 1.0, 1.0])
+        assert np.array_equal(ou_variance(q, 0.7, 1.3, 0.0), [0.0, 0.0, 0.0])
+
     def test_composition_matches_closed_form(self):
         q, nu, sigma = 4.0, 0.7, 1.3
         parts = [0.1, 0.25, 0.4, 0.05, 0.7, 0.3, 0.2]
@@ -261,6 +266,16 @@ class TestTransientAgainstClosedForm:
                     want = bump_transient_variance(d, width, nu, 1.7, t_nu / nu)
                     assert got == pytest.approx(want, rel=2e-14), (width, nu, t_nu)
 
+    def test_stationary_gaussian_bump_in_d3(self):
+        # t = inf is the free-field covariance, finite for the bump in d = 3;
+        # measured worst relerr 2.2e-16
+        for width in (0.7, 1.0, 2.0):
+            f = gaussian_bump(np.zeros(3), width, 3)
+            for nu in (0.3, 1.0, 4.0):
+                got = transient_covariance(f, f, math.inf, nu, 1.7)
+                want = bump_transient_variance(3, width, nu, 1.7, math.inf)
+                assert got == pytest.approx(want, rel=2e-14), (width, nu)
+
     @pytest.mark.xfail(
         strict=True,
         reason="the uniform radial rule cannot resolve the weight's 1/sqrt(2 t nu) "
@@ -270,6 +285,33 @@ class TestTransientAgainstClosedForm:
         f = gaussian_bump(0.0, 1.0)
         got = transient_covariance(f, f, 1e4, 1.0, 1.7)
         assert got == pytest.approx(bump_transient_variance(1, 1.0, 1.0, 1.7, 1e4), rel=2e-14)
+
+
+def bump_massive_variance(d, width, nu, sigma, eps):
+    """Stationary variance of the massive law tested against the centred
+    Gaussian bump of the given width on R^d, d = 1 or 3, in closed form:
+    with a = width^2 and T = pi / (2 sqrt(eps)) exp(a eps) erfc(sqrt(a eps)),
+    the integral of exp(-a r^2) / (r^2 + eps) over r > 0, the radial factor
+    is T in d = 1 and sqrt(pi / a) / 2 - eps T in d = 3."""
+    a = width * width
+    tail = math.pi / (2.0 * math.sqrt(eps)) * math.exp(a * eps) * math.erfc(math.sqrt(a * eps))
+    radial = tail if d == 1 else 0.5 * math.sqrt(math.pi / a) - eps * tail
+    sphere = {1: 2.0, 3: 4.0 * math.pi}[d]
+    return sigma**2 / (2.0 * nu) * sphere * width ** (2 * d) * radial
+
+
+class TestMassiveAgainstClosedForm:
+    @pytest.mark.parametrize("d", [1, 3])
+    def test_gaussian_bump(self, d):
+        # measured worst relerr 4.2e-13 (d = 1, width 0.7, eps = 0.01), where
+        # the weight's peak has width sqrt(eps) = 0.1
+        for width in (0.7, 1.0, 2.0):
+            f = gaussian_bump(np.zeros(d), width, d)
+            for nu in (0.3, 1.0, 4.0):
+                for eps in (0.01, 0.1, 1.0, 4.0):
+                    got = massive_limit_covariance(f, f, nu, eps, 1.7)
+                    want = bump_massive_variance(d, width, nu, 1.7, eps)
+                    assert got == pytest.approx(want, rel=1e-12), (width, nu, eps)
 
 
 class TestMassiveLimit:
