@@ -1,30 +1,55 @@
 """Fixed-node Gauss quadrature helpers shared across the package.
 
 All rules are deterministic for a given node count; node/weight tables are
-cached so repeated calls reuse the same arrays.
+cached so repeated calls reuse the same arrays. The rules a registered run
+uses are read from a committed table instead of being solved.
 """
 
 from __future__ import annotations
 
+from collections import deque
 from functools import lru_cache
+from pathlib import Path
 
 import numpy as np
 
-# nodes per pass of a nested rule (outer rows times the inner nodes of a row):
-# each tile is reduced to its row sums before the next one is built, so a
-# scratch array holds 32 KiB however many rows there are. At 4096 the traced
-# peak of fourier_limits is 0.36 MiB and of two_sided_cov 0.37 MiB (5.42 and
-# 1.96 MiB untiled); 2048 runs two_sided_cov about 1.5x slower, and 8192 or
+# nodes per pass of the nested rule of the fourier_limits oracle (outer rows
+# times the inner nodes of a row): each tile is reduced to its row sums before
+# the next one is built, so a scratch array holds 32 KiB however many rows
+# there are. At 4096 its traced peak is 0.36 MiB (5.42 MiB untiled); 8192 or
 # more gives no lower process RSS. Row sums, and so every bit, do not depend on it.
 TILE_NODES = 4096
 
+# the rules of a registered run, (kind, n) in the order of TABLE, which holds
+# each rule's nodes then weights: the very bits that _leggauss(n) and
+# numpy.polynomial.hermite.hermgauss(n) compute. Read on the first lookup.
+TABULATED = (("legendre", 16), ("legendre", 20), ("legendre", 256), ("hermite", 160))
+TABLE = Path(__file__).with_name("gauss_rules.npy")
 
-def _legendre(n: int, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(P_n(x), P_{n-1}(x)) by the three-term recurrence."""
+PANEL_NODES = 16  # nodes per panel of cumulative_legendre
+
+
+@lru_cache(maxsize=1)
+def _table() -> dict[tuple[str, int], tuple[np.ndarray, np.ndarray]]:
+    """TABLE split into read-only (nodes, weights) views, keyed as TABULATED."""
+    flat = np.load(TABLE)
+    flat.setflags(write=False)
+    rules, start = {}, 0
+    for kind, n in TABULATED:
+        rules[kind, n] = (flat[start : start + n], flat[start + n : start + 2 * n])
+        start += 2 * n
+    return rules
+
+
+def _legendre(n: int, x: np.ndarray):
+    """P_0(x), P_1(x), ..., P_n(x) for n >= 1, one at a time by the three-term
+    recurrence."""
     p0, p1 = np.ones_like(x), x
+    yield p0
     for j in range(2, n + 1):
+        yield p1
         p0, p1 = p1, ((2 * j - 1) * x * p1 - (j - 1) * p0) / j
-    return p1, p0
+    yield p1
 
 
 @lru_cache(maxsize=128)
@@ -32,20 +57,23 @@ def _leggauss(n: int) -> tuple[np.ndarray, np.ndarray]:
     """Gauss-Legendre rule on [-1, 1] in O(n^2) work (Hale & Townsend, SIAM J.
     Sci. Comput. 35 (2013)): Tricomi's asymptotic nodes on the positive half,
     float Newton steps, then one extended-precision step that also gives the
-    weights 2 / ((1 - x^2) P_n'(x)^2), P_n' moved to the new node by P_n''."""
+    weights 2 / ((1 - x^2) P_n'(x)^2), P_n' moved to the new node by P_n''.
+    The sizes in TABULATED are read from TABLE, which holds what this solve gives."""
+    if ("legendre", n) in TABULATED:
+        return _table()["legendre", n]
     theta = np.pi * (4.0 * np.arange(1, n // 2 + n % 2 + 1) - 1.0) / (4.0 * n + 2.0)
     x = np.cos(theta) * (
         1.0 - (n - 1.0) / (8.0 * n**3) - (39.0 - 28.0 / np.sin(theta) ** 2) / (384.0 * n**4)
     )
     x[n // 2 :] = 0.0  # the middle node of an odd rule
     for _ in range(100):
-        p, q = _legendre(n, x)
+        q, p = deque(_legendre(n, x), maxlen=2)
         dx = p * (x - 1.0) * (x + 1.0) / (n * (x * p - q))
         x = x - dx
         if np.max(np.abs(dx)) < 1e-10:
             break
     x = x.astype(np.longdouble)
-    p, q = _legendre(n, x)
+    q, p = deque(_legendre(n, x), maxlen=2)
     one_minus_x2 = (1 - x) * (1 + x)
     dp = n * (q - x * p) / one_minus_x2
     dx = p / dp
@@ -80,23 +108,38 @@ def composite_legendre(
     return x.reshape(-1), w.reshape(-1)
 
 
-def running_integral(h, start: float, x) -> np.ndarray:
-    """int_start^{x_i} h(y) dy at nodes x ordered away from start: one 24-point
-    Gauss-Legendre panel per gap, h called once per tile of TILE_NODES // 24
-    gaps, and the panel sums accumulated in node order."""
-    b = np.asarray(x, dtype=float)
-    a = np.concatenate(([start], b[:-1]))
-    sums = np.empty(b.size)
-    gaps = max(TILE_NODES // 24, 1)
-    for lo in range(0, b.size, gaps):
-        q, w = gauss_legendre(a[lo : lo + gaps], b[lo : lo + gaps], 24)
-        sums[lo : lo + gaps] = np.sum(w * h(q), axis=-1)
-    return np.cumsum(sums)
+@lru_cache(maxsize=1)
+def _panel_integration() -> np.ndarray:
+    """S[j, k] = int_{-1}^{x_j} l_k for the Lagrange basis l_k of the
+    PANEL_NODES-point Gauss-Legendre nodes x_j: with the exact expansion
+    l_k = sum_m (m + 1/2) w_k P_m(x_k) P_m and int_{-1}^x P_m =
+    (P_{m+1} - P_{m-1})(x) / (2m + 1) for m >= 1."""
+    x, w = _leggauss(PANEL_NODES)
+    p = np.array(list(_legendre(PANEL_NODES, x)))  # p[m, j] = P_m(x_j)
+    s = 0.5 * w * ((1.0 + x)[:, None] + (p[2:] - p[:-2]).T @ p[1:-1])
+    s.setflags(write=False)
+    return s
+
+
+def cumulative_legendre(values, a: float, b: float) -> np.ndarray:
+    """int_a^{x_i} h at the nodes x_i of composite_legendre(a, b, panels,
+    PANEL_NODES), from the values h(x_i) in node order: the totals of the
+    panels before x_i plus the integral of h's interpolant on its own panel,
+    exact for a polynomial of degree < PANEL_NODES on each panel. The values
+    reversed give int_{x_i}^b h, reversed."""
+    v = np.asarray(values, dtype=float).reshape(-1, PANEL_NODES)
+    half = 0.5 * (b - a) / v.shape[0]
+    totals = np.cumsum(v @ _leggauss(PANEL_NODES)[1])
+    before = np.concatenate(([0.0], totals[:-1]))
+    return (half * (before[:, None] + v @ _panel_integration().T)).reshape(-1)
 
 
 @lru_cache(maxsize=32)
 def gauss_hermite(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Nodes and weights for integrals against exp(-x^2) on the line."""
+    """Nodes and weights for integrals against exp(-x^2) on the line; the
+    sizes in TABULATED are read from TABLE, the others solved by numpy."""
+    if ("hermite", n) in TABULATED:
+        return _table()["hermite", n]
     x, w = np.polynomial.hermite.hermgauss(n)
     x.setflags(write=False)
     w.setflags(write=False)

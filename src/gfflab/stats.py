@@ -17,6 +17,14 @@ import numpy as np
 P_VALUE_FLOOR = 1e-12
 DEFAULT_Z_THRESHOLD = 4.0
 _erf = np.frompyfunc(math.erf, 1, 1)  # math.erf elementwise, bit for bit
+# Abramowitz & Stegun 7.1.26, erf(z) = 1 - t P(t) exp(-z^2) with t = 1 / (1 + p z)
+# for z >= 0 and |error| <= 1.5e-7; the coefficients of P from a5 down to a1
+_AS_P = 0.3275911
+_AS_COEFFS = (1.061405429, -1.453152027, 1.421413741, -0.284496736, 0.254829592)
+# the bound moves each KS deviation by at most 7.5e-8 (half its erf error), so
+# every sample whose bound deviation is within 4e-7 of the largest one holds
+# the exact maximum
+_KS_SLACK = 4e-7
 
 
 @dataclass(eq=False)
@@ -116,18 +124,38 @@ def kolmogorov_sf(lam: float) -> float:
     return 2.0 * s
 
 
+def _erf_bound(z: np.ndarray) -> np.ndarray:
+    """erf within 1.5e-7 by Abramowitz & Stegun 7.1.26, vectorised; |z| is
+    capped at 10, beyond which erf is 1 in double precision."""
+    a = np.minimum(np.abs(z), 10.0)
+    t = 1.0 / (1.0 + _AS_P * a)
+    poly = np.zeros_like(t)
+    for c in _AS_COEFFS:
+        poly = poly * t + c
+    return np.copysign(1.0 - poly * t * np.exp(-a * a), z)
+
+
 def ks_gaussian(samples, mu: float, var: float) -> tuple[float, float]:
     """One-sample Kolmogorov-Smirnov statistic and asymptotic p-value
-    against the normal law N(mu, var)."""
+    against the normal law N(mu, var). The CDF comes from math.erf, taken
+    only at the samples that a 1.5e-7 bound of it cannot rule out as the
+    largest deviation; D and p are those of math.erf at every sample."""
     x = np.sort(np.asarray(samples, dtype=float))
     n = x.size
     if n < 50:
         raise ValueError("need at least 50 samples for the KS test")
-    if var <= 0.0:
+    if not var > 0.0:
         raise ValueError(f"variance must be positive, got {var}")
+    if not (math.isfinite(mu) and np.all(np.isfinite(x))):
+        raise ValueError("KS samples and mean must be finite")
     sd = math.sqrt(var)
-    cdf = 0.5 * (1.0 + _erf((x - mu) / (sd * math.sqrt(2.0))).astype(float))
+    z = (x - mu) / (sd * math.sqrt(2.0))
     grid = np.arange(1, n + 1) / n
+    cdf = 0.5 * (1.0 + _erf_bound(z))
+    dev = np.maximum(grid - cdf, cdf - (grid - 1.0 / n))
+    near = np.flatnonzero(dev >= np.max(dev) - _KS_SLACK)
+    cdf = 0.5 * (1.0 + _erf(z[near]).astype(float))
+    grid = grid[near]
     d = float(max(np.max(grid - cdf), np.max(cdf - (grid - 1.0 / n))))
     p = kolmogorov_sf(math.sqrt(n) * d)
     return d, float(min(max(p, P_VALUE_FLOOR), 1.0))

@@ -682,7 +682,7 @@ class TestRunAll:
     def test_builds_no_large_gauss_rule(self, tmp_path, monkeypatch):
         # the radial pair integrals and the massive oracle run on 16-node
         # panels; the only larger rule left is the 256-node time rule of
-        # heat_poisson_identity
+        # heat_poisson_identity, and every rule comes from the table
         built = []
         rule = quadrature._leggauss
 
@@ -692,8 +692,7 @@ class TestRunAll:
 
         monkeypatch.setattr(quadrature, "_leggauss", recording)
         assert main(["run-all", "--seed", "7", "--out", str(tmp_path)]) == 0
-        assert set(built) <= {16, 20, 24, 256}
-        assert 256 in built
+        assert set(built) == {n for kind, n in quadrature.TABULATED if kind == "legendre"}
 
     def test_negative_seed_exits_two(self, tmp_path, capsys):
         assert main(["run-all", "--seed", "-1", "--out", str(tmp_path)]) == 2

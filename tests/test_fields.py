@@ -306,28 +306,25 @@ class TestTwoSidedBm:
 class TestAntiderivative:
     def test_matches_tail_integrals(self):
         f = lambda x: np.exp(-0.5 * x * x)
-        for x0 in (0.5, 1.5, -0.8):
-            val = two_sided_antiderivative(f, x0, r_max=12.0)
-            if x0 > 0:
-                q, w = gauss_legendre(x0, 12.0, 400)
-                expected = -float(np.sum(w * f(q)))
-            else:
-                q, w = gauss_legendre(-12.0, x0, 400)
-                expected = float(np.sum(w * f(q)))
-            assert val == pytest.approx(expected, abs=1e-12)
+        x, _, fa = two_sided_antiderivative(f, r_max=12.0, n_nodes=256)
+        right = x > 0
+        q, w = gauss_legendre(x[right], 12.0, 400)
+        np.testing.assert_allclose(fa[right], -np.sum(w * f(q), axis=-1), rtol=0.0, atol=1e-15)
+        q, w = gauss_legendre(-12.0, x[~right], 400)
+        np.testing.assert_allclose(fa[~right], np.sum(w * f(q), axis=-1), rtol=0.0, atol=1e-15)
 
     def test_rapid_decay(self):
         f = lambda x: np.exp(-0.5 * x * x)
-        tail = two_sided_antiderivative(f, 20.0, r_max=30.0)
+        x, _, fa = two_sided_antiderivative(f, r_max=30.0)
+        tail = fa[np.argmin(np.abs(x - 20.0))]
         assert abs(20.0**4 * tail) < 1e-8
 
     def test_transform_identity(self):
         # F-hat equals (fhat - fhat(0)) / (i xi) away from zero, and the
         # removable value at zero is -i fhat'(0)
         f = lambda x: np.exp(-0.5 * (x - 0.4) ** 2)
-        x, wx = composite_legendre(-20.0, 20.0, 128, 16)
+        x, wx, favals = two_sided_antiderivative(f, r_max=20.0, n_nodes=1024)
         fvals = f(x)
-        favals = two_sided_antiderivative(f, x, r_max=20.0)
         for xi in (0.5, 1.0, 3.0, -2.0):
             fhat_xi = np.sum(wx * fvals * np.exp(-1j * x * xi)) / math.sqrt(2 * math.pi)
             fhat_0 = np.sum(wx * fvals) / math.sqrt(2 * math.pi)
@@ -340,9 +337,24 @@ class TestAntiderivative:
             -float(np.sum(wx * x * fvals)), abs=1e-10
         )
 
-    def test_discontinuity_point_rejected(self):
-        with pytest.raises(ValueError, match="discontinuous"):
-            two_sided_antiderivative(lambda x: np.exp(-x * x), 0.0)
+    @pytest.mark.parametrize("n_nodes", [16, 256, 500])
+    def test_rule_is_the_mirrored_composite_rule(self, n_nodes):
+        # the discontinuity at 0 is a panel edge, never a node
+        x, w, _ = two_sided_antiderivative(lambda y: np.exp(-y * y), 7.5, n_nodes)
+        half, hw = composite_legendre(0.0, 7.5, max(n_nodes // 16, 1), 16)
+        assert np.array_equal(x, np.concatenate((-half[::-1], half)))
+        assert np.array_equal(w, np.concatenate((hw[::-1], hw)))
+        assert np.all(np.diff(x) > 0.0) and not np.any(x == 0.0)
+
+    def test_calls_f_once_per_node_and_sign(self):
+        calls = []
+
+        def f(y):
+            calls.append(y.shape)
+            return np.exp(-y * y)
+
+        two_sided_antiderivative(f, 20.0, 2048)
+        assert calls == [(2048,), (2048,)]
 
 
 def per_node_antiderivative(f, x, r_max):
@@ -411,14 +423,26 @@ class TestCovarianceTwoSided:
     @pytest.mark.parametrize("pair", sorted(PAIRS))
     def test_antiderivative_matches_per_node_loop(self, pair):
         f, g = PAIRS[pair]
-        total = 0.0
-        for sign in (1.0, -1.0):
-            x, w = composite_legendre(0.0, 20.0, 16, 16)
-            fa, ga = (per_node_antiderivative(h, sign * x, 20.0) for h in (f, g))
-            np.testing.assert_allclose(two_sided_antiderivative(f, sign * x), fa, rtol=1e-13)
-            total += float(np.sum(w * fa * ga))
+        x, w, fa = two_sided_antiderivative(f, 20.0, 256)
+        _, _, ga = two_sided_antiderivative(g, 20.0, 256)
+        ref_fa, ref_ga = (per_node_antiderivative(h, x, 20.0) for h in (f, g))
+        # 16 panels of width 1.25: worst 1.2e-14 for the odd pair at |x| ~ 1.5
+        np.testing.assert_allclose(fa, ref_fa, rtol=0.0, atol=2e-14)
+        expected = float(np.sum(w * ref_fa * ref_ga))
         got = covariance_two_sided(f, g, "antiderivative", n_nodes=256)
-        assert got == pytest.approx(total, rel=1e-13, abs=0.0)
+        assert got == pytest.approx(expected, rel=1e-13, abs=0.0)
+
+    @pytest.mark.parametrize("mode", ["direct", "antiderivative"])
+    def test_routes_call_f_and_g_once_per_node_and_sign(self, mode):
+        calls = {"f": [], "g": []}
+
+        def recorded(name, h):
+            return lambda y: calls[name].append(np.shape(y)) or h(y)
+
+        f, g = PAIRS["gauss"]
+        covariance_two_sided(recorded("f", f), recorded("g", g), mode, n_nodes=2048)
+        guard = [(1024,), (1024,)]  # _check_first_moment's 64 panels, both signs
+        assert calls == {"f": guard + [(2048,), (2048,)], "g": guard + [(2048,), (2048,)]}
 
     @pytest.mark.parametrize("mode", ["direct", "antiderivative"])
     @pytest.mark.parametrize("pair", sorted(PAIRS))

@@ -1,21 +1,19 @@
-import math
 
 import mpmath
 import numpy as np
 import pytest
 
-from gfflab import experiments, greens, quadrature
+from gfflab import experiments, greens
 from gfflab.cli import parse_config_text
 from gfflab.experiments import _massive_physical_oracle, exp_fourier_limits, exp_two_sided_cov
 from gfflab.fourier_cov import gaussian_bump
 from gfflab.quadrature import (
+    PANEL_NODES,
     TILE_NODES,
     composite_legendre,
+    cumulative_legendre,
     gauss_legendre,
-    running_integral,
 )
-
-GAPS_PER_TILE = TILE_NODES // 24
 
 
 def mp_legendre_rule(n, start, dps=40):
@@ -81,30 +79,66 @@ class TestCompositeAndRunning:
         assert np.array_equal(x, np.concatenate(xs))
         assert np.array_equal(w, np.concatenate(ws))
 
-    def test_running_integral_ascending_and_descending(self):
-        x = np.array([0.1, 0.5, 1.3, 2.0])
-        up = running_integral(np.exp, 0.0, x)
-        np.testing.assert_allclose(up, np.expm1(x), rtol=1e-14)
-        down = running_integral(np.exp, 3.0, x[::-1])
-        np.testing.assert_allclose(down, np.exp(x[::-1]) - math.exp(3.0), rtol=1e-14)
 
-    def test_running_integral_calls_integrand_once(self):
-        calls = []
+def per_panel_polynomial(coeffs, a, b):
+    """Values at the composite nodes, and the exact running integral there, of
+    the piecewise polynomial sum_m coeffs[p, m] t^m, t the local variable in
+    [-1, 1] of panel p."""
+    panels, degree = coeffs.shape[0], coeffs.shape[1] - 1
+    x, _ = composite_legendre(a, b, panels, PANEL_NODES)
+    t, _ = gauss_legendre(-1.0, 1.0, PANEL_NODES)
+    powers = t[:, None] ** np.arange(degree + 1)
+    values = coeffs @ powers.T
+    m = np.arange(degree + 1)
+    within = coeffs @ ((t[:, None] ** (m + 1) - (-1.0) ** (m + 1)) / (m + 1)).T
+    totals = coeffs @ ((1.0 - (-1.0) ** (m + 1)) / (m + 1))
+    half = 0.5 * (b - a) / panels
+    exact = half * (np.concatenate(([0.0], np.cumsum(totals)[:-1]))[:, None] + within)
+    return x, values.reshape(-1), exact.reshape(-1)
 
-        def h(y):
-            calls.append(y.shape)
-            return y * y
 
-        out = running_integral(h, 0.0, np.linspace(0.5, 4.0, 50))
-        assert calls == [(50, 24)]
-        assert out[-1] == pytest.approx(4.0**3 / 3.0, rel=1e-14)
+class TestCumulativeLegendre:
+    @pytest.mark.parametrize("panels", [1, 3, 40])
+    @pytest.mark.parametrize("degree", [0, 1, 7, 15])
+    def test_exact_for_per_panel_polynomials(self, panels, degree):
+        coeffs = np.random.default_rng(degree * 100 + panels).uniform(-1.0, 1.0, (panels, degree + 1))
+        _, values, exact = per_panel_polynomial(coeffs, -3.0, 5.0)
+        got = cumulative_legendre(values, -3.0, 5.0)
+        scale = 8.0 * float(np.max(np.abs(coeffs))) * (degree + 1)
+        assert float(np.max(np.abs(got - exact))) < 4e-16 * scale * panels
 
+    def test_degree_sixteen_is_not_exact(self):
+        coeffs = np.zeros((1, PANEL_NODES + 1))
+        coeffs[0, -1] = 1.0
+        _, values, exact = per_panel_polynomial(coeffs, -1.0, 1.0)
+        assert float(np.max(np.abs(cumulative_legendre(values, -1.0, 1.0) - exact))) > 1e-6
 
-def untiled_running_integral(h, start, x):
-    """running_integral as it was before tiling: one rule for every gap."""
-    edges = np.concatenate(([start], np.asarray(x, dtype=float)))
-    q, w = gauss_legendre(edges[:-1], edges[1:], 24)
-    return np.cumsum(np.sum(w * h(q), axis=-1))
+    def test_matches_erf_forward_and_reversed(self):
+        # relative to erf closed forms in mpmath: the reversed values give the
+        # tails, down to 4e-14 of the total next to b, as accurately as the
+        # forward ones give the heads
+        a, b = -3.0, 5.0
+        x, _ = composite_legendre(a, b, 40, PANEL_NODES)
+        h = np.exp(-x * x)
+        with mpmath.workdps(30):
+            c = mpmath.sqrt(mpmath.pi) / 2
+            head = np.array([float(c * (mpmath.erf(v) - mpmath.erf(a))) for v in x])
+            tail = np.array([float(c * (mpmath.erf(b) - mpmath.erf(v))) for v in x])
+        np.testing.assert_allclose(cumulative_legendre(h, a, b), head, rtol=1e-13, atol=0.0)
+        np.testing.assert_allclose(cumulative_legendre(h[::-1], a, b)[::-1], tail, rtol=1e-13, atol=0.0)
+
+    def test_rows_integrate_constants_and_totals_are_the_rule(self):
+        x, w = composite_legendre(0.0, 2.0, 5, PANEL_NODES)
+        np.testing.assert_allclose(cumulative_legendre(np.ones(x.size), 0.0, 2.0), x, rtol=0.0, atol=4.5e-16)
+        h = np.cos(x)
+        # the last node of the last panel stops short of b by that panel's
+        # own tail, which the reversed values give
+        total = cumulative_legendre(h, 0.0, 2.0)[-1] + cumulative_legendre(h[::-1], 0.0, 2.0)[0]
+        assert total == pytest.approx(float(np.sum(w * h)), rel=1e-15)
+
+    def test_rejects_values_off_the_panels(self):
+        with pytest.raises(ValueError):
+            cumulative_legendre(np.ones(PANEL_NODES + 1), 0.0, 1.0)
 
 
 def untiled_massive_oracle(fg, nu, eps, sigma):
@@ -125,43 +159,9 @@ def untiled_massive_oracle(fg, nu, eps, sigma):
 
 
 class TestTiles:
-    """The two nested rules reduce one tile of rows at a time: the same bits
-    as the whole table, within a memory budget that the whole table breaks."""
-
-    @pytest.mark.parametrize(
-        "gaps", [1, GAPS_PER_TILE - 1, GAPS_PER_TILE, GAPS_PER_TILE + 1, 2048]
-    )
-    @pytest.mark.parametrize("descending", [False, True])
-    def test_running_integral_keeps_every_bit(self, gaps, descending):
-        h = lambda y: np.sin(3.0 * y) * np.exp(-0.5 * (y - 0.4) ** 2) + y
-        x = np.sort(np.random.default_rng(gaps).uniform(0.0, 20.0, gaps))
-        start = 0.0
-        if descending:
-            x, start = x[::-1], 20.0
-        got = running_integral(h, start, x)
-        assert got.tobytes() == untiled_running_integral(h, start, x).tobytes()
-
-    def test_running_integral_calls_integrand_once_per_tile(self):
-        calls = []
-
-        def h(y):
-            calls.append(y.shape)
-            return y * y
-
-        x = np.linspace(0.0, 4.0, 2 * GAPS_PER_TILE + 2)[1:]
-        out = running_integral(h, 0.0, x)
-        assert calls == [(GAPS_PER_TILE, 24), (GAPS_PER_TILE, 24), (1, 24)]
-        assert out[-1] == pytest.approx(4.0**3 / 3.0, rel=1e-14)
-
-    def test_running_integral_of_no_gaps_is_empty(self):
-        assert running_integral(np.exp, 0.0, np.empty(0)).shape == (0,)
-
-    @pytest.mark.parametrize("tile", [24, 1000])
-    def test_running_integral_at_other_tile_sizes(self, tile, monkeypatch):
-        monkeypatch.setattr(quadrature, "TILE_NODES", tile)
-        x = np.linspace(0.0, 7.0, 2049)[1:]
-        got = running_integral(np.cos, 0.0, x)
-        assert got.tobytes() == untiled_running_integral(np.cos, 0.0, x).tobytes()
+    """The nested rule of the fourier_limits oracle reduces one tile of rows
+    at a time: the same bits as the whole table, within a memory budget that
+    the whole table breaks."""
 
     @pytest.mark.parametrize("tile", [160, 1000, TILE_NODES, 400 * 160])
     @pytest.mark.parametrize("nu, eps", [(1.0, 1.0), (1e-3, 1e-3), (1e3, 1e3)])
@@ -174,7 +174,8 @@ class TestTiles:
 
     @pytest.mark.parametrize(
         "name, run",
-        # untiled: 5.42 MiB (fourier_limits) and 1.96 MiB (two_sided_cov)
+        # 5.42 MiB for fourier_limits untiled; two_sided_cov builds no node
+        # table and peaks at 0.25 MiB (1.96 MiB with an untiled gap rule)
         [("fourier_limits", exp_fourier_limits), ("two_sided_cov", exp_two_sided_cov)],
     )
     def test_experiment_peak_is_below_one_mib(self, name, run, traced_peak):

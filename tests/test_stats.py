@@ -7,11 +7,22 @@ from gfflab.basis import build_interval_basis
 from gfflab.fields import RngStream, sample_gff
 from gfflab.stats import (
     CovarianceReport,
+    _erf_bound,
     kolmogorov_sf,
     ks_gaussian,
     report_from_values,
     summarize_convergence,
 )
+
+
+def per_sample_ks(samples, mu, var):
+    """ks_gaussian as it was before the erf bound: math.erf at every sample."""
+    xs = np.sort(np.asarray(samples, dtype=float))
+    sd = math.sqrt(var)
+    cdf = np.array([0.5 * (1.0 + math.erf((v - mu) / (sd * math.sqrt(2.0)))) for v in xs])
+    grid = np.arange(1, xs.size + 1) / xs.size
+    d = float(max(np.max(grid - cdf), np.max(cdf - (grid - 1.0 / xs.size))))
+    return d, min(max(kolmogorov_sf(math.sqrt(xs.size) * d), 1e-12), 1.0)
 
 
 def values_by_draw(sampler, functionals, n_samples, rng):
@@ -151,18 +162,51 @@ class TestKsGaussian:
 
     @pytest.mark.parametrize("mu, var", [(0.0, 1.0), (0.3, 0.02), (-2.0, 9.0)])
     def test_matches_per_sample_erf(self, mu, var):
-        # the array CDF equals the per-sample math.erf one bit for bit, also
-        # in both tails beyond |z| = 8 where erf saturates
+        # the CDF at the few samples the bound keeps equals the per-sample
+        # math.erf one bit for bit, also in both tails beyond |z| = 8 where
+        # erf saturates
         gen = RngStream(60, (0,)).generator()
         sd = math.sqrt(var)
         z = np.concatenate([gen.standard_normal(5000), [-40.0, -12.5, -8.01, 8.01, 12.5, 40.0]])
         x = mu + sd * z
-        xs = np.sort(x)
-        cdf = np.array([0.5 * (1.0 + math.erf((v - mu) / (sd * math.sqrt(2.0)))) for v in xs])
-        grid = np.arange(1, xs.size + 1) / xs.size
-        d = float(max(np.max(grid - cdf), np.max(cdf - (grid - 1.0 / xs.size))))
-        p = min(max(kolmogorov_sf(math.sqrt(xs.size) * d), 1e-12), 1.0)
-        assert ks_gaussian(x, mu, var) == (d, p)
+        assert ks_gaussian(x, mu, var) == per_sample_ks(x, mu, var)
+
+    def test_erf_bound_holds(self):
+        z = np.concatenate((np.linspace(-12.0, 12.0, 200001), [-1e300, -30.0, 30.0, 1e300]))
+        exact = np.array([math.erf(v) for v in z])
+        assert float(np.max(np.abs(_erf_bound(z) - exact))) <= 1.5e-7
+
+    def test_matches_per_sample_erf_on_random_cases(self):
+        # ties, far tails, constant samples, shifted and scaled laws, with
+        # variances from 1e-12 to 1e12 and n from 50 to 5000
+        gen = RngStream(61, (0,)).generator()
+        for case in range(300):
+            n = int(gen.integers(50, 5001))
+            var = 10.0 ** gen.uniform(-12.0, 12.0)
+            sd = math.sqrt(var)
+            mu = sd * float(gen.normal()) * float(gen.choice([0.0, 1.0, 5.0]))
+            x = mu + sd * (10.0 ** gen.uniform(-0.3, 0.3) * gen.standard_normal(n) + gen.choice([0.0, 0.05, 1.0]))
+            kind = case % 4
+            if kind == 1:
+                x = np.round(x / sd * 4.0) / 4.0 * sd
+            elif kind == 2:
+                x[: n // 10] = mu + sd * gen.choice([-1.0, 1.0], n // 10) * gen.uniform(6.0, 40.0, n // 10)
+            elif kind == 3:
+                x = np.full(n, mu + sd * gen.uniform(-3.0, 3.0))
+            assert ks_gaussian(x, mu, var) == per_sample_ks(x, mu, var), case
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_input_is_an_error(self, bad):
+        x = np.linspace(-2.0, 2.0, 100)
+        x[7] = bad
+        with pytest.raises(ValueError, match="must be finite"):
+            ks_gaussian(x, 0.0, 1.0)
+        with pytest.raises(ValueError, match="must be finite"):
+            ks_gaussian(np.linspace(-2.0, 2.0, 100), bad, 1.0)
+
+    def test_nan_variance_is_an_error(self):
+        with pytest.raises(ValueError, match="variance"):
+            ks_gaussian(np.zeros(100), 0.0, math.nan)
 
     def test_sf_branches_agree(self):
         for lam in (0.35, 0.45, 0.5, 0.55, 0.8, 1.5):
