@@ -15,7 +15,7 @@ from .basis import (
     build_hermite_basis,
     build_interval_basis,
 )
-from .dynamics import SpectralState, kakutani_statistic
+from .dynamics import kakutani_statistic
 from .fields import (
     RngStream,
     covariance_two_sided,
@@ -40,7 +40,6 @@ __all__ = [
     "build_box_basis",
     "build_hermite_basis",
     "build_interval_basis",
-    "SpectralState",
     "kakutani_statistic",
     "RngStream",
     "covariance_two_sided",

@@ -1,6 +1,6 @@
 """Exact per-mode Ornstein-Uhlenbeck transitions of the spectral stochastic
-heat equation, the Monte Carlo pairings they give, their stationary law
-and covariance, the Gaussian-equivalence statistic, and an Euler-Maruyama
+heat equation, the Monte Carlo pairings they give, their stationary
+covariance, the Gaussian-equivalence statistic, and an Euler-Maruyama
 oracle used only for verification.
 
 Mode k follows the Ornstein-Uhlenbeck law of fourier_cov at q = lambda_k^2:
@@ -12,59 +12,32 @@ exactly, so no time-discretization error enters production runs.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .basis import EigenBasis
-from .fields import RngStream, sample_gff
+from .fields import RngStream
 from .fourier_cov import ou_decay, ou_variance
 
 MC_BLOCK = 4096  # rows of normals drawn at a time; a memory tile only, the draws do not depend on it
 
 
-@dataclass(frozen=True, eq=False)
-class SpectralState:
-    """Per-mode solution state u_k(t) together with (nu, sigma, t), stepped
-    by em_oracle_step."""
-
-    basis: EigenBasis
-    t: float
-    coeffs: np.ndarray
-    nu: float
-    sigma: float
-
-    def __post_init__(self):
-        c = np.asarray(self.coeffs, dtype=float)
-        if c.shape != (self.basis.size,):
-            raise ValueError(f"expected {self.basis.size} coefficients")
-        object.__setattr__(self, "coeffs", c)
-        if self.nu <= 0.0 or self.sigma < 0.0:
-            raise ValueError("need nu > 0 and sigma >= 0")
-
-
-def em_oracle_step(state: SpectralState, dt: float, rng: np.random.Generator) -> SpectralState:
-    """First-order weak Euler-Maruyama step, for verification only:
-    u_k <- u_k - nu lam_k^2 u_k dt + sigma sqrt(dt) xi_k."""
-    if dt <= 0.0:
+def em_oracle_step(coeffs, lam2, nu: float, sigma: float, dt: float, rng: np.random.Generator) -> np.ndarray:
+    """First-order weak Euler-Maruyama step of the modes u_k with eigenvalues
+    lam2_k = lambda_k^2, for verification only:
+    u_k <- u_k - nu lam2_k u_k dt + sigma sqrt(dt) xi_k."""
+    coeffs, lam2 = np.asarray(coeffs, dtype=float), np.asarray(lam2, dtype=float)
+    if coeffs.shape != lam2.shape:
+        raise ValueError(f"expected {lam2.size} coefficients, got shape {coeffs.shape}")
+    if not (nu > 0.0 and sigma >= 0.0):
+        raise ValueError("need nu > 0 and sigma >= 0")
+    if not dt > 0.0:
         raise ValueError(f"step size must be positive, got {dt}")
-    state.basis.require_positive_spectrum("dynamics")
-    lam2 = state.basis.lambdas_squared
-    if state.nu * float(lam2[-1]) * dt > 0.1:
-        raise ValueError(
-            f"Euler-Maruyama step nu*lam_max^2*dt = {state.nu * lam2[-1] * dt:.3g} "
-            "> 0.1 is unstable; reduce dt"
-        )
-    xi = rng.standard_normal(state.basis.size)
-    coeffs = state.coeffs * (1.0 - state.nu * lam2 * dt) + state.sigma * math.sqrt(dt) * xi
-    return replace(state, t=state.t + dt, coeffs=coeffs)
-
-
-def stationary_sample(basis: EigenBasis, nu: float, sigma: float, rng: np.random.Generator) -> SpectralState:
-    """A draw from the invariant law: u_k = sigma (2 nu)^{-1/2} zeta_k / lambda_k,
-    the free field scaled by sigma / sqrt(2 nu)."""
-    field = sample_gff(basis, 1.0, rng)
-    return SpectralState(basis, 0.0, sigma / math.sqrt(2.0 * nu) * field.coeffs, nu, sigma)
+    stiff = nu * float(lam2.max()) * dt
+    if stiff > 0.1:
+        raise ValueError(f"Euler-Maruyama step nu*lam_max^2*dt = {stiff:.3g} > 0.1 is unstable; reduce dt")
+    xi = rng.standard_normal(coeffs.shape)
+    return coeffs * (1.0 - nu * lam2 * dt) + sigma * math.sqrt(dt) * xi
 
 
 def kakutani_statistic(basis: EigenBasis, nu: float, t: float, terms: int | None = None) -> float:

@@ -18,7 +18,7 @@ from typing import Callable
 
 import numpy as np
 
-from .quadrature import composite_legendre, gauss_legendre
+from .quadrature import composite_legendre, gauss_legendre, tensor_grid
 
 RADIAL_NODES = 1024  # 64 panels of 16 Gauss-Legendre nodes
 TENSOR_NODES = 256
@@ -225,9 +225,8 @@ def _pair_integral_tensor2d(
     """The unsubtracted pair integral of _pair_integral by a full tensor
     grid in d = 2 (cross-check for the radial path)."""
     hi = min(f.xi_cut, g.xi_cut)
-    x, wx = gauss_legendre(-hi, hi, TENSOR_NODES)
-    pts = np.stack(np.meshgrid(x, x, indexing="ij"), axis=-1).reshape(-1, 2)
-    w2 = np.multiply.outer(wx, wx).reshape(-1)
+    axis = gauss_legendre(-hi, hi, TENSOR_NODES)
+    pts, w2 = tensor_grid([axis, axis])
     vf = f.fhat(pts)
     vg = g.fhat(pts)
     r = np.sqrt((pts**2).sum(axis=1))

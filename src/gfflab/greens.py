@@ -149,9 +149,9 @@ def potential_zero_mass(x, *, d: int, nu: float):
     )
 
 
-def series_green(basis: EigenBasis, nu: float, x, y, terms: int | None = None) -> float:
-    """Partial sum of the eigenfunction series
-    sum_{k<=terms} h_k(x) h_k(y) / (nu lambda_k^2).
+def series_green(basis: EigenBasis, nu: float, x, y) -> float:
+    """The eigenfunction series sum_k h_k(x) h_k(y) / (nu lambda_k^2) over
+    the basis's modes.
 
     On the unit interval with Dirichlet conditions this converges to the
     Brownian bridge covariance min(x, y) - x y.
@@ -159,13 +159,10 @@ def series_green(basis: EigenBasis, nu: float, x, y, terms: int | None = None) -
     basis.require_positive_spectrum("series Green's function")
     if nu <= 0.0:
         raise ValueError(f"nu must be positive, got {nu}")
-    n = basis.size if terms is None else terms
-    if not 1 <= n <= basis.size:
-        raise ValueError(f"terms must be in 1..{basis.size}")
     pts = np.concatenate((_as_points(basis, x), _as_points(basis, y)))
-    hx, hy = evaluate_matrix(basis, pts)[:, :n]
+    hx, hy = evaluate_matrix(basis, pts)
     hx *= hy
-    return float(np.sum(np.divide(hx, np.square(basis.lambdas[:n]) * nu, out=hx)))
+    return float(np.sum(np.divide(hx, np.square(basis.lambdas) * nu, out=hx)))
 
 
 def _as_points(basis: EigenBasis, x) -> np.ndarray:
@@ -176,10 +173,9 @@ def _as_points(basis: EigenBasis, x) -> np.ndarray:
 _TIME_QUAD_NODES = 256
 
 
-def heat_poisson_identity(x, y=None, *, d: int, nu: float, eps: float) -> tuple[float, float]:
+def heat_poisson_identity(x, *, d: int, nu: float, eps: float) -> tuple[float, float]:
     """Both sides of 'time integral of the decaying heat kernel equals the
-    massive potential' in the whole space R^d at displacement x - y (x alone
-    when y is None).
+    massive potential' in the whole space R^d at displacement x.
 
     The left side integrates the heat kernel in time by 256-node
     Gauss-Legendre, mapped to (0, inf) via t = tau s/(1-s) with
@@ -188,7 +184,7 @@ def heat_poisson_identity(x, y=None, *, d: int, nu: float, eps: float) -> tuple[
     depends on the mass sqrt(eps/nu) alone. The right side is the
     closed-form massive potential.
     """
-    displacement = float(np.sqrt(np.sum(np.square(x if y is None else np.subtract(x, y)))))
+    displacement = float(np.sqrt(np.sum(np.square(x))))
     # the closed form first: it rejects bad nu, eps or d before any quadrature
     rhs = potential_massive(displacement, d=d, nu=nu, eps=eps)
     t, w = half_line_nodes(_TIME_QUAD_NODES)

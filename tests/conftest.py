@@ -1,12 +1,11 @@
-import math
 import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, settings
 
-from gfflab.basis import BasisKind, EigenBasis, build_hermite_basis, build_interval_basis
-from gfflab.dynamics import SpectralState, em_oracle_step
+from gfflab.basis import build_hermite_basis, build_interval_basis
+from gfflab.dynamics import em_oracle_step
 from gfflab.fields import RngStream
 from gfflab.fourier_cov import gaussian_bump
 from gfflab.greens import potential_massive
@@ -64,19 +63,15 @@ def em_moments():
 @pytest.fixture(scope="session")
 def em_ensemble():
     """n independent Euler-Maruyama paths from u = 1 at lambda = nu = sigma = 1,
-    stepped by em_oracle_step itself on a basis of n modes that all have
-    lambda = 1 (one path per mode)."""
+    stepped by em_oracle_step itself as n modes that all have lambda = 1
+    (one path per mode)."""
 
     def paths(n, dt, t_end, stream):
-        basis = EigenBasis(
-            kind=BasisKind.INTERVAL_DIRICHLET, d=1, size=n, lambdas=np.ones(n),
-            c_weyl=1.0, domain=((0.0, math.pi),), indices=np.ones((n, 1), dtype=np.int64),
-        )
-        state = SpectralState(basis, 0.0, np.ones(n), 1.0, 1.0)
+        u, lam2 = np.ones(n), np.ones(n)
         gen = stream.generator()
         for _ in range(int(round(t_end / dt))):
-            state = em_oracle_step(state, dt, gen)
-        return state.coeffs
+            u = em_oracle_step(u, lam2, 1.0, 1.0, dt, gen)
+        return u
 
     return paths
 

@@ -7,12 +7,10 @@ from gfflab import dynamics
 from gfflab.basis import build_box_basis, build_hermite_basis, build_interval_basis
 from gfflab.dynamics import (
     MC_BLOCK,
-    SpectralState,
     em_oracle_step,
     kakutani_statistic,
     sample_functional_values,
     sample_gaussian,
-    stationary_sample,
     stationary_target,
 )
 from gfflab.cli import ExperimentConfig
@@ -87,19 +85,41 @@ class TestEmOracle:
     def test_drift_only_error_is_first_order(self, single_mode, rng):
         errs = []
         for dt in (0.02, 0.01, 0.005):
-            state = SpectralState(single_mode, 0.0, np.array([1.0]), 1.0, 0.0)
+            u = np.array([1.0])
             steps = int(round(1.0 / dt))
             for _ in range(steps):
-                state = em_oracle_step(state, dt, rng)
-            errs.append(abs(state.coeffs[0] - math.exp(-1.0)))
+                u = em_oracle_step(u, single_mode.lambdas_squared, 1.0, 0.0, dt, rng)
+            errs.append(abs(u[0] - math.exp(-1.0)))
         # halving dt roughly halves the deterministic error
         assert errs[0] / errs[1] == pytest.approx(2.0, rel=0.2)
         assert errs[1] / errs[2] == pytest.approx(2.0, rel=0.2)
 
     def test_stability_guard(self, dirichlet16, rng):
-        state = SpectralState(dirichlet16, 0.0, np.zeros(16), 1.0, 1.0)
         with pytest.raises(ValueError, match="unstable"):
-            em_oracle_step(state, 1.0, rng)
+            em_oracle_step(np.zeros(16), dirichlet16.lambdas_squared, 1.0, 1.0, 1.0, rng)
+        # unsorted input: nu lam2 dt is 1.0 at the first mode, 0.01 at the last
+        with pytest.raises(ValueError, match="unstable"):
+            em_oracle_step(np.zeros(2), np.array([100.0, 1.0]), 1.0, 1.0, 0.01, rng)
+
+    def test_input_validation(self, dirichlet16, rng):
+        lam2 = dirichlet16.lambdas_squared
+        with pytest.raises(ValueError, match="coefficients"):
+            em_oracle_step(np.zeros(4), lam2, 1.0, 1.0, 1e-4, rng)
+        with pytest.raises(ValueError, match="coefficients"):
+            em_oracle_step(np.zeros((2, 16)), lam2, 1.0, 1.0, 1e-4, rng)
+        for nu, sigma in ((0.0, 1.0), (-1.0, 1.0), (math.nan, 1.0), (1.0, -1.0)):
+            with pytest.raises(ValueError, match="nu > 0 and sigma >= 0"):
+                em_oracle_step(np.zeros(16), lam2, nu, sigma, 1e-4, rng)
+        for dt in (0.0, -1e-4, math.nan):
+            with pytest.raises(ValueError, match="step size must be positive"):
+                em_oracle_step(np.zeros(16), lam2, 1.0, 1.0, dt, rng)
+
+    def test_returns_an_array_and_keeps_the_input(self, dirichlet16, rng):
+        u = np.ones(16)
+        out = em_oracle_step(u, dirichlet16.lambdas_squared, 1.0, 0.0, 1e-5, rng)
+        assert isinstance(out, np.ndarray) and out.shape == (16,)
+        assert np.array_equal(u, np.ones(16))
+        assert np.array_equal(out, 1.0 - dirichlet16.lambdas_squared * 1e-5)
 
     def test_stationary_variance_recovered(self, em_moments, em_ensemble):
         # the chain's stationary variance solves v = (1 - dt)^2 v + dt
@@ -156,16 +176,12 @@ class TestEvolve:
 
 
 class TestStationary:
-    def test_equals_scaled_free_field_draw(self, dirichlet64):
-        nu, sigma = 2.0, 1.5
-        st = stationary_sample(dirichlet64, nu, sigma, RngStream(37, (0,)).generator())
-        w = sample_gff(dirichlet64, 1.0, RngStream(37, (0,)).generator())
-        assert np.array_equal(st.coeffs, sigma / math.sqrt(2.0 * nu) * w.coeffs)
+    # the invariant law is the free field scaled by sigma / sqrt(2 nu)
 
     def test_coefficient_variance(self, dirichlet16):
         gen = RngStream(38, (0,)).generator()
         n = 50000
-        draws = np.array([stationary_sample(dirichlet16, 1.0, 1.0, gen).coeffs for _ in range(n)])
+        draws = 1.0 / math.sqrt(2.0) * sample_gff(dirichlet16, 1.0, gen, n=n)
         target = 0.5 / dirichlet16.lambdas_squared
         var = draws.var(axis=0, ddof=1)
         assert np.all(np.abs(var - target) < 4.0 * target * math.sqrt(2.0 / n))
@@ -199,7 +215,7 @@ class TestStationary:
     def test_cross_mode_independence(self, dirichlet16):
         gen = RngStream(41, (0,)).generator()
         n = 20000
-        draws = np.array([stationary_sample(dirichlet16, 1.0, 1.0, gen).coeffs for _ in range(n)])
+        draws = 1.0 / math.sqrt(2.0) * sample_gff(dirichlet16, 1.0, gen, n=n)
         corr = np.corrcoef(draws.T)
         off = corr - np.diag(np.diag(corr))
         assert np.abs(off).max() < 4.0 / math.sqrt(n)
@@ -398,13 +414,7 @@ class TestReducedRankSampler:
         assert np.allclose(got, blas, rtol=0.0, atol=1e-13 * (1.0 + np.abs(blas).max()))
 
 
-class TestStateAndCheckpoint:
-    def test_state_validation(self, dirichlet16):
-        with pytest.raises(ValueError, match="coefficients"):
-            SpectralState(dirichlet16, 0.0, np.zeros(4), 1.0, 1.0)
-        with pytest.raises(ValueError, match="nu > 0"):
-            SpectralState(dirichlet16, 0.0, np.zeros(16), 0.0, 1.0)
-
+class TestStationaryTarget:
     def test_stationary_target_formula(self, dirichlet16):
         w = np.stack([np.eye(16)[0], np.ones(16)], axis=1)
         target = stationary_target(dirichlet16, 2.0, 3.0, w)

@@ -6,14 +6,12 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from gfflab.basis import build_interval_basis
+from gfflab.basis import build_interval_basis, evaluate_matrix
 from gfflab.cli import ExperimentConfig, parse_config_text
 from gfflab.experiments import EXPERIMENTS, _folded_normal_mean, _two_sided_gauss_oracle, experiment_stream
 from gfflab.fields import (
-    FieldSample,
     RngStream,
     covariance_two_sided,
-    field_values,
     sample_brownian_bridge,
     sample_gff,
     sample_two_sided_bm,
@@ -147,33 +145,31 @@ class TestSampleGff:
 
     def test_white_noise_unit_variance(self, dirichlet16):
         gen = RngStream(11, (0,)).generator()
-        draws = sample_gff(dirichlet16, 0.0, gen, n=4000).coeffs
+        draws = sample_gff(dirichlet16, 0.0, gen, n=4000)
         var = draws.var(axis=0, ddof=1)
         assert np.all(np.abs(var - 1.0) < 4.0 * mc_stderr_of_variance(1.0, 4000))
 
     def test_first_mode_variance_matches_green(self, dirichlet16):
         gen = RngStream(12, (0,)).generator()
         n = 100000
-        draws = sample_gff(dirichlet16, 1.0, gen, n=n).coeffs[:, 0]
+        draws = sample_gff(dirichlet16, 1.0, gen, n=n)[:, 0]
         target = 1.0 / math.pi**2
         assert draws.var(ddof=1) == pytest.approx(target, abs=3.0 * mc_stderr_of_variance(target, n))
 
     def test_batch_rows_are_successive_draws(self, dirichlet16):
         # one (n, size) block consumes the stream exactly like n single draws
         gen = RngStream(26, (0,)).generator()
-        single = np.array([sample_gff(dirichlet16, 1.0, gen).coeffs for _ in range(5)])
+        single = np.array([sample_gff(dirichlet16, 1.0, gen) for _ in range(5)])
         batch = sample_gff(dirichlet16, 1.0, RngStream(26, (0,)).generator(), n=5)
-        assert single.shape == (5, 16) and batch.coeffs.shape == (5, 16)
-        assert np.array_equal(batch.coeffs, single)
-        pts = np.array([0.25, 0.5])
-        by_draw = np.array([field_values(FieldSample(dirichlet16, c), pts) for c in single])
-        np.testing.assert_allclose(field_values(batch, pts), by_draw, rtol=1e-13, atol=1e-15)
+        assert single.shape == (5, 16) and batch.shape == (5, 16)
+        assert np.array_equal(batch, single)
 
     def test_pointwise_covariance_matches_series_green(self):
         basis = build_interval_basis("dirichlet", 0.0, 1.0, 1024)
         pts = np.array([0.2, 0.5, 0.8])
         n = 20000
-        vals = field_values(sample_gff(basis, 1.0, RngStream(13, (0,)).generator(), n=n), pts)
+        coeffs = sample_gff(basis, 1.0, RngStream(13, (0,)).generator(), n=n)
+        vals = (evaluate_matrix(basis, pts) @ coeffs.T).T
         assert vals.shape == (n, 3)
         emp = vals.T @ vals / n
         for i in range(3):
@@ -191,7 +187,7 @@ class TestPairField:
         w = sample_gff(dirichlet16, 1.0, rng)
         for k in (1, 7, 16):
             weights = np.eye(16)[:, [k - 1]]
-            assert (w.coeffs @ weights)[0] == w.coeffs[k - 1]
+            assert (w @ weights)[0] == w[k - 1]
 
     def test_pair_covariance_matches_weighted_inner_product(self, dirichlet16):
         gen = RngStream(14, (0,)).generator()
@@ -199,7 +195,7 @@ class TestPairField:
         n = 50000
         prods = np.empty(n)
         for i in range(n):
-            pair = sample_gff(dirichlet16, 1.0, gen).coeffs @ weights
+            pair = sample_gff(dirichlet16, 1.0, gen) @ weights
             prods[i] = pair[0] * pair[1]
         target = 1.0 / dirichlet16.lambdas_squared[0]
         se = prods.std(ddof=1) / math.sqrt(n)
@@ -209,7 +205,7 @@ class TestPairField:
         gen = RngStream(15, (0,)).generator()
         weights = np.eye(16)[:, [0, 1, 2, 4, 7]]  # e1, e2, e3, e5, e8
         n = 2000
-        vals = np.array([sample_gff(dirichlet16, 1.0, gen).coeffs @ weights for _ in range(n)])
+        vals = np.array([sample_gff(dirichlet16, 1.0, gen) @ weights for _ in range(n)])
         cov = vals.T @ vals / n
         eigs = np.linalg.eigvalsh(0.5 * (cov + cov.T))
         assert eigs.min() > -1e-10
@@ -356,6 +352,10 @@ class TestAntiderivative:
         two_sided_antiderivative(f, 20.0, 2048)
         assert calls == [(2048,), (2048,)]
 
+    def test_first_moment_guard(self):
+        with pytest.raises(ValueError, match="first-moment"):
+            two_sided_antiderivative(lambda x: 1.0 / (1.0 + x * x), 20.0, 2048)
+
 
 def per_node_antiderivative(f, x, r_max):
     """The tail antiderivative accumulated with one 24-node rule per gap in a
@@ -441,8 +441,8 @@ class TestCovarianceTwoSided:
 
         f, g = PAIRS["gauss"]
         covariance_two_sided(recorded("f", f), recorded("g", g), mode, n_nodes=2048)
-        guard = [(1024,), (1024,)]  # _check_first_moment's 64 panels, both signs
-        assert calls == {"f": guard + [(2048,), (2048,)], "g": guard + [(2048,), (2048,)]}
+        # the first-moment guard reads the route's own values
+        assert calls == {"f": [(2048,), (2048,)], "g": [(2048,), (2048,)]}
 
     @pytest.mark.parametrize("mode", ["direct", "antiderivative"])
     @pytest.mark.parametrize("pair", sorted(PAIRS))
@@ -531,10 +531,12 @@ class TestCovarianceTwoSided:
             want = _two_sided_gauss_oracle((centre, 0.5), bump)
             assert covariance_two_sided(f, other, mode) == pytest.approx(want, rel=1e-12)
 
+    @pytest.mark.parametrize("n_nodes", [256, 1024, 2048])
     @pytest.mark.parametrize("mode", ["direct", "antiderivative"])
     @pytest.mark.parametrize(
         "f, refused",
-        # the share of int |x f| in the outermost eighth of [0, 20], against 2e-3
+        # the share of int |x f| in the outermost eighth of [0, 20], against
+        # 2e-3, the same to 5 digits on the 16, 64 and 128 panels of n_nodes
         [(lambda x: np.exp(-np.abs(x) / 2.25), True),  # 2.3e-3
          (lambda x: (1.0 + x * x) ** -1.75, True),  # 2.5e-3
          (lambda x: (1.0 + x * x) ** -1.5, True),  # 7.5e-3
@@ -542,13 +544,14 @@ class TestCovarianceTwoSided:
          (lambda x: (1.0 + x * x) ** -2.0, False)],  # 7.6e-4
         ids=["exp_2.25", "power_1.75", "power_1.5", "exp_2", "power_2"],
     )
-    def test_first_moment_guard_edge(self, mode, f, refused):
+    def test_first_moment_guard_edge(self, mode, f, refused, n_nodes):
         g = lambda x: np.exp(-x * x)
-        if refused:
-            with pytest.raises(ValueError, match="first-moment"):
-                covariance_two_sided(f, g, mode)
-        else:
-            assert math.isfinite(covariance_two_sided(f, g, mode))
+        for pair in ((f, g), (g, f)):
+            if refused:
+                with pytest.raises(ValueError, match="first-moment"):
+                    covariance_two_sided(*pair, mode, n_nodes=n_nodes)
+            else:
+                assert math.isfinite(covariance_two_sided(*pair, mode, n_nodes=n_nodes))
 
     @pytest.mark.parametrize(
         "f_bump, g_bump",

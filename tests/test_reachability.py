@@ -18,17 +18,15 @@ SRC = Path(gfflab.__file__).parent
 # "<module>.<qualified name>" -> why it stays although no command calls it
 KEPT = {
     "cli._key": "runs at import time, where it declares each ExperimentConfig field",
-    "dynamics.SpectralState.__post_init__": "state of the Euler-Maruyama oracle (criterion 2)",
     "dynamics.em_oracle_step": "the Euler-Maruyama oracle of the exact transition (criterion 2)",
     "basis.gram_matrix": "independent oracle of the bases' orthonormality",
     "basis.eigen_residual": "independent oracle of the eigen-equation",
-    "quadrature.tensor_grid": "the product rule of the gram_matrix oracle",
+    "quadrature.tensor_grid": "the product rule of the gram_matrix and d = 2 pair-integral oracles",
     "quadrature.gauss_hermite_unweighted": "the Hermite-basis rule of the gram_matrix oracle",
     "fourier_cov._pair_integral_tensor2d": "d = 2 tensor-grid oracle of the radial pair integral",
     "fields.sample_two_sided_bm": "the only Monte Carlo check of covariance_two_sided's law",
-    "fields.sample_gff": "direct draw of the free field, the Monte Carlo check of series_green",
-    "fields.field_values": "pointwise values of free-field draws, checked against series_green",
-    "dynamics.stationary_sample": "the invariant law as the scaled free field (the paper's claim)",
+    "fields.sample_gff": "direct draw of the free field, the Monte Carlo check of series_green; "
+    "scaled by sigma / sqrt(2 nu), the invariant law (the paper's claim)",
     "basis.hermite_functions": "evaluate_matrix's Hermite columns, checked by the gram and eigen oracles",
 }
 

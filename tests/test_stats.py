@@ -68,7 +68,7 @@ class TestEstimateCovariance:
         gen = RngStream(53, (0,)).generator()
         values = values_by_draw(
             lambda g: sample_gff(basis, 1.0, g),
-            [lambda w, j=j: float(w.coeffs @ weights[:, j]) for j in range(3)],
+            [lambda w, j=j: float(w @ weights[:, j]) for j in range(3)],
             20000,
             gen,
         )
