@@ -22,7 +22,7 @@ from .basis import (
     build_interval_basis,
 )
 from .fields import RngStream
-from .quadrature import TILE_NODES, composite_legendre, gauss_legendre
+from .quadrature import composite_legendre
 
 # The time rule of heat_poisson_identity, run at |x| = 1 by heat_poisson and
 # greens_checks, has a relerr that depends on the mass m = sqrt(eps / nu)
@@ -33,15 +33,15 @@ from .quadrature import TILE_NODES, composite_legendre, gauss_legendre
 # of the relative error, underflows to 0 from m = 737.8 (nu = 1) on.
 MASS_RANGE = (0.02, 700.0)
 # massive_vs_physical of fourier_limits meets tol.rel = 1e-6 whatever nu only
-# for 1e-3 <= eps <= 1e3 (worst 8.6e-8, at eps = 1e-3); its radial rule first
-# misses at eps = 5.7e-4 and 4.1e3, and from eps = 1e100 the physical oracle
-# underflows to 0.
+# for 1e-3 <= eps <= 1e3 (worst 8.6e-8, at eps = 1e-3). Below, the radial rule
+# misses (first at 5.6e-4; 2.9e-5 at 1e-4); above, it holds, but exp(0.64 eps)
+# in the closed-form oracle overflows from eps = 1109 on.
 FOURIER_LIMITS_EPS_RANGE = (1e-3, 1e3)
-# sigma**2 overflows from sigma = 1.34e154 on, and at nu = 1 a stationary
-# variance or the physical oracle of fourier_limits underflows to 0 below
-# sigma = 4.5e-160; either crashes the run. Inside this range sigma**2 keeps
-# a factor 1e100 of room on each side for 1/(2 nu), 1/lambda^2 and the
-# Monte Carlo sums.
+# sigma**2 overflows from sigma = 1.34e154 on. At nu = 1 a stationary variance
+# underflows to 0 below sigma = 4.5e-160, and the noise_limit target of
+# fourier_limits below 9.3e-162; either crashes the run. Inside this range
+# sigma**2 keeps a factor 1e100 of room on each side for 1/(2 nu), 1/lambda^2
+# and the Monte Carlo sums.
 SIGMA_RANGE = (1e-100, 1e100)
 # the field scale sigma^2 / (2 nu): at the defaults, times scaled by 1 / nu,
 # the stationary checks crash from 1e-320 down (the KS variance underflows to
@@ -415,14 +415,15 @@ def exp_two_sided_cov(cfg) -> ExperimentResult:
 def exp_fourier_limits(cfg) -> ExperimentResult:
     """Whole-space limits at covariance level: the finite-time covariance
     reaches the free-field integral, the initial-condition transient
-    decays monotonically, and the massive limit matches its physical-space
-    oracle and the massless limit."""
-    f = fourier_cov.make_s0_function(4.0, 0.25)
+    decays monotonically, and the massive limit matches the closed form of
+    its physical-space integral and the massless limit."""
+    freq, width = 4.0, 0.8  # the annulus of f and the width of the massive bump
+    f = fourier_cov.make_s0_function(freq, 0.25)
     phi = fourier_cov.gaussian_bump(0.0, 1.0)
     rows = []
 
     limit = cfg.sigma**2 / (2.0 * cfg.nu) * fourier_cov.gff_covariance(f, f)
-    t_star = 40.0 / (cfg.nu * (f.params["freq"] / 2.0) ** 2)
+    t_star = 40.0 / (cfg.nu * (freq / 2.0) ** 2)
     at_t = fourier_cov.transient_covariance(f, f, t_star, cfg.nu, cfg.sigma)
     rel_gap = abs(at_t - limit) / limit
     rows.append({"check": "noise_limit", "t_or_eps": t_star, "value": at_t, "target": limit, "gap": rel_gap})
@@ -435,9 +436,9 @@ def exp_fourier_limits(cfg) -> ExperimentResult:
              for t, v in zip(times, transients)]
     monotone = all(a > b for a, b in zip(transients[:-1], transients[1:]))
 
-    fg = fourier_cov.gaussian_bump(0.3, 0.8)
+    fg = fourier_cov.gaussian_bump(0.3, width)
     val = fourier_cov.massive_limit_covariance(fg, fg, cfg.nu, cfg.eps, cfg.sigma)
-    oracle = _massive_physical_oracle(fg, cfg.nu, cfg.eps, cfg.sigma)
+    oracle = _massive_physical_oracle(width, cfg.nu, cfg.eps, cfg.sigma)
     massive_rel = abs(val - oracle) / abs(oracle)
     rows.append({"check": "massive_vs_physical", "t_or_eps": cfg.eps, "value": val, "target": oracle, "gap": massive_rel})
 
@@ -456,27 +457,14 @@ def exp_fourier_limits(cfg) -> ExperimentResult:
     })
 
 
-def _massive_physical_oracle(fg, nu: float, eps: float, sigma: float) -> float:
-    """sigma^2/2 times the double integral of f Phi f with the potential of
-    mass nu*eps and diffusivity nu, inner integrals split at the kernel kink."""
-    center = fg.center[0] if fg.center else 0.0
-    width = fg.params["width"]
-    lo, hi = center - 12.0 * width, center + 12.0 * width
-    x, w = composite_legendre(lo, hi, 25, 16)
-    # ten 16-node panels on each side of every outer node, one call per side
-    # and tile of outer nodes; each row's inner sum depends on its row alone
-    inner = np.empty(x.size)
-    rows = max(TILE_NODES // (10 * 16), 1)
-    for i in range(0, x.size, rows):
-        xt = x[i : i + rows]
-        edges = np.linspace(lo, xt, 11, axis=-1)
-        yl, wl = (a.reshape(xt.size, -1) for a in gauss_legendre(edges[:, :-1], edges[:, 1:], 16))
-        edges = np.linspace(xt, hi, 11, axis=-1)
-        yr, wr = (a.reshape(xt.size, -1) for a in gauss_legendre(edges[:, :-1], edges[:, 1:], 16))
-        phi_l = greens.potential_massive(xt[:, None] - yl, d=1, nu=nu, eps=nu * eps)
-        phi_r = greens.potential_massive(yr - xt[:, None], d=1, nu=nu, eps=nu * eps)
-        inner[i : i + rows] = np.sum(wl * phi_l * fg.physical(yl) + wr * phi_r * fg.physical(yr), axis=1)
-    return 0.5 * sigma**2 * float(np.sum(w * fg.physical(x) * inner))
+def _massive_physical_oracle(width: float, nu: float, eps: float, sigma: float) -> float:
+    """sigma^2/2 times the double integral of f Phi f for the bump f of the given
+    width and the 1-d potential Phi(z) = exp(-sqrt(eps) |z|) / (2 nu sqrt(eps)):
+    the autocorrelation width sqrt(pi) exp(-z^2 / (4 width^2)) of f against Phi.
+    exp(a^2) erfc(a) <= 1 is formed first; exp overflows from a^2 = 709.8 on."""
+    a = width * math.sqrt(eps)
+    scaled_erfc = math.exp(a * a) * math.erfc(a)
+    return sigma**2 * math.pi * width**2 / (2.0 * nu * math.sqrt(eps)) * scaled_erfc
 
 
 def exp_weyl(cfg) -> ExperimentResult:

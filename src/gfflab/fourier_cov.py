@@ -13,7 +13,7 @@ integral of exp(-i x.xi) f(x) dx, so Parseval holds without extra factors.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -74,13 +74,11 @@ class TestFunction:
 
     __test__ = False  # not a pytest class despite the domain name
 
-    kind: str
     d: int
     profile: Callable[[np.ndarray], np.ndarray]
     xi_floor: float
     xi_cut: float
     center: tuple[float, ...] | None = None
-    params: dict = field(default_factory=dict)
 
     def fhat_radial(self, r):
         return self.profile(np.asarray(r, dtype=float))
@@ -96,12 +94,11 @@ class TestFunction:
             vals = vals * np.exp(-1j * pts @ np.asarray(self.center))
         return vals
 
-    def physical(self, x):
-        """Physical-space values, for test functions that carry a closed form
-        in ``params`` (gaussian_bump)."""
-        if "physical" not in self.params:
-            raise ValueError(f"{self.kind} test function has no closed physical form")
-        return self.params["physical"](np.asarray(x, dtype=float))
+
+def _require_finite(**args) -> None:
+    for name, value in args.items():
+        if not np.all(np.isfinite(value)):
+            raise ValueError(f"{name} must be finite, got {value}")
 
 
 def gaussian_bump(center=0.0, width: float = 1.0, d: int = 1) -> TestFunction:
@@ -111,9 +108,10 @@ def gaussian_bump(center=0.0, width: float = 1.0, d: int = 1) -> TestFunction:
     factor from the shift; fhat(0) is nonzero, so this is not a
     floor-certified test function.
     """
+    c = np.atleast_1d(np.asarray(center, dtype=float))
+    _require_finite(center=c, width=width)
     if width <= 0.0:
         raise ValueError("width must be positive")
-    c = np.atleast_1d(np.asarray(center, dtype=float))
     if c.size != d:
         raise ValueError(f"center has dimension {c.size}, expected {d}")
     amp = width**d
@@ -121,23 +119,13 @@ def gaussian_bump(center=0.0, width: float = 1.0, d: int = 1) -> TestFunction:
     def profile(r):
         return amp * np.exp(-0.5 * (width * r) ** 2)
 
-    def physical(x):
-        pts = np.asarray(x, dtype=float)
-        if d == 1:
-            dist2 = (pts - c[0]) ** 2
-        else:
-            dist2 = ((pts - c) ** 2).sum(axis=-1)
-        return np.exp(-0.5 * dist2 / width**2)
-
     centered = bool(np.all(c == 0.0))
     return TestFunction(
-        kind="gaussian_bump",
         d=d,
         profile=profile,
         xi_floor=0.0,
         xi_cut=12.0 / width,
         center=None if centered else tuple(c),
-        params={"width": width, "physical": physical},
     )
 
 
@@ -149,6 +137,7 @@ def make_s0_function(freq: float, width: float, d: int = 1) -> TestFunction:
     Requires freq >= 8 * width so the Gaussian factor is already below
     1e-12 where the ramp starts.
     """
+    _require_finite(freq=freq, width=width)
     if freq <= 0.0 or width <= 0.0:
         raise ValueError("freq and width must be positive")
     if freq < 8.0 * width:
@@ -164,13 +153,11 @@ def make_s0_function(freq: float, width: float, d: int = 1) -> TestFunction:
         return np.exp(-0.5 * ((r - freq) / width) ** 2) * _smooth_step((r - lo) / ramp)
 
     return TestFunction(
-        kind="s0_annulus",
         d=d,
         profile=profile,
         xi_floor=lo,
         xi_cut=freq + 12.0 * width,
         center=None,
-        params={"freq": freq, "width": width},
     )
 
 

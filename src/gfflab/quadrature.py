@@ -13,13 +13,6 @@ from pathlib import Path
 
 import numpy as np
 
-# nodes per pass of the nested rule of the fourier_limits oracle (outer rows
-# times the inner nodes of a row): each tile is reduced to its row sums before
-# the next one is built, so a scratch array holds 32 KiB however many rows
-# there are. At 4096 its traced peak is 0.36 MiB (5.42 MiB untiled); 8192 or
-# more gives no lower process RSS. Row sums, and so every bit, do not depend on it.
-TILE_NODES = 4096
-
 # the rules of a registered run, (kind, n) in the order of TABLE, which holds
 # each rule's nodes then weights: the very bits that _leggauss(n) and
 # numpy.polynomial.hermite.hermgauss(n) compute. Read on the first lookup.

@@ -10,7 +10,7 @@ a fixed order, so estimates are reproducible run to run.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -44,8 +44,6 @@ class CovarianceReport:
     z: np.ndarray
     zmax: float
     passed: bool
-    samples: int
-    notes: list[str] = field(default_factory=list)
 
     @property
     def max_deviation(self) -> float:
@@ -62,8 +60,8 @@ def report_from_values(
 
     Uses the unbiased sample covariance; standard errors come from the
     Gaussian fourth-moment formula var(c_ij) ~ (c_ii c_jj + c_ij^2) / n
-    with empirical plug-ins. Zero-variance functionals are flagged in the
-    notes instead of failing.
+    with empirical plug-ins. A zero-variance functional whose target row is
+    zero has z = 0 on its row instead of failing.
     """
     values = np.asarray(values, dtype=float)
     n, p = values.shape
@@ -83,7 +81,6 @@ def report_from_values(
     scale = np.outer(np.sqrt(diag), np.sqrt(diag))[rescale]
     stderr[rescale] = scale * np.sqrt((1.0 + (empirical[rescale] / scale) ** 2) / n)
 
-    notes = [f"degenerate functional {labels[j]}" for j in np.flatnonzero(diag == 0.0)]
     if target is None:
         target = empirical.copy()
     target = 0.5 * (np.asarray(target, dtype=float) + np.asarray(target, dtype=float).T)
@@ -100,8 +97,6 @@ def report_from_values(
         z=z,
         zmax=zmax,
         passed=bool(zmax < z_threshold),
-        samples=n,
-        notes=notes,
     )
 
 

@@ -7,9 +7,6 @@ from hypothesis import HealthCheck, settings
 from gfflab.basis import build_hermite_basis, build_interval_basis
 from gfflab.dynamics import em_oracle_step
 from gfflab.fields import RngStream
-from gfflab.fourier_cov import gaussian_bump
-from gfflab.greens import potential_massive
-from gfflab.quadrature import gauss_legendre
 
 settings.register_profile(
     "ci",
@@ -74,27 +71,6 @@ def em_ensemble():
         return u
 
     return paths
-
-
-@pytest.fixture(scope="session")
-def massive_oracle_1d():
-    """The massive stationary covariance of gaussian_bump(0.3, 0.8) with
-    itself at nu = eps = sigma = 1, by physical-space double quadrature of
-    f Phi f: 400 outer nodes, and inner integrals of 160 nodes on each side
-    of the kernel's kink at the outer node, one potential_massive call per
-    node."""
-    nu, eps, sigma = 1.0, 1.0, 1.0
-    fg = gaussian_bump(0.3, 0.8)
-    lo, hi = 0.3 - 10.0, 0.3 + 10.0
-    x, w = gauss_legendre(lo, hi, 400)
-    inner = np.empty_like(x)
-    for i, xi in enumerate(x):
-        yl, wl = gauss_legendre(lo, xi, 160)
-        yr, wr = gauss_legendre(xi, hi, 160)
-        kl = np.array([potential_massive(xi - v, d=1, nu=nu, eps=nu * eps) for v in yl])
-        kr = np.array([potential_massive(v - xi, d=1, nu=nu, eps=nu * eps) for v in yr])
-        inner[i] = float(np.sum(wl * kl * fg.physical(yl)) + np.sum(wr * kr * fg.physical(yr)))
-    return 0.5 * sigma**2 * float(np.sum(w * fg.physical(x) * inner))
 
 
 @pytest.fixture(scope="session")

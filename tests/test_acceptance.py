@@ -17,7 +17,7 @@ from gfflab.dynamics import (
     sample_functional_values,
     stationary_target,
 )
-from gfflab.experiments import _two_sided_gauss_oracle, standard_functionals
+from gfflab.experiments import _massive_physical_oracle, _two_sided_gauss_oracle, standard_functionals
 from gfflab.fields import RngStream, covariance_two_sided, sample_brownian_bridge
 from gfflab.fourier_cov import (
     gaussian_bump,
@@ -229,7 +229,7 @@ def test_criterion_07_one_dimensional_covariance_chain():
 def test_criterion_08_whole_space_limit():
     nu = sigma = 1.0
     f = make_s0_function(4.0, 0.25)
-    t_star = 40.0 / (nu * (f.params["freq"] / 2.0) ** 2)
+    t_star = 40.0 / (nu * (4.0 / 2.0) ** 2)
     limit = sigma**2 / (2.0 * nu) * gff_covariance(f, f)
     val = transient_covariance(f, f, t_star, nu, sigma)
     rel_gap = abs(val - limit) / limit
@@ -245,11 +245,12 @@ def test_criterion_08_whole_space_limit():
     assert ok
 
 
-def test_criterion_09_massive_case(massive_oracle_1d):
+def test_criterion_09_massive_case():
     nu, eps, sigma = 1.0, 1.0, 1.0
     fg = gaussian_bump(0.3, 0.8)
     value = massive_limit_covariance(fg, fg, nu, eps, sigma)
-    oracle_rel = abs(value - massive_oracle_1d) / abs(massive_oracle_1d)
+    oracle = _massive_physical_oracle(0.8, nu, eps, sigma)
+    oracle_rel = abs(value - oracle) / abs(oracle)
 
     f = make_s0_function(4.0, 0.25)
     limit = sigma**2 / (2.0 * nu) * gff_covariance(f, f)

@@ -1,6 +1,7 @@
 import math
 import warnings
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -36,10 +37,21 @@ class TestMakeS0Function:
         assert vals[0] == np.conj(vals[1])
         assert vals[2] == np.conj(vals[3])
 
-    def test_physical_values_need_a_closed_form(self):
-        assert gaussian_bump(0.3, 0.8).physical(0.3) == 1.0
-        with pytest.raises(ValueError, match="no closed physical form"):
-            make_s0_function(4.0, 0.25).physical(0.0)
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize(
+        "name, make",
+        [
+            ("center", lambda v: gaussian_bump(v, 0.8)),
+            ("center", lambda v: gaussian_bump([0.0, v], 0.8, d=2)),
+            ("width", lambda v: gaussian_bump(0.3, v)),
+            ("freq", lambda v: make_s0_function(v, 0.25)),
+            ("width", lambda v: make_s0_function(4.0, v)),
+        ],
+        ids=["bump_center", "bump_center_2d", "bump_width", "s0_freq", "s0_width"],
+    )
+    def test_non_finite_arguments_rejected(self, name, make, value):
+        with pytest.raises(ValueError, match=f"^{name} must be finite"):
+            make(value)
 
     def test_narrow_annulus_rejected(self):
         with pytest.raises(ValueError, match="floor"):
@@ -102,7 +114,7 @@ class TestGffCovariance:
             return 2.0 * f1.fhat_radial(r) - 0.7 * f2.fhat_radial(r)
 
         fc = TestFunction(
-            kind="custom", d=1, profile=combo,
+            d=1, profile=combo,
             xi_floor=min(f1.xi_floor, f2.xi_floor),
             xi_cut=max(f1.xi_cut, f2.xi_cut), center=None,
         )
@@ -151,7 +163,7 @@ class TestTransientCovariance:
 
     def test_limit_reaches_free_field(self):
         f = make_s0_function(4.0, 0.25)
-        t_star = 40.0 / (1.0 * (f.params["freq"] / 2.0) ** 2)
+        t_star = 40.0 / (1.0 * (4.0 / 2.0) ** 2)
         limit = 0.5 * gff_covariance(f, f)
         val = transient_covariance(f, f, t_star, 1.0, 1.0)
         assert abs(val - limit) / limit < 1e-8
@@ -314,11 +326,22 @@ class TestMassiveAgainstClosedForm:
                     assert got == pytest.approx(want, rel=1e-12), (width, nu, eps)
 
 
+def mp_massive_bump(width, nu, eps, sigma=1.0):
+    """The closed form of experiments._massive_physical_oracle in mpmath at
+    40 digits, sigma^2 pi width^2 / (2 nu sqrt(eps)) exp(width^2 eps)
+    erfc(width sqrt(eps)), rounded to a float."""
+    with mpmath.workdps(40):
+        w, nu, eps, sigma = (mpmath.mpf(float(v)) for v in (width, nu, eps, sigma))
+        root = mpmath.sqrt(eps)
+        value = sigma**2 * mpmath.pi * w**2 / (2 * nu * root) * mpmath.exp(w * w * eps) * mpmath.erfc(w * root)
+        return float(value)
+
+
 class TestMassiveLimit:
-    def test_against_physical_space_oracle_1d(self, massive_oracle_1d):
+    def test_against_physical_space_oracle_1d(self):
         fg = gaussian_bump(0.3, 0.8)
         value = massive_limit_covariance(fg, fg, 1.0, 1.0, 1.0)
-        assert value == pytest.approx(massive_oracle_1d, rel=1e-6)
+        assert value == pytest.approx(_massive_physical_oracle(0.8, 1.0, 1.0, 1.0), rel=1e-13)
 
     def test_large_mass_decay(self):
         f = gaussian_bump(0.0, 1.0)
@@ -342,8 +365,20 @@ class TestMassiveLimit:
     def massive_vs_physical_relerr(eps, nu=1.0):
         """The relerr of fourier_limits' massive_vs_physical row."""
         fg = gaussian_bump(0.3, 0.8)
-        oracle = _massive_physical_oracle(fg, nu, eps, 1.0)
+        oracle = _massive_physical_oracle(0.8, nu, eps, 1.0)
         return abs(massive_limit_covariance(fg, fg, nu, eps) - oracle) / oracle
+
+    @pytest.mark.parametrize(
+        "nu, sigma",
+        # and both ends of FIELD_SCALE_RANGE, where exp(width^2 eps) = 1e278 at
+        # eps = 1e3 times the scale would overflow before erfc brought it back
+        [(1e-3, 1.0), (1.0, 1.0), (1e3, 1.0), (5.1e-51, 1e100), (4.9e49, 1e-100)],
+    )
+    def test_oracle_matches_mpmath_across_the_eps_range(self, nu, sigma):
+        # measured worst relerr 3.6e-14
+        for eps in np.geomspace(*FOURIER_LIMITS_EPS_RANGE, 13):
+            want = mp_massive_bump(0.8, nu, eps, sigma)
+            assert _massive_physical_oracle(0.8, nu, eps, sigma) == pytest.approx(want, rel=1e-13), eps
 
     @pytest.mark.parametrize("nu", [1e-3, 1.0, 1e3])
     def test_rule_meets_the_default_tolerance_across_the_eps_range(self, nu):
@@ -352,10 +387,21 @@ class TestMassiveLimit:
 
     @pytest.mark.parametrize("eps", [1e-4, 1e4])
     def test_rule_misses_the_default_tolerance_past_the_eps_range(self, eps):
-        # measured: the relerr first exceeds 1e-6 at eps = 5.7e-4 and 4.1e3
+        # below the range the radial rule itself misses: against mpmath its
+        # relerr is first above 1e-6 at eps = 5.6e-4, and 2.9e-5 at 1e-4.
+        # Above it the rule matches mpmath to 1.3e-16 at 1e4, and the range
+        # ends where exp(width^2 eps) of the closed form overflows (eps = 1109)
         lo, hi = FOURIER_LIMITS_EPS_RANGE
         assert not lo <= eps <= hi
-        assert self.massive_vs_physical_relerr(eps) > 1e-6
+        fg = gaussian_bump(0.3, 0.8)
+        want = mp_massive_bump(0.8, 1.0, eps)
+        relerr = abs(massive_limit_covariance(fg, fg, 1.0, eps) - want) / want
+        if eps < lo:
+            assert relerr > 1e-6
+        else:
+            assert relerr < 1e-14
+            with pytest.raises(OverflowError):
+                _massive_physical_oracle(0.8, 1.0, eps, 1.0)
 
 
 class TestRealness:

@@ -3,13 +3,10 @@ import mpmath
 import numpy as np
 import pytest
 
-from gfflab import experiments, greens
 from gfflab.cli import parse_config_text
-from gfflab.experiments import _massive_physical_oracle, exp_fourier_limits, exp_two_sided_cov
-from gfflab.fourier_cov import gaussian_bump
+from gfflab.experiments import exp_fourier_limits, exp_two_sided_cov
 from gfflab.quadrature import (
     PANEL_NODES,
-    TILE_NODES,
     composite_legendre,
     cumulative_legendre,
     gauss_legendre,
@@ -141,41 +138,14 @@ class TestCumulativeLegendre:
             cumulative_legendre(np.ones(PANEL_NODES + 1), 0.0, 1.0)
 
 
-def untiled_massive_oracle(fg, nu, eps, sigma):
-    """experiments._massive_physical_oracle as it was before tiling: the
-    whole (400 outer x 160 inner) node table per side at once."""
-    center = fg.center[0] if fg.center else 0.0
-    width = fg.params["width"]
-    lo, hi = center - 12.0 * width, center + 12.0 * width
-    x, w = composite_legendre(lo, hi, 25, 16)
-    edges = np.linspace(lo, x, 11, axis=-1)
-    yl, wl = (a.reshape(x.size, -1) for a in gauss_legendre(edges[:, :-1], edges[:, 1:], 16))
-    edges = np.linspace(x, hi, 11, axis=-1)
-    yr, wr = (a.reshape(x.size, -1) for a in gauss_legendre(edges[:, :-1], edges[:, 1:], 16))
-    phi_l = greens.potential_massive(x[:, None] - yl, d=1, nu=nu, eps=nu * eps)
-    phi_r = greens.potential_massive(yr - x[:, None], d=1, nu=nu, eps=nu * eps)
-    inner = np.sum(wl * phi_l * fg.physical(yl) + wr * phi_r * fg.physical(yr), axis=1)
-    return 0.5 * sigma**2 * float(np.sum(w * fg.physical(x) * inner))
-
-
-class TestTiles:
-    """The nested rule of the fourier_limits oracle reduces one tile of rows
-    at a time: the same bits as the whole table, within a memory budget that
-    the whole table breaks."""
-
-    @pytest.mark.parametrize("tile", [160, 1000, TILE_NODES, 400 * 160])
-    @pytest.mark.parametrize("nu, eps", [(1.0, 1.0), (1e-3, 1e-3), (1e3, 1e3)])
-    def test_massive_oracle_keeps_every_bit(self, nu, eps, tile, monkeypatch):
-        # one outer row per tile, six rows with a short last tile, the default
-        # and the whole table in one tile
-        monkeypatch.setattr(experiments, "TILE_NODES", tile)
-        fg = gaussian_bump(0.3, 0.8)
-        assert _massive_physical_oracle(fg, nu, eps, 1.0) == untiled_massive_oracle(fg, nu, eps, 1.0)
+class TestExperimentMemory:
+    """The quadrature experiments hold no large node table."""
 
     @pytest.mark.parametrize(
         "name, run",
-        # 5.42 MiB for fourier_limits untiled; two_sided_cov builds no node
-        # table and peaks at 0.25 MiB (1.96 MiB with an untiled gap rule)
+        # in a fresh process fourier_limits peaks at 0.09 MiB, its largest
+        # arrays the 1024 nodes of the radial rule; two_sided_cov builds no
+        # node table and peaks at 0.30 MiB
         [("fourier_limits", exp_fourier_limits), ("two_sided_cov", exp_two_sided_cov)],
     )
     def test_experiment_peak_is_below_one_mib(self, name, run, traced_peak):
