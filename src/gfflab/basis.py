@@ -5,13 +5,16 @@ Each basis stores the positive square roots lambda_k of the operator
 eigenvalues (so the Laplacian eigenvalue is -lambda_k^2), sorted
 non-decreasingly with lexicographic multi-index tie-breaking, together with
 the Weyl constant c_weyl: lambda_k ~ c_weyl * k^(1/d) on a d-dimensional
-interval or box, and c_weyl * k^(1/(2d)) for the Hermite operator.
+interval or box, and c_weyl * k^(1/(2d)) for the Hermite operator. The modes
+themselves are held as one int64 sort key each, in that order; their
+multi-indices are decoded from the keys only where they are read.
 """
 
 from __future__ import annotations
 
 import enum
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,11 +32,12 @@ class BasisKind(enum.Enum):
     HERMITE = "hermite"
 
 
-_INTERVAL_KINDS = (
-    BasisKind.INTERVAL_DIRICHLET,
-    BasisKind.INTERVAL_NEUMANN,
-    BasisKind.INTERVAL_MIXED,
-)
+# the interval kinds, each with the shift of lambda_k = (k - shift) pi / (b - a)
+_INTERVAL_SHIFTS = {
+    BasisKind.INTERVAL_DIRICHLET: 0.0,
+    BasisKind.INTERVAL_NEUMANN: 1.0,  # lambda_1 = 0: the constant mode
+    BasisKind.INTERVAL_MIXED: 0.5,
+}
 
 _KIND_ALIASES = {
     "dirichlet": BasisKind.INTERVAL_DIRICHLET,
@@ -113,7 +117,15 @@ class _Handover(np.ndarray):
 
 @dataclass(frozen=True, eq=False)
 class EigenBasis:
-    """An ordered eigen-system (lambda_k, h_k), immutable after construction."""
+    """An ordered eigen-system (lambda_k, h_k), immutable after construction.
+
+    Besides lambda_k it holds one sorted int64 key per mode and the key's
+    base B, and nothing of size d per mode: the key is the mode number on an
+    interval, the degree for Hermite d = 1, and
+    q * B^(d-1) + (n_1 .. n_{d-1} in base B) for the box (q = |n|^2) and
+    Hermite d >= 2 (q = sum(n)). `indices` decodes the multi-indices from
+    the keys on every read.
+    """
 
     kind: BasisKind
     d: int
@@ -121,10 +133,11 @@ class EigenBasis:
     lambdas: np.ndarray  # shape (size,), non-decreasing, Lambda h_k = lambda_k h_k
     c_weyl: float
     domain: tuple[tuple[float, float], ...] | None
-    indices: np.ndarray  # (size, d) int64; interval: mode numbers, hermite: degrees
+    keys: np.ndarray  # shape (size,) int64, in the order of lambdas
+    key_base: int
 
     def __post_init__(self):
-        for name in ("lambdas", "indices"):
+        for name in ("lambdas", "keys"):
             arr = getattr(self, name)
             # a builder's array is kept; any other is copied, so the caller's stays writeable
             arr = arr.base if type(arr) is _Handover else np.array(arr)
@@ -132,6 +145,40 @@ class EigenBasis:
             while isinstance(arr, np.ndarray):  # the array and any array it views
                 arr.setflags(write=False)
                 arr = arr.base
+
+    @property
+    def indices(self) -> np.ndarray:
+        """The (size, d) int64 multi-indices (interval: mode numbers, hermite:
+        degrees) as a new frozen array; a view of the keys where they are the
+        index itself (interval, Hermite d = 1).
+
+        n_1 .. n_{d-1} are the base-B digits of a key, q its quotient by
+        B^(d-1), and n_d^power = q - sum_{i<d} n_i^power, power 2 on the box
+        and 1 for Hermite. For power 2 the float square root of that integer
+        is exactly n_d: n_d^2 < 2^63 rounds to a double within a relative
+        2^-53, so its root lies within less than half a unit in the last
+        place of the integer n_d.
+        """
+        power = 2 if self.kind is BasisKind.BOX_DIRICHLET else 1
+        key, base = self.keys, self.key_base
+        if power == 1 and self.d == 1:
+            return key.reshape(-1, 1)
+        indices = np.empty((self.size, self.d), dtype=np.int64)
+        last = indices[:, -1]
+        spare = np.empty_like(key)  # the quotients before the last one, then the squares
+        for axis in range(self.d - 2, -1, -1):
+            high = np.floor_divide(key, base, out=last if axis == 0 else spare)  # far faster than np.divmod
+            digit = np.multiply(high, base, out=indices[:, axis])
+            np.subtract(key, digit, out=digit)
+            key = high
+        if self.d == 1:
+            np.copyto(last, key)
+        for axis in range(self.d - 1):
+            last -= np.square(indices[:, axis], out=spare) if power == 2 else indices[:, axis]
+        if power == 2:
+            np.sqrt(last, out=last, casting="unsafe")
+        indices.setflags(write=False)
+        return indices
 
     @property
     def lambdas_squared(self) -> np.ndarray:
@@ -150,6 +197,41 @@ class EigenBasis:
             )
 
 
+def _mode_count(size) -> int:
+    """The basis size as an int; a float or any other non-integer is refused,
+    not truncated."""
+    try:
+        size = operator.index(size)
+    except TypeError:
+        raise TypeError(f"basis size must be an integer, got {size!r}") from None
+    if size < 1:
+        raise ValueError(f"basis size must be positive, got {size}")
+    return size
+
+
+def _box_cap(d: int, size: int) -> int:
+    """A bound on |n|^2 that the first `size` box modes keep: the Weyl radius
+    of the orthant ball plus d + 1 already holds `size` lattice points."""
+    vol = (1.0, math.pi / 4.0, math.pi / 6.0)[d - 1]
+    return int(((size / vol) ** (1.0 / d) + d + 1) ** 2)
+
+
+def require_finite_spectrum(kind: BasisKind, d: int, length: float, size: int) -> None:
+    """Reject an interval length b - a or a box side at which pi / length is
+    0 or not finite, or lambda_size would not be finite. On the interval
+    lambda_size = (size - shift) pi / length exactly; on the box it is at
+    most sqrt(cap) pi / side, so the check needs no basis."""
+    name = "side" if kind is BasisKind.BOX_DIRICHLET else "b - a"
+    top = math.sqrt(_box_cap(d, size)) if kind is BasisKind.BOX_DIRICHLET else size - _INTERVAL_SHIFTS[kind]
+    length = float(length)  # a numpy scalar would warn where a float gives inf
+    unit, largest = math.pi / length, top * math.pi / length
+    if not (0.0 < unit < math.inf and largest < math.inf):
+        raise ValueError(
+            f"{name} = {length!r} puts the eigenvalues outside the float range:"
+            f" pi / ({name}) = {unit!r}, lambda_K up to {largest!r}"
+        )
+
+
 def build_interval_basis(bc: BasisKind | str, a: float, b: float, size: int) -> EigenBasis:
     """Closed-form sine/cosine eigen-system of -d^2/dx^2 on (a, b).
 
@@ -158,20 +240,18 @@ def build_interval_basis(bc: BasisKind | str, a: float, b: float, size: int) -> 
     Mixed (h(a) = h'(b) = 0): lambda_k = (k - 1/2) pi / L.
     """
     kind = parse_basis_kind(bc)
-    if kind not in _INTERVAL_KINDS:
+    if kind not in _INTERVAL_SHIFTS:
         raise ValueError(f"{kind} is not an interval boundary condition")
     if not a < b:
         raise ValueError(f"invalid interval: need a < b, got a={a}, b={b}")
-    if size < 1:
-        raise ValueError(f"basis size must be positive, got {size}")
+    size = _mode_count(size)
     length = b - a
-    k = np.arange(1, size + 1, dtype=float)
-    if kind is BasisKind.INTERVAL_DIRICHLET:
-        lambdas = k * np.pi / length
-    elif kind is BasisKind.INTERVAL_MIXED:
-        lambdas = (k - 0.5) * np.pi / length
-    else:  # Neumann: lambda_1 = 0 constant mode
-        lambdas = (k - 1.0) * np.pi / length
+    require_finite_spectrum(kind, 1, length, size)
+    keys = np.arange(1, size + 1, dtype=np.int64)  # the mode numbers k
+    lambdas = np.arange(1, size + 1, dtype=float)
+    lambdas -= _INTERVAL_SHIFTS[kind]
+    lambdas *= np.pi
+    lambdas /= length
     return EigenBasis(
         kind=kind,
         d=1,
@@ -179,25 +259,23 @@ def build_interval_basis(bc: BasisKind | str, a: float, b: float, size: int) -> 
         lambdas=lambdas.view(_Handover),
         c_weyl=np.pi / length,
         domain=((float(a), float(b)),),
-        indices=np.arange(1, size + 1, dtype=np.int64).reshape(-1, 1).view(_Handover),
+        keys=keys.view(_Handover),
+        key_base=size + 1,
     )
 
 
 def _shell_order(d: int, size: int, lo: int, power: int, cap: int):
-    """The first `size` multi-indices n in Z^d with every n_i >= lo and
-    q(n) = sum_i n_i^power <= cap, in (q, lexicographic n) order, as
-    (indices, q); None when fewer than `size` exist.
+    """The sort keys of the first `size` multi-indices n in Z^d with every
+    n_i >= lo and q(n) = sum_i n_i^power <= cap, in (q, lexicographic n)
+    order, and their base B, as (keys, B); None when fewer than `size` exist.
 
     Only that region is listed, one axis at a time: each row grows into a
-    ragged range whose length is a searchsorted on the per-axis weights.
-    As t -> t^power is injective on t >= 0, q and n_1 .. n_{d-1} fix n_d,
-    so q * B^(d-1) + (n_1 .. n_{d-1} in base B), B = max coordinate + 1,
-    is a unique int64 sort key. The sorted keys are decoded, not gathered:
-    n_1 .. n_{d-1} are its base-B digits, q its quotient by B^(d-1), and
-    n_d^power = q - sum_{i<d} n_i^power. For power 2 the float square root
-    of that integer is exactly n_d: n_d^2 <= cap < 2^63 rounds to a double
-    within a relative 2^-53, so its root lies within less than half a unit
-    in the last place of the integer n_d.
+    ragged run of coordinates lo, lo + 1, .. whose length is a searchsorted
+    on the per-axis weights. As t -> t^power is injective on t >= 0, q and
+    n_1 .. n_{d-1} fix n_d, so q * B^(d-1) + (n_1 .. n_{d-1} in base B),
+    B = max coordinate + 1, is a unique int64 sort key. The keys are sorted
+    in the buffer of all listed ones and returned undecoded, as a view of
+    its first `size`; EigenBasis.indices decodes them.
     """
     base = (math.isqrt(cap) if power == 2 else cap) + 1
     shift = base ** (d - 1)
@@ -207,9 +285,14 @@ def _shell_order(d: int, size: int, lo: int, power: int, cap: int):
     key = np.zeros(1, dtype=np.int64)  # q * shift + (n_1 .. n_axis in base B) so far
     for axis in range(d):
         counts = np.searchsorted(weights, cap - key // shift - (d - 1 - axis) * weights[0], side="right")
-        pick = np.arange(lo, lo + counts.sum(), dtype=np.int64)  # the coordinate n_axis
-        pick -= np.repeat(np.cumsum(counts) - counts, counts)
         key = np.repeat(key, counts)
+        # the coordinate n_axis as a running sum of steps of 1 that restarts
+        # at lo on each run, so the listing holds two arrays of its length
+        runs = counts[counts > 0]
+        pick = np.ones_like(key)
+        pick[np.cumsum(runs[:-1])] = 1 - runs[:-1]
+        pick[:1] = lo
+        np.cumsum(pick, out=pick)
         if axis < d - 1:
             key += pick * base ** (d - 2 - axis)
         pick **= power
@@ -218,22 +301,12 @@ def _shell_order(d: int, size: int, lo: int, power: int, cap: int):
     if key.size < size:
         return None
     key.sort()
-    key = key[:size]
-    del pick
-    indices = np.empty((size, d), dtype=np.int64)
-    spare = None  # the quotients alternate between key's buffer and this one
-    for axis in range(d - 2, -1, -1):
-        high = np.floor_divide(key, base, out=spare)  # far faster than np.divmod
-        digit = np.multiply(high, base, out=indices[:, axis])
-        np.subtract(key, digit, out=digit)
-        key, spare = high, key
-    last = indices[:, -1]
-    np.copyto(last, key)
-    for axis in range(d - 1):
-        last -= np.square(indices[:, axis], out=spare) if power == 2 else indices[:, axis]
-    if power == 2:
-        np.sqrt(last, out=last, casting="unsafe")
-    return indices, key
+    return key[:size], base
+
+
+def _quotients(keys: np.ndarray, shift: int) -> np.ndarray:
+    """q = keys // shift as a new float array, converted block by block."""
+    return np.floor_divide(keys, shift, out=np.empty(keys.size), casting="unsafe")
 
 
 def build_box_basis(d: int, side: float, size: int) -> EigenBasis:
@@ -246,17 +319,15 @@ def build_box_basis(d: int, side: float, size: int) -> EigenBasis:
         raise ValueError(f"unsupported dimension {d}")
     if side <= 0:
         raise ValueError(f"box side must be positive, got {side}")
-    if size < 1:
-        raise ValueError(f"basis size must be positive, got {size}")
+    size = _mode_count(size)
+    require_finite_spectrum(BasisKind.BOX_DIRICHLET, d, side, size)
 
-    # the Weyl radius of the orthant ball plus d + 1 already holds size
-    # points; the loop only guards that bound
-    vol = (1.0, math.pi / 4.0, math.pi / 6.0)[d - 1]
-    cap = int(((size / vol) ** (1.0 / d) + d + 1) ** 2)
-    while (shell := _shell_order(d, size, 1, 2, cap)) is None:
+    cap = _box_cap(d, size)
+    while (shell := _shell_order(d, size, 1, 2, cap)) is None:  # only guards the bound
         cap *= 4
-    indices, norm2 = shell
-    lambdas = np.sqrt(norm2, dtype=float)
+    keys, base = shell
+    lambdas = _quotients(keys, base ** (d - 1))  # |n|^2
+    np.sqrt(lambdas, out=lambdas)
     lambdas *= np.pi
     lambdas /= side
 
@@ -272,7 +343,8 @@ def build_box_basis(d: int, side: float, size: int) -> EigenBasis:
         lambdas=lambdas.view(_Handover),
         c_weyl=c_weyl,
         domain=tuple(((0.0, float(side)),) * d),
-        indices=indices.view(_Handover),
+        keys=keys.view(_Handover),
+        key_base=base,
     )
 
 
@@ -284,21 +356,20 @@ def build_hermite_basis(d: int, size: int) -> EigenBasis:
     """
     if d not in (1, 2, 3):
         raise ValueError(f"unsupported dimension {d}")
-    if size < 1:
-        raise ValueError(f"basis size must be positive, got {size}")
+    size = _mode_count(size)
     if size > HERMITE_SIZE_LIMIT:
         raise ValueError(f"hermite basis size {size} exceeds {HERMITE_SIZE_LIMIT}")
 
     if d == 1:
-        indices = np.arange(size, dtype=np.int64).reshape(-1, 1)
-        degree = indices[:, 0]
+        keys, base = np.arange(size, dtype=np.int64), size  # the degrees
+        lambdas = np.multiply(keys, 2.0)
     else:
         m = 0
         while math.comb(m + d, d) < size:
             m += 1
-        indices, degree = _shell_order(d, size, 0, 1, m)
-
-    lambdas = np.multiply(degree, 2.0)
+        keys, base = _shell_order(d, size, 0, 1, m)
+        lambdas = _quotients(keys, base ** (d - 1))  # the total degree
+        lambdas *= 2.0
     lambdas += d
     np.sqrt(lambdas, out=lambdas)
     return EigenBasis(
@@ -308,7 +379,8 @@ def build_hermite_basis(d: int, size: int) -> EigenBasis:
         lambdas=lambdas.view(_Handover),
         c_weyl=(2.0**d * math.factorial(d)) ** (1.0 / (2 * d)),
         domain=None,
-        indices=indices.view(_Handover),
+        keys=keys.view(_Handover),
+        key_base=base,
     )
 
 
@@ -341,16 +413,19 @@ def evaluate_matrix(basis: EigenBasis, points) -> np.ndarray:
         pts = pts.reshape(1, -1)
     if pts.shape[1] != basis.d:
         raise ValueError(f"points have dimension {pts.shape[1]}, basis has d={basis.d}")
+    if not np.isfinite(pts).all():
+        raise ValueError("evaluation points must be finite")
 
-    if basis.kind in _INTERVAL_KINDS:
+    indices = basis.indices
+    if basis.kind in _INTERVAL_SHIFTS:
         a, b = basis.domain[0]
         _check_in_domain(pts[:, 0], a, b)
-        return _interval_axis_values(basis.kind, a, b, basis.indices[:, 0], pts[:, 0])
+        return _interval_axis_values(basis.kind, a, b, indices[:, 0], pts[:, 0])
 
     # box and Hermite: per-axis columns up to the largest index, then gather
     out = np.ones((pts.shape[0], basis.size))
     for axis in range(basis.d):
-        idx = basis.indices[:, axis]
+        idx = indices[:, axis]
         if basis.kind is BasisKind.HERMITE:
             cols = hermite_functions(int(idx.max()), pts[:, axis])
         else:
@@ -393,7 +468,7 @@ def eigen_residual(basis: EigenBasis, k: int, n_probe: int = 17) -> float:
     lam2 = float(basis.lambdas_squared[k - 1])
     step = 2e-4 / math.sqrt(max(basis.lambdas[k - 1], 1.0))
 
-    if basis.kind in _INTERVAL_KINDS:
+    if basis.kind in _INTERVAL_SHIFTS:
         a, b = basis.domain[0]
         margin = 0.05 * (b - a)
         probes = np.linspace(a + margin, b - margin, n_probe).reshape(-1, 1)

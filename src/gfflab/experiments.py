@@ -20,6 +20,7 @@ from .basis import (
     build_box_basis,
     build_hermite_basis,
     build_interval_basis,
+    require_finite_spectrum,
 )
 from .fields import RngStream
 from .quadrature import composite_legendre
@@ -79,7 +80,18 @@ _BASIS_K = partial(
     _require_within, "K", "K", lambda cfg: cfg.modes if cfg.basis_kind is BasisKind.HERMITE else None,
     (1, HERMITE_SIZE_LIMIT),
 )
-_DYNAMICS = (_require_positive_spectrum, _SIGMA, _FIELD_SCALE, _BASIS_K)
+
+
+def _require_finite_basis_scale(cfg) -> None:
+    """The check of build_box_basis and build_interval_basis on the length
+    that build_basis gives them; the Hermite basis has none."""
+    if cfg.basis_kind is BasisKind.BOX_DIRICHLET:
+        require_finite_spectrum(cfg.basis_kind, cfg.d, cfg.side, cfg.modes)
+    elif cfg.basis_kind is not BasisKind.HERMITE:
+        require_finite_spectrum(cfg.basis_kind, 1, cfg.b - cfg.a, cfg.modes)
+
+
+_DYNAMICS = (_require_positive_spectrum, _SIGMA, _FIELD_SCALE, _BASIS_K, _require_finite_basis_scale)
 # the smallest K at which each verdict can resolve its claim. kakutani needs
 # two checkpoints, or its tail is 0 by construction. heat_poisson's
 # interval_series row misses 1e-3 at K <= 8, 11-18, 21, 24, 25, 28 and 31 (the
@@ -506,7 +518,7 @@ EXPERIMENT_TABLE: dict[str, tuple] = {
     "stationary_bd": (exp_stationary_bd, {}, _DYNAMICS),
     "stationary_hermite": (exp_stationary_hermite, {"basis.kind": "hermite"}, _DYNAMICS),
     "convergence_curve": (exp_convergence_curve, {}, _DYNAMICS),
-    "kakutani": (exp_kakutani, {"t": 0.1, "K": 10000}, (_require_positive_spectrum, _KAKUTANI_K, _BASIS_K)),
+    "kakutani": (exp_kakutani, {"t": 0.1, "K": 10000}, (_require_positive_spectrum, _KAKUTANI_K, _BASIS_K, _require_finite_basis_scale)),
     "greens_checks": (exp_greens_checks, {"tol.rel": 1e-6}, (_MASS,)),
     "heat_poisson": (exp_heat_poisson, {"K": 4000, "tol.rel": 1e-6}, (_MASS, _HEAT_POISSON_K)),
     "log_divergence_2d": (exp_log_divergence_2d, {}, ()),

@@ -74,19 +74,31 @@ def em_ensemble():
 
 
 @pytest.fixture(scope="session")
-def traced_peak():
-    """fn(*args) and the peak of the memory it allocated, in bytes, as
-    tracemalloc counts it (numpy reports its array buffers there)."""
+def traced_memory():
+    """fn(*args), the memory it allocated and still holds, and the peak of
+    that memory, in bytes, as tracemalloc counts it (numpy reports its array
+    buffers there)."""
 
-    def peak(fn, *args):
+    def traced(fn, *args):
         if tracemalloc.is_tracing():
             pytest.skip("tracemalloc is already tracing")
         tracemalloc.start()
         try:
             result = fn(*args)
-            return result, tracemalloc.get_traced_memory()[1]
+            return result, *tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
+
+    return traced
+
+
+@pytest.fixture(scope="session")
+def traced_peak(traced_memory):
+    """fn(*args) and the peak of the memory it allocated, in bytes."""
+
+    def peak(fn, *args):
+        result, _, top = traced_memory(fn, *args)
+        return result, top
 
     return peak
 

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from gfflab.basis import (
     BasisKind,
     EigenBasis,
+    _box_cap,
     _shell_order,
     build_box_basis,
     build_hermite_basis,
@@ -56,6 +57,26 @@ def assert_same_bytes(basis, indices, lambdas):
     assert basis.indices.dtype == indices.dtype and basis.indices.shape == indices.shape
     assert basis.indices.tobytes() == indices.tobytes()
     assert basis.lambdas.tobytes() == lambdas.tobytes()
+
+
+def decode(kind, d, keys, base):
+    """The multi-indices EigenBasis decodes from sort keys of base `base`."""
+    return EigenBasis(
+        kind=kind, d=d, size=keys.size, lambdas=np.zeros(keys.size),
+        c_weyl=1.0, domain=None, keys=keys, key_base=base,
+    ).indices
+
+
+def listed(kind, d, size):
+    """How many lattice points the builder lists for `size` modes: the
+    orthant ball |n|^2 <= cap with n_i >= 1 (box), or the simplex
+    sum(n) <= m with n_i >= 0 (Hermite), counted point by point."""
+    if kind == "hermite":
+        m = next(m for m in itertools.count() if math.comb(m + d, d) >= size)
+        return math.comb(m + d, d)
+    cap = _box_cap(d, size)
+    rows = itertools.product(range(1, math.isqrt(cap) + 1), repeat=d - 1)
+    return sum(math.isqrt(max(cap - sum(n * n for n in row), 0)) for row in rows)
 
 
 def old_sinpi(u):
@@ -136,6 +157,23 @@ class TestIntervalBasis:
         with pytest.raises(ValueError, match="positive"):
             build_interval_basis("dirichlet", 0.0, 1.0, 0)
 
+    def test_non_integral_size_rejected(self):
+        # 2.5 once gave 3 eigenvalues and recorded size == 2.5
+        with pytest.raises(TypeError, match="basis size must be an integer, got 2.5"):
+            build_interval_basis("dirichlet", 0.0, 1.0, 2.5)
+        b = build_interval_basis("dirichlet", 0.0, 1.0, np.int64(3))
+        assert type(b.size) is int and b.lambdas.size == 3
+
+    @pytest.mark.parametrize(
+        "a, b, size",
+        # b - a overflows, so pi / (b - a) is 0; lambda_K passes the float range
+        [(-1e308, 1e308, 4), (0.0, 1e-306, 1000)],
+    )
+    def test_eigenvalues_outside_the_float_range_rejected(self, a, b, size):
+        with pytest.raises(ValueError, match=r"b - a = .* outside the float range"):
+            build_interval_basis("dirichlet", a, b, size)
+        assert np.isfinite(build_interval_basis("mixed", 0.0, 1e-306, 10).lambdas).all()
+
 
 class TestBoxBasis:
     def test_smallest_two_square_sums(self):
@@ -168,6 +206,20 @@ class TestBoxBasis:
     def test_unsupported_dimension(self):
         with pytest.raises(ValueError, match="dimension"):
             build_box_basis(4, 1.0, 8)
+
+    def test_non_integral_size_rejected(self):
+        with pytest.raises(TypeError, match="basis size must be an integer, got 2.5"):
+            build_box_basis(2, 1.0, 2.5)
+
+    @pytest.mark.parametrize(
+        "side, size",
+        # pi / side is inf; pi / side is finite but sqrt(|n|^2) pi / side is not
+        [(1e-320, 8), (1e-306, 5000)],
+    )
+    def test_eigenvalues_outside_the_float_range_rejected(self, side, size):
+        with pytest.raises(ValueError, match=r"side = .* outside the float range"):
+            build_box_basis(2, side, size)
+        assert np.isfinite(build_box_basis(2, 1e-306, 8).lambdas).all()
 
     @pytest.mark.parametrize("d", [2, 3])
     def test_order_matches_tuple_key_sort(self, d):
@@ -221,6 +273,10 @@ class TestHermiteBasis:
         with pytest.raises(ValueError, match="exceeds"):
             build_hermite_basis(1, 10**6 + 1)
 
+    def test_non_integral_size_rejected(self):
+        with pytest.raises(TypeError, match="basis size must be an integer, got 2.5"):
+            build_hermite_basis(2, 2.5)
+
     @pytest.mark.parametrize("d", [2, 3])
     def test_order_matches_tuple_key_sort(self, d):
         # every degree up to the largest needed (sum(n) <= 62 for d = 2, 21 for d = 3)
@@ -256,7 +312,9 @@ class TestShellOrder:
     )
     def test_decoded_arrays_are_int64(self, d, size, lo, power):
         cap = size**2 if power == 2 else next(m for m in itertools.count() if math.comb(m + d, d) >= size)
-        indices, q = _shell_order(d, size, lo, power, cap)
+        keys, base = _shell_order(d, size, lo, power, cap)
+        indices = decode(BasisKind.BOX_DIRICHLET if power == 2 else BasisKind.HERMITE, d, keys, base)
+        q = keys // base ** (d - 1)
         assert indices.dtype == np.int64 and q.dtype == np.int64
         assert indices.shape == (size, d) and q.shape == (size,)
         assert np.array_equal((indices**power).sum(axis=1), q)
@@ -287,9 +345,9 @@ class TestShellOrder:
     def test_short_region_returns_none(self):
         # {n >= 1 : |n|^2 <= 5} holds (1, 1), (1, 2), (2, 1) only
         assert _shell_order(2, 4, 1, 2, 5) is None
-        indices, q = _shell_order(2, 3, 1, 2, 5)
-        assert indices.tolist() == [[1, 1], [1, 2], [2, 1]]
-        assert q.tolist() == [2, 5, 5]
+        keys, base = _shell_order(2, 3, 1, 2, 5)
+        assert decode(BasisKind.BOX_DIRICHLET, 2, keys, base).tolist() == [[1, 1], [1, 2], [2, 1]]
+        assert (keys // base).tolist() == [2, 5, 5]
 
 
 class TestInPlace:
@@ -303,6 +361,21 @@ class TestInPlace:
         build = (lambda: build_box_basis(d, 1.0, size)) if kind == "box" else (lambda: build_hermite_basis(d, size))
         basis, peak = traced_peak(build)
         assert peak <= 2 * (basis.lambdas.nbytes + basis.indices.nbytes)
+
+    @pytest.mark.parametrize("kind, d, size", [("box", 2, 200000), ("box", 3, 100000), ("hermite", 2, 200000)])
+    def test_basis_holds_eigenvalues_and_one_key_per_listed_point(self, kind, d, size, traced_memory):
+        # 4.58 MiB at d = 2 while the (size, d) indices were kept; the sorted
+        # keys are a view of the buffer of every listed point
+        build = (lambda: build_box_basis(d, 1.0, size)) if kind == "box" else (lambda: build_hermite_basis(d, size))
+        basis, held, peak = traced_memory(build)
+        assert held <= basis.lambdas.nbytes + 8 * listed(kind, d, size) + 4096  # and small Python objects
+        assert peak <= 3.1 * basis.lambdas.nbytes  # 4.1 times at d = 2 with the decode
+
+    def test_interval_builder_peak_is_its_output(self, traced_memory):
+        # 2.29 MiB at K = 10^5 when k * pi / length made two throwaway arrays
+        basis, held, peak = traced_memory(build_interval_basis, "dirichlet", 0.0, 1.0, 10**5)
+        output = basis.lambdas.nbytes + basis.keys.nbytes
+        assert held >= output and peak - output < 4096  # and small Python objects
 
     def test_sinpi_peak_is_at_most_three_and_a_half_inputs(self, traced_peak):
         u = np.random.default_rng(3).uniform(-50.0, 50.0, 200000)
@@ -365,7 +438,7 @@ class TestInPlace:
     )
     def test_builder_arrays_are_frozen_plain_and_unshared(self, make):
         basis, again = make(), make()
-        for arr in (basis.lambdas, basis.indices):
+        for arr in (basis.lambdas, basis.keys, basis.indices):
             assert type(arr) is np.ndarray and arr.flags.c_contiguous
             view = arr
             while view is not None:  # the array and every array it views
@@ -446,6 +519,26 @@ class TestEvaluation:
     def test_hermite_accepts_any_real(self, hermite16):
         assert np.isfinite(evaluate_matrix(hermite16, 25.0)[0, 15])
 
+    @pytest.mark.parametrize(
+        "make, point",
+        [
+            # NaN once passed the interval's domain check and gave a row of NaN
+            (lambda: build_interval_basis("dirichlet", 0.0, 1.0, 16), math.nan),
+            (lambda: build_box_basis(2, 1.0, 16), (0.5, math.nan)),
+            # +-inf once warned in the Hermite recurrence and gave NaN
+            (lambda: build_hermite_basis(1, 16), math.inf),
+            (lambda: build_hermite_basis(2, 16), (0.0, -math.inf)),
+        ],
+        ids=["interval", "box", "hermite1", "hermite2"],
+    )
+    def test_non_finite_point_rejected(self, make, point):
+        with pytest.raises(ValueError, match="evaluation points must be finite"):
+            evaluate_matrix(make(), point)
+
+    def test_series_green_rejects_non_finite_points(self, dirichlet16):
+        with pytest.raises(ValueError, match="evaluation points must be finite"):
+            series_green(dirichlet16, 1.0, 0.3, math.nan)
+
     def test_matrix_matches_pointwise(self, dirichlet16):
         pts = np.array([0.1, 0.5, 0.9])
         m = evaluate_matrix(dirichlet16, pts)
@@ -490,26 +583,27 @@ class TestHelpers:
         assert math.copysign(1.0, sinpi(-3.0)) == 1.0
 
     def test_caller_arrays_stay_writeable(self):
-        lambdas, indices = np.ones(3), np.ones((3, 1), dtype=np.int64)
+        lambdas, keys = np.ones(3), np.ones(3, dtype=np.int64)
         b = EigenBasis(
             kind=BasisKind.INTERVAL_DIRICHLET, d=1, size=3, lambdas=lambdas,
-            c_weyl=1.0, domain=((0.0, math.pi),), indices=indices,
+            c_weyl=1.0, domain=((0.0, math.pi),), keys=keys, key_base=2,
         )
-        assert lambdas.flags.writeable and indices.flags.writeable
-        assert not b.lambdas.flags.writeable and not b.indices.flags.writeable
-        lambdas[0], indices[0, 0] = 5.0, 7
-        assert b.lambdas[0] == 1.0 and b.indices[0, 0] == 1
+        assert lambdas.flags.writeable and keys.flags.writeable
+        assert not b.lambdas.flags.writeable and not b.keys.flags.writeable
+        assert not b.indices.flags.writeable
+        lambdas[0], keys[0] = 5.0, 7
+        assert b.lambdas[0] == 1.0 and b.keys[0] == 1 and b.indices[0, 0] == 1
 
         # a read-only array the caller owns is still the caller's: the
         # caller can turn writing back on, so the basis copies it too
         lambdas.setflags(write=False)
-        indices.setflags(write=False)
+        keys.setflags(write=False)
         b = EigenBasis(
             kind=BasisKind.INTERVAL_DIRICHLET, d=1, size=3, lambdas=lambdas,
-            c_weyl=1.0, domain=((0.0, math.pi),), indices=indices,
+            c_weyl=1.0, domain=((0.0, math.pi),), keys=keys, key_base=8,
         )
-        assert not np.shares_memory(b.lambdas, lambdas) and not np.shares_memory(b.indices, indices)
+        assert not np.shares_memory(b.lambdas, lambdas) and not np.shares_memory(b.keys, keys)
         lambdas.setflags(write=True)
-        indices.setflags(write=True)
-        lambdas[0], indices[0, 0] = 9.0, 3
-        assert b.lambdas[0] == 5.0 and b.indices[0, 0] == 7
+        keys.setflags(write=True)
+        lambdas[0], keys[0] = 9.0, 3
+        assert b.lambdas[0] == 5.0 and b.keys[0] == 7 and b.indices[0, 0] == 7

@@ -305,6 +305,24 @@ class TestRunner:
         assert "basis.kind" in err and "lambda_1" in err and "Traceback" not in err
         assert not os.path.exists(f"{tmp_path}/n_{name}.csv")
 
+    @pytest.mark.parametrize(
+        "name, body, names",
+        [
+            # b - a overflows and every eigenvalue is 0: once exit 3 on lambda_1 = 0
+            ("stationary_bd", "basis.a = -1e308\nbasis.b = 1e308\n", "b - a"),
+            # pi / side overflows: once an overflow warning, then exit 3 on a zero variance
+            ("stationary_bd", "basis.kind = box\nbasis.d = 2\nbasis.side = 1e-320\nK = 8\n", "side"),
+            ("kakutani", "basis.a = -1e308\nbasis.b = 1e308\n", "b - a"),
+            ("kakutani", "basis.kind = box\nbasis.d = 3\nbasis.side = 1e-320\nK = 16\n", "side"),
+        ],
+    )
+    def test_eigenvalues_outside_the_float_range_exit_two(self, tmp_path, capsys, name, body, names):
+        path = self._write(tmp_path, f"experiment = {name}\n{body}output = {tmp_path}/f\n")
+        assert main(["run", path]) == 2
+        err = capsys.readouterr().err
+        assert f"{names} = " in err and "float range" in err and "Traceback" not in err
+        assert not os.path.exists(f"{tmp_path}/f_{name}.csv")
+
     @pytest.mark.parametrize("name", ["kakutani", "stationary_bd", "weyl"])
     def test_unknown_basis_kind_exit_two(self, tmp_path, capsys, name):
         path = self._write(tmp_path, f"experiment = {name}\nbasis.kind = bogus\noutput = {tmp_path}/u\n")
