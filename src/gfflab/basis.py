@@ -123,13 +123,12 @@ class EigenBasis:
     base B, and nothing of size d per mode: the key is the mode number on an
     interval, the degree for Hermite d = 1, and
     q * B^(d-1) + (n_1 .. n_{d-1} in base B) for the box (q = |n|^2) and
-    Hermite d >= 2 (q = sum(n)). `indices` decodes the multi-indices from
-    the keys on every read.
+    Hermite d >= 2 (q = sum(n)). `size` is the number of eigenvalues, and
+    `indices` decodes the multi-indices from the keys on every read.
     """
 
     kind: BasisKind
     d: int
-    size: int
     lambdas: np.ndarray  # shape (size,), non-decreasing, Lambda h_k = lambda_k h_k
     c_weyl: float
     domain: tuple[tuple[float, float], ...] | None
@@ -145,6 +144,10 @@ class EigenBasis:
             while isinstance(arr, np.ndarray):  # the array and any array it views
                 arr.setflags(write=False)
                 arr = arr.base
+
+    @property
+    def size(self) -> int:
+        return self.lambdas.size
 
     @property
     def indices(self) -> np.ndarray:
@@ -184,34 +187,49 @@ class EigenBasis:
     def lambdas_squared(self) -> np.ndarray:
         return self.lambdas * self.lambdas
 
-    @property
-    def lambda_min(self) -> float:
-        return float(self.lambdas[0])
-
     def require_positive_spectrum(self, what: str) -> None:
         """Reject a basis with a constant mode (lambda_1 = 0) for `what`."""
-        if self.lambda_min <= 0.0:
+        if (lambda_1 := float(self.lambdas[0])) <= 0.0:
             raise ValueError(
-                f"{what} requires lambda_1 > 0; basis has lambda_1 = {self.lambda_min}"
+                f"{what} requires lambda_1 > 0; basis has lambda_1 = {lambda_1}"
                 " (Neumann-type constant mode)"
             )
 
 
-def _mode_count(size) -> int:
-    """The basis size as an int; a float or any other non-integer is refused,
-    not truncated."""
+def _integer(value, what: str) -> int:
+    """value as an int; a float or any other non-integer is refused, not
+    truncated."""
     try:
-        size = operator.index(size)
+        return operator.index(value)
     except TypeError:
-        raise TypeError(f"basis size must be an integer, got {size!r}") from None
-    if size < 1:
+        raise TypeError(f"{what} must be an integer, got {value!r}") from None
+
+
+def _mode_count(size) -> int:
+    if (size := _integer(size, "basis size")) < 1:
         raise ValueError(f"basis size must be positive, got {size}")
     return size
 
 
+def _dimension(d) -> int:
+    if (d := _integer(d, "dimension d")) not in (1, 2, 3):
+        raise ValueError(f"unsupported dimension {d}")
+    return d
+
+
+def _own_basis(kind: BasisKind, d: int, lambdas, c_weyl: float, domain, keys, base: int) -> EigenBasis:
+    """The basis of a builder, which keeps the builder's own new arrays
+    lambdas and keys instead of copying them."""
+    return EigenBasis(kind, d, lambdas.view(_Handover), c_weyl, domain, keys.view(_Handover), base)
+
+
 def _box_cap(d: int, size: int) -> int:
-    """A bound on |n|^2 that the first `size` box modes keep: the Weyl radius
-    of the orthant ball plus d + 1 already holds `size` lattice points."""
+    """A bound cap on |n|^2 whose orthant ball {n >= 1 : |n|^2 <= cap} holds
+    at least `size` lattice points: each such n owns the unit cube [n - 1, n],
+    and those cubes cover the orthant ball of radius sqrt(cap) - sqrt(d), of
+    volume vol (sqrt(cap) - sqrt(d))^d. With the Weyl radius
+    s = (size / vol)^(1/d), cap = int((s + d + 1)^2) >= (s + d)^2, so that
+    volume is at least vol s^d = size."""
     vol = (1.0, math.pi / 4.0, math.pi / 6.0)[d - 1]
     return int(((size / vol) ** (1.0 / d) + d + 1) ** 2)
 
@@ -252,22 +270,15 @@ def build_interval_basis(bc: BasisKind | str, a: float, b: float, size: int) -> 
     lambdas -= _INTERVAL_SHIFTS[kind]
     lambdas *= np.pi
     lambdas /= length
-    return EigenBasis(
-        kind=kind,
-        d=1,
-        size=size,
-        lambdas=lambdas.view(_Handover),
-        c_weyl=np.pi / length,
-        domain=((float(a), float(b)),),
-        keys=keys.view(_Handover),
-        key_base=size + 1,
-    )
+    return _own_basis(kind, 1, lambdas, np.pi / length, ((float(a), float(b)),), keys, size + 1)
 
 
 def _shell_order(d: int, size: int, lo: int, power: int, cap: int):
     """The sort keys of the first `size` multi-indices n in Z^d with every
     n_i >= lo and q(n) = sum_i n_i^power <= cap, in (q, lexicographic n)
-    order, and their base B, as (keys, B); None when fewer than `size` exist.
+    order, and their base B, as (keys, B). The region must hold at least
+    `size` points: _box_cap bounds the box, and the Hermite builder takes
+    the first simplex sum(n) <= m with C(m + d, d) >= size points.
 
     Only that region is listed, one axis at a time: each row grows into a
     ragged run of coordinates lo, lo + 1, .. whose length is a searchsorted
@@ -298,8 +309,6 @@ def _shell_order(d: int, size: int, lo: int, power: int, cap: int):
         pick **= power
         pick *= shift
         key += pick
-    if key.size < size:
-        return None
     key.sort()
     return key[:size], base
 
@@ -315,17 +324,13 @@ def build_box_basis(d: int, side: float, size: int) -> EigenBasis:
     lambda^2 = pi^2 |n|^2 / side^2 over multi-indices n in Z_+^d, sorted
     non-decreasingly with lexicographic tie-breaking.
     """
-    if d not in (1, 2, 3):
-        raise ValueError(f"unsupported dimension {d}")
+    d = _dimension(d)
     if side <= 0:
         raise ValueError(f"box side must be positive, got {side}")
     size = _mode_count(size)
     require_finite_spectrum(BasisKind.BOX_DIRICHLET, d, side, size)
 
-    cap = _box_cap(d, size)
-    while (shell := _shell_order(d, size, 1, 2, cap)) is None:  # only guards the bound
-        cap *= 4
-    keys, base = shell
+    keys, base = _shell_order(d, size, 1, 2, _box_cap(d, size))
     lambdas = _quotients(keys, base ** (d - 1))  # |n|^2
     np.sqrt(lambdas, out=lambdas)
     lambdas *= np.pi
@@ -336,16 +341,7 @@ def build_box_basis(d: int, side: float, size: int) -> EigenBasis:
         2: 2.0 * math.sqrt(math.pi) / side,
         3: (6.0 * math.pi**2) ** (1.0 / 3.0) / side,
     }[d]
-    return EigenBasis(
-        kind=BasisKind.BOX_DIRICHLET,
-        d=d,
-        size=size,
-        lambdas=lambdas.view(_Handover),
-        c_weyl=c_weyl,
-        domain=tuple(((0.0, float(side)),) * d),
-        keys=keys.view(_Handover),
-        key_base=base,
-    )
+    return _own_basis(BasisKind.BOX_DIRICHLET, d, lambdas, c_weyl, ((0.0, float(side)),) * d, keys, base)
 
 
 def build_hermite_basis(d: int, size: int) -> EigenBasis:
@@ -354,8 +350,7 @@ def build_hermite_basis(d: int, size: int) -> EigenBasis:
     lambda^2 = 2(n_1 + ... + n_d) + d over degrees n in Z_{>=0}^d, sorted
     non-decreasingly with lexicographic tie-breaking.
     """
-    if d not in (1, 2, 3):
-        raise ValueError(f"unsupported dimension {d}")
+    d = _dimension(d)
     size = _mode_count(size)
     if size > HERMITE_SIZE_LIMIT:
         raise ValueError(f"hermite basis size {size} exceeds {HERMITE_SIZE_LIMIT}")
@@ -372,16 +367,8 @@ def build_hermite_basis(d: int, size: int) -> EigenBasis:
         lambdas *= 2.0
     lambdas += d
     np.sqrt(lambdas, out=lambdas)
-    return EigenBasis(
-        kind=BasisKind.HERMITE,
-        d=d,
-        size=size,
-        lambdas=lambdas.view(_Handover),
-        c_weyl=(2.0**d * math.factorial(d)) ** (1.0 / (2 * d)),
-        domain=None,
-        keys=keys.view(_Handover),
-        key_base=base,
-    )
+    c_weyl = (2.0**d * math.factorial(d)) ** (1.0 / (2 * d))
+    return _own_basis(BasisKind.HERMITE, d, lambdas, c_weyl, None, keys, base)
 
 
 def _interval_axis_values(kind: BasisKind, a: float, b: float, modes: np.ndarray, x: np.ndarray) -> np.ndarray:

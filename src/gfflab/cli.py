@@ -147,8 +147,6 @@ def validate_config(cfg: ExperimentConfig) -> None:
 
 
 def _format_cell(value) -> str:
-    if isinstance(value, bool):
-        return str(value)
     if isinstance(value, float):
         return repr(value)  # shortest round-trip decimal, locale-independent
     return str(value)

@@ -403,12 +403,12 @@ def exp_two_sided_cov(cfg) -> ExperimentResult:
 
     s0a = fourier_cov.make_s0_function(4.0, 0.25)
     s0b = fourier_cov.make_s0_function(5.0, 0.3)
-    lhs = fields.covariance_two_sided(s0a, s0b, "fourier")
+    lhs = fourier_cov.two_sided_covariance(s0a, s0b)
     rhs = fourier_cov.gff_covariance(s0a, s0b)
     row("s0_pair", "fourier", lhs, rhs)
 
     tfa, tfb = (fourier_cov.gaussian_bump(c, w) for c, w in bumps)
-    sub = fields.covariance_two_sided(tfa, tfb, "fourier")
+    sub = fourier_cov.two_sided_covariance(tfa, tfb)
     unsub = fourier_cov.gff_covariance(tfa, tfb, check_floor=False)
     row("nonzero_mean", "subtracted", sub, gauss_target)
     # the unsubtracted integral diverges at xi = 0: it is not the covariance

@@ -1,8 +1,8 @@
 """Samplers for the Gaussian objects: the truncated free-field series, the
 Brownian bridge via its sine series and the two-sided Brownian motion on
-the line, together with the two-sided covariance functional: two
-physical-space quadrature routes for callables, and the Fourier route of
-fourier_cov for TestFunction objects.
+the line, together with the two-sided covariance functional by two
+physical-space quadrature routes for callables (TestFunction objects take
+the Fourier route, fourier_cov.two_sided_covariance).
 
 Every random stream is a Philox generator keyed by SeedSequence(seed, path):
 equal keys repeat a sample, and distinct paths, at any depth, are independent.
@@ -15,7 +15,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import fourier_cov
 from .basis import EigenBasis, sinpi
 from .fourier_cov import TestFunction
 from .quadrature import composite_legendre, cumulative_legendre
@@ -125,39 +124,29 @@ def _half_line_values(f, x: np.ndarray, w: np.ndarray, r_max: float) -> tuple[np
 
 
 def covariance_two_sided(f, g, mode: str = "direct", r_max: float = 20.0, n_nodes: int = 2048) -> float:
-    """E(W[f] W[g]) for the two-sided Brownian motion, by one of three
-    equivalent routes:
+    """E(W[f] W[g]) for the two-sided Brownian motion, by one of two
+    equivalent physical-space routes:
 
     'direct'          double quadrature of f(x) g(y) min(|x|, |y|) over the
                       two same-sign quadrants;
-    'antiderivative'  the integral of F G for the tail antiderivatives;
-    'fourier'         the integral of (fhat - fhat(0)) conj(ghat - ghat(0))
-                      over |xi|^2.
+    'antiderivative'  the integral of F G for the tail antiderivatives.
 
-    For the first two, ``f`` and ``g`` are rapidly decaying callables
-    (negligible beyond r_max, with finite first absolute moment, which
-    _half_line_values checks on the route's own nodes), integrated
-    on max(n_nodes // 16, 1) panels of 16 Gauss-Legendre nodes over
-    [0, r_max] and its mirror image; the inner integrals are the panels'
-    cumulative integrals (quadrature.cumulative_legendre), so f and g are
-    evaluated once per node and sign. Those panels must resolve f and g
+    ``f`` and ``g`` are rapidly decaying callables (negligible beyond
+    r_max, with finite first absolute moment, which _half_line_values
+    checks on the route's own nodes), integrated on max(n_nodes // 16, 1)
+    panels of 16 Gauss-Legendre nodes over [0, r_max] and its mirror image;
+    the inner integrals are the panels' cumulative integrals
+    (quadrature.cumulative_legendre), so f and g are evaluated once per
+    node and sign. Those panels must resolve f and g
     themselves; nothing checks their width. For f = g = exp(-8 (x - 3)^2)
     over [0, 20], the direct value differs from its value on 4x finer panels
     by 1.8e-13 relative on 16 panels, 2.0e-7 on 8 and 1.9e-2 on 4; the bump
     exp(-128 (x - 3)^2) is off by 1.7e-2 on 16 panels.
 
-    The fourier mode takes TestFunction objects only; see
-    fourier_cov.two_sided_covariance.
+    TestFunction objects take the Fourier route, fourier_cov.two_sided_covariance.
     """
-    if mode == "fourier":
-        if not (isinstance(f, TestFunction) and isinstance(g, TestFunction)):
-            raise ValueError(
-                "fourier mode takes TestFunction inputs only; integrate callables "
-                "in direct or antiderivative mode"
-            )
-        return fourier_cov.two_sided_covariance(f, g)
     if isinstance(f, TestFunction) or isinstance(g, TestFunction):
-        raise ValueError("TestFunction inputs are supported only in fourier mode")
+        raise ValueError("TestFunction inputs take fourier_cov.two_sided_covariance")
 
     for name, value in (("n_nodes", n_nodes), ("r_max", r_max)):
         if not value > 0:

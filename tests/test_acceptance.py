@@ -28,6 +28,7 @@ from gfflab.fourier_cov import (
     ou_decay,
     ou_variance,
     transient_covariance,
+    two_sided_covariance,
 )
 from gfflab.greens import (
     bessel_k,
@@ -208,14 +209,11 @@ def test_criterion_07_one_dimensional_covariance_chain():
 
     s0a = make_s0_function(4.0, 0.25)
     s0b = make_s0_function(5.0, 0.3)
-    exact_ok = covariance_two_sided(s0a, s0b, "fourier") == gff_covariance(s0a, s0b)
+    exact_ok = two_sided_covariance(s0a, s0b) == gff_covariance(s0a, s0b)
 
     f = gaussian_bump(0.4, 1.0)
     g = gaussian_bump(-0.2, 0.7)
-    gap = abs(
-        covariance_two_sided(f, g, "fourier")
-        - gff_covariance(f, g, check_floor=False)
-    )
+    gap = abs(two_sided_covariance(f, g) - gff_covariance(f, g, check_floor=False))
     not_gff_ok = gap > 1e-3
 
     ok = verdict(

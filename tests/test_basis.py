@@ -62,7 +62,7 @@ def assert_same_bytes(basis, indices, lambdas):
 def decode(kind, d, keys, base):
     """The multi-indices EigenBasis decodes from sort keys of base `base`."""
     return EigenBasis(
-        kind=kind, d=d, size=keys.size, lambdas=np.zeros(keys.size),
+        kind=kind, d=d, lambdas=np.zeros(keys.size),
         c_weyl=1.0, domain=None, keys=keys, key_base=base,
     ).indices
 
@@ -157,6 +157,10 @@ class TestIntervalBasis:
         with pytest.raises(ValueError, match="positive"):
             build_interval_basis("dirichlet", 0.0, 1.0, 0)
 
+    def test_box_kind_rejected(self):
+        with pytest.raises(ValueError, match="is not an interval boundary condition"):
+            build_interval_basis("box", 0.0, 1.0, 4)
+
     def test_non_integral_size_rejected(self):
         # 2.5 once gave 3 eigenvalues and recorded size == 2.5
         with pytest.raises(TypeError, match="basis size must be an integer, got 2.5"):
@@ -206,6 +210,17 @@ class TestBoxBasis:
     def test_unsupported_dimension(self):
         with pytest.raises(ValueError, match="dimension"):
             build_box_basis(4, 1.0, 8)
+
+    def test_non_integral_dimension_rejected(self):
+        # 2.0 once passed the dimension check and failed later with a bare TypeError
+        with pytest.raises(TypeError, match="dimension d must be an integer, got 2.0"):
+            build_box_basis(2.0, 1.0, 8)
+        assert build_box_basis(np.int64(2), 1.0, 8).d == 2
+
+    @pytest.mark.parametrize("side", [0.0, -1.0])
+    def test_nonpositive_side_rejected(self, side):
+        with pytest.raises(ValueError, match="box side must be positive"):
+            build_box_basis(2, side, 8)
 
     def test_non_integral_size_rejected(self):
         with pytest.raises(TypeError, match="basis size must be an integer, got 2.5"):
@@ -277,6 +292,14 @@ class TestHermiteBasis:
         with pytest.raises(TypeError, match="basis size must be an integer, got 2.5"):
             build_hermite_basis(2, 2.5)
 
+    def test_unsupported_dimension(self):
+        with pytest.raises(ValueError, match="^unsupported dimension 4$"):
+            build_hermite_basis(4, 8)
+
+    def test_non_integral_dimension_rejected(self):
+        with pytest.raises(TypeError, match="dimension d must be an integer, got 2.0"):
+            build_hermite_basis(2.0, 8)
+
     @pytest.mark.parametrize("d", [2, 3])
     def test_order_matches_tuple_key_sort(self, d):
         # every degree up to the largest needed (sum(n) <= 62 for d = 2, 21 for d = 3)
@@ -342,9 +365,17 @@ class TestShellOrder:
         with pytest.raises(ValueError, match="overflows int64"):
             build_box_basis(d, 1.0, size)
 
-    def test_short_region_returns_none(self):
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_box_cap_lists_at_least_size_points(self, d):
+        # the cap is a proven bound, with no retry behind it
+        sizes = sorted(set(range(1, 301)) | {round(10 ** (k / 8)) for k in range(20, 41)})
+        for size in sizes:
+            assert listed("box", d, size) >= size, size
+        for size in sizes[::20]:
+            assert build_box_basis(d, 1.0, size).size == size
+
+    def test_short_region_lists_its_points(self):
         # {n >= 1 : |n|^2 <= 5} holds (1, 1), (1, 2), (2, 1) only
-        assert _shell_order(2, 4, 1, 2, 5) is None
         keys, base = _shell_order(2, 3, 1, 2, 5)
         assert decode(BasisKind.BOX_DIRICHLET, 2, keys, base).tolist() == [[1, 1], [1, 2], [2, 1]]
         assert (keys // base).tolist() == [2, 5, 5]
@@ -535,6 +566,18 @@ class TestEvaluation:
         with pytest.raises(ValueError, match="evaluation points must be finite"):
             evaluate_matrix(make(), point)
 
+    @pytest.mark.parametrize(
+        "make, points, message",
+        [
+            (lambda: build_box_basis(2, 1.0, 8), np.full((3, 3), 0.5), "points have dimension 3, basis has d=2"),
+            (lambda: build_hermite_basis(3, 8), np.zeros((2, 2)), "points have dimension 2, basis has d=3"),
+        ],
+        ids=["box", "hermite"],
+    )
+    def test_points_of_the_wrong_dimension_rejected(self, make, points, message):
+        with pytest.raises(ValueError, match=message):
+            evaluate_matrix(make(), points)
+
     def test_series_green_rejects_non_finite_points(self, dirichlet16):
         with pytest.raises(ValueError, match="evaluation points must be finite"):
             series_green(dirichlet16, 1.0, 0.3, math.nan)
@@ -585,7 +628,7 @@ class TestHelpers:
     def test_caller_arrays_stay_writeable(self):
         lambdas, keys = np.ones(3), np.ones(3, dtype=np.int64)
         b = EigenBasis(
-            kind=BasisKind.INTERVAL_DIRICHLET, d=1, size=3, lambdas=lambdas,
+            kind=BasisKind.INTERVAL_DIRICHLET, d=1, lambdas=lambdas,
             c_weyl=1.0, domain=((0.0, math.pi),), keys=keys, key_base=2,
         )
         assert lambdas.flags.writeable and keys.flags.writeable
@@ -599,7 +642,7 @@ class TestHelpers:
         lambdas.setflags(write=False)
         keys.setflags(write=False)
         b = EigenBasis(
-            kind=BasisKind.INTERVAL_DIRICHLET, d=1, size=3, lambdas=lambdas,
+            kind=BasisKind.INTERVAL_DIRICHLET, d=1, lambdas=lambdas,
             c_weyl=1.0, domain=((0.0, math.pi),), keys=keys, key_base=8,
         )
         assert not np.shares_memory(b.lambdas, lambdas) and not np.shares_memory(b.keys, keys)

@@ -291,6 +291,23 @@ class TestRunner:
         assert "nu" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
+        "body, message",
+        [
+            ("basis.a = 1\nbasis.b = 1\n", "basis.a must be below basis.b (got 1.0, 1.0)"),
+            ("basis.a = 2\nbasis.b = 1\n", "basis.a must be below basis.b (got 2.0, 1.0)"),
+            ("t_list = 1,0.5\n", "t_list must be increasing (got (1.0, 0.5))"),
+        ],
+    )
+    def test_interval_and_time_order_exit_two(self, tmp_path, capsys, body, message):
+        path = self._write(
+            tmp_path, f"experiment = convergence_curve\n{body}K = 8\nM = 200\noutput = {tmp_path}/o\n"
+        )
+        assert main(["run", path]) == 2
+        err = capsys.readouterr().err
+        assert message in err and "Traceback" not in err
+        assert not os.path.exists(f"{tmp_path}/o_convergence_curve.csv")
+
+    @pytest.mark.parametrize(
         "name", ["stationary_bd", "stationary_hermite", "convergence_curve", "kakutani"]
     )
     def test_neumann_rejected_where_dynamics_need_positive_spectrum(self, tmp_path, capsys, name):

@@ -274,6 +274,11 @@ class TestKakutani:
         with pytest.raises(ValueError, match="positive"):
             kakutani_statistic(dirichlet16, 1.0, 0.0)
 
+    @pytest.mark.parametrize("terms", [0, 17])
+    def test_terms_outside_the_basis_rejected(self, dirichlet16, terms):
+        with pytest.raises(ValueError, match=r"terms must be in 1\.\.16"):
+            kakutani_statistic(dirichlet16, 1.0, 0.1, terms)
+
 
 class TestConvergenceCurve:
     def test_transient_mean_for_unit_mode_start(self, dirichlet16):

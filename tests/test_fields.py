@@ -17,7 +17,7 @@ from gfflab.fields import (
     sample_two_sided_bm,
     two_sided_antiderivative,
 )
-from gfflab.fourier_cov import gaussian_bump, gff_covariance, make_s0_function
+from gfflab.fourier_cov import gaussian_bump, gff_covariance, make_s0_function, two_sided_covariance
 from gfflab.greens import series_green
 from gfflab.quadrature import composite_legendre, gauss_legendre
 
@@ -455,13 +455,6 @@ class TestCovarianceTwoSided:
         got = covariance_two_sided(f, g, mode, r_max=r_max, n_nodes=n_nodes)
         assert got == pytest.approx(CLOSED_FORMS[pair], abs=1e-12)
 
-    def test_callable_rejected_in_fourier_mode(self):
-        f, g = PAIRS["gauss"]
-        with pytest.raises(ValueError, match="fourier mode takes TestFunction inputs only"):
-            covariance_two_sided(f, g, "fourier")
-        with pytest.raises(ValueError, match="fourier mode takes TestFunction inputs only"):
-            covariance_two_sided(gaussian_bump(0.4, 1.0), g, "fourier")
-
     @pytest.mark.parametrize("mode", ["direct", "antiderivative"])
     @pytest.mark.parametrize(
         "kwargs, name",
@@ -477,7 +470,7 @@ class TestCovarianceTwoSided:
         f = lambda x: np.exp(-0.5 * (x - 0.4) ** 2)
         g = lambda x: np.exp(-0.5 * (x + 0.2) ** 2 / 0.49)
         vals = [covariance_two_sided(f, g, m) for m in ("direct", "antiderivative")]
-        vals.append(covariance_two_sided(gaussian_bump(0.4, 1.0), gaussian_bump(-0.2, 0.7), "fourier"))
+        vals.append(two_sided_covariance(gaussian_bump(0.4, 1.0), gaussian_bump(-0.2, 0.7)))
         assert max(vals) - min(vals) < 1e-6
 
     @pytest.mark.parametrize(
@@ -491,7 +484,7 @@ class TestCovarianceTwoSided:
         (cf, wf), (cg, wg) = f_bump, g_bump
         f = lambda x: np.exp(-0.5 * (x - cf) ** 2 / wf**2)
         g = lambda x: np.exp(-0.5 * (x - cg) ** 2 / wg**2)
-        fourier = covariance_two_sided(gaussian_bump(cf, wf), gaussian_bump(cg, wg), "fourier")
+        fourier = two_sided_covariance(gaussian_bump(cf, wf), gaussian_bump(cg, wg))
         assert fourier == pytest.approx(covariance_two_sided(f, g, "direct"), abs=1e-12)
         assert fourier == pytest.approx(_two_sided_gauss_oracle(f_bump, g_bump), abs=1e-12)
 
@@ -565,7 +558,7 @@ class TestCovarianceTwoSided:
     def test_fourier_accuracy_limit(self, f_bump, g_bump):
         want = _two_sided_gauss_oracle(f_bump, g_bump)
         for a, b in ((f_bump, g_bump), (g_bump, f_bump)):
-            got = covariance_two_sided(gaussian_bump(*a), gaussian_bump(*b), "fourier")
+            got = two_sided_covariance(gaussian_bump(*a), gaussian_bump(*b))
             assert got == pytest.approx(want, rel=1e-15)
 
     @pytest.mark.parametrize("centre", [1.0, 3.0, 10.0, -10.0])
@@ -574,28 +567,28 @@ class TestCovarianceTwoSided:
         # equal centres does not apply; it read -84 % to -99 % here
         f = gaussian_bump(centre, 0.5)
         want = _two_sided_gauss_oracle((centre, 0.5), (centre, 0.5))
-        assert covariance_two_sided(f, f, "fourier") == pytest.approx(want, rel=1e-15)
+        assert two_sided_covariance(f, f) == pytest.approx(want, rel=1e-15)
 
     def test_s0_fourier_equals_free_field_exactly(self):
         f = make_s0_function(4.0, 0.25)
         g = make_s0_function(5.0, 0.3)
-        assert covariance_two_sided(f, g, "fourier") == gff_covariance(f, g)
+        assert two_sided_covariance(f, g) == gff_covariance(f, g)
 
     def test_nonzero_mean_pair_differs_from_unsubtracted(self):
         f = gaussian_bump(0.4, 1.0)
         g = gaussian_bump(-0.2, 0.7)
-        sub = covariance_two_sided(f, g, "fourier")
+        sub = two_sided_covariance(f, g)
         unsub = gff_covariance(f, g, check_floor=False)
         assert abs(sub - unsub) > 1e-3
 
     def test_fourier_mode_only_on_the_line(self):
         f = gaussian_bump((0.0, 0.0), 1.0, d=2)
         with pytest.raises(ValueError, match="lives on the line"):
-            covariance_two_sided(f, f, "fourier")
+            two_sided_covariance(f, f)
 
     def test_testfunction_only_in_fourier_mode(self):
         f = gaussian_bump(0.0, 1.0)
-        with pytest.raises(ValueError, match="fourier"):
+        with pytest.raises(ValueError, match="TestFunction inputs take fourier_cov.two_sided_covariance"):
             covariance_two_sided(f, f, "direct")
 
     def test_unknown_mode(self):
@@ -629,5 +622,5 @@ class TestTwoSidedClosedForm:
 
     def test_fourier_subtracted_value_matches_closed_form(self):
         f, g = gaussian_bump(0.4, 1.0), gaussian_bump(-0.2, 0.7)
-        got = covariance_two_sided(f, g, "fourier")
+        got = two_sided_covariance(f, g)
         assert got == pytest.approx(_two_sided_gauss_oracle((0.4, 1.0), (-0.2, 0.7)), rel=1e-14)

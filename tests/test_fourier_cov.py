@@ -57,6 +57,16 @@ class TestMakeS0Function:
         with pytest.raises(ValueError, match="floor"):
             make_s0_function(1.0, 0.5)
 
+    def test_nonpositive_frequency_rejected(self):
+        with pytest.raises(ValueError, match="freq and width must be positive"):
+            make_s0_function(-1.0, 0.25)
+
+    def test_bump_width_and_centre_dimension_checked(self):
+        with pytest.raises(ValueError, match="width must be positive"):
+            gaussian_bump(0.0, 0.0)
+        with pytest.raises(ValueError, match="center has dimension 2, expected 3"):
+            gaussian_bump((0.0, 0.0), 1.0, d=3)
+
     def test_rapid_decay_of_transform(self):
         # (1 + r^2)^(d+1) |fhat| stays bounded on the grid and is tiny at
         # the declared cutoff
@@ -135,6 +145,16 @@ class TestGffCovariance:
         integrand = f.fhat_radial(r) * g.fhat_radial(r) * (1.0 / (r * r)) * r**0
         assert gff_covariance(f, g) == surface_measure(1) * math.fsum(w * integrand)
 
+    def test_pair_across_dimensions_rejected(self):
+        with pytest.raises(ValueError, match="different dimensions"):
+            gff_covariance(make_s0_function(4.0, 0.25), make_s0_function(4.0, 0.25, d=2))
+
+    def test_shifted_pair_in_d3_rejected(self):
+        f = gaussian_bump((0.0, 0.0, 0.0), 1.0, d=3)
+        g = gaussian_bump((1.0, 0.0, 0.0), 1.0, d=3)
+        with pytest.raises(ValueError, match="non-radial pairs are supported only for d = 1"):
+            gff_covariance(f, g)
+
     def test_surface_measures(self):
         assert surface_measure(1) == pytest.approx(2.0, rel=1e-14)
         assert surface_measure(2) == pytest.approx(2.0 * math.pi, rel=1e-14)
@@ -196,6 +216,11 @@ class TestTransientCovariance:
         f = make_s0_function(4.0, 0.25)
         with pytest.raises(ValueError, match="non-negative"):
             transient_covariance(f, f, -1.0, 1.0, 1.0)
+
+    def test_zero_diffusivity_rejected(self):
+        f = make_s0_function(4.0, 0.25)
+        with pytest.raises(ValueError, match="nu must be positive, got 0.0"):
+            transient_covariance(f, f, 1.0, 0.0, 1.0)
 
 
 class TestOuLaw:
@@ -299,6 +324,33 @@ class TestTransientAgainstClosedForm:
         assert got == pytest.approx(bump_transient_variance(1, 1.0, 1.0, 1.7, 1e4), rel=2e-14)
 
 
+def shifted_bumps_transient_covariance(width, distance, nu, sigma, t):
+    """Cov(u_t(f), u_t(g)) from a zero start for two Gaussian bumps of one
+    width a distance apart in d = 2, in closed form:
+    sigma^2 width^4 pi / (2 nu) [E1(D^2 / (4 (width^2 + 2 t nu))) - E1(D^2 / (4 width^2))],
+    from the integral of (exp(-a r^2) - exp(-b r^2)) J0(D r) / r over r > 0."""
+    quarter = distance * distance / 4.0
+    gap = mpmath.e1(quarter / (width * width + 2.0 * t * nu)) - mpmath.e1(quarter / (width * width))
+    return float(sigma**2 * width**4 * mpmath.pi / (2.0 * nu) * gap)
+
+
+class TestShiftedPairIn2d:
+    """Shifted pairs in d = 2 have no radial reduction; they run on the
+    tensor grid of _pair_integral_tensor2d."""
+
+    def test_transient_against_closed_form(self):
+        # measured worst relerr 2.2e-14 (width 0.7, t nu <= 3)
+        for width in (0.7, 1.0, 1.5):
+            f = gaussian_bump((0.0, 0.0), width, d=2)
+            for distance in (0.5, 1.0, 2.0, 3.0):
+                g = gaussian_bump((0.6 * distance, -0.8 * distance), width, d=2)
+                for nu in (0.5, 2.0):
+                    for t_nu in (0.01, 0.1, 1.0, 3.0):
+                        got = transient_covariance(f, g, t_nu / nu, nu, 1.3)
+                        want = shifted_bumps_transient_covariance(width, distance, nu, 1.3, t_nu / nu)
+                        assert got == pytest.approx(want, rel=5e-14), (width, distance, nu, t_nu)
+
+
 def bump_massive_variance(d, width, nu, sigma, eps):
     """Stationary variance of the massive law tested against the centred
     Gaussian bump of the given width on R^d, d = 1 or 3, in closed form:
@@ -360,6 +412,11 @@ class TestMassiveLimit:
         f = gaussian_bump(0.0, 1.0)
         with pytest.raises(ValueError, match="eps"):
             massive_limit_covariance(f, f, 1.0, 0.0)
+
+    def test_zero_diffusivity_rejected(self):
+        f = gaussian_bump(0.0, 1.0)
+        with pytest.raises(ValueError, match="nu must be positive, got 0.0"):
+            massive_limit_covariance(f, f, 0.0, 1.0)
 
     @staticmethod
     def massive_vs_physical_relerr(eps, nu=1.0):

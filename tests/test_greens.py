@@ -166,6 +166,10 @@ class TestPotentials:
         with pytest.raises(ValueError, match="eps > 0"):
             heat_poisson_identity(1.0, d=2, nu=1.0, eps=0.0)
 
+    def test_zero_mass_singular_at_the_origin(self):
+        with pytest.raises(ValueError, match="zero-mass potential is singular at x = 0"):
+            potential_zero_mass(0.0, d=3, nu=1.0)
+
     @pytest.mark.parametrize("d", [0, 4, 5])
     def test_massive_unsupported_dimension_rejected_at_spec(self, d):
         with pytest.raises(ValueError, match="d in 1, 2, 3"):
@@ -285,6 +289,10 @@ class TestSeriesGreen:
     def test_symmetry_bitwise(self):
         basis = build_interval_basis("dirichlet", 0.0, 1.0, 64)
         assert series_green(basis, 1.3, 0.21, 0.68) == series_green(basis, 1.3, 0.68, 0.21)
+
+    def test_zero_diffusivity_rejected(self, dirichlet16):
+        with pytest.raises(ValueError, match="nu must be positive, got 0.0"):
+            series_green(dirichlet16, 0.0, 0.3, 0.4)
 
     def test_diffusivity_scales_inverse(self):
         basis = build_interval_basis("dirichlet", 0.0, 1.0, 32)

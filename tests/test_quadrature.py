@@ -9,6 +9,7 @@ from gfflab.quadrature import (
     PANEL_NODES,
     composite_legendre,
     cumulative_legendre,
+    gauss_hermite_unweighted,
     gauss_legendre,
 )
 
@@ -66,6 +67,12 @@ class TestGaussLegendre:
     def test_rejects_empty_rule(self):
         with pytest.raises(ValueError, match="at least one"):
             gauss_legendre(0.0, 1.0, 0)
+
+
+class TestGaussHermiteUnweighted:
+    def test_rule_past_350_nodes_rejected(self):
+        with pytest.raises(ValueError, match="overflows beyond 350 nodes"):
+            gauss_hermite_unweighted(351)
 
 
 class TestCompositeAndRunning:

@@ -23,7 +23,8 @@ KEPT = {
     "basis.eigen_residual": "independent oracle of the eigen-equation",
     "quadrature.tensor_grid": "the product rule of the gram_matrix and d = 2 pair-integral oracles",
     "quadrature.gauss_hermite_unweighted": "the Hermite-basis rule of the gram_matrix oracle",
-    "fourier_cov._pair_integral_tensor2d": "d = 2 tensor-grid oracle of the radial pair integral",
+    "fourier_cov._pair_integral_tensor2d": "the pair integral of shifted d = 2 pairs, which have no radial "
+    "reduction; no registered run pairs shifted functions in d = 2",
     "fields.sample_two_sided_bm": "the only Monte Carlo check of covariance_two_sided's law",
     "fields.sample_gff": "direct draw of the free field, the Monte Carlo check of series_green; "
     "scaled by sigma / sqrt(2 nu), the invariant law (the paper's claim)",

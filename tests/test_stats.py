@@ -216,6 +216,10 @@ class TestKsGaussian:
             )
             assert kolmogorov_sf(lam) == pytest.approx(direct, abs=1e-10)
 
+    def test_sf_is_one_at_and_below_zero(self):
+        assert kolmogorov_sf(0.0) == 1.0
+        assert kolmogorov_sf(-0.5) == 1.0
+
     def test_sf_monotone(self):
         grid = np.linspace(0.05, 3.0, 60)
         vals = [kolmogorov_sf(float(v)) for v in grid]
