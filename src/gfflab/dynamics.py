@@ -1,7 +1,6 @@
 """Exact per-mode Ornstein-Uhlenbeck transitions of the spectral stochastic
-heat equation, the Monte Carlo pairings they give, their stationary
-covariance, the Gaussian-equivalence statistic, and an Euler-Maruyama
-oracle used only for verification.
+heat equation, the Monte Carlo pairings they give, the Gaussian-equivalence
+statistic, and an Euler-Maruyama oracle used only for verification.
 
 Mode k follows the Ornstein-Uhlenbeck law of fourier_cov at q = lambda_k^2:
 it relaxes at rate nu * lambda_k^2 toward a centered Gaussian with variance
@@ -17,7 +16,7 @@ import numpy as np
 
 from .basis import EigenBasis
 from .fields import RngStream
-from .fourier_cov import ou_decay, ou_variance
+from .fourier_cov import Spectrum, ou_decay, ou_variance, pairing
 
 MC_BLOCK = 4096  # rows of normals drawn at a time; a memory tile only, the draws do not depend on it
 
@@ -89,19 +88,12 @@ def sample_functional_values(
 
     ``phi`` is None (zero start) or a coefficient vector (deterministic
     start); the pairings are then exactly N(W^T (decay phi), W^T diag(var) W)
-    with the decay and variance of fourier_cov's law, drawn by
-    sample_gaussian.
+    with the decay and variance of fourier_cov's law, the covariance paired
+    on the spectrum (lambda_k^2, mass 1), drawn by sample_gaussian.
     """
     basis.require_positive_spectrum("dynamics")
     lam2 = basis.lambdas_squared
-    var = ou_variance(lam2, nu, sigma, t)
     mean = 0.0 if phi is None else (ou_decay(lam2, nu, t) * np.asarray(phi, dtype=float)) @ weights
-    return sample_gaussian(mean, weights.T @ (var[:, None] * weights), n_samples, stream)
-
-
-def stationary_target(basis: EigenBasis, nu: float, sigma: float, weights: np.ndarray) -> np.ndarray:
-    """Limit covariance matrix W^T diag(var) W with the stationary variance
-    sigma^2 / (2 nu lambda_k^2) of fourier_cov's law."""
-    var = ou_variance(basis.lambdas_squared, nu, sigma, math.inf)
-    return weights.T @ (var[:, None] * weights)
+    cov = pairing(Spectrum(lam2, 1.0), weights, weights, lambda q: ou_variance(q, nu, sigma, t))
+    return sample_gaussian(mean, cov, n_samples, stream)
 

@@ -151,7 +151,8 @@ def _stationary_reports(basis, cfg, runs) -> list[tuple[float, stats.CovarianceR
     """One (t, report) per (t, stream) of runs: the six standard pairings
     drawn at time t from a zero start, against the stationary target."""
     weights, labels = standard_functionals(basis)
-    target = dynamics.stationary_target(basis, cfg.nu, cfg.sigma, weights)
+    law = partial(fourier_cov.ou_variance, nu=cfg.nu, sigma=cfg.sigma, t=math.inf)
+    target = fourier_cov.pairing(fourier_cov.Spectrum(basis.lambdas_squared, 1.0), weights, weights, law)
     return [
         (t, stats.report_from_values(
             dynamics.sample_functional_values(

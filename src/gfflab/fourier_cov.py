@@ -2,9 +2,9 @@
 functions whose transforms vanish near the origin, the free-field
 covariance integral, the two-sided Brownian covariance on the line, the
 finite-time covariance of the whole-space heat evolution, and massive-case
-limits; and the Ornstein-Uhlenbeck law of one frequency q that both the
-Fourier weights (q = |xi|^2) and the spectral transitions of dynamics
-(q = lambda_k^2) use.
+limits; and the Ornstein-Uhlenbeck law of one frequency q with the one
+pairing that sums it over a spectrum (q, mass), which both the Fourier
+integrals (q = |xi|^2) and dynamics on a basis (q = lambda_k^2) use.
 
 Conventions: unitary Fourier transform fhat(xi) = (2 pi)^(-d/2) *
 integral of exp(-i x.xi) f(x) dx, so Parseval holds without extra factors.
@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -55,6 +55,21 @@ def ou_variance(q, nu: float, sigma: float, t: float):
     if overflow.any():
         var = np.where(overflow, sigma**2 / (2.0 * nu) / q, var)
     return var
+
+
+class Spectrum(NamedTuple):
+    """Frequencies q_k, lambda_k^2 or |xi_k|^2, and the mass each carries."""
+    q: np.ndarray
+    mass: np.ndarray | float
+
+
+def pairing(spectrum: Spectrum, a, b, law: Callable[[np.ndarray], np.ndarray]) -> np.ndarray | float:
+    """sum_k a_k b_k mass_k law(q_k): the (p, r) matrix of sums for columns a
+    (K, p) and b (K, r); for vectors, the real part of the one sum by math.fsum."""
+    q, mass = spectrum
+    if np.ndim(a) == 2:
+        return a.T @ ((mass * law(q))[:, None] * b)
+    return math.fsum(mass * np.real(a * b * law(q)))
 
 
 def surface_measure(d: int) -> float:
@@ -99,6 +114,15 @@ def _require_finite(**args) -> None:
     for name, value in args.items():
         if not np.all(np.isfinite(value)):
             raise ValueError(f"{name} must be finite, got {value}")
+
+
+def _require_law(**args: float) -> None:
+    """Named errors: t >= 0 (inf is the stationary law), nu, eps > 0, nu, eps, sigma finite."""
+    for name, value in args.items():
+        if not (value >= 0.0 if name == "t" else math.isfinite(value)):
+            raise ValueError(f"{name} must be {'non-negative' if name == 't' else 'finite'}, got {value}")
+        if name in ("nu", "eps") and value <= 0.0:
+            raise ValueError(f"{name} must be positive, got {value}")
 
 
 def gaussian_bump(center=0.0, width: float = 1.0, d: int = 1) -> TestFunction:
@@ -166,59 +190,47 @@ def _fhat0(f: TestFunction) -> float:
     return float(f.fhat_radial(np.zeros(1))[0])
 
 
+def _radial_spectrum(d: int, lo: float, hi: float) -> tuple[np.ndarray, Spectrum]:
+    """RADIAL_NODES / 16 panels of 16 Gauss-Legendre nodes r on [lo, hi] and
+    their spectrum q = r^2, mass = S_d w r^(d - 1), which is 2 w in d = 1."""
+    r, w = composite_legendre(lo, hi, RADIAL_NODES // 16, 16)
+    return r, Spectrum(r * r, surface_measure(d) * w * r ** (d - 1))
+
+
+def _tensor_spectrum(hi: float) -> tuple[np.ndarray, Spectrum]:
+    """The tensor Gauss-Legendre points xi of [-hi, hi]^2, TENSOR_NODES a side,
+    and their spectrum; the origin, where 1 / q is singular, gets no mass."""
+    pts, w = tensor_grid([gauss_legendre(-hi, hi, TENSOR_NODES)] * 2)
+    q = (pts**2).sum(axis=1)
+    return pts[q > 0.0], Spectrum(q[q > 0.0], w[q > 0.0])
+
+
 def _pair_integral(
     f: TestFunction,
     g: TestFunction,
-    weight: Callable[[np.ndarray], np.ndarray],
+    law: Callable[[np.ndarray], np.ndarray],
     subtract: tuple[float, float] = (0.0, 0.0),
 ) -> float:
-    """integral over R^d of (fhat - c_f)(conj(ghat) - c_g) * weight(|xi|)
-    with (c_f, c_g) = subtract.
-
-    Radial reduction applies whenever the product has no net phase: absent
-    centers, or equal ones with nothing subtracted (fhat - c_f keeps the
-    phase of a shifted f); otherwise d = 1 uses Hermitian symmetry on the
-    half line and d = 2, with nothing subtracted, a tensor grid. The radial
-    and half-line integrals run on RADIAL_NODES / 16 panels of 16
-    Gauss-Legendre nodes over the shared support, and the weighted terms
-    are summed with math.fsum.
-    """
+    """integral over R^d of (fhat - c_f)(conj(ghat) - c_g) law(|xi|^2) with
+    (c_f, c_g) = subtract: the pairing of the transforms on the spectrum this
+    function chooses. The radial rule on the shared support serves products
+    with no net phase (no centers, or equal ones and nothing subtracted);
+    otherwise d = 1 takes it on the half line by Hermitian symmetry, and d = 2
+    with nothing subtracted takes the tensor grid."""
     if f.d != g.d:
         raise ValueError("test functions live in different dimensions")
-    d = f.d
     lo, hi = max(f.xi_floor, g.xi_floor), min(f.xi_cut, g.xi_cut)
     if hi <= lo:
         return 0.0
-    c_f, c_g = subtract
-    radial = f.center == g.center and (f.center is None or not any(subtract))
-    if not radial and d != 1:
-        if d == 2 and not any(subtract):
-            return _pair_integral_tensor2d(f, g, weight)
+    if f.center == g.center and (f.center is None or not any(subtract)):
+        r, spectrum = _radial_spectrum(f.d, lo, hi)
+        fhat, ghat = f.fhat_radial(r), g.fhat_radial(r)
+    elif f.d == 1 or (f.d == 2 and not any(subtract)):
+        xi, spectrum = _radial_spectrum(1, lo, hi) if f.d == 1 else _tensor_spectrum(hi)
+        fhat, ghat = f.fhat(xi), np.conj(g.fhat(xi))
+    else:
         raise ValueError("non-radial pairs are supported only for d = 1 and unsubtracted d = 2")
-
-    r, w = composite_legendre(lo, hi, RADIAL_NODES // 16, 16)
-    if radial:
-        integrand = (f.fhat_radial(r) - c_f) * (g.fhat_radial(r) - c_g) * weight(r) * r ** (d - 1)
-        return surface_measure(d) * math.fsum(w * integrand)
-    integrand = np.real((f.fhat(r) - c_f) * np.conj(g.fhat(r) - c_g)) * weight(r)
-    return 2.0 * math.fsum(w * integrand)
-
-
-def _pair_integral_tensor2d(
-    f: TestFunction,
-    g: TestFunction,
-    weight: Callable[[np.ndarray], np.ndarray],
-) -> float:
-    """The unsubtracted pair integral of _pair_integral by a full tensor
-    grid in d = 2 (cross-check for the radial path)."""
-    hi = min(f.xi_cut, g.xi_cut)
-    axis = gauss_legendre(-hi, hi, TENSOR_NODES)
-    pts, w2 = tensor_grid([axis, axis])
-    vf = f.fhat(pts)
-    vg = g.fhat(pts)
-    r = np.sqrt((pts**2).sum(axis=1))
-    wvals = np.where(r > 0.0, weight(np.maximum(r, 1e-300)), 0.0)
-    return float(np.sum(w2 * np.real(vf * np.conj(vg)) * wvals))
+    return pairing(spectrum, fhat - subtract[0], ghat - subtract[1], law)
 
 
 def _check_floor(f: TestFunction, name: str) -> None:
@@ -239,7 +251,7 @@ def gff_covariance(f: TestFunction, g: TestFunction, check_floor: bool = True) -
     if check_floor and f.d <= 2:
         _check_floor(f, "f")
         _check_floor(g, "g")
-    return _pair_integral(f, g, lambda r: 1.0 / (r * r))
+    return _pair_integral(f, g, lambda q: 1.0 / q)
 
 
 def two_sided_covariance(f: TestFunction, g: TestFunction) -> float:
@@ -256,12 +268,12 @@ def two_sided_covariance(f: TestFunction, g: TestFunction) -> float:
     if f.d != 1 or g.d != 1:
         raise ValueError("the two-sided Brownian motion lives on the line")
     f0, g0 = _fhat0(f), _fhat0(g)
-    value = _pair_integral(f, g, lambda r: 1.0 / (r * r), (f0, g0))
+    value = _pair_integral(f, g, lambda q: 1.0 / q, (f0, g0))
     hi = min(f.xi_cut, g.xi_cut)
     h, c = (f, g0) if f.xi_cut > g.xi_cut else (g, f0)
     if c != 0.0 and h.xi_cut > hi:
-        r, w = composite_legendre(hi, h.xi_cut, RADIAL_NODES // 16, 16)
-        value -= 2.0 * c * math.fsum(w * np.real(h.fhat(r)) / (r * r))
+        r, spectrum = _radial_spectrum(1, hi, h.xi_cut)
+        value -= pairing(spectrum, h.fhat(r), c, lambda q: 1.0 / q)
     return value + 2.0 * f0 * g0 / hi
 
 
@@ -274,18 +286,16 @@ def transient_covariance(f: TestFunction, g: TestFunction, t: float, nu: float, 
     A deterministic start phi adds the rank-one product of
     heat_pairing(phi, f, t, nu) and heat_pairing(phi, g, t, nu).
     """
-    if t < 0.0:
-        raise ValueError(f"time must be non-negative, got {t}")
-    if nu <= 0.0:
-        raise ValueError(f"nu must be positive, got {nu}")
-    return _pair_integral(f, g, lambda r: ou_variance(r * r, nu, sigma, t))
+    _require_law(t=t, nu=nu, sigma=sigma)
+    return _pair_integral(f, g, lambda q: ou_variance(q, nu, sigma, t))
 
 
 def heat_pairing(phi: TestFunction, f: TestFunction, t: float, nu: float) -> float:
     """The pairing of f with the start phi after heat flow for time t: the
     integral of phihat conj(fhat) exp(-t nu |xi|^2), which decays to zero
     as t grows."""
-    return _pair_integral(phi, f, lambda r: ou_decay(r * r, nu, t))
+    _require_law(t=t, nu=nu)
+    return _pair_integral(phi, f, lambda q: ou_decay(q, nu, t))
 
 
 def massive_limit_covariance(
@@ -298,8 +308,5 @@ def massive_limit_covariance(
     as eps -> 0 on floor-certified functions it approaches gff_covariance
     with the factor sigma^2 / (2 nu).
     """
-    if eps <= 0.0:
-        raise ValueError(f"mass eps must be positive, got {eps}")
-    if nu <= 0.0:
-        raise ValueError(f"nu must be positive, got {nu}")
-    return _pair_integral(f, g, lambda r: ou_variance(r * r + eps, nu, sigma, math.inf))
+    _require_law(nu=nu, eps=eps, sigma=sigma)
+    return _pair_integral(f, g, lambda q: ou_variance(q + eps, nu, sigma, math.inf))

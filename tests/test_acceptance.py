@@ -12,11 +12,7 @@ import pytest
 
 from gfflab.basis import build_box_basis, build_hermite_basis, build_interval_basis
 from gfflab.cli import load_config, run
-from gfflab.dynamics import (
-    kakutani_statistic,
-    sample_functional_values,
-    stationary_target,
-)
+from gfflab.dynamics import kakutani_statistic, sample_functional_values
 from gfflab.experiments import _massive_physical_oracle, _two_sided_gauss_oracle, standard_functionals
 from gfflab.fields import RngStream, covariance_two_sided, sample_brownian_bridge
 from gfflab.fourier_cov import (
@@ -52,7 +48,8 @@ def stationary_zmax(basis, seed: int) -> float:
     values = sample_functional_values(
         basis, nu, sigma, None, 5.0, 20000, weights, RngStream(seed, (0,))
     )
-    target = stationary_target(basis, nu, sigma, weights)
+    # sigma^2 / (2 nu lambda_k^2) per mode, written out apart from the law
+    target = sigma**2 / (2.0 * nu) * weights.T @ (weights / basis.lambdas_squared[:, None])
     report = report_from_values(values, target=target, labels=labels)
     return report.zmax
 

@@ -11,12 +11,11 @@ from gfflab.dynamics import (
     kakutani_statistic,
     sample_functional_values,
     sample_gaussian,
-    stationary_target,
 )
 from gfflab.cli import ExperimentConfig
 from gfflab.experiments import _stationary_reports, standard_functionals
 from gfflab.fields import RngStream, sample_gff
-from gfflab.fourier_cov import ou_decay, ou_variance
+from gfflab.fourier_cov import Spectrum, ou_decay, ou_variance, pairing
 from gfflab.stats import ks_gaussian, kolmogorov_sf, report_from_values, summarize_convergence
 
 
@@ -422,8 +421,8 @@ class TestReducedRankSampler:
 class TestStationaryTarget:
     def test_stationary_target_formula(self, dirichlet16):
         w = np.stack([np.eye(16)[0], np.ones(16)], axis=1)
-        target = stationary_target(dirichlet16, 2.0, 3.0, w)
         lam2 = dirichlet16.lambdas_squared
+        target = pairing(Spectrum(lam2, 1.0), w, w, lambda q: ou_variance(q, 2.0, 3.0, math.inf))
         scale = 9.0 / 4.0
         assert target[0, 0] == pytest.approx(scale / lam2[0], rel=1e-14)
         assert target[1, 1] == pytest.approx(scale * float(np.sum(1.0 / lam2)), rel=1e-14)
