@@ -21,10 +21,8 @@ KEPT = {
     "dynamics.em_oracle_step": "the Euler-Maruyama oracle of the exact transition (criterion 2)",
     "basis.gram_matrix": "independent oracle of the bases' orthonormality",
     "basis.eigen_residual": "independent oracle of the eigen-equation",
-    "quadrature.tensor_grid": "the product rule of the gram_matrix and d = 2 pair-integral oracles",
+    "quadrature.tensor_grid": "the product rule of the gram_matrix oracle and the tests' d = 2 pair oracle",
     "quadrature.gauss_hermite_unweighted": "the Hermite-basis rule of the gram_matrix oracle",
-    "fourier_cov._tensor_spectrum": "the spectrum of shifted d = 2 pairs, which have no radial "
-    "reduction; no registered run pairs shifted functions in d = 2",
     "fields.sample_two_sided_bm": "the only Monte Carlo check of covariance_two_sided's law",
     "fields.sample_gff": "direct draw of the free field, the Monte Carlo check of series_green; "
     "scaled by sigma / sqrt(2 nu), the invariant law (the paper's claim)",
