@@ -61,15 +61,23 @@ def sample_gaussian(mean, cov, n_samples: int, stream: RngStream) -> np.ndarray:
     stream's one generator in tiles of MC_BLOCK rows; einsum rounds a row alike
     at any tile height (a BLAS product does not), so MC_BLOCK changes no bit.
     eigh eigenvalues below p eps times the largest count as zero, so a
-    singular cov (repeated functionals) gives exactly repeated columns."""
+    singular cov (repeated functionals) gives exactly repeated columns.
+
+    Each tile of normals is drawn into one buffer owned by the call, its
+    product is written straight into its rows of the output and the mean
+    is added there in place: the call holds the output and one tile. IEEE
+    addition commutes and -0.0 + 0.0 is +0.0, so the bits are those of
+    mean + product."""
     evals, evecs = np.linalg.eigh(np.asarray(cov, dtype=float))
     floor = evals.size * np.finfo(float).eps * evals.max(initial=0.0)
     factor = evecs * np.sqrt(np.where(evals > floor, evals, 0.0))
     out = np.empty((n_samples, evals.size))
+    tile = np.empty((min(MC_BLOCK, n_samples), evals.size))
     gen = stream.generator()
     for lo in range(0, n_samples, MC_BLOCK):
         rows = out[lo : lo + MC_BLOCK]
-        np.add(mean, np.einsum("ij,kj->ik", gen.standard_normal(rows.shape), factor), out=rows)
+        np.einsum("ij,kj->ik", gen.standard_normal(out=tile[: len(rows)]), factor, out=rows)
+        rows += mean
     return out
 
 

@@ -158,7 +158,7 @@ def _stationary_reports(basis, cfg, runs) -> list[tuple[float, stats.CovarianceR
             dynamics.sample_functional_values(
                 basis, cfg.nu, cfg.sigma, None, t, cfg.samples, weights, stream
             ),
-            target=target, labels=labels, z_threshold=cfg.z_threshold,
+            target=target, labels=labels, z_threshold=cfg.z_threshold, overwrite_values=True,
         ))
         for t, stream in runs
     ]
@@ -338,7 +338,7 @@ def exp_bridge_cov(cfg) -> ExperimentResult:
     )
     report = stats.report_from_values(
         values, target=target, labels=[f"x={v}" for v in grid],
-        z_threshold=cfg.z_threshold,
+        z_threshold=cfg.z_threshold, overwrite_values=True,
     )
     boundary = fields.sample_brownian_bridge(
         np.array([0.0, 1.0]), experiment_stream(cfg, "boundary").generator(), modes=modes

@@ -21,6 +21,10 @@ import numpy as np
 from .quadrature import composite_legendre
 
 RADIAL_NODES = 1024  # 64 panels of 16 Gauss-Legendre nodes
+# the largest xi_cut * distance whose phase exp(-i xi.Delta) the radial rule
+# follows: two unit bumps up to that far apart pair within 1.7e-14 of their
+# closed form in d = 1, 2 and 3, against 1e-10 at 1600 and 5e-2 at 3600 in d = 1
+PHASE_MAX = 1200.0
 FLOOR_TOL = 1e-12
 
 
@@ -45,14 +49,21 @@ def ou_variance(q, nu: float, sigma: float, t: float):
     """sigma^2 (1 - exp(-2 nu q t)) / (2 nu q), the variance the law gains
     from a zero start over time t; t = inf gives the stationary
     sigma^2 / (2 nu q), and q + eps the massive law. Where 2 nu q overflows,
-    the variance is the stationary sigma^2 / (2 nu) / q."""
+    the variance is the stationary sigma^2 / (2 nu) / q. Where q = 0 the law
+    is sigma times a Brownian motion, of variance sigma^2 t, and has no
+    stationary variance: t = inf there is a named error."""
     q = np.asarray(q, dtype=float)
-    with np.errstate(over="ignore"):
+    with np.errstate(over="ignore", invalid="ignore"):
         rate = 2.0 * nu * q
         var = sigma**2 * (-np.expm1(-rate * t)) / rate
     overflow = np.isinf(rate)
     if overflow.any():
         var = np.where(overflow, sigma**2 / (2.0 * nu) / q, var)
+    zero = q == 0.0
+    if zero.any():
+        if t == math.inf:
+            raise ValueError("the law at q = 0 has no stationary variance: it grows like sigma^2 t")
+        var = np.where(zero, sigma**2 * t, var)
     return var
 
 
@@ -202,6 +213,16 @@ def _angular_average(d: int, x: np.ndarray) -> np.ndarray:
     return sum(np.cos(x * s) for s in np.sin((np.arange(n) + 0.5) * math.pi / n)) / n
 
 
+def _require_resolved(hi: float, reach: float) -> float:
+    """reach, the largest shift whose phase a pair carries up to |xi| = hi,
+    if the radial rule follows that phase; a named error past PHASE_MAX."""
+    if hi * reach > PHASE_MAX:
+        raise ValueError(
+            f"centres too far apart for the radial rule: xi_cut * distance = {hi * reach:.6g} > {PHASE_MAX:g}"
+        )
+    return reach
+
+
 def _pair_integral(
     f: TestFunction,
     g: TestFunction,
@@ -214,7 +235,9 @@ def _pair_integral(
     with nothing subtracted, and centred pairs: the phase exp(-i xi.Delta) of
     centres Delta apart averages over each sphere |xi| = r to the angular
     average at r |Delta|, which multiplies ghat. A subtracted pair off the
-    origin takes the rule on the half line by Hermitian symmetry in d = 1."""
+    origin takes the rule on the half line by Hermitian symmetry in d = 1;
+    its phases reach hi max(|c_f|, |c_g|, |c_f - c_g|) for centres c_f, c_g.
+    A phase past PHASE_MAX is a named error."""
     if f.d != g.d:
         raise ValueError("test functions live in different dimensions")
     lo, hi = max(f.xi_floor, g.xi_floor), min(f.xi_cut, g.xi_cut)
@@ -224,8 +247,11 @@ def _pair_integral(
         r, spectrum = _radial_spectrum(f.d, lo, hi)
         fhat, ghat = f.fhat_radial(r), g.fhat_radial(r)
         if f.center != g.center:
-            ghat = ghat * _angular_average(f.d, r * np.linalg.norm(np.subtract(f.center or 0.0, g.center or 0.0)))
+            shift = np.linalg.norm(np.subtract(f.center or 0.0, g.center or 0.0))
+            ghat = ghat * _angular_average(f.d, r * _require_resolved(hi, shift))
     elif f.d == 1:
+        (cf,), (cg,) = f.center or (0.0,), g.center or (0.0,)
+        _require_resolved(hi, max(abs(cf), abs(cg), abs(cf - cg)))
         xi, spectrum = _radial_spectrum(1, lo, hi)
         fhat, ghat = f.fhat(xi), np.conj(g.fhat(xi))
     else:
@@ -262,7 +288,8 @@ def two_sided_covariance(f: TestFunction, g: TestFunction) -> float:
     agree exactly when fhat(0) = ghat(0) = 0. Past the smaller of the two
     cuts the transform that ends there is below rounding, and the other one,
     h, leaves the cross term -c h / xi^2 with the first one's c = fhat(0).
-    It runs on the same rule up to h's own cut, and is skipped when c = 0.
+    It runs on the same rule up to h's own cut, and is skipped when c = 0;
+    h's phase up to that cut is bounded by PHASE_MAX like the pair's.
     The tail 2 fhat(0) ghat(0) / cut of the constant product is exact.
     """
     if f.d != 1 or g.d != 1:
@@ -272,6 +299,7 @@ def two_sided_covariance(f: TestFunction, g: TestFunction) -> float:
     hi = min(f.xi_cut, g.xi_cut)
     h, c = (f, g0) if f.xi_cut > g.xi_cut else (g, f0)
     if c != 0.0 and h.xi_cut > hi:
+        _require_resolved(h.xi_cut, abs((h.center or (0.0,))[0]))
         r, spectrum = _radial_spectrum(1, hi, h.xi_cut)
         value -= pairing(spectrum, h.fhat(r), c, lambda q: 1.0 / q)
     return value + 2.0 * f0 * g0 / hi

@@ -55,20 +55,28 @@ def report_from_values(
     target: np.ndarray | None = None,
     labels: list[str] | None = None,
     z_threshold: float = DEFAULT_Z_THRESHOLD,
+    overwrite_values: bool = False,
 ) -> CovarianceReport:
     """Build a report from an (n_samples, p) matrix of functional values.
 
-    Uses the unbiased sample covariance; standard errors come from the
-    Gaussian fourth-moment formula var(c_ij) ~ (c_ii c_jj + c_ij^2) / n
-    with empirical plug-ins. A zero-variance functional whose target row is
-    zero has z = 0 on its row instead of failing.
+    Uses the unbiased sample covariance of the values centred by two
+    passes (the mean, then the products of the deviations); standard
+    errors come from the Gaussian fourth-moment formula
+    var(c_ij) ~ (c_ii c_jj + c_ij^2) / n with empirical plug-ins. A
+    zero-variance functional whose target row is zero has z = 0 on its row
+    instead of failing.
+
+    With ``overwrite_values`` a float array is centred in place, so the
+    report holds no copy of the draws and ``values`` is left centred; the
+    report is the same bit for bit. A caller that reads the values again
+    keeps the default.
     """
     values = np.asarray(values, dtype=float)
     n, p = values.shape
     if n < 100:
         raise ValueError("fewer than 100 samples gives useless statistics")
     labels = labels if labels is not None else [f"f{j+1}" for j in range(p)]
-    centered = values - values.mean(axis=0)
+    centered = np.subtract(values, values.mean(axis=0), out=values if overwrite_values else None)
     empirical = centered.T @ centered / (n - 1)
     empirical = 0.5 * (empirical + empirical.T)
     diag = np.diag(empirical)

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from gfflab.fourier_cov import (
+    PHASE_MAX,
     TestFunction,
     _angular_average,
     _pair_integral,
@@ -214,6 +215,30 @@ class TestTwoSidedCovariance:
         assert two_sided_covariance(f, g) == gff_covariance(f, g)
         assert two_sided_covariance(g, f) == gff_covariance(g, f)
 
+    def test_phase_past_the_bound_is_named(self):
+        # a unit bump (xi_cut = 12) at a = PHASE_MAX / 12 = 100 against itself:
+        # 2 pi E|N(a, 1)| - 2 sqrt(pi) from min(|x|, |y|) on each side of 0
+        f = gaussian_bump(PHASE_MAX / 12.0)
+        assert two_sided_covariance(f, f) == pytest.approx(200.0 * math.pi - 2.0 * math.sqrt(math.pi), rel=1e-14)
+        # the product fhat conj(ghat) carries the difference of the centres,
+        # so bumps at +-a/2 reach as far as two at a
+        far = PHASE_MAX / 12.0 + 0.01
+        for a, b in [(far, far), (0.0, far), (0.5 * far, -0.5 * far)]:
+            with pytest.raises(ValueError, match="^centres too far apart for the radial rule"):
+                two_sided_covariance(gaussian_bump(a), gaussian_bump(b))
+
+    def test_cross_term_past_the_bound_is_named(self):
+        # a width-0.1 bump g at c runs the cross term on its own rule up to
+        # its cut 120: at c = 10 the pair meets the closed form within 2.2e-15
+        # relative (measured), at c = 30 the rule lost the phase (1.2e-5 off)
+        # and the pair is refused. With g wholly right of the unit bump f,
+        # E W[f] W[g] = int |x| f int g / 2 = width sqrt(2 pi).
+        f, width = gaussian_bump(0.0), 0.1
+        near, far = gaussian_bump(10.0, width), gaussian_bump(30.0, width)
+        assert two_sided_covariance(f, near) == pytest.approx(width * math.sqrt(2.0 * math.pi), rel=1e-14)
+        with pytest.raises(ValueError, match="^centres too far apart for the radial rule"):
+            two_sided_covariance(f, far)
+
 
 class TestTransientCovariance:
     def test_zero_time_zero_start(self):
@@ -336,6 +361,21 @@ class TestOuLaw:
             total *= ou_decay(q, 1.0, dt)
         direct = ou_decay(q, 1.0, 1.0)
         assert np.allclose(total, direct, rtol=1e-13)
+
+    def test_zero_frequency_is_brownian(self):
+        # sigma times a Brownian motion: variance sigma^2 t, with no warning,
+        # and every other frequency keeps its bits
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert ou_variance(0.0, 1.0, 1.0, 2.0) == 2.0
+            var = ou_variance(np.array([0.0, 4.0]), 0.7, 1.3, 0.3)
+            assert ou_variance(0.0, 0.7, 1.3, 0.0) == 0.0
+        assert var[0] == 1.3**2 * 0.3
+        assert var[1] == ou_variance(4.0, 0.7, 1.3, 0.3)
+
+    def test_zero_frequency_has_no_stationary_law(self):
+        with pytest.raises(ValueError, match="^the law at q = 0 has no stationary variance"):
+            ou_variance(np.array([0.0, 1.0]), 1.0, 1.0, math.inf)
 
     def test_overflowing_rate_keeps_the_stationary_variance(self):
         # 2 nu q = 3.3e308 overflows for the last mode, whose variance read 0
@@ -467,6 +507,18 @@ class TestShiftedHeatPairing:
                     want = width ** (2 * d) * (math.pi / a) ** (d / 2) * math.exp(-distance**2 / (4.0 * a))
                     got = heat_pairing(phi, f, t_nu / 2.0, 2.0)
                     assert got == pytest.approx(want, rel=0, abs=1e-14 * width ** (2 * d)), (width, distance, t_nu)
+
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_phase_past_the_bound_is_named(self, d):
+        # unit bumps (xi_cut = 12) at xi_cut * distance = PHASE_MAX pair within
+        # 1.7e-14 of pi^(d/2) exp(-D^2 / 4) = 0 (measured); further apart the
+        # rule loses the phase (1e-10 at 1600 in d = 1) and the pair is refused
+        f = gaussian_bump(np.zeros(d), 1.0, d)
+        at, past = (gaussian_bump(np.eye(d)[-1] * x / 12.0, 1.0, d) for x in (PHASE_MAX, PHASE_MAX + 0.1))
+        assert abs(heat_pairing(f, at, 0.0, 1.0)) < 5e-14
+        with pytest.raises(ValueError, match="^centres too far apart for the radial rule"):
+            heat_pairing(f, past, 0.0, 1.0)
 
 
 class TestAngularAverage:

@@ -136,6 +136,34 @@ class TestEstimateCovariance:
             np.testing.assert_allclose(rep.z, unit.z, rtol=1e-9)
 
 
+class TestOverwriteValues:
+    """overwrite_values centres the draws in place and changes no bit of
+    the report; the default leaves the caller's array as it was."""
+
+    @pytest.fixture()
+    def values(self):
+        gen = RngStream(60, (0,)).generator()
+        return 3.0 + gen.standard_normal((5000, 4)) @ np.triu(np.ones((4, 4)))
+
+    def test_report_is_the_copying_report(self, values):
+        target = np.eye(4)
+        want = report_from_values(values.copy(), target=target)
+        got = report_from_values(values, target=target, overwrite_values=True)
+        for field in ("empirical", "target", "stderr", "z"):
+            assert getattr(got, field).tobytes() == getattr(want, field).tobytes(), field
+        assert (got.zmax, got.passed) == (want.zmax, want.passed)
+
+    def test_values_are_left_centred(self, values):
+        centred = values - values.mean(axis=0)
+        report_from_values(values, overwrite_values=True)
+        assert values.tobytes() == centred.tobytes()
+
+    def test_default_leaves_values_untouched(self, values):
+        kept = values.copy()
+        report_from_values(values)
+        assert values.tobytes() == kept.tobytes()
+
+
 class TestKsGaussian:
     def test_calibration_on_true_null(self):
         hits = 0
