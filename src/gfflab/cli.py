@@ -9,9 +9,9 @@ Usage:
 run-all runs every registered experiment at its defaults, with output
 prefix DIR/<experiment> (DIR defaults to out).
 
-Exit codes: 0 all experiment predicates passed, 1 a predicate failed,
-2 configuration error, 3 an experiment crashed (one line on stderr names
-the exception).
+Exit codes: 0 every gate of every experiment held, 1 a gate failed (one
+line on stderr names the worst gate), 2 configuration error, 3 an
+experiment crashed (one line on stderr names the exception).
 """
 
 from __future__ import annotations
@@ -25,7 +25,8 @@ from dataclasses import dataclass, field, fields
 from functools import lru_cache
 
 from .basis import BasisKind, parse_basis_kind
-from .experiments import EXPERIMENT_TABLE, EXPERIMENTS, ExperimentResult
+from .experiments import EXPERIMENT_TABLE, EXPERIMENTS, ExperimentResult, margin
+from .stats import P_VALUE_FLOOR
 
 
 class ConfigError(Exception):
@@ -74,7 +75,8 @@ class ExperimentConfig:
     output: str = _key("output", "out/run", str)
     z_threshold: float = _key("tol.z", 4.0, bound=_POSITIVE)
     rel_tol: float | None = _key("tol.rel", None, bound=_POSITIVE)  # None: the experiment's own default
-    ks_alpha: float = _key("tol.ks_p", 1e-3, bound=("lie in (0, 1)", lambda v: 0.0 < v < 1.0))
+    # ks_gaussian floors p at P_VALUE_FLOOR: below it the KS gate could not fail
+    ks_alpha: float = _key("tol.ks_p", 1e-3, bound=(f"lie in [{P_VALUE_FLOOR:g}, 1)", lambda v: P_VALUE_FLOOR <= v < 1))
 
 
 # config key -> dataclass field
@@ -184,6 +186,9 @@ def run(cfg: ExperimentConfig) -> int:
             print(f"  {key} = {value}")
     print(f"  csv = {csv_path}")
     print(f"  summary = {summary_path}")
+    if not passed:
+        worst = "{0} = {1!r}, needs {3} {2!r}".format(*result.worst)
+        print(f"[{name}] worst gate: {worst} (margin {margin(result.worst):.3g})", file=sys.stderr)
     return 0 if passed else 1
 
 

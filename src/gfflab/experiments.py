@@ -1,6 +1,6 @@
 """The experiment registry behind the command-line runner: each experiment
 binds samplers, kernels and statistics into one named check that emits CSV
-rows, a structured summary, and a pass/fail verdict.
+rows, a structured summary, and the named gates of its pass/fail verdict.
 """
 
 from __future__ import annotations
@@ -110,13 +110,30 @@ def experiment_stream(cfg, role: str) -> RngStream:
     return RngStream(cfg.seed, (zlib.crc32(cfg.experiment.encode()), STREAM_ROLES[role]))
 
 
+def margin(gate) -> float:
+    """The signed margin in decades of a gate (name, value, bound, relation),
+    positive exactly when it holds: log10(bound / value) for "<", log10(value /
+    bound) for ">", and +-inf for "==" or a value not above 0 (NaN: -inf)."""
+    _, value, bound, relation = gate
+    holds = value < bound if relation == "<" else value > bound if relation == ">" else value == bound
+    if relation == "==" or not value > 0.0:
+        return math.inf if holds else -math.inf
+    ratio = bound / value if relation == "<" else value / bound
+    return math.log10(ratio) if ratio > 0.0 else -math.inf
+
+
 @dataclass(eq=False)
 class ExperimentResult:
-    """CSV rows, each a dict in column order, and the summary with its
-    "passed" verdict; the runner adds the experiment name."""
+    """CSV rows in column order, the summary, and the gates that set summary
+    ["passed"] (every margin > 0) and worst (least margin, first on ties)."""
 
     rows: list[dict]
     summary: dict
+    gates: list[tuple]
+
+    def __post_init__(self):
+        self.worst = min(self.gates, key=margin)
+        self.summary["passed"] = margin(self.worst) > 0.0
 
 
 def build_basis(cfg) -> EigenBasis:
@@ -158,7 +175,7 @@ def _stationary_reports(basis, cfg, runs) -> list[tuple[float, stats.CovarianceR
             dynamics.sample_functional_values(
                 basis, cfg.nu, cfg.sigma, None, t, cfg.samples, weights, stream
             ),
-            target=target, labels=labels, z_threshold=cfg.z_threshold, overwrite_values=True,
+            target=target, labels=labels, overwrite_values=True,
         ))
         for t, stream in runs
     ]
@@ -197,8 +214,8 @@ def exp_stationary_bd(cfg) -> ExperimentResult:
         "samples": cfg.samples,
         "t": cfg.t,
         "ks_invariance": {f"mode_{k}": p for k, p in ks},
-        "passed": report.passed and all(p > cfg.ks_alpha for _, p in ks),
-    })
+    }, [("zmax", report.zmax, cfg.z_threshold, "<"),
+        *((f"ks_p_mode_{k}", p, cfg.ks_alpha, ">") for k, p in ks)])
 
 
 def exp_stationary_hermite(cfg) -> ExperimentResult:
@@ -211,14 +228,13 @@ def exp_convergence_curve(cfg) -> ExperimentResult:
     deviation from the limit must shrink and the final time must pass."""
     basis = build_basis(cfg)
     stream = experiment_stream(cfg, "pairings")
-    summ = stats.summarize_convergence(_stationary_reports(
+    rows, monotone = stats.summarize_convergence(_stationary_reports(
         basis, cfg, [(t, stream.substream(i)) for i, t in enumerate(cfg.t_list)]
-    ))
-    return ExperimentResult(summ.rows, {
-        "monotone": summ.monotone,
-        "final_passed": summ.passed,
-        "passed": summ.monotone and summ.passed,
-    })
+    ), cfg.z_threshold)
+    return ExperimentResult(rows, {
+        "monotone": monotone,
+        "final_passed": rows[-1]["passed"],
+    }, [("monotone", monotone, True, "=="), ("final_zmax", rows[-1]["zmax"], cfg.z_threshold, "<")])
 
 
 def exp_kakutani(cfg) -> ExperimentResult:
@@ -239,8 +255,7 @@ def exp_kakutani(cfg) -> ExperimentResult:
         "statistic": rows[-1]["statistic"],
         "tail": tail,
         "tail_tolerance": tail_tol,
-        "passed": tail < tail_tol,
-    })
+    }, [("tail", tail, tail_tol, "<")])
 
 
 def _bessel_cosh_oracle(p: float, x: float) -> float:
@@ -252,16 +267,15 @@ def _bessel_cosh_oracle(p: float, x: float) -> float:
 
 def _relerr_result(cases) -> ExperimentResult:
     """One row per (kernel, x, lhs, rhs, tolerance) case with the relative
-    error of lhs against rhs; passes when each is below its own tolerance."""
+    error of lhs against rhs, gated below its own tolerance as kernel(x=x)."""
     rows = [
         {"kernel": kernel, "x": float(x), "lhs": lhs, "rhs": rhs,
          "relerr": abs(lhs - rhs) / max(abs(rhs), 1e-300)}
         for kernel, x, lhs, rhs, _ in cases
     ]
-    return ExperimentResult(rows, {
-        "worst_relerr": max(r["relerr"] for r in rows),
-        "passed": all(r["relerr"] < tol for r, (*_, tol) in zip(rows, cases)),
-    })
+    return ExperimentResult(rows, {"worst_relerr": max(r["relerr"] for r in rows)}, [
+        (f"{r['kernel']}(x={r['x']:g})", r["relerr"], tol, "<") for r, (*_, tol) in zip(rows, cases)
+    ])
 
 
 def exp_greens_checks(cfg) -> ExperimentResult:
@@ -320,8 +334,7 @@ def exp_log_divergence_2d(cfg) -> ExperimentResult:
         "slope": slope,
         "target": target,
         "relerr": rel,
-        "passed": rel < 0.01,
-    })
+    }, [("relerr", rel, 0.01, "<")])
 
 
 def exp_bridge_cov(cfg) -> ExperimentResult:
@@ -337,8 +350,7 @@ def exp_bridge_cov(cfg) -> ExperimentResult:
         np.zeros(grid.size), weights.T @ weights, cfg.samples, experiment_stream(cfg, "pairings")
     )
     report = stats.report_from_values(
-        values, target=target, labels=[f"x={v}" for v in grid],
-        z_threshold=cfg.z_threshold, overwrite_values=True,
+        values, target=target, labels=[f"x={v}" for v in grid], overwrite_values=True,
     )
     boundary = fields.sample_brownian_bridge(
         np.array([0.0, 1.0]), experiment_stream(cfg, "boundary").generator(), modes=modes
@@ -349,8 +361,7 @@ def exp_bridge_cov(cfg) -> ExperimentResult:
         "boundary_exact_zero": boundary_ok,
         "samples": cfg.samples,
         "modes": modes,
-        "passed": report.passed and boundary_ok,
-    })
+    }, [("zmax", report.zmax, cfg.z_threshold, "<"), ("boundary_exact_zero", boundary_ok, True, "==")])
 
 
 def _folded_normal_mean(mu: float, s: float) -> float:
@@ -421,8 +432,8 @@ def exp_two_sided_cov(cfg) -> ExperimentResult:
         "worst_relerr": worst,
         "s0_exact_equality": lhs == rhs,
         "nonzero_mean_gap": gap,
-        "passed": worst < cfg.rel_tol and lhs == rhs and gap > 1e-3,
-    })
+    }, [("worst_relerr", worst, cfg.rel_tol, "<"), ("s0_exact_equality", lhs, rhs, "=="),
+        ("nonzero_mean_gap", gap, 1e-3, ">")])
 
 
 def exp_fourier_limits(cfg) -> ExperimentResult:
@@ -464,10 +475,11 @@ def exp_fourier_limits(cfg) -> ExperimentResult:
         "phi_transient_monotone": monotone,
         "massive_relerr": massive_rel,
         "massless_gap": eps_gap,
+    }, [("noise_limit_relgap", rel_gap, 1e-8, "<"), ("phi_transient_monotone", monotone, True, "=="),
+        ("massive_relerr", massive_rel, cfg.rel_tol, "<"),
         # the relative gap is first order in the mass, about eps / |xi|^2 on the
         # annulus of f at |xi| = 4: 6.3e-10 at every (nu, sigma) measured
-        "passed": rel_gap < 1e-8 and monotone and massive_rel < cfg.rel_tol and eps_gap / limit < 1e-8,
-    })
+        ("massless_relgap", eps_gap / limit, 1e-8, "<")])
 
 
 def _massive_physical_oracle(width: float, nu: float, eps: float, sigma: float) -> float:
@@ -504,12 +516,9 @@ def exp_weyl(cfg) -> ExperimentResult:
              "ratio": float(scaled[-1]), "c_weyl": basis.c_weyl, "relerr": devs[-1] / limit}
         )
         del basis  # released before the next family is built
-    return ExperimentResult(rows, {
-        "interval_max_err": devs[0],
-        "box_relerr": rows[1]["relerr"],
-        "hermite_relerr": rows[2]["relerr"],
-        "passed": devs[0] < 1e-10 and rows[1]["relerr"] < 0.05 and rows[2]["relerr"] < 0.05,
-    })
+    gates = [("interval_max_err", devs[0], 1e-10, "<"), ("box_relerr", rows[1]["relerr"], 0.05, "<"),
+             ("hermite_relerr", rows[2]["relerr"], 0.05, "<")]
+    return ExperimentResult(rows, {name: value for name, value, *_ in gates}, gates)
 
 
 # one row per registered experiment: its function, the raw-config-key

@@ -15,7 +15,6 @@ from dataclasses import dataclass
 import numpy as np
 
 P_VALUE_FLOOR = 1e-12
-DEFAULT_Z_THRESHOLD = 4.0
 _erf = np.frompyfunc(math.erf, 1, 1)  # math.erf elementwise, bit for bit
 # Abramowitz & Stegun 7.1.26, erf(z) = 1 - t P(t) exp(-z^2) with t = 1 / (1 + p z)
 # for z >= 0 and |error| <= 1.5e-7; the coefficients of P from a5 down to a1
@@ -29,13 +28,8 @@ _KS_SLACK = 4e-7
 
 @dataclass(eq=False)
 class CovarianceReport:
-    """Empirical vs target covariance with per-entry z-scores.
-
-    zmax is the largest |empirical - target| / stderr over entries and the
-    report passes when it stays below the configured threshold. Entries
-    are correlated, so the default threshold 4 is deliberately loose
-    (calibrated empirically rather than by a Bonferroni bound).
-    """
+    """Empirical vs target covariance with per-entry z-scores; zmax is the
+    largest |empirical - target| / stderr over entries."""
 
     labels: list[str]
     empirical: np.ndarray
@@ -43,7 +37,6 @@ class CovarianceReport:
     stderr: np.ndarray
     z: np.ndarray
     zmax: float
-    passed: bool
 
     @property
     def max_deviation(self) -> float:
@@ -54,7 +47,6 @@ def report_from_values(
     values: np.ndarray,
     target: np.ndarray | None = None,
     labels: list[str] | None = None,
-    z_threshold: float = DEFAULT_Z_THRESHOLD,
     overwrite_values: bool = False,
 ) -> CovarianceReport:
     """Build a report from an (n_samples, p) matrix of functional values.
@@ -96,15 +88,13 @@ def report_from_values(
     diff = np.abs(empirical - target)
     with np.errstate(divide="ignore", invalid="ignore"):
         z = np.where(stderr > 0.0, diff / stderr, np.where(diff == 0.0, 0.0, np.inf))
-    zmax = float(np.max(z))
     return CovarianceReport(
         labels=labels,
         empirical=empirical,
         target=target,
         stderr=stderr,
         z=z,
-        zmax=zmax,
-        passed=bool(zmax < z_threshold),
+        zmax=float(np.max(z)),
     )
 
 
@@ -164,25 +154,20 @@ def ks_gaussian(samples, mu: float, var: float) -> tuple[float, float]:
     return d, float(min(max(p, P_VALUE_FLOOR), 1.0))
 
 
-@dataclass(eq=False)
-class ConvergenceSummary:
-    rows: list[dict]
-    monotone: bool
-    passed: bool
-
-
-def summarize_convergence(reports: list[tuple[float, CovarianceReport]]) -> ConvergenceSummary:
-    """Per-time zmax and transient magnitude max|empirical - target|, a
-    monotone-trend flag (non-increasing transients, with slack for the
-    statistical noise floor), and the pass state of the final time."""
+def summarize_convergence(
+    reports: list[tuple[float, CovarianceReport]], z_threshold: float
+) -> tuple[list[dict], bool]:
+    """Per-time rows of zmax, the transient magnitude max|empirical - target|
+    and zmax < z_threshold, and a monotone-trend flag (non-increasing
+    transients, with slack for the statistical noise floor)."""
     if not reports:
         raise ValueError("no reports to summarize")
     rows = [
-        {"t": float(t), "zmax": rep.zmax, "transient": rep.max_deviation, "passed": rep.passed}
+        {"t": float(t), "zmax": rep.zmax, "transient": rep.max_deviation, "passed": rep.zmax < z_threshold}
         for t, rep in reports
     ]
     monotone = not any(
         cur.max_deviation > prev.max_deviation + 3.0 * float(np.max(cur.stderr))
         for (_, prev), (_, cur) in zip(reports[:-1], reports[1:])
     )
-    return ConvergenceSummary(rows=rows, monotone=monotone, passed=rows[-1]["passed"])
+    return rows, monotone

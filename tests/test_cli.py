@@ -133,6 +133,7 @@ class TestRegistry:
         assert [list(r) for r in result.rows] == [["kernel", "x", "lhs", "rhs", "relerr"]] * 2
         assert result.rows[1] == {"kernel": "b", "x": 2.5, "lhs": 0.0, "rhs": 0.0, "relerr": 0.0}
         assert result.summary == {"worst_relerr": pytest.approx(1e-4), "passed": True}
+        assert [gate[0] for gate in result.gates] == ["a(x=1)", "b(x=2.5)"]
         # the same error against a tolerance of its own below it
         assert not _relerr_result([cases[0][:4] + (1e-5,), cases[1]]).summary["passed"]
 
@@ -664,14 +665,14 @@ class TestRunner:
         assert f"{key!r}" in err and "not a finite number" in err and "Traceback" not in err
         assert not os.path.exists(f"{tmp_path}/n_{name}.csv")
 
-    @pytest.mark.parametrize("alpha", ["-1", "0", "1", "2"])
+    @pytest.mark.parametrize("alpha", ["-1", "0", "1e-13", "1", "2"])
     def test_ks_p_outside_unit_interval_exits_two(self, tmp_path, capsys, alpha):
         path = self._write(
             tmp_path,
             f"experiment = stationary_bd\ntol.ks_p = {alpha}\nK = 8\nM = 200\noutput = {tmp_path}/s\n",
         )
         assert main(["run", path]) == 2
-        assert "tol.ks_p must lie in (0, 1)" in capsys.readouterr().err
+        assert f"tol.ks_p must lie in [1e-12, 1) (got {float(alpha)})" in capsys.readouterr().err
         assert not os.path.exists(f"{tmp_path}/s_stationary_bd.csv")
 
 
@@ -691,17 +692,18 @@ class TestRunAll:
             with open(f"{tmp_path}/one_stationary_bd{suffix}", "rb") as fh:
                 assert fh.read() == first
 
-    def test_failing_verdict_exits_one(self, tmp_path, monkeypatch):
+    def test_failing_verdict_exits_one(self, tmp_path, monkeypatch, capsys):
         def failing(cfg):
-            return ExperimentResult([{"x": 1.0}], {"passed": False})
+            return ExperimentResult([{"x": 1.0}], {}, [("y", 0.1, 0.5, "<"), ("x", 1.0, 0.5, "<")])
 
         monkeypatch.setitem(EXPERIMENTS, "weyl", failing)
         assert main(["run-all", "--out", str(tmp_path)]) == 1
         assert os.path.exists(f"{tmp_path}/weyl_weyl.csv")
+        assert capsys.readouterr().err == "[weyl] worst gate: x = 1.0, needs < 0.5 (margin -0.301)\n"
 
     def test_runner_derives_name_columns_and_verdict(self, tmp_path, monkeypatch, capsys):
         def stub(cfg):
-            return ExperimentResult([{"b": 1, "a": 2.5}, {"b": 3, "a": 0.1}], {"passed": True, "z": 1})
+            return ExperimentResult([{"b": 1, "a": 2.5}, {"b": 3, "a": 0.1}], {"z": 1}, [("z", 1, 2, "<")])
 
         monkeypatch.setitem(EXPERIMENTS, "weyl", stub)
         path = os.path.join(tmp_path, "w.cfg")
@@ -746,7 +748,7 @@ class TestSharedParser:
 
         def stub(cfg):
             calls.append((cfg.experiment, cfg.seed, cfg.output))
-            return ExperimentResult([{"x": 1.0}], {"passed": True})
+            return ExperimentResult([{"x": 1.0}], {}, [("x", 1.0, 2.0, "<")])
 
         for name in list(EXPERIMENTS):
             monkeypatch.setitem(EXPERIMENTS, name, stub)
@@ -827,7 +829,7 @@ CONFIG_SPACE = {
     "output": (st.just("run"), []),
     "tol.z": (st.floats(0.1, 10.0).map(repr), _BAD_FLOATS),
     "tol.rel": (st.floats(1e-14, 1.0).map(repr), _BAD_FLOATS),
-    "tol.ks_p": (st.floats(1e-6, 0.5).map(repr), _BAD_FLOATS + ["1", "2"]),
+    "tol.ks_p": (st.floats(1e-6, 0.5).map(repr), _BAD_FLOATS + ["1e-13", "1", "2"]),
 }
 
 

@@ -299,10 +299,10 @@ class TestConvergenceCurve:
         curve = _stationary_reports(
             dirichlet64, cfg, [(t, stream.substream(i)) for i, t in enumerate(times)]
         )
-        summary = summarize_convergence(curve)
+        rows, monotone = summarize_convergence(curve, 4.0)
         assert [t for t, _ in curve] == times
-        assert summary.passed
-        assert summary.monotone
+        assert rows[-1]["passed"]
+        assert monotone
         assert curve[-1][1].zmax < 4.0
         assert curve[0][1].zmax > 4.0  # far from stationarity at t = 0.02
 

@@ -123,3 +123,34 @@ def cross_module_private_reads() -> set[str]:
 
 def test_no_module_reads_another_modules_private_names():
     assert cross_module_private_reads() == set()
+
+
+def passed_writes() -> list[tuple[str, int]]:
+    """(enclosing function, line) of each "passed" key that experiments.py
+    writes: a dict display key, a passed= keyword or a subscript store."""
+    writes = []
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            inner = scope
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                inner = f"{scope}.{child.name}".lstrip(".")
+            if (
+                isinstance(child, ast.Dict)
+                and any(isinstance(k, ast.Constant) and k.value == "passed" for k in child.keys)
+                or isinstance(child, ast.keyword) and child.arg == "passed"
+                or isinstance(child, ast.Subscript)
+                and isinstance(child.ctx, ast.Store)
+                and isinstance(child.slice, ast.Constant)
+                and child.slice.value == "passed"
+            ):
+                writes.append((inner, child.lineno))
+            visit(child, inner)
+
+    visit(ast.parse((SRC / "experiments.py").read_text(encoding="utf-8")), "")
+    return writes
+
+
+def test_only_the_result_writes_the_verdict():
+    # experiments return gates; ExperimentResult derives "passed" from them
+    assert [scope for scope, _ in passed_writes()] == ["ExperimentResult.__post_init__"]
