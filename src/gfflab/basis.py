@@ -81,13 +81,6 @@ def _sinpi_into(v: np.ndarray) -> np.ndarray:
     return v
 
 
-def sinpi(u):
-    """sin(pi * u) with exact zeros at integer u."""
-    u = np.asarray(u, dtype=float)
-    s = _sinpi_into(np.array(u, ndmin=1))  # a 0-d array cannot be written in place
-    return s if u.ndim else float(s[0])
-
-
 def hermite_functions(n_max: int, x) -> np.ndarray:
     """Values of the L2-normalized Hermite functions h_0 .. h_{n_max}.
 

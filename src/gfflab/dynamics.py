@@ -44,8 +44,9 @@ def kakutani_statistic(basis: EigenBasis, nu: float, t: float, terms: int | None
     sum_{k<=terms} (sqrt(1 - e^{-2 nu lam_k^2 t}) - 1)^2 comparing the
     time-t law with the invariant law; bounded partial sums certify
     absolute continuity."""
-    if t <= 0.0:
-        raise ValueError(f"time must be positive, got {t}")
+    for name, value in (("nu", nu), ("time", t)):
+        if not 0.0 < value < math.inf:  # NaN included
+            raise ValueError(f"{name} must be {'positive' if value <= 0.0 else 'finite'}, got {value}")
     basis.require_positive_spectrum("dynamics")
     n = basis.size if terms is None else terms
     if not 1 <= n <= basis.size:

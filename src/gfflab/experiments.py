@@ -20,6 +20,7 @@ from .basis import (
     build_box_basis,
     build_hermite_basis,
     build_interval_basis,
+    evaluate_matrix,
     require_finite_spectrum,
 )
 from .fields import RngStream
@@ -338,16 +339,17 @@ def exp_log_divergence_2d(cfg) -> ExperimentResult:
 
 
 def exp_bridge_cov(cfg) -> ExperimentResult:
-    """Monte Carlo covariance of the Brownian bridge series against
-    min(x, y) - x y, with exact zeros at the endpoints."""
+    """Monte Carlo covariance of the Brownian bridge, the heat equation on the
+    Dirichlet interval [0, 1] at nu = 1/2, sigma = 1 drawn at t = inf by the
+    exact transition, against min(x, y) - x y; exact zeros at the endpoints."""
     grid = np.array([0.1, 0.3, 0.5, 0.7, 0.9])
     modes = cfg.modes
-    k = np.arange(1, modes + 1, dtype=float)
-    weights = np.sqrt(2.0) * np.sin(np.pi * np.outer(k, grid)) / (k * np.pi)[:, None]
+    basis = build_interval_basis("dirichlet", 0.0, 1.0, modes)
     target = np.minimum.outer(grid, grid) - np.outer(grid, grid)
 
-    values = dynamics.sample_gaussian(
-        np.zeros(grid.size), weights.T @ weights, cfg.samples, experiment_stream(cfg, "pairings")
+    values = dynamics.sample_functional_values(
+        basis, 0.5, 1.0, None, math.inf, cfg.samples, evaluate_matrix(basis, grid).T,
+        experiment_stream(cfg, "pairings"),
     )
     report = stats.report_from_values(
         values, target=target, labels=[f"x={v}" for v in grid], overwrite_values=True,

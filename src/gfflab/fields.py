@@ -1,6 +1,6 @@
-"""Samplers for the Gaussian objects: the truncated free-field series, the
-Brownian bridge via its sine series and the two-sided Brownian motion on
-the line, together with the two-sided covariance functional by two
+"""Samplers for the Gaussian objects: the truncated free-field series (on
+the Dirichlet interval [0, 1], the Brownian bridge), the two-sided Brownian
+motion on the line, and the two-sided covariance functional by two
 physical-space quadrature routes for callables (TestFunction objects take
 the Fourier route, fourier_cov.two_sided_covariance).
 
@@ -10,12 +10,11 @@ equal keys repeat a sample, and distinct paths, at any depth, are independent.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .basis import EigenBasis, sinpi
+from .basis import EigenBasis, build_interval_basis, evaluate_matrix
 from .fourier_cov import TestFunction
 from .quadrature import composite_legendre, cumulative_legendre
 
@@ -42,21 +41,18 @@ def sample_gff(basis: EigenBasis, r: float, rng: np.random.Generator, n: int | N
     rows."""
     basis.require_positive_spectrum("free-field sampling")
     zeta = rng.standard_normal(basis.size if n is None else (n, basis.size))
-    return zeta / basis.lambdas**r
+    return np.divide(zeta, basis.lambdas**r, out=zeta)
 
 
 def sample_brownian_bridge(
     x_grid, rng: np.random.Generator, modes: int = 512, n: int | None = None
 ) -> np.ndarray:
-    """Brownian bridge on [0, 1] through its sine series
-    sum_k zeta_k sqrt(2) sin(k pi x) / (k pi); exactly zero at both ends.
-    With n, returns n independent paths as rows of an (n, points) array."""
-    x = np.asarray(x_grid, dtype=float)
-    if np.any(x < 0.0) or np.any(x > 1.0):
-        raise ValueError("bridge grid must lie in [0, 1]")
-    k = np.arange(1, modes + 1, dtype=float)
-    zeta = rng.standard_normal(modes if n is None else (n, modes))
-    return (sinpi(np.outer(x, k)) @ (math.sqrt(2.0) * zeta / (k * np.pi)).T).T
+    """Brownian bridge on [0, 1], the free field of the Dirichlet interval:
+    sample_gff on the first `modes` sine modes of its basis, exactly zero at
+    both ends. With n, returns n independent paths as rows of an
+    (n, points) array."""
+    basis = build_interval_basis("dirichlet", 0.0, 1.0, modes)
+    return sample_gff(basis, 1.0, rng, n) @ evaluate_matrix(basis, x_grid).T
 
 
 def sample_two_sided_bm(x_grid, rng: np.random.Generator, n: int | None = None) -> np.ndarray:
@@ -151,6 +147,8 @@ def covariance_two_sided(f, g, mode: str = "direct", r_max: float = 20.0, n_node
     for name, value in (("n_nodes", n_nodes), ("r_max", r_max)):
         if not value > 0:
             raise ValueError(f"{name} must be positive (got {value})")
+        if not np.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value}")
 
     if mode == "direct":
         # f(x) [int_0^x y g(y) dy + x int_x^rmax g] per half line, the inner

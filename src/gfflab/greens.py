@@ -78,11 +78,18 @@ def bessel_k(p: float, x):
     return _float_or_array(out)
 
 
-def _check_kernel_params(nu: float, eps: float = 0.0) -> None:
+def _check_kernel_params(nu: float, eps: float = 0.0, t=()) -> None:
+    """Named errors: nu > 0, eps >= 0 and each of the times t > 0 (none by
+    default), every one of them finite."""
+    for name, value in (("nu", nu), ("eps", eps), ("t", t)):
+        if not np.all(np.isfinite(value)):
+            raise ValueError(f"{name} must be finite, got {value}")
     if nu <= 0.0:
         raise ValueError(f"diffusivity nu must be positive, got {nu}")
     if eps < 0.0:
         raise ValueError(f"mass eps must be non-negative, got {eps}")
+    if np.any(np.asarray(t) <= 0.0):
+        raise ValueError(f"heat kernel requires t > 0, got {t}")
 
 
 def _radius(d: int, x) -> np.ndarray:
@@ -97,9 +104,7 @@ def _radius(d: int, x) -> np.ndarray:
 def heat_kernel(t, x, *, d: int = 1, nu: float = 1.0, eps: float = 0.0):
     """The whole-space kernel (4 pi nu t)^(-d/2) exp(-eps t - |x|^2/(4 nu t)),
     elementwise over broadcast arrays of times and points (see _radius)."""
-    _check_kernel_params(nu, eps)
-    if np.any(np.asarray(t) <= 0.0):
-        raise ValueError(f"heat kernel requires t > 0, got {t}")
+    _check_kernel_params(nu, eps, t)
     r = _radius(d, x)
     return _float_or_array(
         (4.0 * math.pi * nu * t) ** (-0.5 * d) * np.exp(-eps * t - r * r / (4.0 * nu * t))
@@ -157,8 +162,7 @@ def series_green(basis: EigenBasis, nu: float, x, y) -> float:
     Brownian bridge covariance min(x, y) - x y.
     """
     basis.require_positive_spectrum("series Green's function")
-    if nu <= 0.0:
-        raise ValueError(f"nu must be positive, got {nu}")
+    _check_kernel_params(nu)
     pts = np.concatenate((_as_points(basis, x), _as_points(basis, y)))
     hx, hy = evaluate_matrix(basis, pts)
     hx *= hy

@@ -114,14 +114,12 @@ def test_criterion_02_ou_exactness(em_moments, em_ensemble):
 def test_criterion_03_brownian_bridge_covariance():
     grid = np.array([0.1, 0.3, 0.5, 0.7, 0.9])
     modes, n = 1024, 50000
-    k = np.arange(1, modes + 1, dtype=float)
-    weights = math.sqrt(2.0) * np.sin(np.pi * np.outer(k, grid)) / (k * np.pi)[:, None]
     stream = RngStream(10, (0,))
     chunks = []
     block = 5000
     for b in range(n // block):
         gen = stream.substream(b).generator()
-        chunks.append(gen.standard_normal((block, modes)) @ weights)
+        chunks.append(sample_brownian_bridge(grid, gen, modes=modes, n=block))
     values = np.concatenate(chunks, axis=0)
     target = np.minimum.outer(grid, grid) - np.outer(grid, grid)
     report = report_from_values(values, target=target)

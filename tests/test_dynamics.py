@@ -273,6 +273,16 @@ class TestKakutani:
         with pytest.raises(ValueError, match="positive"):
             kakutani_statistic(dirichlet16, 1.0, 0.0)
 
+    @pytest.mark.parametrize(
+        "nu, t, message",
+        [(-1.0, 0.1, "nu must be positive, got -1.0"), (math.nan, 0.1, "nu must be finite, got nan"),
+         (1.0, math.nan, "time must be finite, got nan"), (1.0, math.inf, "time must be finite, got inf")],
+    )
+    def test_bad_diffusivity_or_time_rejected(self, dirichlet16, nu, t, message):
+        # the first three returned nan, and t = inf 0.0, without an error
+        with pytest.raises(ValueError, match=message):
+            kakutani_statistic(dirichlet16, nu, t)
+
     @pytest.mark.parametrize("terms", [0, 17])
     def test_terms_outside_the_basis_rejected(self, dirichlet16, terms):
         with pytest.raises(ValueError, match=r"terms must be in 1\.\.16"):

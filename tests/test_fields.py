@@ -17,7 +17,15 @@ from gfflab.fields import (
     sample_two_sided_bm,
     two_sided_antiderivative,
 )
-from gfflab.fourier_cov import gaussian_bump, gff_covariance, make_s0_function, two_sided_covariance
+from gfflab.fourier_cov import (
+    Spectrum,
+    gaussian_bump,
+    gff_covariance,
+    make_s0_function,
+    ou_variance,
+    pairing,
+    two_sided_covariance,
+)
 from gfflab.greens import series_green
 from gfflab.quadrature import composite_legendre, gauss_legendre
 
@@ -220,6 +228,45 @@ class TestBridgeAndMotion:
     def test_grid_outside_unit_interval(self, rng):
         with pytest.raises(ValueError, match="0, 1"):
             sample_brownian_bridge(np.array([-0.1, 0.5]), rng)
+
+    @pytest.mark.parametrize(
+        "x, modes, error, message",
+        [([np.nan], 512, ValueError, "evaluation points must be finite"),
+         ([0.5], 0, ValueError, "basis size must be positive, got 0"),
+         ([0.5], 2.5, TypeError, "basis size must be an integer, got 2.5")],
+        ids=["nan-point", "no-modes", "fractional-modes"],
+    )
+    def test_bad_grid_or_modes_named(self, rng, x, modes, error, message):
+        # these returned [nan], returned [0.], and raised numpy's TypeError
+        with pytest.raises(error, match=message):
+            sample_brownian_bridge(np.array(x), rng, modes=modes)
+
+    def test_matches_the_sine_series_from_the_same_normals(self):
+        # the series sum_k zeta_k sqrt(2) sin(k pi x) / (k pi), written out
+        # with np.sin as an oracle of the draw through the Dirichlet basis;
+        # k x is reduced modulo 2 (exactly), or sin(k pi) at x = 1 would
+        # carry the rounding of k pi, up to 1.1e-14 in the sum
+        modes, n = 1024, 50
+        x = np.linspace(0.0, 1.0, 101)
+        got = sample_brownian_bridge(x, RngStream(33, (0,)).generator(), modes=modes, n=n)
+        k = np.arange(1, modes + 1, dtype=float)
+        zeta = RngStream(33, (0,)).generator().standard_normal((n, modes))
+        want = (zeta / (k * np.pi)) @ (math.sqrt(2.0) * np.sin(np.pi * np.remainder(np.outer(k, x), 2.0)))
+        assert np.max(np.abs(got - want)) <= 1e-15
+        assert np.all(got[:, [0, -1]] == 0.0)
+
+    @pytest.mark.parametrize("modes", [64, 1024, 4096])
+    def test_stationary_dirichlet_pairing_is_the_bridge_covariance(self, modes):
+        # the law of bridge_cov's draw: nu = 1/2, sigma = 1, t = inf on the
+        # Dirichlet basis of [0, 1]; the omitted modes weigh at most
+        # sum_{k > K} 2 / (k pi)^2 <= 2 / (pi^2 K) per entry
+        grid = np.array([0.1, 0.3, 0.5, 0.7, 0.9])
+        basis = build_interval_basis("dirichlet", 0.0, 1.0, modes)
+        weights = evaluate_matrix(basis, grid).T
+        cov = pairing(Spectrum(basis.lambdas_squared, 1.0), weights, weights,
+                      lambda q: ou_variance(q, 0.5, 1.0, math.inf))
+        target = np.minimum.outer(grid, grid) - np.outer(grid, grid)
+        assert np.max(np.abs(cov - target)) <= 2.0 / (math.pi**2 * modes)
 
     def test_bridge_covariance(self):
         gen = RngStream(19, (0,)).generator()
@@ -465,6 +512,13 @@ class TestCovarianceTwoSided:
         f = lambda x: np.exp(-x * x)
         with pytest.raises(ValueError, match=f"{name} must be positive"):
             covariance_two_sided(f, f, mode, **kwargs)
+
+    @pytest.mark.parametrize("mode", ["direct", "antiderivative"])
+    def test_rejects_an_infinite_window(self, mode):
+        # an infinite window returned nan without an error
+        f = lambda x: np.exp(-x * x)
+        with pytest.raises(ValueError, match="r_max must be finite, got inf"):
+            covariance_two_sided(f, f, mode, r_max=math.inf)
 
     def test_three_modes_agree_gaussian_pair(self):
         f = lambda x: np.exp(-0.5 * (x - 0.4) ** 2)

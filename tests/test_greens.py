@@ -193,6 +193,28 @@ class TestPotentials:
         with pytest.raises(ValueError, match="eps must be non-negative"):
             call(nu=1.0, eps=-1.0)
 
+    @pytest.mark.parametrize(
+        "call, message",
+        [
+            (lambda: heat_kernel(1.0, 0.5, nu=math.nan), "nu must be finite, got nan"),
+            (lambda: heat_kernel(1.0, 0.5, nu=math.inf), "nu must be finite, got inf"),
+            (lambda: heat_kernel(math.nan, 0.5), "t must be finite, got nan"),
+            (lambda: heat_kernel(np.array([1.0, math.inf]), 0.5), r"t must be finite, got \[ 1. inf\]"),
+            (lambda: heat_kernel(1.0, 0.5, eps=math.nan), "eps must be finite, got nan"),
+            (lambda: potential_massive(0.5, d=1, nu=1.0, eps=math.inf), "eps must be finite, got inf"),
+            (lambda: potential_massive(0.5, d=3, nu=1.0, eps=math.nan), "eps must be finite, got nan"),
+            (lambda: potential_zero_mass(1.0, d=3, nu=math.nan), "nu must be finite, got nan"),
+            (lambda: heat_poisson_identity(0.5, d=1, nu=math.nan, eps=1.0), "nu must be finite, got nan"),
+        ],
+        ids=["heat_kernel-nu-nan", "heat_kernel-nu-inf", "heat_kernel-t-nan", "heat_kernel-t-inf",
+             "heat_kernel-eps-nan", "potential_massive-eps-inf", "potential_massive-eps-nan-3d",
+             "potential_zero_mass-nu-nan", "heat_poisson_identity-nu-nan"],
+    )
+    def test_non_finite_parameters_rejected(self, call, message):
+        # each of these returned nan or 0.0 without an error
+        with pytest.raises(ValueError, match=message):
+            call()
+
     def test_zero_mass_rejects_nonpositive_nu(self):
         with pytest.raises(ValueError, match="nu must be positive"):
             potential_zero_mass(1.0, d=3, nu=-1.0)
@@ -293,6 +315,12 @@ class TestSeriesGreen:
     def test_zero_diffusivity_rejected(self, dirichlet16):
         with pytest.raises(ValueError, match="nu must be positive, got 0.0"):
             series_green(dirichlet16, 0.0, 0.3, 0.4)
+
+    @pytest.mark.parametrize("nu", [math.nan, math.inf])
+    def test_non_finite_diffusivity_rejected(self, dirichlet16, nu):
+        # nan gave nan and inf gave 0.0 without an error
+        with pytest.raises(ValueError, match=f"nu must be finite, got {nu}"):
+            series_green(dirichlet16, nu, 0.3, 0.4)
 
     def test_diffusivity_scales_inverse(self):
         basis = build_interval_basis("dirichlet", 0.0, 1.0, 32)

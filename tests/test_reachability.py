@@ -24,8 +24,6 @@ KEPT = {
     "quadrature.tensor_grid": "the product rule of the gram_matrix oracle and the tests' d = 2 pair oracle",
     "quadrature.gauss_hermite_unweighted": "the Hermite-basis rule of the gram_matrix oracle",
     "fields.sample_two_sided_bm": "the only Monte Carlo check of covariance_two_sided's law",
-    "fields.sample_gff": "direct draw of the free field, the Monte Carlo check of series_green; "
-    "scaled by sigma / sqrt(2 nu), the invariant law (the paper's claim)",
     "basis.hermite_functions": "evaluate_matrix's Hermite columns, checked by the gram and eigen oracles",
 }
 
@@ -125,32 +123,58 @@ def test_no_module_reads_another_modules_private_names():
     assert cross_module_private_reads() == set()
 
 
-def passed_writes() -> list[tuple[str, int]]:
-    """(enclosing function, line) of each "passed" key that experiments.py
-    writes: a dict display key, a passed= keyword or a subscript store."""
-    writes = []
+def scoped_nodes(path: Path):
+    """(enclosing function or class, node) for every node of a module, the
+    scope dotted as "Class.method" and "" at module level."""
 
     def visit(node, scope):
         for child in ast.iter_child_nodes(node):
             inner = scope
             if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
                 inner = f"{scope}.{child.name}".lstrip(".")
-            if (
-                isinstance(child, ast.Dict)
-                and any(isinstance(k, ast.Constant) and k.value == "passed" for k in child.keys)
-                or isinstance(child, ast.keyword) and child.arg == "passed"
-                or isinstance(child, ast.Subscript)
-                and isinstance(child.ctx, ast.Store)
-                and isinstance(child.slice, ast.Constant)
-                and child.slice.value == "passed"
-            ):
-                writes.append((inner, child.lineno))
-            visit(child, inner)
+            yield inner, child
+            yield from visit(child, inner)
 
-    visit(ast.parse((SRC / "experiments.py").read_text(encoding="utf-8")), "")
-    return writes
+    yield from visit(ast.parse(path.read_text(encoding="utf-8")), "")
+
+
+def passed_writes() -> list[tuple[str, int]]:
+    """(enclosing function, line) of each "passed" key that experiments.py
+    writes: a dict display key, a passed= keyword or a subscript store."""
+    return [
+        (scope, child.lineno)
+        for scope, child in scoped_nodes(SRC / "experiments.py")
+        if isinstance(child, ast.Dict)
+        and any(isinstance(k, ast.Constant) and k.value == "passed" for k in child.keys)
+        or isinstance(child, ast.keyword) and child.arg == "passed"
+        or isinstance(child, ast.Subscript)
+        and isinstance(child.ctx, ast.Store)
+        and isinstance(child.slice, ast.Constant)
+        and child.slice.value == "passed"
+    ]
 
 
 def test_only_the_result_writes_the_verdict():
     # experiments return gates; ExperimentResult derives "passed" from them
     assert [scope for scope, _ in passed_writes()] == ["ExperimentResult.__post_init__"]
+
+
+SAMPLER_NAMES = ("sample_gaussian", "standard_normal")
+
+
+def sampler_mentions() -> set[tuple[str, str]]:
+    """(enclosing function, name) of each mention in experiments.py of a
+    name in SAMPLER_NAMES: a bare name, an attribute or an import."""
+    mentions = set()
+    for scope, node in scoped_nodes(SRC / "experiments.py"):
+        for name in (getattr(node, "id", None), getattr(node, "attr", None), getattr(node, "name", None),
+                     getattr(node, "asname", None)):
+            if name in SAMPLER_NAMES:
+                mentions.add((scope, name))
+    return mentions
+
+
+def test_experiments_draw_through_the_one_sampler():
+    # Monte Carlo pairings go through dynamics.sample_functional_values and
+    # the bridge through fields; only the invariance check draws its own normals
+    assert sampler_mentions() <= {("_stationary_invariance_pvalues", "standard_normal")}
