@@ -10,6 +10,7 @@ equal keys repeat a sample, and distinct paths, at any depth, are independent.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -85,38 +86,46 @@ def two_sided_antiderivative(
     two-sided Brownian motion, F(x) = int_{-inf}^x f for x < 0 and
     F(x) = -int_x^{+inf} f for x > 0 (discontinuous at 0 unless f has zero
     mean), tails beyond r_max dropped. Returns (x, w, F(x)) on the rule of
-    covariance_two_sided: max(n_nodes // 16, 1) panels of 16 Gauss-Legendre
-    nodes on [-r_max, 0] and on [0, r_max], x ascending; f is evaluated once
-    per node, and an f that fails the first-moment guard of
-    _half_line_values is refused.
+    covariance_two_sided, _half_line_rule and its mirror image, x ascending.
     """
-    x, w = composite_legendre(0.0, r_max, max(n_nodes // 16, 1), 16)
-    pos, neg = _half_line_values(f, x, w, r_max)
+    x, w, ((pos, neg),) = _half_line_rule(r_max, n_nodes, f)
     # int_{|x|}^{r_max} f(sign y) dy: the values reversed, cumulated, reversed
     left = cumulative_legendre(neg[::-1], 0.0, r_max)
     right = -cumulative_legendre(pos[::-1], 0.0, r_max)[::-1]
     return np.concatenate((-x[::-1], x)), np.concatenate((w[::-1], w)), np.concatenate((left, right))
 
 
-def _half_line_values(f, x: np.ndarray, w: np.ndarray, r_max: float) -> tuple[np.ndarray, np.ndarray]:
-    """f(x) and f(-x) on the rule (x, w) of [0, r_max], after a heuristic
-    guard for the finite-first-moment condition: the nodes of the outermost
-    eighth of the window must hold at most 2e-3 of int |x f(x)| dx,
-    otherwise the covariance integrals are suspect. At r_max = 20 that eighth
-    holds 4.4e-2 for 1/(1 + x^2), 2.5e-3 for (1 + x^2)^(-7/4) and 2.3e-3
-    for exp(-|x| / 2.25), all refused, and 1.0e-3 for exp(-|x| / 2) and
-    6.4e-51 for exp(-2 (x - 10)^2), accepted, the same to 5 digits on 16,
-    64 and 128 panels. Every Gaussian of the registry and the tests holds at most
+def _half_line_rule(r_max: float, n_nodes: int, *fs) -> tuple[np.ndarray, np.ndarray, list]:
+    """(x, w, [(f(x), f(-x)) for f in fs]) on max(n_nodes // 16, 1) panels of
+    16 Gauss-Legendre nodes on [0, r_max], for a positive finite r_max and a
+    positive integer n_nodes. Each f must pass a heuristic guard for the
+    finite-first-moment condition: the nodes of the outermost eighth of the
+    window must hold at most 2e-3 of int |x f(x)| dx, otherwise the
+    covariance integrals are suspect. At r_max = 20 that eighth holds
+    4.4e-2 for 1/(1 + x^2), 2.5e-3 for (1 + x^2)^(-7/4) and 2.3e-3 for
+    exp(-|x| / 2.25), all refused, and 1.0e-3 for exp(-|x| / 2) and 6.4e-51
+    for exp(-2 (x - 10)^2), accepted, the same to 5 digits on 16, 64 and 128
+    panels. Every Gaussian of the registry and the tests holds at most
     2.8e-9."""
-    pos, neg = f(x), f(-x)
-    m = w * (np.abs(x * pos) + np.abs(x * neg))
-    total = float(np.sum(m))
-    if total > 0.0 and float(np.sum(m[x > 0.875 * r_max])) > 2e-3 * total:
-        raise ValueError(
-            "int |x f(x)| dx keeps growing across the truncation window; "
-            "the first-moment condition appears violated"
-        )
-    return pos, neg
+    for name, value in (("n_nodes", n_nodes), ("r_max", r_max)):
+        if not value > 0:
+            raise ValueError(f"{name} must be positive (got {value})")
+        if not np.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value}")
+    try:
+        panels = max(operator.index(n_nodes) // 16, 1)
+    except TypeError:
+        raise ValueError(f"n_nodes must be an integer, got {n_nodes}") from None
+    x, w = composite_legendre(0.0, r_max, panels, 16)
+    values = [(f(x), f(-x)) for f in fs]
+    for pos, neg in values:
+        m = w * (np.abs(x * pos) + np.abs(x * neg))
+        if np.sum(m[x > 0.875 * r_max]) > 2e-3 * np.sum(m):
+            raise ValueError(
+                "int |x f(x)| dx keeps growing across the truncation window; "
+                "the first-moment condition appears violated"
+            )
+    return x, w, values
 
 
 def covariance_two_sided(f, g, mode: str = "direct", r_max: float = 20.0, n_nodes: int = 2048) -> float:
@@ -128,14 +137,12 @@ def covariance_two_sided(f, g, mode: str = "direct", r_max: float = 20.0, n_node
     'antiderivative'  the integral of F G for the tail antiderivatives.
 
     ``f`` and ``g`` are rapidly decaying callables (negligible beyond
-    r_max, with finite first absolute moment, which _half_line_values
-    checks on the route's own nodes), integrated on max(n_nodes // 16, 1)
-    panels of 16 Gauss-Legendre nodes over [0, r_max] and its mirror image;
-    the inner integrals are the panels' cumulative integrals
-    (quadrature.cumulative_legendre), so f and g are evaluated once per
-    node and sign. Those panels must resolve f and g
-    themselves; nothing checks their width. For f = g = exp(-8 (x - 3)^2)
-    over [0, 20], the direct value differs from its value on 4x finer panels
+    r_max, with finite first absolute moment), integrated on the checked
+    window of _half_line_rule and its mirror image; the inner integrals are
+    the panels' cumulative integrals (quadrature.cumulative_legendre), so
+    f and g are evaluated once per node and sign. Those panels must resolve
+    f and g themselves; nothing checks their width. For
+    f = g = exp(-8 (x - 3)^2) over [0, 20], the direct value differs from its value on 4x finer panels
     by 1.8e-13 relative on 16 panels, 2.0e-7 on 8 and 1.9e-2 on 4; the bump
     exp(-128 (x - 3)^2) is off by 1.7e-2 on 16 panels.
 
@@ -144,18 +151,12 @@ def covariance_two_sided(f, g, mode: str = "direct", r_max: float = 20.0, n_node
     if isinstance(f, TestFunction) or isinstance(g, TestFunction):
         raise ValueError("TestFunction inputs take fourier_cov.two_sided_covariance")
 
-    for name, value in (("n_nodes", n_nodes), ("r_max", r_max)):
-        if not value > 0:
-            raise ValueError(f"{name} must be positive (got {value})")
-        if not np.isfinite(value):
-            raise ValueError(f"{name} must be finite, got {value}")
-
     if mode == "direct":
         # f(x) [int_0^x y g(y) dy + x int_x^rmax g] per half line, the inner
         # integrals cumulated on the outer panels, so the min kink sits at a node
-        x, w = composite_legendre(0.0, r_max, max(n_nodes // 16, 1), 16)
+        x, w, (f_values, g_values) = _half_line_rule(r_max, n_nodes, f, g)
         total = 0.0
-        for fx, gx in zip(_half_line_values(f, x, w, r_max), _half_line_values(g, x, w, r_max)):
+        for fx, gx in zip(f_values, g_values):
             inner_lo = cumulative_legendre(x * gx, 0.0, r_max)
             inner_hi = cumulative_legendre(gx[::-1], 0.0, r_max)[::-1]
             total += float(np.sum(w * fx * (inner_lo + x * inner_hi)))

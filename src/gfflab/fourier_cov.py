@@ -13,6 +13,7 @@ integral of exp(-i x.xi) f(x) dx, so Parseval holds without extra factors.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
@@ -121,8 +122,12 @@ class TestFunction:
 
 
 def _require(**args) -> None:
-    """Named errors: each argument finite but t >= 0 (inf is the stationary law); nu, eps, width, freq > 0."""
+    """Named errors: d an integer >= 1, a float refused, not truncated; each
+    other argument finite but t >= 0 (inf is the stationary law); nu, eps,
+    width, freq > 0."""
     for name, value in args.items():
+        if name == "d" and not (isinstance(value, numbers.Integral) and value >= 1):
+            raise ValueError(f"d must be a positive integer, got {value}")
         if not (value >= 0.0 if name == "t" else np.all(np.isfinite(value))):
             raise ValueError(f"{name} must be {'non-negative' if name == 't' else 'finite'}, got {value}")
         if name in ("nu", "eps", "width", "freq") and value <= 0.0:
@@ -137,7 +142,7 @@ def gaussian_bump(center=0.0, width: float = 1.0, d: int = 1) -> TestFunction:
     floor-certified test function.
     """
     c = np.atleast_1d(np.asarray(center, dtype=float))
-    _require(center=c, width=width)
+    _require(d=d, center=c, width=width)
     if c.size != d:
         raise ValueError(f"center has dimension {c.size}, expected {d}")
     amp = width**d
@@ -163,7 +168,7 @@ def make_s0_function(freq: float, width: float, d: int = 1) -> TestFunction:
     Requires freq >= 8 * width so the Gaussian factor is already below
     1e-12 where the ramp starts.
     """
-    _require(freq=freq, width=width)
+    _require(d=d, freq=freq, width=width)
     if freq < 8.0 * width:
         raise ValueError(
             f"freq = {freq} too small to clear the annulus floor; need freq >= 8 * width = {8 * width}"
@@ -223,40 +228,23 @@ def _require_resolved(hi: float, reach: float) -> float:
     return reach
 
 
-def _pair_integral(
-    f: TestFunction,
-    g: TestFunction,
-    law: Callable[[np.ndarray], np.ndarray],
-    subtract: tuple[float, float] = (0.0, 0.0),
-) -> float:
-    """integral over R^d of (fhat - c_f)(conj(ghat) - c_g) law(|xi|^2) with
-    (c_f, c_g) = subtract: the pairing of the transforms on the spectrum this
-    function chooses. The radial rule on the shared support serves every pair
-    with nothing subtracted, and centred pairs: the phase exp(-i xi.Delta) of
-    centres Delta apart averages over each sphere |xi| = r to the angular
-    average at r |Delta|, which multiplies ghat. A subtracted pair off the
-    origin takes the rule on the half line by Hermitian symmetry in d = 1;
-    its phases reach hi max(|c_f|, |c_g|, |c_f - c_g|) for centres c_f, c_g.
-    A phase past PHASE_MAX is a named error."""
+def _pair_integral(f: TestFunction, g: TestFunction, law: Callable[[np.ndarray], np.ndarray]) -> float:
+    """integral over R^d of fhat conj(ghat) law(|xi|^2): the pairing of the
+    transforms on the radial rule of their shared support. The phase
+    exp(-i xi.Delta) of centres Delta apart averages over each sphere
+    |xi| = r to the angular average at r |Delta|, which multiplies ghat; a
+    phase past PHASE_MAX is a named error."""
     if f.d != g.d:
         raise ValueError("test functions live in different dimensions")
     lo, hi = max(f.xi_floor, g.xi_floor), min(f.xi_cut, g.xi_cut)
     if hi <= lo:
         return 0.0
-    if not any(subtract) or (f.center is None and g.center is None):
-        r, spectrum = _radial_spectrum(f.d, lo, hi)
-        fhat, ghat = f.fhat_radial(r), g.fhat_radial(r)
-        if f.center != g.center:
-            shift = np.linalg.norm(np.subtract(f.center or 0.0, g.center or 0.0))
-            ghat = ghat * _angular_average(f.d, r * _require_resolved(hi, shift))
-    elif f.d == 1:
-        (cf,), (cg,) = f.center or (0.0,), g.center or (0.0,)
-        _require_resolved(hi, max(abs(cf), abs(cg), abs(cf - cg)))
-        xi, spectrum = _radial_spectrum(1, lo, hi)
-        fhat, ghat = f.fhat(xi), np.conj(g.fhat(xi))
-    else:
-        raise ValueError("subtracted pairs off the origin are supported only in d = 1")
-    return pairing(spectrum, fhat - subtract[0], ghat - subtract[1], law)
+    r, spectrum = _radial_spectrum(f.d, lo, hi)
+    fhat, ghat = f.fhat_radial(r), g.fhat_radial(r)
+    if f.center != g.center:
+        shift = np.linalg.norm(np.subtract(f.center or 0.0, g.center or 0.0))
+        ghat = ghat * _angular_average(f.d, r * _require_resolved(hi, shift))
+    return pairing(spectrum, fhat, ghat, law)
 
 
 def _check_floor(f: TestFunction, name: str) -> None:
@@ -284,8 +272,9 @@ def two_sided_covariance(f: TestFunction, g: TestFunction) -> float:
     """E(W[f] W[g]) for the two-sided Brownian motion on the line: the
     integral of (fhat - fhat(0)) conj(ghat - ghat(0)) over xi^2.
 
-    The subtracted integral runs on the grid of gff_covariance, so the two
-    agree exactly when fhat(0) = ghat(0) = 0. Past the smaller of the two
+    The subtracted integral, phases and all, runs on the half line of the
+    radial rule of gff_covariance by Hermitian symmetry, so the two agree
+    exactly when fhat(0) = ghat(0) = 0. Past the smaller of the two
     cuts the transform that ends there is below rounding, and the other one,
     h, leaves the cross term -c h / xi^2 with the first one's c = fhat(0).
     It runs on the same rule up to h's own cut, and is skipped when c = 0;
@@ -295,8 +284,13 @@ def two_sided_covariance(f: TestFunction, g: TestFunction) -> float:
     if f.d != 1 or g.d != 1:
         raise ValueError("the two-sided Brownian motion lives on the line")
     f0, g0 = _fhat0(f), _fhat0(g)
-    value = _pair_integral(f, g, lambda q: 1.0 / q, (f0, g0))
-    hi = min(f.xi_cut, g.xi_cut)
+    lo, hi = max(f.xi_floor, g.xi_floor), min(f.xi_cut, g.xi_cut)
+    value = 0.0
+    if hi > lo:
+        (cf,), (cg,) = f.center or (0.0,), g.center or (0.0,)
+        _require_resolved(hi, max(abs(cf), abs(cg), abs(cf - cg)))
+        xi, spectrum = _radial_spectrum(1, lo, hi)
+        value = pairing(spectrum, f.fhat(xi) - f0, np.conj(g.fhat(xi)) - g0, lambda q: 1.0 / q)
     h, c = (f, g0) if f.xi_cut > g.xi_cut else (g, f0)
     if c != 0.0 and h.xi_cut > hi:
         _require_resolved(h.xi_cut, abs((h.center or (0.0,))[0]))

@@ -403,6 +403,21 @@ class TestAntiderivative:
         with pytest.raises(ValueError, match="first-moment"):
             two_sided_antiderivative(lambda x: 1.0 / (1.0 + x * x), 20.0, 2048)
 
+    @pytest.mark.parametrize(
+        "kwargs, message",
+        # the window of covariance_two_sided, checked here too: r_max = inf gave
+        # a nan antiderivative, r_max = -1 negative weights (sum w F^2 = -0.297),
+        # n_nodes = 0 one panel, and n_nodes = 40.5 numpy's TypeError
+        [({"r_max": math.inf}, "r_max must be finite, got inf"),
+         ({"r_max": -1.0}, r"r_max must be positive \(got -1.0\)"),
+         ({"n_nodes": 0}, r"n_nodes must be positive \(got 0\)"),
+         ({"n_nodes": 40.5}, "n_nodes must be an integer, got 40.5")],
+        ids=["r_max_inf", "r_max_negative", "n_nodes_zero", "n_nodes_fraction"],
+    )
+    def test_window_checked(self, kwargs, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            two_sided_antiderivative(lambda x: np.exp(-x * x), **kwargs)
+
 
 def per_node_antiderivative(f, x, r_max):
     """The tail antiderivative accumulated with one 24-node rule per gap in a
@@ -512,6 +527,13 @@ class TestCovarianceTwoSided:
         f = lambda x: np.exp(-x * x)
         with pytest.raises(ValueError, match=f"{name} must be positive"):
             covariance_two_sided(f, f, mode, **kwargs)
+
+    @pytest.mark.parametrize("mode", ["direct", "antiderivative"])
+    def test_rejects_a_fractional_node_count(self, mode):
+        # numpy's "'float' object cannot be interpreted as an integer" before
+        f = lambda x: np.exp(-x * x)
+        with pytest.raises(ValueError, match="^n_nodes must be an integer, got 40.5$"):
+            covariance_two_sided(f, f, mode, n_nodes=40.5)
 
     @pytest.mark.parametrize("mode", ["direct", "antiderivative"])
     def test_rejects_an_infinite_window(self, mode):

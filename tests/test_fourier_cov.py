@@ -10,7 +10,6 @@ from gfflab.fourier_cov import (
     PHASE_MAX,
     TestFunction,
     _angular_average,
-    _pair_integral,
     _radial_spectrum,
     gaussian_bump,
     gff_covariance,
@@ -23,7 +22,7 @@ from gfflab.fourier_cov import (
     transient_covariance,
     two_sided_covariance,
 )
-from gfflab.experiments import FOURIER_LIMITS_EPS_RANGE, _massive_physical_oracle
+from gfflab.experiments import FOURIER_LIMITS_EPS_RANGE, _massive_physical_oracle, _two_sided_gauss_oracle
 from gfflab.greens import potential_zero_mass
 from gfflab.quadrature import composite_legendre, gauss_legendre, tensor_grid
 
@@ -70,6 +69,22 @@ class TestMakeS0Function:
             gaussian_bump(0.0, 0.0)
         with pytest.raises(ValueError, match="center has dimension 2, expected 3"):
             gaussian_bump((0.0, 0.0), 1.0, d=3)
+
+    @pytest.mark.parametrize(
+        "make, d",
+        # d = -1 gave a negative variance (gff -5.6e-4), d = 2.5 a value, d = 0
+        # a "math domain error" inside math.gamma, d = 2.0 a bump
+        [("s0", -1), ("s0", 2.5), ("s0", 0), ("bump", 2.0)],
+        ids=["s0_negative", "s0_fraction", "s0_zero", "bump_float"],
+    )
+    def test_dimension_must_be_a_positive_integer(self, make, d):
+        with pytest.raises(ValueError, match=f"^d must be a positive integer, got {d}$"):
+            make_s0_function(4.0, 0.25, d=d) if make == "s0" else gaussian_bump([0.0, 0.0], 1.0, d=d)
+
+    def test_numpy_integer_dimension_accepted(self):
+        # numpy integers are integers; d >= 4 stays, where centred pairs are valid
+        f = make_s0_function(4.0, 0.25, d=np.int64(4))
+        assert f.d == 4 and gff_covariance(f, f) > 0.0
 
     def test_rapid_decay_of_transform(self):
         # (1 + r^2)^(d+1) |fhat| stays bounded on the grid and is tiny at
@@ -170,12 +185,6 @@ class TestGffCovariance:
         with pytest.raises(ValueError, match="^shifted pairs are supported only for d <= 3, got d = 4$"):
             gff_covariance(f, g)
 
-    def test_subtracted_shifted_pair_in_d2_rejected(self):
-        f = gaussian_bump((0.0, 0.0), 1.0, d=2)
-        g = gaussian_bump((1.0, 0.0), 1.0, d=2)
-        with pytest.raises(ValueError, match="^subtracted pairs off the origin are supported only in d = 1$"):
-            _pair_integral(f, g, lambda q: 1.0 / q, (1.0, 1.0))
-
     def test_surface_measures(self):
         assert surface_measure(1) == pytest.approx(2.0, rel=1e-14)
         assert surface_measure(2) == pytest.approx(2.0 * math.pi, rel=1e-14)
@@ -238,6 +247,37 @@ class TestTwoSidedCovariance:
         assert two_sided_covariance(f, near) == pytest.approx(width * math.sqrt(2.0 * math.pi), rel=1e-14)
         with pytest.raises(ValueError, match="^centres too far apart for the radial rule"):
             two_sided_covariance(f, far)
+
+    def test_narrow_against_unit_bumps_meet_the_closed_form(self):
+        # width 0.1, 0.2 or 0.5 (cut 12 / width) against width 1 (cut 12),
+        # centre c on either bump: the pair's phase reaches 12 c and the
+        # narrow bump's cross term its own cut times its centre, so only that
+        # term refuses, at 1800, 4800 and 2400 > PHASE_MAX
+        accepted, refused = [], set()
+        for width in (0.1, 0.2, 0.5):
+            for c in (1.0, 3.0, 8.0, 15.0, 40.0):
+                for a, b in (((c, width), (0.0, 1.0)), ((0.0, width), (c, 1.0))):
+                    try:
+                        got = two_sided_covariance(gaussian_bump(*a), gaussian_bump(*b))
+                    except ValueError as err:
+                        assert str(err).startswith("centres too far apart for the radial rule"), err
+                        refused.add((a, b))
+                        continue
+                    want = _two_sided_gauss_oracle(a, b)
+                    accepted.append(abs(got - want) / abs(want))
+        assert refused == {((15.0, 0.1), (0.0, 1.0)), ((40.0, 0.1), (0.0, 1.0)), ((40.0, 0.2), (0.0, 1.0))}
+        assert len(accepted) == 27 and max(accepted) < 1e-13
+
+    def test_mean_zero_pairs_equal_the_free_field_bit_for_bit(self):
+        # fhat(0) = 0: the half-line pairing's imaginary parts are exact zeros
+        # and its real parts the radial rule's, including disjoint annuli
+        grid = [(4.0, 0.25), (5.0, 0.3), (8.0, 1.0), (12.0, 1.5), (20.0, 0.5)]
+        for a in grid:
+            for b in grid:
+                f, g = make_s0_function(*a), make_s0_function(*b)
+                assert two_sided_covariance(f, g) == gff_covariance(f, g), (a, b)
+        f, g = make_s0_function(4.0, 0.25), make_s0_function(20.0, 0.5)
+        assert f.xi_cut < g.xi_floor and two_sided_covariance(f, g) == 0.0
 
 
 class TestTransientCovariance:

@@ -178,3 +178,27 @@ def test_experiments_draw_through_the_one_sampler():
     # Monte Carlo pairings go through dynamics.sample_functional_values and
     # the bridge through fields; only the invariance check draws its own normals
     assert sampler_mentions() <= {("_stationary_invariance_pvalues", "standard_normal")}
+
+
+def call_scopes(path: Path, name: str) -> list[str]:
+    """The enclosing function of each call of `name`, as a bare name or an
+    attribute, in source order."""
+    return [
+        scope
+        for scope, node in scoped_nodes(path)
+        if isinstance(node, ast.Call)
+        and name in (getattr(node.func, "id", None), getattr(node.func, "attr", None))
+    ]
+
+
+def test_each_two_sided_route_owns_its_rule():
+    # the shared radial pairing takes no subtraction and never reads the
+    # phased transform; only the two-sided covariance pairs f.fhat on the
+    # half line, and the physical routes build one checked window
+    pair = next(
+        node for node in ast.parse((SRC / "fourier_cov.py").read_text(encoding="utf-8")).body
+        if isinstance(node, ast.FunctionDef) and node.name == "_pair_integral"
+    )
+    assert [arg.arg for arg in pair.args.args] == ["f", "g", "law"]
+    assert set(call_scopes(SRC / "fourier_cov.py", "fhat")) == {"two_sided_covariance"}
+    assert call_scopes(SRC / "fields.py", "composite_legendre") == ["_half_line_rule"]
