@@ -11,6 +11,7 @@ exactly, so no time-discretization error enters production runs.
 from __future__ import annotations
 
 import math
+import operator
 
 import numpy as np
 
@@ -43,17 +44,27 @@ def kakutani_statistic(basis: EigenBasis, nu: float, t: float, terms: int | None
     """Partial sum of the Gaussian-equivalence statistic
     sum_{k<=terms} (sqrt(1 - e^{-2 nu lam_k^2 t}) - 1)^2 comparing the
     time-t law with the invariant law; bounded partial sums certify
-    absolute continuity."""
+    absolute continuity. ``terms`` is an integer, a float refused.
+
+    It holds at most two arrays of `terms` floats: the squared eigenvalues
+    and their decays, then the decays and one scratch array for
+    1 + sqrt(1 - q), each step written in place."""
     for name, value in (("nu", nu), ("time", t)):
         if not 0.0 < value < math.inf:  # NaN included
             raise ValueError(f"{name} must be {'positive' if value <= 0.0 else 'finite'}, got {value}")
     basis.require_positive_spectrum("dynamics")
-    n = basis.size if terms is None else terms
+    try:
+        n = basis.size if terms is None else operator.index(terms)
+    except TypeError:
+        raise ValueError(f"terms must be an integer, got {terms!r}") from None
     if not 1 <= n <= basis.size:
         raise ValueError(f"terms must be in 1..{basis.size}")
     q = ou_decay(np.square(basis.lambdas[:n]), nu, 2.0 * t)
     # sqrt(1-q) - 1 written as -q / (1 + sqrt(1-q)) to avoid cancellation
-    q /= 1.0 + np.sqrt(1.0 - q)
+    root = np.subtract(1.0, q)
+    np.sqrt(root, out=root)
+    root += 1.0
+    q /= root
     return float(np.sum(np.square(q, out=q)))
 
 

@@ -41,9 +41,18 @@ def _smooth_step(u):
 
 def ou_decay(q, nu: float, t: float):
     """exp(-nu q t), the mean multiplier of the Ornstein-Uhlenbeck law of
-    frequency q over time t; 0 where nu q t overflows."""
+    frequency q over time t; 0 where nu q t overflows.
+
+    The product, the scale by t and the exp are written in turn into one
+    new array the size of q, the only one allocated for a float array q,
+    which is not written. A scalar q gives a numpy float."""
+    q = np.asarray(q, dtype=float)
+    out = np.empty_like(q)
     with np.errstate(over="ignore"):
-        return np.exp(-nu * np.asarray(q, dtype=float) * t)
+        np.multiply(q, -nu, out=out)
+        out *= t
+        np.exp(out, out=out)
+    return out if out.ndim else out[()]
 
 
 def ou_variance(q, nu: float, sigma: float, t: float):
@@ -134,6 +143,15 @@ def _require(**args) -> None:
             raise ValueError(f"{name} must be positive, got {value}")
 
 
+def _cut(xi_cut: float, formula: str) -> float:
+    """xi_cut, if the radial rule, which squares its nodes, can run up to it;
+    a named error where xi_cut or its square is not finite."""
+    cut = float(xi_cut)
+    if not math.isfinite(cut * cut):
+        raise ValueError(f"xi_cut = {formula} is {cut:.6g}, whose square is not finite")
+    return xi_cut
+
+
 def gaussian_bump(center=0.0, width: float = 1.0, d: int = 1) -> TestFunction:
     """The Gaussian exp(-|x - center|^2 / (2 width^2)).
 
@@ -155,7 +173,7 @@ def gaussian_bump(center=0.0, width: float = 1.0, d: int = 1) -> TestFunction:
         d=d,
         profile=profile,
         xi_floor=0.0,
-        xi_cut=12.0 / width,
+        xi_cut=_cut(12.0 / width, f"12 / width at width = {width}"),
         center=None if centered else tuple(c),
     )
 
@@ -185,7 +203,7 @@ def make_s0_function(freq: float, width: float, d: int = 1) -> TestFunction:
         d=d,
         profile=profile,
         xi_floor=lo,
-        xi_cut=freq + 12.0 * width,
+        xi_cut=_cut(freq + 12.0 * width, f"freq + 12 * width at freq = {freq}, width = {width}"),
         center=None,
     )
 

@@ -160,18 +160,28 @@ def series_green(basis: EigenBasis, nu: float, x, y) -> float:
 
     On the unit interval with Dirichlet conditions this converges to the
     Brownian bridge covariance min(x, y) - x y.
+
+    x and y are one point each, of d coordinates. Past evaluate_matrix the
+    call holds its (2, size) evaluation and no other array of that size:
+    the product goes into the first row, nu lambda_k^2 into the second.
     """
     basis.require_positive_spectrum("series Green's function")
     _check_kernel_params(nu)
     pts = np.concatenate((_as_points(basis, x), _as_points(basis, y)))
     hx, hy = evaluate_matrix(basis, pts)
     hx *= hy
-    return float(np.sum(np.divide(hx, np.square(basis.lambdas) * nu, out=hx)))
+    np.square(basis.lambdas, out=hy)
+    hy *= nu
+    return float(np.sum(np.divide(hx, hy, out=hx)))
 
 
 def _as_points(basis: EigenBasis, x) -> np.ndarray:
-    arr = np.atleast_1d(np.asarray(x, dtype=float))
-    return arr.reshape(-1) if basis.d == 1 else arr.reshape(1, -1)
+    """The one point x of the basis's domain as a (1, d) array; a named error
+    for any other number of coordinates."""
+    arr = np.asarray(x, dtype=float)
+    if arr.size != basis.d:
+        raise ValueError(f"expected one point of {basis.d} coordinates, got shape {arr.shape}")
+    return arr.reshape(1, -1)
 
 
 _TIME_QUAD_NODES = 256

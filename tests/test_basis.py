@@ -21,7 +21,7 @@ from gfflab.basis import (
     gram_matrix,
 )
 from gfflab.cli import parse_config_text
-from gfflab.experiments import exp_weyl
+from gfflab.experiments import exp_heat_poisson, exp_kakutani, exp_weyl
 from gfflab.greens import series_green
 
 
@@ -421,6 +421,29 @@ class TestInPlace:
         basis = build_interval_basis("dirichlet", 0.0, 1.0, 10**5)
         _, peak = traced_peak(series_green, basis, 1.0, 0.3, 0.7)
         assert peak <= 0.5 * 7.06 * 2**20
+
+    def test_series_green_peak_is_its_evaluation_and_little_more(self, traced_peak):
+        # 2.29 MiB, 1.5 times the (2, K) evaluation, while nu lambda^2 took two
+        # new arrays of K; the evaluation's second row now holds it
+        basis = build_interval_basis("dirichlet", 0.0, 1.0, 10**5)
+        _, peak = traced_peak(series_green, basis, 1.0, 0.3, 0.7)
+        assert peak <= 1.25 * 2 * 8 * basis.size
+
+    @pytest.mark.parametrize(
+        "name, text",
+        # 3.95 and 3.83 MiB while kakutani_statistic and series_green held
+        # extra arrays of K; now each peaks at its basis and one evaluation
+        [
+            ("kakutani", "experiment = kakutani\nbasis.kind = box_dirichlet\nbasis.d = 3\nK = 100000\n"),
+            ("heat_poisson", "experiment = heat_poisson\nK = 100000\n"),
+        ],
+        ids=["kakutani", "heat_poisson"],
+    )
+    def test_spectra_experiment_peak_is_below_3_4_mib(self, name, text, traced_peak):
+        run = {"kakutani": exp_kakutani, "heat_poisson": exp_heat_poisson}[name]
+        result, peak = traced_peak(run, parse_config_text(text))
+        assert result.summary["passed"]
+        assert peak < 3.4 * 2**20
 
     def test_weyl_holds_one_basis_at_a_time(self, traced_peak):
         # 7.93 MiB when the box basis stayed alive while the Hermite one was built

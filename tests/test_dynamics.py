@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -228,7 +229,39 @@ def old_kakutani_statistic(basis, nu, t, n):
     return float(np.sum(dev * dev))
 
 
+def kakutani_with_temporaries(basis, nu, t, n):
+    """kakutani_statistic as written before its scratch array: the oracle of
+    the bit-identity test of the in-place steps."""
+    with np.errstate(over="ignore"):
+        q = np.exp(-nu * np.square(basis.lambdas[:n]) * (2.0 * t))
+    q /= 1.0 + np.sqrt(1.0 - q)
+    return float(np.sum(np.square(q, out=q)))
+
+
 class TestKakutani:
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: build_interval_basis("dirichlet", 0.0, 1.0, 20000),
+            lambda: build_box_basis(3, 1.0, 20000),
+            lambda: build_hermite_basis(1, 20000),
+        ],
+        ids=["dirichlet", "box3", "hermite1"],
+    )
+    def test_matches_the_formula_with_temporaries_bit_for_bit(self, make):
+        basis = make()
+        for nu, t in ((1.7, 1e-5), (1.0, 0.1), (0.3, 2.0), (4.0, 1e-3)):
+            for n in (1, 7, 1000, np.int64(12345), basis.size):
+                got = kakutani_statistic(basis, nu, t, n)
+                assert got.hex() == kakutani_with_temporaries(basis, nu, t, n).hex(), (nu, t, n)
+
+    def test_peak_is_two_arrays_of_terms(self, traced_peak):
+        # 2.29 MiB, three arrays of terms, while 1 - q, its root and 1 + root
+        # were each a new array
+        basis = build_box_basis(3, 1.0, 100000)
+        _, peak = traced_peak(kakutani_statistic, basis, 1.0, 0.1)
+        assert peak <= 2.05 * 8 * basis.size
+
     @pytest.mark.parametrize(
         "make, t",
         [
@@ -287,6 +320,16 @@ class TestKakutani:
     def test_terms_outside_the_basis_rejected(self, dirichlet16, terms):
         with pytest.raises(ValueError, match=r"terms must be in 1\.\.16"):
             kakutani_statistic(dirichlet16, 1.0, 0.1, terms)
+
+    @pytest.mark.parametrize("terms", [2.5, 10.0, "8", np.float64(4.0)])
+    def test_terms_must_be_an_integer(self, dirichlet16, terms):
+        # numpy's "slice indices must be integers" TypeError, or a slice of
+        # the float's floor
+        with pytest.raises(ValueError, match=f"^terms must be an integer, got {re.escape(repr(terms))}$"):
+            kakutani_statistic(dirichlet16, 1.0, 0.1, terms)
+
+    def test_numpy_integer_terms_accepted(self, dirichlet16):
+        assert kakutani_statistic(dirichlet16, 1.0, 0.1, np.int32(9)) == kakutani_statistic(dirichlet16, 1.0, 0.1, 9)
 
 
 class TestConvergenceCurve:

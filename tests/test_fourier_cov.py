@@ -86,6 +86,32 @@ class TestMakeS0Function:
         f = make_s0_function(4.0, 0.25, d=np.int64(4))
         assert f.d == 4 and gff_covariance(f, f) > 0.0
 
+    @pytest.mark.parametrize(
+        "make, cut",
+        # 12 / 1e-310 overflowed to an infinite cut, which gave NaN; 12 / 1e-300
+        # is finite but its square, on the radial rule, overflowed and the
+        # pairings read 0.0; freq + 12 * width overflowed the same way
+        [
+            (lambda: gaussian_bump(0.0, 1e-310), "12 / width at width = 1e-310 is inf"),
+            (lambda: gaussian_bump(0.0, 1e-300), "12 / width at width = 1e-300 is 1.2e[+]301"),
+            (lambda: make_s0_function(1e308, 1e307), r"freq \+ 12 \* width at freq = 1e\+308, width = 1e\+307 is inf"),
+        ],
+        ids=["bump_cut_inf", "bump_cut_squared_inf", "s0_cut_inf"],
+    )
+    def test_cut_without_a_finite_square_rejected(self, make, cut):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=f"^xi_cut = {cut}, whose square is not finite$"):
+                make()
+
+    def test_every_width_in_use_is_accepted(self):
+        # the widths of the registry and of these tests, and the extremes on
+        # each side of the largest cut the radial rule can square
+        for width in (1e-150, 0.1, 0.2, 0.25, 0.5, 0.6, 0.7, 0.8, 1.0, 1.3, 2.0, 1e300):
+            assert math.isfinite(gaussian_bump(0.0, width).xi_cut ** 2)
+        for freq, width in ((4.0, 0.25), (4.5, 0.3), (5.0, 0.3), (5.0, 0.6), (20.0, 0.5), (40.0, 0.25), (1e150, 1.0)):
+            assert math.isfinite(make_s0_function(freq, width).xi_cut ** 2)
+
     def test_rapid_decay_of_transform(self):
         # (1 + r^2)^(d+1) |fhat| stays bounded on the grid and is tiny at
         # the declared cutoff
@@ -431,6 +457,59 @@ class TestOuLaw:
         assert var[0] == 1e200 * (-np.expm1(-2e300 * 5.0)) / 2e300
         closed = 1.3**2 * (-np.expm1(-2.0 * 0.7 * 4.0 * 0.3)) / (2.0 * 0.7 * 4.0)
         assert ou_variance(4.0, 0.7, 1.3, 0.3) == closed
+
+
+def ou_decay_one_expression(q, nu, t):
+    """ou_decay as one expression, before it wrote its steps into one array:
+    the oracle of the bit-identity tests."""
+    with np.errstate(over="ignore"):
+        return np.exp(-nu * np.asarray(q, dtype=float) * t)
+
+
+class TestOuDecayInPlace:
+    """ou_decay writes its three steps into one new array: the bits of the
+    one expression, and no more memory than its output."""
+
+    @pytest.mark.parametrize(
+        "q, nu, t",
+        [
+            (np.linspace(0.0, 400.0, 1001), 0.7, 0.3),
+            (np.geomspace(1e-8, 1e8, 999), 1.7, 2e-3),
+            (np.array([1.0, 1.66e8, 1e308]), 1e300, 5.0),  # nu q t overflows: 0.0
+            (np.square(np.arange(1.0, 50.0)).reshape(7, 7)[:, ::2], 2.5, 0.01),  # a strided view
+            (np.array([1e-300, 3.0]), 0.5, math.inf),
+            (np.arange(10), 0.3, 0.2),  # integers
+        ],
+        ids=["linear", "geometric", "overflow", "strided", "inf_time", "int"],
+    )
+    def test_arrays_match_the_one_expression_bit_for_bit(self, q, nu, t):
+        kept = q.copy()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = ou_decay(q, nu, t)
+        want = ou_decay_one_expression(q, nu, t)
+        assert got.shape == want.shape and got.dtype == want.dtype == np.float64
+        assert got.tobytes() == want.tobytes()
+        assert np.array_equal(q, kept)  # the input is not written
+
+    @pytest.mark.parametrize("q", [0.37, np.float64(12.5), np.asarray(3.0), 0, 1e300])
+    def test_scalars_give_a_numpy_float(self, q):
+        got = ou_decay(q, 0.9, 1.3)
+        assert type(got) is np.float64
+        assert got.hex() == ou_decay_one_expression(q, 0.9, 1.3).hex()
+
+    def test_lists_match_the_one_expression_bit_for_bit(self):
+        q = [0.0, 1.5, 9.8696, 400.0, 1e306]
+        assert ou_decay(q, 0.7, 0.25).tobytes() == ou_decay_one_expression(q, 0.7, 0.25).tobytes()
+        assert ou_decay([[1.0, 2.0], [3.0, 4.0]], 1.1, 0.5).tobytes() == ou_decay_one_expression(
+            [[1.0, 2.0], [3.0, 4.0]], 1.1, 0.5
+        ).tobytes()
+
+    def test_peak_is_its_output(self, traced_peak):
+        # 1.53 MiB, twice the output, while -nu q was held apart from the exp
+        q = np.linspace(0.0, 1e4, 10**5)
+        out, peak = traced_peak(ou_decay, q, 0.7, 0.3)
+        assert peak <= 1.05 * out.nbytes
 
 
 def bump_transient_variance(d, width, nu, sigma, t):

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -293,7 +294,59 @@ class TestLogDivergence:
         assert slope == pytest.approx(-1.0 / (4.0 * math.pi * nu), rel=0.01)
 
 
+def series_green_with_temporaries(basis, nu, x, y):
+    """series_green as written before nu lambda^2 went into the second row of
+    its evaluation: the oracle of the bit-identity test."""
+    hx, hy = evaluate_matrix(basis, np.array([x, y], dtype=float))
+    hx *= hy
+    return float(np.sum(np.divide(hx, np.square(basis.lambdas) * nu, out=hx)))
+
+
 class TestSeriesGreen:
+    @pytest.mark.parametrize(
+        "make, points",
+        [
+            (
+                lambda: build_interval_basis("dirichlet", 0.0, 1.0, 20000),
+                [(0.3, 0.7), (0.5, 0.5), (0.01, 0.99), (0.0, 0.4)],
+            ),
+            (lambda: build_interval_basis("dirichlet", -1.0, 2.0, 5000), [(-0.3, 1.7), (1.2, 1.2)]),
+            (lambda: build_box_basis(2, 1.0, 20000), [((0.3, 0.8), (0.6, 0.25)), ((0.5, 0.5), (0.5, 0.5))]),
+            (lambda: build_box_basis(3, 2.0, 20000), [((0.3, 1.8, 1.1), (0.6, 0.25, 1.9))]),
+        ],
+        ids=["dirichlet", "dirichlet_shifted", "box2", "box3"],
+    )
+    def test_matches_the_formula_with_temporaries_bit_for_bit(self, make, points):
+        basis = make()
+        for x, y in points:
+            for nu in (1.0, 1.3, 0.07, 25.0):
+                got = series_green(basis, nu, x, y)
+                assert got.hex() == series_green_with_temporaries(basis, nu, x, y).hex(), (x, y, nu)
+
+    @pytest.mark.parametrize(
+        "make, x, y, shape",
+        # d = 1 unpacked three rows ("too many values to unpack"); three
+        # coordinates on a d = 2 box failed inside numpy's concatenate
+        [
+            (lambda: build_interval_basis("dirichlet", 0.0, 1.0, 16), [0.2, 0.3], 0.5, "(2,)"),
+            (lambda: build_interval_basis("dirichlet", 0.0, 1.0, 16), 0.5, np.zeros((1, 2)), "(1, 2)"),
+            (lambda: build_box_basis(2, 1.0, 50), (0.2, 0.3, 0.4), (0.5, 0.5), "(3,)"),
+            (lambda: build_box_basis(2, 1.0, 50), (0.5, 0.5), 0.5, "()"),
+            (lambda: build_box_basis(3, 1.0, 50), np.full((2, 3), 0.5), (0.5, 0.5, 0.5), "(2, 3)"),
+        ],
+        ids=["d1_two_coordinates", "d1_row_of_two", "d2_three_coordinates", "d2_scalar", "d3_two_points"],
+    )
+    def test_one_point_each(self, make, x, y, shape):
+        basis = make()
+        message = f"^expected one point of {basis.d} coordinates, got shape {re.escape(shape)}$"
+        with pytest.raises(ValueError, match=message):
+            series_green(basis, 1.0, x, y)
+
+    def test_point_shapes_of_d_coordinates_accepted(self):
+        line, box = build_interval_basis("dirichlet", 0.0, 1.0, 64), build_box_basis(2, 1.0, 64)
+        assert series_green(line, 1.0, [0.3], np.array([[0.7]])) == series_green(line, 1.0, 0.3, 0.7)
+        assert series_green(box, 1.0, [[0.3, 0.4]], np.array([0.6, 0.2])) == series_green(box, 1.0, (0.3, 0.4), (0.6, 0.2))
+
     def test_bridge_covariance_diagonal(self):
         basis = build_interval_basis("dirichlet", 0.0, 1.0, 10000)
         assert series_green(basis, 1.0, 0.5, 0.5) == pytest.approx(0.25, abs=1e-4)
